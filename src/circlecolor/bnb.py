@@ -13,10 +13,11 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .errors import InfeasibleModelError
+from .errors import CertificateError, InfeasibleModelError
 from .intervals import (
     CircleGraph,
     Coloring,
+    ContainmentDag,
     IntervalRep,
     build_clique_matrix,
     build_dag,
@@ -26,11 +27,12 @@ from .intervals import (
 )
 from .lpmodels import LpModel, build_cg
 from .mwis import arborescence_of_coloring, decode_arborescence
-from .simplex import DEFAULT_OPTIONS, SimplexOptions, solve_lp
+from .simplex import DEFAULT_OPTIONS, LpSolution, SimplexOptions, solve_lp
 from .stowage import (
     StackPlan,
     build_cgh,
     build_layered_dag,
+    check_plan,
     decode_plan,
     effective_height,
     greedy_stack_plan,
@@ -64,20 +66,23 @@ def first_fit(graph: CircleGraph, order=None) -> Coloring:
 # ---------------------------------------------------------------------------
 # generic LP-based branch and bound
 
-def _node_bound(obj: float, integral: bool) -> float:
-    return math.ceil(obj - 1e-6) if integral else obj
+def _node_bound(obj: float, integral: bool, int_tol: float) -> float:
+    return math.ceil(obj - int_tol) if integral else obj
 
 
 def solve_ip(model: LpModel, options: SimplexOptions | None = None,
              incumbent_value: float | None = None,
-             no_branch=frozenset(), priority=None, log=None):
+             no_branch=frozenset(), priority=None, log=None,
+             root: LpSolution | None = None):
     """Minimize a model with binary/integer variables.
 
     Returns (value, primal-or-None, nodes).  primal is None when the
     incumbent supplied by the caller was never beaten (the caller then owns
     the certificate).  Branching splits one variable on floor/ceil of its
     LP value (a 0/1 fix for binaries); variables in no_branch are left to
-    the integrality implied by the others.
+    the integrality implied by the others.  A caller that has already
+    solved model.relaxed() passes it as root: it is counted as the first
+    node and not solved again.
     """
     assert model.sense == "min"
     opts = options or DEFAULT_OPTIONS
@@ -103,13 +108,14 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
     seq = 0
     heap = []
 
-    def evaluate(fixings, depth):
+    def evaluate(fixings, depth, sol=None):
         nonlocal nodes, best_value, best_primal, seq
         nodes += 1
-        sol = solve_lp(relaxed, opts, bound_overrides=fixings or None)
+        if sol is None:
+            sol = solve_lp(relaxed, opts, bound_overrides=fixings or None)
         if sol.status != "optimal":
             return
-        bound = _node_bound(sol.objective, model.integral_objective)
+        bound = _node_bound(sol.objective, model.integral_objective, opts.int_tol)
         if log:
             log(f"node depth={depth} bound={bound:g} incumbent={best_value:g}")
         if bound >= best_value - (0 if model.integral_objective else opts.int_tol):
@@ -124,7 +130,7 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
         seq += 1
         heappush(heap, (bound, -depth, seq, fixings, branch_var, sol.primal[branch_var]))
 
-    evaluate({}, 0)
+    evaluate({}, 0, root)
     while heap:
         bound, negdepth, _, fixings, branch_var, frac_val = heappop(heap)
         if bound >= best_value:
@@ -149,14 +155,16 @@ def _arcs_from_primal(primal, arc_map):
 # ---------------------------------------------------------------------------
 # chromatic number
 
-def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
-                    log=None) -> SolveReport:
-    """Exact chromatic number with a decoded coloring certificate; the root
-    LP value is the fractional chromatic number."""
+def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
+            timings: dict | None = None) -> tuple[ContainmentDag, LpModel, LpSolution]:
+    """Build the CG program and solve its LP relaxation, with no
+    branching: the root value is the fractional chromatic number.
+
+    Returns (dag, model, root); the build and root-LP seconds go into
+    timings when it is given."""
     opts = options or DEFAULT_OPTIONS
-    timings = {}
+    timings = {} if timings is None else timings
     t0 = time.perf_counter()
-    graph = build_graph(rep)
     dag = build_dag(rep)
     matrix = build_clique_matrix(rep)
     model = build_cg(rep, dag, matrix)
@@ -167,9 +175,22 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
     timings["root_lp"] = time.perf_counter() - t0
     if root.status != "optimal":
         raise InfeasibleModelError(f"CG root LP came back {root.status}")
+    return dag, model, root
+
+
+def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
+                    log=None, graph: CircleGraph | None = None) -> SolveReport:
+    """Exact chromatic number with a decoded coloring certificate; the root
+    LP value is the fractional chromatic number.  graph is the overlap
+    graph of rep, when the caller has already built it."""
+    opts = options or DEFAULT_OPTIONS
+    timings = {}
+    dag, model, root = cg_root(rep, opts, timings)
     chi_f = root.objective
 
     t0 = time.perf_counter()
+    if graph is None:
+        graph = build_graph(rep)
     arc_names = model.metadata["arcs"]
     root_integral = all(
         abs(root.primal[name] - round(root.primal[name])) <= opts.int_tol
@@ -188,18 +209,20 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
             no_branch=frozenset(["c"]),
             priority=priority,
             log=log,
+            root=root,
         )
         chi = int(value)
         if primal is not None:
             arcs = _arcs_from_primal(primal, arc_names)
         else:
             arcs = arborescence_of_coloring(rep, ff)
-        nodes += 1  # the root LP above
+        nodes += 1  # the root LP above, which solve_ip counts once more
     timings["search"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     coloring = decode_arborescence(rep, arcs, chi)
-    assert validate_coloring(graph, coloring)
+    if not validate_coloring(graph, coloring) or coloring.num_colors != chi:
+        raise CertificateError(f"decoded coloring is not a proper {chi}-coloring")
     timings["decode"] = time.perf_counter() - t0
     return SolveReport(
         chromatic_number=chi,
@@ -252,8 +275,9 @@ def solve_stacks(rep: IntervalRep, height: int,
             incumbent_value=greedy.num_stacks,
             no_branch=frozenset(["c"]),
             log=log,
+            root=root,
         )
-        nodes += 1
+        nodes += 1  # the root LP above, which solve_ip counts once more
     timings["search"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -266,6 +290,7 @@ def solve_stacks(rep: IntervalRep, height: int,
         plan = decode_plan(rep, layered, arcs, int(value))
     else:
         plan = greedy
+    check_plan(rep, plan, h_eff, int(value))
     colors = plan.stack_of()
     timings["decode"] = time.perf_counter() - t0
     return SolveReport(

@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bnb import solve_chromatic, solve_stacks
+from .bnb import cg_root, solve_chromatic, solve_stacks
 from .errors import CircleColorError, InstanceFormatError, NumericalFailureError
 from .instances import (
     GeneratorConfig,
@@ -58,6 +59,8 @@ USAGE_ERROR = 1
 INPUT_ERROR = 2
 SOLVER_ERROR = 3
 
+NEGATIVE_LIST = re.compile(r"-[0-9.][0-9.eE+,-]*")
+
 
 def _options_from_args(args) -> SimplexOptions:
     default = float(os.environ.get("CIRCLECOLOR_TOL", "1e-9"))
@@ -90,8 +93,8 @@ def _node_log(args):
 
 def cmd_solve(args) -> int:
     rep = load_instance(args.instance)
-    report = solve_chromatic(rep, _options_from_args(args), log=_node_log(args))
     graph = build_graph(rep)
+    report = solve_chromatic(rep, _options_from_args(args), log=_node_log(args), graph=graph)
     payload = {
         "command": "solve",
         "chi": report.chromatic_number,
@@ -114,20 +117,24 @@ def cmd_solve(args) -> int:
 
 def cmd_relax(args) -> int:
     rep = load_instance(args.instance)
-    report = solve_chromatic(rep, _options_from_args(args))
+    timings = {}
+    _, _, root = cg_root(rep, _options_from_args(args), timings)
     payload = {
         "command": "relax",
-        "chi_f": report.fractional_chromatic,
-        "timings": report.timings,
+        "chi_f": root.objective,
+        "timings": timings,
     }
-    _emit(args, payload, f"chi_f={report.fractional_chromatic:g}")
+    _emit(args, payload, f"chi_f={root.objective:g}")
     return 0
 
 
 def cmd_mwis(args) -> int:
     rep = load_instance(args.instance)
     if args.weights:
-        parts = [float(x) for x in args.weights.split(",")]
+        try:
+            parts = [float(x) for x in args.weights.split(",")]
+        except ValueError:
+            raise InstanceFormatError(f"weights must be numbers: {args.weights!r}") from None
         if len(parts) != rep.n:
             raise InstanceFormatError(f"expected {rep.n} weights, got {len(parts)}")
         weights = {v: parts[v - 1] for v in rep.vertices}
@@ -349,8 +356,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_weights(argv: list) -> list:
+    """argparse reads a value such as '-3,1,2' as an option string, so
+    join it to its option: '--weights=-3,1,2'."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--weights" and NEGATIVE_LIST.fullmatch(tok):
+            out[-1] = f"--weights={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _glue_negative_weights(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

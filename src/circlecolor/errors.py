@@ -76,3 +76,9 @@ class NumericalFailureError(CircleColorError):
 
 class InfeasibleModelError(CircleColorError):
     """Raised when an integer solve proves the model infeasible."""
+
+
+class CertificateError(CircleColorError):
+    """Raised when a decoded coloring or stack plan fails its independent
+    check: an improper coloring, a stack that is not independent or exceeds
+    its capacity, or a count other than the one reported."""

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AntichainBoundError, InvalidHeightError, LayerConditionError
+from .errors import (
+    AntichainBoundError,
+    CertificateError,
+    InvalidHeightError,
+    LayerConditionError,
+)
 from .intervals import (
     ROOT,
     CliqueMatrix,
@@ -220,10 +225,26 @@ def decode_plan(rep: IntervalRep, layered: LayeredDag, arcs, c: int) -> StackPla
     stacks = []
     for color in sorted(groups):
         stack = sorted(groups[color], key=lambda v: (entry_layer[v], rep.left[v]))
-        height = max_antichain(rep, stack)
-        assert height <= layered.height, "decoded stack exceeds the capacity"
+        if max_antichain(rep, stack) > layered.height:
+            raise CertificateError(f"decoded stack {stack} exceeds the capacity {layered.height}")
         stacks.append(tuple(stack))
     return StackPlan(stacks=tuple(stacks))
+
+
+def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) -> None:
+    """Raise CertificateError unless the plan puts every vertex in exactly
+    one of num_stacks stacks, each independent and of height at most
+    `height`."""
+    placed = sorted(v for stack in plan.stacks for v in stack)
+    if placed != list(rep.vertices) or plan.num_stacks != num_stacks:
+        raise CertificateError(f"plan is not a partition into {num_stacks} stacks")
+    for stack in plan.stacks:
+        for k, u in enumerate(stack):
+            for v in stack[k + 1:]:
+                if rep.overlaps(u, v):
+                    raise CertificateError(f"stack {stack} holds overlapping {u} and {v}")
+        if max_antichain(rep, stack) > height:
+            raise CertificateError(f"stack {stack} exceeds the capacity {height}")
 
 
 def greedy_stack_plan(rep: IntervalRep, height: int) -> StackPlan:

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from circlecolor.bnb import first_fit, solve_chromatic, solve_stacks
+from circlecolor import bnb
+from circlecolor.bnb import cg_root, first_fit, solve_chromatic, solve_stacks
+from circlecolor.errors import CertificateError
 from circlecolor.instances import generate_one
-from circlecolor.intervals import build_graph, normalize, topological_order, validate_coloring
+from circlecolor.intervals import (
+    Coloring,
+    build_graph,
+    normalize,
+    topological_order,
+    validate_coloring,
+)
 from circlecolor.oracle import chromatic_exact, fractional_chromatic_exact
 
 
@@ -90,3 +98,31 @@ def test_node_log(c5):
     # C5's root LP is fractional (2.5), so branching happens and logs appear
     assert lines
     assert all(ln.startswith("node depth=") for ln in lines)
+
+
+def test_corrupted_coloring_is_rejected(c5, monkeypatch):
+    monkeypatch.setattr(bnb, "decode_arborescence",
+                        lambda rep, arcs, c: Coloring(colors={v: 1 for v in rep.vertices}))
+    with pytest.raises(CertificateError):
+        solve_chromatic(c5)
+
+
+def test_root_lp_is_not_solved_twice(c5, monkeypatch):
+    # C5's root is fractional, so branch-and-bound runs; it takes the root
+    # from the driver and prunes it against first fit without an LP solve
+    calls = []
+    solve_lp = bnb.solve_lp
+    monkeypatch.setattr(bnb, "solve_lp", lambda *a, **k: calls.append(a) or solve_lp(*a, **k))
+    report = solve_chromatic(c5)
+    assert len(calls) == 1
+    assert report.nodes_explored == 2
+
+
+def test_cg_root_is_the_fractional_chromatic_number(c5, monkeypatch):
+    monkeypatch.setattr(bnb, "solve_ip", None)
+    monkeypatch.setattr(bnb, "build_graph", None)
+    timings = {}
+    dag, model, root = cg_root(c5, timings=timings)
+    assert root.objective == pytest.approx(2.5, abs=1e-9)
+    assert model.name == "CG" and dag.n == 5
+    assert set(timings) == {"build", "root_lp"}

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+from circlecolor import bnb, cli
 from circlecolor.cli import main
 from circlecolor.intervals import parse_instance
 
@@ -132,3 +136,46 @@ def test_exit_codes(tmp_path):
 def test_env_tolerance_honored(monkeypatch):
     monkeypatch.setenv("CIRCLECOLOR_TOL", "1e-8")
     assert run_cli(["relax", C5_FILE]).strip() == "chi_f=2.5"
+
+
+def test_mwis_negative_weights_after_a_space():
+    spaced = run_cli(["mwis", C5_FILE, "--weights", "-3,1,2,-1.5,1", "--json"])
+    assert spaced == run_cli(["mwis", C5_FILE, "--weights=-3,1,2,-1.5,1", "--json"])
+    payload = json.loads(spaced)
+    assert payload["value"] == 3.0 and payload["set"] == [3, 5]
+    run_cli(["mwis", C5_FILE, "--weights", "a,1,1,1,1"], expect=2)
+
+
+def test_solve_builds_the_graph_once(monkeypatch):
+    calls = []
+    build_graph = cli.build_graph
+    monkeypatch.setattr(cli, "build_graph", lambda rep: calls.append(rep) or build_graph(rep))
+    monkeypatch.setattr(bnb, "build_graph", None)
+    assert run_cli(["solve", C5_FILE, "--clique"]) == golden("solve.txt")
+    assert len(calls) == 1
+
+
+def test_relax_runs_no_branch_and_bound(monkeypatch):
+    monkeypatch.setattr(bnb, "solve_ip", None)
+    monkeypatch.setattr(bnb, "build_graph", None)
+    assert run_cli(["relax", C5_FILE, "--json", "--no-timing"]) == golden("relax.json")
+
+
+CORRUPT_DECODE = """
+import sys
+from circlecolor import bnb
+from circlecolor.cli import main
+from circlecolor.intervals import Coloring
+assert sys.flags.optimize == 1
+bnb.decode_arborescence = lambda rep, arcs, c: Coloring(colors={v: 1 for v in rep.vertices})
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_corrupted_decode_fails_under_optimize():
+    # asserts vanish under -O; the certificate check must not
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_DECODE, "solve", C5_FILE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: decoded coloring")

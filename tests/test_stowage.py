@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from circlecolor import bnb, stowage
 from circlecolor.bnb import solve_chromatic, solve_ip, solve_stacks
-from circlecolor.errors import InvalidHeightError, LayerConditionError
+from circlecolor.errors import CertificateError, InvalidHeightError, LayerConditionError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import build_clique_matrix, build_dag, build_graph, max_antichain, normalize
 from circlecolor.oracle import stacks_exact, stacks_lp_exact
@@ -11,6 +12,7 @@ from circlecolor.stowage import (
     StackPlan,
     build_cgh,
     build_layered_dag,
+    check_plan,
     decode_plan,
     effective_height,
     greedy_stack_plan,
@@ -150,3 +152,33 @@ def test_plan_format(nested):
     plan = StackPlan(stacks=((1, 2),))
     assert plan.format() == "1 2\n"
     assert plan.stack_of() == {1: 1, 2: 1}
+
+
+def test_check_plan_rejects_corrupted_plans(c5):
+    three = normalize([(1, 8), (2, 7), (3, 6)])  # one nested chain
+    check_plan(three, StackPlan(stacks=((1, 2, 3),)), 3, 1)
+    bad = [
+        (three, StackPlan(stacks=((1, 2, 3),)), 2, 1),     # height 3 over capacity 2
+        (three, StackPlan(stacks=((1, 2), (3,))), 3, 1),   # wrong stack count
+        (three, StackPlan(stacks=((1, 2),)), 3, 1),        # vertex 3 missing
+        (three, StackPlan(stacks=((1, 2, 3, 3),)), 3, 1),  # vertex 3 twice
+        (c5, StackPlan(stacks=((1, 2), (3, 4), (5,))), 2, 3),  # 1 and 2 overlap
+    ]
+    for rep, plan, height, count in bad:
+        with pytest.raises(CertificateError):
+            check_plan(rep, plan, height, count)
+
+
+def test_solve_stacks_rejects_a_corrupted_decode(c5, monkeypatch):
+    corrupt = StackPlan(stacks=((1, 2), (3, 4), (5,)))  # 1 and 2 overlap
+    monkeypatch.setattr(bnb, "decode_plan", lambda *args: corrupt)
+    monkeypatch.setattr(bnb, "greedy_stack_plan", lambda rep, h: corrupt)
+    with pytest.raises(CertificateError):
+        solve_stacks(c5, 2)
+
+
+def test_decode_plan_rejects_a_stack_over_capacity(nested, monkeypatch):
+    # a root width of 3 is within c = 3; a stack of height 3 is not within 2
+    monkeypatch.setattr(stowage, "max_antichain", lambda rep, subset: 3)
+    with pytest.raises(CertificateError):
+        decode_plan(nested, _layered(nested, 2), {((0, 0), (1, 1)), ((1, 1), (2, 2))}, 3)
