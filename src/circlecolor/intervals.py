@@ -209,10 +209,21 @@ class ContainmentDag:
 
 
 def build_dag(rep: IntervalRep) -> ContainmentDag:
+    """Endpoint sweep: the children of i are the vertices whose left
+    endpoint lies inside I(i) and whose right endpoint is below r_i.
+
+    Visiting the endpoints inside every I(i) costs O(n + m + sum of child
+    counts) for m edges; each child tuple is sorted by vertex id.
+    """
+    n = rep.n
+    right = rep.right + (2 * n + 1,)  # vertex n+1 is a sentinel that fits inside nothing
+    at = [n + 1] * (2 * n + 1)  # position -> vertex whose left endpoint is there
+    for v in rep.vertices:
+        at[rep.left[v]] = v
     children = [tuple(rep.vertices)]
     for i in rep.vertices:
-        kids = tuple(j for j in rep.vertices if i != j and rep.contains(i, j))
-        children.append(kids)
+        r = right[i]
+        children.append(tuple(sorted([j for j in at[rep.left[i] + 1:r] if right[j] < r])))
     branching = frozenset(i for i in rep.vertices if children[i])
     return ContainmentDag(n=rep.n, children=tuple(children), branching=branching)
 
@@ -250,6 +261,15 @@ class CliqueMatrix:
     def column(self, v: int) -> np.ndarray:
         return self.matrix[:, v - 1]
 
+    def column_rows(self) -> list[list[int]]:
+        """rows[v]: ascending indices of the rows with a nonzero in column v
+        (rows[0] is empty)."""
+        out = [[] for _ in range(self.n + 1)]
+        cols, rows = np.nonzero(self.matrix.T)
+        for v, r in zip(cols.tolist(), rows.tolist()):
+            out[v + 1].append(r)
+        return out
+
     def rows_touching(self, vs) -> list[int]:
         """Indices of rows with a nonzero entry in some column of vs."""
         if not vs:
@@ -278,15 +298,17 @@ def max_antichain(rep: IntervalRep, subset) -> int:
     """Size of a maximum antichain of the poset inside the subset.
 
     Antichains are families of pairwise intersecting intervals, so the
-    maximum is realized at some left endpoint: sweep those.
+    maximum is the deepest overlap of the subset: sort its endpoints and
+    sweep them, O(k log k).
     """
-    subset = list(subset)
-    if not subset:
-        return 0
-    best = 0
+    events = []
     for v in subset:
-        p = rep.left[v]
-        best = max(best, sum(1 for u in subset if rep.left[u] <= p <= rep.right[u]))
+        events += ((rep.left[v], 1), (rep.right[v], -1))
+    events.sort()
+    best = depth = 0
+    for _, step in events:
+        depth += step
+        best = max(best, depth)
     return best
 
 

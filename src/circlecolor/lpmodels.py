@@ -124,12 +124,16 @@ def arc_var(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
-def _row_coeffs(matrix: CliqueMatrix, row: int, vs, prefix_i: int) -> dict:
-    return {
-        arc_var(prefix_i, v): 1.0
-        for v in vs
-        if matrix.matrix[row, v - 1]
-    }
+def _cover_rows(col_rows, i: int, kids) -> dict:
+    """Row index -> {arc_var(i, j): 1.0} over the kids with a nonzero in
+    that row, rows ascending and kids in the given order; col_rows is
+    CliqueMatrix.column_rows().  O(nnz) plus sorting the rows."""
+    rows = {}
+    for j in kids:
+        name = arc_var(i, j)
+        for r in col_rows[j]:
+            rows.setdefault(r, {})[name] = 1.0
+    return {r: rows[r] for r in sorted(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +157,19 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
     else:
         model.add_var("c", 0.0, INF, INTEGER)
     model.objective = {"c": 1.0}
+    col_rows = matrix.column_rows()
+    root_rows = _cover_rows(col_rows, ROOT, dag.children[ROOT])
     for r in range(len(matrix.points)):
-        coeffs = _row_coeffs(matrix, r, dag.children[ROOT], ROOT)
+        coeffs = root_rows.get(r, {})
         coeffs["c"] = -1.0
         model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0)
     for i in sorted(dag.branching):
-        for r in matrix.rows_touching(dag.children[i]):
-            coeffs = _row_coeffs(matrix, r, dag.children[i], i)
+        for r, coeffs in _cover_rows(col_rows, i, dag.children[i]).items():
             model.add_constraint(f"chain_{i}_p{matrix.points[r]}", coeffs, "<=", 1.0)
-    for j in rep.vertices:
-        coeffs = {arc_var(i, j): 1.0 for i in [ROOT] + [i for i in sorted(dag.branching) if j in dag.children[i]]}
+    parent_rows = {j: {} for j in rep.vertices}
+    for name, (i, j) in arc_map.items():
+        parent_rows[j][name] = 1.0
+    for j, coeffs in parent_rows.items():
         model.add_constraint(f"parent_{j}", coeffs, "=", 1.0)
     model.metadata = {"formulation": "CG", "relaxed": relax, "arcs": arc_map, "n": rep.n}
     return model
@@ -185,8 +192,7 @@ def build_lc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix
     for j in kids:
         model.add_var(arc_var(i, j), 0.0, INF, CONTINUOUS)
     model.objective = {arc_var(i, j): float(values[j]) for j in kids}
-    for r in matrix.rows_touching(kids):
-        coeffs = _row_coeffs(matrix, r, kids, i)
+    for r, coeffs in _cover_rows(matrix.column_rows(), i, kids).items():
         model.add_constraint(f"p{matrix.points[r]}", coeffs, "<=", 1.0)
     model.metadata = {"formulation": "LC", "vertex": i}
     return model

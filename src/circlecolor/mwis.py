@@ -8,10 +8,15 @@ labelling each branching vertex with its own weight plus the best chain of
 labels among the intervals it contains; the root label is the optimum.
 Negative weights are allowed, so the empty chain (value 0) is always a
 candidate.
+
+Cost: the containment DAG comes from an endpoint sweep, O(n + m + sum of
+k) for m edges and k children per vertex, and each chain step is a
+bisection over its candidates, O(sum of k log k) over the recursion.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,6 +28,7 @@ from .intervals import (
     ROOT,
     Coloring,
     IntervalRep,
+    build_dag,
     max_antichain,
     topological_order,
 )
@@ -39,24 +45,21 @@ def max_weight_chain(rep: IntervalRep, candidates, values) -> tuple[float, list[
     """Best chain (pairwise disjoint intervals) among the candidates.
 
     values maps vertex -> real; the empty chain (value 0) is feasible.
-    Returns (value, chain sorted left to right).
+    Returns (value, chain sorted left to right).  Ties go to the first
+    maximizer in right-endpoint order.  O(k log k): the intervals ending
+    before v starts are a prefix of the right-endpoint order, found by
+    bisection, and a running prefix maximum holds the best chain there.
     """
-    cand = sorted(candidates, key=lambda v: rep.right[v])
-    best_val = {}   # best chain value among intervals ending at or before v, v included
+    cand = sorted(candidates, key=rep.right.__getitem__)
+    rights = [rep.right[v] for v in cand]
     best_prev = {}
+    prefix = [(0.0, None)]  # prefix[k]: best chain ending in cand[:k], first maximizer
     for v in cand:
-        prior, prior_v = 0.0, None
-        for u in cand:
-            if rep.right[u] >= rep.right[v]:
-                break
-            if rep.right[u] <= rep.left[v] and best_val[u] > prior:
-                prior, prior_v = best_val[u], u
-        best_val[v] = values[v] + prior
+        prior, prior_v = prefix[bisect_right(rights, rep.left[v])]
+        val = values[v] + prior
         best_prev[v] = prior_v
-    value, last = 0.0, None
-    for v in cand:
-        if best_val[v] > value:
-            value, last = best_val[v], v
+        prefix.append((val, v) if val > prefix[-1][0] else prefix[-1])
+    value, last = prefix[-1]
     chain = []
     while last is not None:
         chain.append(last)
@@ -72,9 +75,7 @@ def solve_mwis(rep: IntervalRep, weights) -> tuple[float, DpLabels, frozenset]:
     (value, labels, witness set).  The value is always >= 0: the empty set
     is independent.
     """
-    dag_children = [None] * (rep.n + 1)
-    for i in rep.vertices:
-        dag_children[i] = [j for j in rep.vertices if i != j and rep.contains(i, j)]
+    dag_children = build_dag(rep).children
     order = topological_order(rep)
     ell = {}
     chosen_chain = {}
@@ -87,7 +88,7 @@ def solve_mwis(rep: IntervalRep, weights) -> tuple[float, DpLabels, frozenset]:
         else:
             ell[i] = weights[i]
             chosen_chain[i] = []
-    root_val, root_chain = max_weight_chain(rep, list(rep.vertices), ell)
+    root_val, root_chain = max_weight_chain(rep, dag_children[ROOT], ell)
     ell[ROOT] = root_val
     witness = set()
     stack = list(root_chain)

@@ -22,6 +22,7 @@ from .intervals import (
     CliqueMatrix,
     ContainmentDag,
     IntervalRep,
+    build_dag,
     max_antichain,
     topological_order,
 )
@@ -78,10 +79,10 @@ class LayeredDag:
 
 def nesting_depth(rep: IntervalRep) -> int:
     """Number of vertices on the longest strict-containment chain."""
+    children = build_dag(rep).children
     depth = {}
     for v in reversed(topological_order(rep)):
-        inner = [depth[u] for u in rep.vertices if u != v and rep.contains(v, u)]
-        depth[v] = 1 + max(inner, default=0)
+        depth[v] = 1 + max((depth[u] for u in children[v]), default=0)
     return max(depth.values(), default=0)
 
 

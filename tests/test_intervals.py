@@ -2,6 +2,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import interval_reps
 
 from circlecolor.errors import DuplicateEndpointError, EmptyInstanceError, InstanceFormatError
 from circlecolor.instances import generate_one
@@ -162,6 +165,24 @@ def test_max_antichain_matches_brute_force():
         rep = generate_one(int(rng.integers(1, 9)), 903, k)
         subset = [v for v in rep.vertices if rng.random() < 0.7]
         assert max_antichain(rep, subset) == _brute_max_antichain(rep, subset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=30))
+def test_build_dag_children_are_the_pairwise_containments(rep):
+    dag = build_dag(rep)
+    assert dag.children[0] == tuple(rep.vertices)
+    for i in rep.vertices:
+        assert dag.children[i] == tuple(j for j in rep.vertices if rep.contains(i, j))
+    assert dag.branching == frozenset(i for i in rep.vertices if dag.children[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_max_antichain_matches_brute_force_on_random_subsets(data):
+    rep = data.draw(interval_reps(max_n=9))
+    subset = data.draw(st.lists(st.sampled_from(list(rep.vertices)), unique=True))
+    assert max_antichain(rep, subset) == _brute_max_antichain(rep, subset)
 
 
 def test_adjacency_invariant_under_rank_compression():

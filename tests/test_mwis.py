@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import interval_reps
 
 from circlecolor.errors import ChainConditionError, NotArborescenceError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
+    ROOT,
     build_graph,
     max_antichain,
     normalize,
+    topological_order,
     validate_coloring,
 )
 from circlecolor.mwis import (
@@ -41,6 +46,79 @@ def test_max_weight_chain_skips_negative():
     value, chain = max_weight_chain(rep, rep.vertices, {1: 2.0, 2: -1.0, 3: 3.0})
     assert value == 5.0
     assert sorted(chain) == [1, 3]
+
+
+def _max_weight_chain_quadratic(rep, candidates, values):
+    """Reference: for each candidate, rescan every earlier one, O(k^2)."""
+    cand = sorted(candidates, key=lambda v: rep.right[v])
+    best_val = {}
+    best_prev = {}
+    for v in cand:
+        prior, prior_v = 0.0, None
+        for u in cand:
+            if rep.right[u] >= rep.right[v]:
+                break
+            if rep.right[u] <= rep.left[v] and best_val[u] > prior:
+                prior, prior_v = best_val[u], u
+        best_val[v] = values[v] + prior
+        best_prev[v] = prior_v
+    value, last = 0.0, None
+    for v in cand:
+        if best_val[v] > value:
+            value, last = best_val[v], v
+    chain = []
+    while last is not None:
+        chain.append(last)
+        last = best_prev[last]
+    chain.reverse()
+    return value, chain
+
+
+def _solve_mwis_reference(rep, weights):
+    """Reference label DP: all-pairs child sets and the quadratic chain."""
+    kids = {i: [j for j in rep.vertices if rep.contains(i, j)] for i in rep.vertices}
+    ell, chosen = {}, {}
+    for i in reversed(topological_order(rep)):
+        if kids[i]:
+            val, chosen[i] = _max_weight_chain_quadratic(rep, kids[i], ell)
+            ell[i] = weights[i] + val
+        else:
+            ell[i], chosen[i] = weights[i], []
+    ell[ROOT], stack = _max_weight_chain_quadratic(rep, list(rep.vertices), ell)
+    witness = set()
+    while stack:
+        v = stack.pop()
+        witness.add(v)
+        stack.extend(chosen[v])
+    return ell[ROOT], ell, frozenset(witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_max_weight_chain_matches_quadratic_reference(data):
+    rep = data.draw(interval_reps(max_n=14))
+    cand = data.draw(st.lists(st.sampled_from(list(rep.vertices)), unique=True))
+    values = {v: data.draw(st.integers(-2, 2)) for v in rep.vertices}
+    assert max_weight_chain(rep, cand, values) == _max_weight_chain_quadratic(rep, cand, values)
+
+
+@pytest.mark.parametrize("value", [-2, -1, 0, 1, 2, 0.5])
+def test_max_weight_chain_empty_and_single_match_reference(c5, value):
+    for cand in ([], [3]):
+        got = max_weight_chain(c5, cand, {3: value})
+        assert got == _max_weight_chain_quadratic(c5, cand, {3: value})
+        assert got == ((value, [3]) if cand and value > 0 else (0.0, []))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_mwis_matches_reference_label_dp(data):
+    rep = data.draw(interval_reps(max_n=24))
+    weights = {v: data.draw(st.integers(-2, 2) | st.floats(-3, 3)) for v in rep.vertices}
+    value, labels, chosen = solve_mwis(rep, weights)
+    ref_value, ref_ell, ref_chosen = _solve_mwis_reference(rep, weights)
+    assert (value, labels.ell, chosen) == (ref_value, ref_ell, ref_chosen)
+    assert [type(labels.ell[v]) for v in labels.ell] == [type(ref_ell[v]) for v in labels.ell]
 
 
 def test_solve_mwis_negative_single():

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import interval_reps
 
 from circlecolor import bnb, stowage
 from circlecolor.bnb import solve_chromatic, solve_ip, solve_stacks
@@ -56,6 +60,21 @@ def test_effective_height_cap(c5, nested):
     assert effective_height(nested, 10) == 2
     assert nesting_depth(c5) == 2
     assert effective_height(c5, 1) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_reps(max_n=8))
+def test_nesting_depth_matches_brute_force(rep):
+    def nested_chain(vs):
+        return all(rep.contains(a, b) for a, b in zip(vs, vs[1:]))
+
+    longest = max(
+        size
+        for size in range(1, rep.n + 1)
+        for vs in combinations(sorted(rep.vertices, key=lambda v: rep.left[v]), size)
+        if nested_chain(vs)
+    )
+    assert nesting_depth(rep) == longest
 
 
 def test_cgh_nested_pair_optima(nested):
