@@ -15,6 +15,7 @@ from heapq import heappop, heappush
 
 from .errors import CertificateError, InfeasibleModelError
 from .intervals import (
+    ROOT,
     CircleGraph,
     Coloring,
     ContainmentDag,
@@ -25,8 +26,10 @@ from .intervals import (
     topological_order,
     validate_coloring,
 )
-from .lpmodels import LpModel, build_cg
-from .mwis import arborescence_of_coloring, decode_arborescence
+from .lpmodels import LpModel, arc_var, build_cg
+# arborescence_of_coloring is not called here; perfbench/spans.py wraps it
+# at this name
+from .mwis import arborescence_of_coloring, decode_arborescence  # noqa: F401
 from .simplex import DEFAULT_OPTIONS, LpSolution, SimplexOptions, solve_lp
 from .stowage import (
     StackPlan,
@@ -36,6 +39,8 @@ from .stowage import (
     decode_plan,
     effective_height,
     greedy_stack_plan,
+    layer_var,
+    plan_arcs,
 )
 
 
@@ -61,6 +66,35 @@ def first_fit(graph: CircleGraph, order=None) -> Coloring:
             c += 1
         colors[v] = c
     return Coloring(colors=colors)
+
+
+def first_fit_arborescence(rep: IntervalRep) -> tuple[Coloring, frozenset]:
+    """first_fit along topological_order(rep) and its arborescence
+    (arborescence_of_coloring), in one O(n * colors) sweep with no overlap
+    graph.
+
+    Each color keeps a stack of its intervals still open at the sweep
+    point; they nest, so the innermost is on top.  A vertex takes the
+    first color whose stack is empty or whose top contains it, and hangs
+    below that top (or below the root).
+    """
+    colors = {}
+    arcs = set()
+    stacks = []
+    for v in topological_order(rep):
+        for color, stack in enumerate(stacks, start=1):
+            while stack and rep.right[stack[-1]] < rep.left[v]:
+                stack.pop()
+            if not stack or rep.right[v] < rep.right[stack[-1]]:
+                break
+        else:
+            stack = []
+            stacks.append(stack)
+            color = len(stacks)
+        arcs.add((stack[-1] if stack else ROOT, v))
+        colors[v] = color
+        stack.append(v)
+    return Coloring(colors=colors), frozenset(arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +189,26 @@ def _arcs_from_primal(primal, arc_map):
 # ---------------------------------------------------------------------------
 # chromatic number
 
+def _cg_root(rep: IntervalRep, opts: SimplexOptions, timings: dict):
+    """cg_root, plus first_fit_arborescence(rep) as the last item: the
+    root LP starts from that coloring."""
+    t0 = time.perf_counter()
+    dag = build_dag(rep)
+    matrix = build_clique_matrix(rep)
+    model = build_cg(rep, dag, matrix)
+    ff, ff_arcs = first_fit_arborescence(rep)
+    timings["build"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    start = {arc_var(i, j): 1.0 for i, j in ff_arcs}
+    start["c"] = ff.num_colors
+    root = solve_lp(model.relaxed(), opts, start=start)
+    timings["root_lp"] = time.perf_counter() - t0
+    if root.status != "optimal":
+        raise InfeasibleModelError(f"CG root LP came back {root.status}")
+    return dag, model, root, (ff, ff_arcs)
+
+
 def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
             timings: dict | None = None) -> tuple[ContainmentDag, LpModel, LpSolution]:
     """Build the CG program and solve its LP relaxation, with no
@@ -162,20 +216,8 @@ def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
 
     Returns (dag, model, root); the build and root-LP seconds go into
     timings when it is given."""
-    opts = options or DEFAULT_OPTIONS
     timings = {} if timings is None else timings
-    t0 = time.perf_counter()
-    dag = build_dag(rep)
-    matrix = build_clique_matrix(rep)
-    model = build_cg(rep, dag, matrix)
-    timings["build"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    root = solve_lp(model.relaxed(), opts)
-    timings["root_lp"] = time.perf_counter() - t0
-    if root.status != "optimal":
-        raise InfeasibleModelError(f"CG root LP came back {root.status}")
-    return dag, model, root
+    return _cg_root(rep, options or DEFAULT_OPTIONS, timings)[:3]
 
 
 def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
@@ -185,7 +227,7 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
     graph of rep, when the caller has already built it."""
     opts = options or DEFAULT_OPTIONS
     timings = {}
-    dag, model, root = cg_root(rep, opts, timings)
+    dag, model, root, (ff, ff_arcs) = _cg_root(rep, opts, timings)
     chi_f = root.objective
 
     t0 = time.perf_counter()
@@ -201,7 +243,6 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
         arcs = _arcs_from_primal(root.primal, arc_names)
         nodes = 1
     else:
-        ff = first_fit(graph, topological_order(rep))
         priority = {name: len(dag.children[ij[0]]) for name, ij in arc_names.items()}
         value, primal, nodes = solve_ip(
             model, opts,
@@ -215,7 +256,7 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
         if primal is not None:
             arcs = _arcs_from_primal(primal, arc_names)
         else:
-            arcs = arborescence_of_coloring(rep, ff)
+            arcs = ff_arcs
         nodes += 1  # the root LP above, which solve_ip counts once more
     timings["search"] = time.perf_counter() - t0
 
@@ -252,7 +293,9 @@ def solve_stacks(rep: IntervalRep, height: int,
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    root = solve_lp(model.relaxed(), opts)
+    start = {layer_var(i, h, j): 1.0 for (i, h), (j, _) in plan_arcs(rep, greedy)}
+    start["c"] = greedy.num_stacks
+    root = solve_lp(model.relaxed(), opts, start=start)
     timings["root_lp"] = time.perf_counter() - t0
     if root.status != "optimal":
         # singleton stacks are always feasible, so this cannot happen

@@ -124,13 +124,13 @@ def arc_var(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
-def _cover_rows(col_rows, i: int, kids) -> dict:
-    """Row index -> {arc_var(i, j): 1.0} over the kids with a nonzero in
-    that row, rows ascending and kids in the given order; col_rows is
-    CliqueMatrix.column_rows().  O(nnz) plus sorting the rows."""
+def _cover_rows(col_rows, names) -> dict:
+    """Row index -> {names[j]: 1.0} over the vertices j of names with a
+    nonzero in that row, rows ascending and vertices in the order of
+    names; col_rows is CliqueMatrix.column_rows().  O(nnz) plus sorting
+    the rows."""
     rows = {}
-    for j in kids:
-        name = arc_var(i, j)
+    for j, name in names.items():
         for r in col_rows[j]:
             rows.setdefault(r, {})[name] = 1.0
     return {r: rows[r] for r in sorted(rows)}
@@ -158,13 +158,13 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
         model.add_var("c", 0.0, INF, INTEGER)
     model.objective = {"c": 1.0}
     col_rows = matrix.column_rows()
-    root_rows = _cover_rows(col_rows, ROOT, dag.children[ROOT])
+    root_rows = _cover_rows(col_rows, {j: arc_var(ROOT, j) for j in dag.children[ROOT]})
     for r in range(len(matrix.points)):
         coeffs = root_rows.get(r, {})
         coeffs["c"] = -1.0
         model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0)
     for i in sorted(dag.branching):
-        for r, coeffs in _cover_rows(col_rows, i, dag.children[i]).items():
+        for r, coeffs in _cover_rows(col_rows, {j: arc_var(i, j) for j in dag.children[i]}).items():
             model.add_constraint(f"chain_{i}_p{matrix.points[r]}", coeffs, "<=", 1.0)
     parent_rows = {j: {} for j in rep.vertices}
     for name, (i, j) in arc_map.items():
@@ -192,7 +192,7 @@ def build_lc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix
     for j in kids:
         model.add_var(arc_var(i, j), 0.0, INF, CONTINUOUS)
     model.objective = {arc_var(i, j): float(values[j]) for j in kids}
-    for r, coeffs in _cover_rows(matrix.column_rows(), i, kids).items():
+    for r, coeffs in _cover_rows(matrix.column_rows(), {j: arc_var(i, j) for j in kids}).items():
         model.add_constraint(f"p{matrix.points[r]}", coeffs, "<=", 1.0)
     model.metadata = {"formulation": "LC", "vertex": i}
     return model

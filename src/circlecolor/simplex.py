@@ -7,6 +7,7 @@ Bland's rule after 3*(rows+cols) degenerate pivots; a two-phase start
 keeps the duals clean for the duality checks the rest of the package
 relies on.  The CG programs are highly degenerate, and on them Devex
 needs far fewer pivots than choosing the most negative reduced cost.
+Devex weights only grow, so they are all reset to 1 once one passes 1e6.
 
 Bounded variables (Chvatal, *Linear Programming*, 1983, ch. 8): every
 column is shifted or mirrored to a lower bound of 0 and keeps its finite
@@ -23,6 +24,18 @@ every nonbasic column at 0:
 
 A pivot updates only the rows where the pivot column is nonzero and the
 columns where the pivot row is nonzero.
+
+Crash start (Bixby, "Implementing the simplex method: the initial
+basis", ORSA J. Computing 4(3), 1992): solve_lp(start=...) takes a
+feasible point and builds a basis whose basic solution is that point, then
+goes straight to phase 2.  Columns at their finite upper bound are
+complemented, each column strictly inside its bounds is pivoted onto a row
+that is tight at the point and still has its slack or artificial basic (a
+'>=' row with a positive surplus takes its surplus), and the artificials
+left in the basis are fixed at 0.  If the start is infeasible, or some
+column finds no such row (always so when the point is no vertex), the
+tableau is built again and the two-phase method runs as it does without a start.  Crash
+pivots count in `iterations`; a dropped start's do not.
 
 Dual sign convention: for a minimization problem the returned row duals
 satisfy y >= 0 on '>=' rows, y <= 0 on '<=' rows, free on '='; signs flip
@@ -67,6 +80,10 @@ class LpSolution:
     dual: dict = field(default_factory=dict)
     iterations: int = 0
 
+
+# Devex weights only grow; past this bound they are reset to 1 before
+# they overflow
+_DEVEX_RESET = 1e6
 
 # relation codes; each is also the sign of the row's slack column
 _RELATION = {"<=": 1, ">=": -1, "=": 0}
@@ -221,7 +238,8 @@ def _optimize(T, basis, n_enter, m, upper, flipped, opts):
         else:
             degenerate = 0
         leaving = int(basis[r])
-        at_upper = col[r] < 0
+        # a variable fixed at 0 (a crash's leftover artificial) leaves at 0
+        at_upper = col[r] < 0 and upper_basic[r] > 0
         w_leaving = max(weight[j] / (col[r] * col[r]), 1.0)
         _pivot(T, r, j)
         # the new pivot row holds alpha_rk / alpha_rj for every column k
@@ -230,6 +248,8 @@ def _optimize(T, basis, n_enter, m, upper, flipped, opts):
         np.maximum(weight, score, out=weight)
         if leaving < n_enter:
             weight[leaving] = w_leaving
+        if weight.max() > _DEVEX_RESET:  # restart the reference framework
+            weight.fill(1.0)
         basis[r] = j
         upper_basic[r] = upper[j]
         if at_upper:
@@ -239,12 +259,69 @@ def _optimize(T, basis, n_enter, m, upper, flipped, opts):
             raise NumericalFailureError(f"simplex exceeded {opts.max_iter} iterations")
 
 
+def _start_columns(model: LpModel, std: _Standardized, start: dict) -> np.ndarray | None:
+    """The start point in standardized columns (unnamed variables are 0),
+    or None when it names a variable the model does not have."""
+    value = np.zeros(len(model.variables))
+    for name, v in start.items():
+        if name not in model._index:
+            return None
+        value[model._index[name]] = v
+    live = std.col >= 0
+    x = np.zeros(len(std.upper))
+    z = (value - std.offset) * std.sign
+    x[std.col[live]] = np.where(std.free[live], np.maximum(z[live], 0.0), z[live])
+    x[std.col[std.free] + 1] = np.maximum(-value[std.free], 0.0)
+    return x
+
+
+def _crash(T, basis, upper, flipped, x, rel, slack_col, n_enter, tol, opts):
+    """Pivot from the slack/artificial basis to one whose basic solution is
+    the start point x, a value per structural column (the crash in the
+    module docstring).  Returns the pivots made, or None when x is
+    infeasible or some column finds no row to enter on."""
+    m = len(basis)
+    n_struct = len(x)
+    top = np.flatnonzero(x >= upper[:n_struct] - tol)
+    T[:, -1] -= T[:, top] @ upper[top]
+    T[:, top] *= -1.0
+    flipped[top] = True
+    inner = np.flatnonzero((np.abs(x) > tol) & ~flipped[:n_struct])
+    # each row's slack or artificial at x, with every surplus at 0
+    resid = T[:m, -1] - T[:m, inner] @ x[inner]
+    tight = np.abs(resid) <= tol
+    pivots = 0
+    for r in np.flatnonzero((rel < 0) & (resid < -tol)):
+        _pivot(T, r, slack_col[r])
+        basis[r] = slack_col[r]
+        pivots += 1
+    for j in inner:
+        # the tight row with the largest pivot element
+        size = np.where(tight, np.abs(T[:m, j]), 0.0)
+        r = int(size.argmax())
+        if size[r] <= opts.pivot_tol:
+            return None
+        _pivot(T, r, j)
+        basis[r] = j
+        tight[r] = False
+        pivots += 1
+    upper[n_enter:] = 0.0  # artificials never enter, so fix them all
+    b = T[:m, -1]
+    if (b < -tol).any() or (b > upper[basis] + tol).any():
+        return None
+    return pivots
+
+
 def solve_lp(model: LpModel, options: SimplexOptions | None = None,
-             bound_overrides: dict | None = None) -> LpSolution:
+             bound_overrides: dict | None = None, start: dict | None = None) -> LpSolution:
     """Solve the continuous model; integrality markers are ignored.
 
     bound_overrides maps variable names to (lower, upper) pairs tightened
-    on top of the model's own bounds (used by branch-and-bound).
+    on top of the model's own bounds (used by branch-and-bound).  start
+    maps variable names to a feasible point (unnamed variables are 0); the
+    solve then begins from a basis whose basic solution is that point and
+    skips phase 1.  An infeasible start, or one the crash cannot turn into
+    a basis, is dropped and the model is solved from scratch.
     """
     opts = options or DEFAULT_OPTIONS
     std = _standardize(model, bound_overrides, opts.feas_tol)
@@ -275,30 +352,39 @@ def solve_lp(model: LpModel, options: SimplexOptions | None = None,
     n_slack = int(has_slack.sum())
     n_art = len(art_rows)
     ncols = n_struct + n_slack + n_art
+    n_enter = n_struct + n_slack  # artificials never re-enter
     slack_col = n_struct + np.cumsum(has_slack) - 1
     unit_col = slack_col.copy()
-    unit_col[art_rows] = n_struct + n_slack + np.arange(n_art)
-    T = np.zeros((m + 1, ncols + 1))
-    rows, cols, vals = std.entries
-    T[rows, cols] = vals * sgn[rows]
-    T[:m, -1] = sgn * std.rhs
-    T[has_slack.nonzero()[0], slack_col[has_slack]] = rel[has_slack]
-    T[np.arange(m), unit_col] = 1.0
-    basis = unit_col.copy()
-    upper = np.full(ncols, INF)
-    upper[:n_struct] = std.upper
-    flipped = np.zeros(ncols, dtype=bool)
-    iterations = 0
+    unit_col[art_rows] = n_enter + np.arange(n_art)
 
-    n_enter = n_struct + n_slack  # artificials never re-enter
-    if n_art:
+    def tableau():
+        T = np.zeros((m + 1, ncols + 1))
+        rows, cols, vals = std.entries
+        T[rows, cols] = vals * sgn[rows]
+        T[:m, -1] = sgn * std.rhs
+        T[has_slack.nonzero()[0], slack_col[has_slack]] = rel[has_slack]
+        T[np.arange(m), unit_col] = 1.0
+        upper = np.full(ncols, INF)
+        upper[:n_struct] = std.upper
+        return T, unit_col.copy(), upper, np.zeros(ncols, dtype=bool)
+
+    T, basis, upper, flipped = tableau()
+    b_max = float(np.abs(T[:m, -1]).max(initial=0.0))
+    tol = opts.feas_tol * max(1.0, b_max)
+    x = None if start is None else _start_columns(model, std, start)
+    crash = None if x is None else _crash(T, basis, upper, flipped, x, rel, slack_col,
+                                          n_enter, tol, opts)
+    if x is not None and crash is None:  # the start is dropped
+        T, basis, upper, flipped = tableau()
+    iterations = crash or 0
+
+    if n_art and crash is None:
         T[m, n_enter:ncols] = 1.0
         T[m] -= T[art_rows].sum(axis=0)
-        b_max = float(np.abs(T[:m, -1]).max(initial=0.0))
         status, it1 = _optimize(T, basis, n_enter, m, upper, flipped, opts)
         iterations += it1
         phase1 = -T[m, -1]
-        if phase1 > opts.feas_tol * max(1.0, b_max):
+        if phase1 > tol:
             return LpSolution(status="infeasible", objective=None, iterations=iterations)
         # drive basic artificials out where possible; leftover rows are
         # redundant and stay inert

@@ -26,7 +26,7 @@ from .intervals import (
     max_antichain,
     topological_order,
 )
-from .lpmodels import BINARY, CONTINUOUS, INF, INTEGER, LpModel
+from .lpmodels import BINARY, CONTINUOUS, INF, INTEGER, LpModel, _cover_rows
 from .mwis import decode_arborescence
 
 
@@ -54,18 +54,6 @@ class LayeredDag:
             return tuple(range(1, self.n + 1)) if h == 0 else ()
         if 1 <= h < self.height:
             return self.containment_children[i]
-        return ()
-
-    def in_sources(self, j: int, h: int):
-        """Copies (i, h-1) with an arc into (j, h)."""
-        if h == 1:
-            return ((ROOT, 0),)
-        if 2 <= h <= self.height:
-            return tuple(
-                (i, h - 1)
-                for i in range(1, self.n + 1)
-                if j in self.containment_children[i]
-            )
         return ()
 
     def arcs(self):
@@ -118,36 +106,33 @@ def build_cgh(rep: IntervalRep, layered: LayeredDag, matrix: CliqueMatrix,
     model.add_var("c", 0.0, INF, CONTINUOUS if relax else INTEGER)
     model.objective = {"c": 1.0}
 
-    root_kids = list(range(1, rep.n + 1))
+    col_rows = matrix.column_rows()
+    root_rows = _cover_rows(col_rows, {j: layer_var(ROOT, 0, j) for j in rep.vertices})
     for r in range(len(matrix.points)):
-        coeffs = {
-            layer_var(ROOT, 0, j): 1.0
-            for j in root_kids
-            if matrix.matrix[r, j - 1]
-        }
+        coeffs = root_rows.get(r, {})
         coeffs["c"] = -1.0
         model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0)
+    # (i, h) copies with an arc into (j, h + 1), for h >= 1
+    parents = [[] for _ in range(rep.n + 1)]
+    for i in sorted(layered.branching):
+        for j in layered.containment_children[i]:
+            parents[j].append(i)
+
+    def sources(j, h):
+        """Copies (i, h - 1) with an arc into (j, h)."""
+        return [(ROOT, 0)] if h == 1 else [(i, h - 1) for i in parents[j]]
+
     for i in sorted(layered.branching):
         kids = layered.containment_children[i]
         for h in range(1, layered.height):
-            inflow = {
-                layer_var(s, hs, i): -1.0 for (s, hs) in layered.in_sources(i, h)
-            }
-            for r in matrix.rows_touching(kids):
-                coeffs = {
-                    layer_var(i, h, j): 1.0
-                    for j in kids
-                    if matrix.matrix[r, j - 1]
-                }
+            inflow = {layer_var(s, hs, i): -1.0 for s, hs in sources(i, h)}
+            names = {j: layer_var(i, h, j) for j in kids}
+            for r, coeffs in _cover_rows(col_rows, names).items():
                 coeffs.update(inflow)
-                model.add_constraint(
-                    f"chain_{i}.{h}_p{matrix.points[r]}", coeffs, "<=", 0.0
-                )
+                model.add_constraint(f"chain_{i}.{h}_p{matrix.points[r]}", coeffs, "<=", 0.0)
     for j in rep.vertices:
-        coeffs = {}
-        for h in range(1, layered.height + 1):
-            for (i, hs) in layered.in_sources(j, h):
-                coeffs[layer_var(i, hs, j)] = 1.0
+        coeffs = {layer_var(i, hs, j): 1.0
+                  for h in range(1, layered.height + 1) for i, hs in sources(j, h)}
         model.add_constraint(f"enter_{j}", coeffs, "=", 1.0)
     model.metadata = {
         "formulation": "CG_H",
@@ -230,6 +215,22 @@ def decode_plan(rep: IntervalRep, layered: LayeredDag, arcs, c: int) -> StackPla
             raise CertificateError(f"decoded stack {stack} exceeds the capacity {layered.height}")
         stacks.append(tuple(stack))
     return StackPlan(stacks=tuple(stacks))
+
+
+def plan_arcs(rep: IntervalRep, plan: StackPlan) -> set:
+    """The layered arc set of a plan, the inverse of decode_plan: each
+    vertex hangs one layer below the innermost interval of its own stack
+    that contains it, or below the root."""
+    arcs = set()
+    for stack in plan.stacks:
+        open_ = []  # (vertex, layer) of the stack's intervals around the sweep point
+        for v in sorted(stack, key=rep.left.__getitem__):
+            while open_ and rep.right[open_[-1][0]] < rep.left[v]:
+                open_.pop()
+            parent = open_[-1] if open_ else (ROOT, 0)
+            arcs.add((parent, (v, parent[1] + 1)))
+            open_.append((v, parent[1] + 1))
+    return arcs
 
 
 def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) -> None:

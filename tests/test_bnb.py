@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import interval_reps
 
 from circlecolor import bnb
-from circlecolor.bnb import cg_root, first_fit, solve_chromatic, solve_stacks
+from circlecolor.bnb import cg_root, first_fit, first_fit_arborescence, solve_chromatic, solve_stacks
 from circlecolor.errors import CertificateError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
@@ -14,6 +16,7 @@ from circlecolor.intervals import (
     topological_order,
     validate_coloring,
 )
+from circlecolor.mwis import arborescence_of_coloring
 from circlecolor.oracle import chromatic_exact, fractional_chromatic_exact
 
 
@@ -33,6 +36,15 @@ def test_first_fit_c5(c5, c5_graph):
     coloring = first_fit(c5_graph, topological_order(c5))
     assert coloring.num_colors <= 3
     assert validate_coloring(c5_graph, coloring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=14))
+def test_first_fit_arborescence_is_first_fit_and_its_arborescence(rep):
+    coloring, arcs = first_fit_arborescence(rep)
+    want = first_fit(build_graph(rep), topological_order(rep))
+    assert list(coloring.colors.items()) == list(want.colors.items())
+    assert arcs == arborescence_of_coloring(rep, want)
 
 
 def test_solve_chromatic_c5(c5, c5_graph):
@@ -126,3 +138,18 @@ def test_cg_root_is_the_fractional_chromatic_number(c5, monkeypatch):
     assert root.objective == pytest.approx(2.5, abs=1e-9)
     assert model.name == "CG" and dag.n == 5
     assert set(timings) == {"build", "root_lp"}
+
+
+def test_roots_start_from_the_heuristic_solutions(c5, monkeypatch):
+    starts = []
+    solve_lp = bnb.solve_lp
+    monkeypatch.setattr(bnb, "solve_lp",
+                        lambda *a, **k: starts.append(k.get("start")) or solve_lp(*a, **k))
+    cg_root(c5)
+    solve_stacks(c5, 2)
+    # first fit along the left endpoints colors 1 3 | 5 2 | 4, and 2 hangs below 5
+    assert starts[0] == {"x_0_1": 1.0, "x_0_3": 1.0, "x_0_5": 1.0, "x_5_2": 1.0,
+                         "x_0_4": 1.0, "c": 3}
+    # the greedy plan at height 2 stacks 1 3 | 5 2 | 4 the same way
+    assert starts[1] == {"x_0.0_1": 1.0, "x_0.0_3": 1.0, "x_0.0_5": 1.0, "x_5.1_2": 1.0,
+                         "x_0.0_4": 1.0, "c": 3}

@@ -75,6 +75,12 @@ def test_export_goldens():
     assert run_cli(["export", C5_FILE, "--format", "dimacs"]) == golden("export.dimacs")
 
 
+def test_export_cgh_goldens():
+    args = ["export", C5_FILE, "--formulation", "cgh", "--height", "2", "--format"]
+    assert run_cli(args + ["lp"]) == golden("c5_cgh2.lp")
+    assert run_cli(args + ["mps"]) == golden("c5_cgh2.mps")
+
+
 def test_export_mps_matches_writer_golden():
     out = run_cli(["export", C5_FILE, "--formulation", "cg", "--format", "mps"])
     assert out == golden("c5_cg.mps")

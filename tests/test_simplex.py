@@ -1,11 +1,35 @@
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import interval_reps
 
 from circlecolor import simplex
+from circlecolor.bnb import first_fit_arborescence
 from circlecolor.instances import generate_one
 from circlecolor.intervals import build_clique_matrix, build_dag
-from circlecolor.lpmodels import CONTINUOUS, INF, LpModel, build_cg, build_dlc, build_lc
+from circlecolor.lpmodels import (
+    CONTINUOUS,
+    INF,
+    LpModel,
+    arc_var,
+    build_cg,
+    build_dlc,
+    build_lc,
+    parse_lp_text,
+)
 from circlecolor.simplex import SimplexOptions, solve_lp
+from circlecolor.stowage import (
+    build_cgh,
+    build_layered_dag,
+    effective_height,
+    greedy_stack_plan,
+    layer_var,
+    plan_arcs,
+)
 
 
 def _model(sense="min", name="t"):
@@ -224,32 +248,39 @@ def _bounds_as_rows(model):
     return out
 
 
-def test_shifted_mirrored_free_and_bounded_columns_agree_with_bound_rows():
-    # random LPs over every bound shape: [lo, hi] with lo > 0, lo < 0 < hi
-    # and hi < 0, [lo, inf), (-inf, hi], (-inf, inf) and [0, 1]
-    rng = np.random.default_rng(35)
+def _random_bounded_lp(rng, k):
+    """A random LP over every bound shape: [lo, hi] with lo > 0, lo < 0 < hi
+    and hi < 0, [lo, inf), (-inf, hi], (-inf, inf) and [0, 1].  Returns the
+    model and a point strictly inside its bounds that meets every row
+    ('<=' and '>=' rows with slack 1, '=' rows exactly)."""
     shapes = [(2.0, 5.0), (-3.0, 4.0), (-6.0, -1.0), (1.5, INF), (-INF, 3.0),
               (-INF, INF), (0.0, 1.0)]
+    m = _model(["min", "max"][k % 2], f"b{k}")
+    names = []
+    for t in range(int(rng.integers(3, 8))):
+        lo, hi = shapes[int(rng.integers(len(shapes)))]
+        names.append(m.add_var(f"v{t}", lo, hi))
+    point = {}
+    for v in m.variables:
+        lo = v.lower if v.lower > -INF else v.upper - 3.0 if v.upper < INF else -2.0
+        hi = v.upper if v.upper < INF else lo + 3.0
+        point[v.name] = float(rng.uniform(lo, hi))
+    m.objective = {nm: float(rng.integers(-4, 5)) for nm in names}
+    for r in range(int(rng.integers(1, 5))):
+        coeffs = {nm: float(rng.integers(-3, 4)) for nm in names if rng.random() < 0.7}
+        coeffs = coeffs or {names[0]: 1.0}
+        at = sum(c * point[nm] for nm, c in coeffs.items())
+        rel = ["<=", ">=", "="][int(rng.integers(3))]
+        rhs = at if rel == "=" else at + 1.0 if rel == "<=" else at - 1.0
+        m.add_constraint(f"r{r}", coeffs, rel, rhs)
+    return m, point
+
+
+def test_shifted_mirrored_free_and_bounded_columns_agree_with_bound_rows():
+    rng = np.random.default_rng(35)
     statuses = set()
     for k in range(60):
-        m = _model(["min", "max"][k % 2], f"b{k}")
-        names = []
-        for t in range(int(rng.integers(3, 8))):
-            lo, hi = shapes[int(rng.integers(len(shapes)))]
-            names.append(m.add_var(f"v{t}", lo, hi))
-        point = {}
-        for v in m.variables:
-            lo = v.lower if v.lower > -INF else v.upper - 3.0 if v.upper < INF else -2.0
-            hi = v.upper if v.upper < INF else lo + 3.0
-            point[v.name] = float(rng.uniform(lo, hi))
-        m.objective = {nm: float(rng.integers(-4, 5)) for nm in names}
-        for r in range(int(rng.integers(1, 5))):
-            coeffs = {nm: float(rng.integers(-3, 4)) for nm in names if rng.random() < 0.7}
-            coeffs = coeffs or {names[0]: 1.0}
-            at = sum(c * point[nm] for nm, c in coeffs.items())
-            rel = ["<=", ">=", "="][int(rng.integers(3))]
-            rhs = at if rel == "=" else at + 1.0 if rel == "<=" else at - 1.0
-            m.add_constraint(f"r{r}", coeffs, rel, rhs)
+        m, _ = _random_bounded_lp(rng, k)
         got = solve_lp(m)
         want = solve_lp(_bounds_as_rows(m))
         statuses.add(got.status)
@@ -344,3 +375,155 @@ def test_tableau_duals_match_basis_solve(monkeypatch):
             if z < 0:
                 dual_obj += z * v.upper
         assert dual_obj == pytest.approx(sol.objective, abs=1e-9), k
+
+
+# ---------------------------------------------------------------------------
+# crash start and Devex weights
+
+
+def _cg_start(rep):
+    """The CG relaxation of rep, started from the first-fit arborescence."""
+    model = build_cg(rep, build_dag(rep), build_clique_matrix(rep)).relaxed()
+    coloring, arcs = first_fit_arborescence(rep)
+    start = {arc_var(i, j): 1.0 for i, j in arcs}
+    start["c"] = coloring.num_colors
+    return model, start
+
+
+def _cgh_start(rep, height):
+    """The CG_H relaxation of rep, started from the greedy stack plan."""
+    h = effective_height(rep, height)
+    model = build_cgh(rep, build_layered_dag(rep, build_dag(rep), h),
+                      build_clique_matrix(rep)).relaxed()
+    plan = greedy_stack_plan(rep, h)
+    start = {layer_var(i, hs, j): 1.0 for (i, hs), (j, _) in plan_arcs(rep, plan)}
+    start["c"] = plan.num_stacks
+    return model, start
+
+
+def _crashed(model, start):
+    """solve_lp from start, and whether the crash took (no fallback)."""
+    results = []
+    crash = simplex._crash
+
+    def spy(*args):
+        results.append(crash(*args))
+        return results[-1]
+
+    with mock.patch.object(simplex, "_crash", spy):
+        sol = solve_lp(model, start=start)
+    return sol, bool(results) and results[0] is not None
+
+
+def _dual_objective(model, sol):
+    """y'b plus, for each variable, its reduced cost times the bound that
+    cost points at (a min model)."""
+    reduced = dict(model.objective)
+    value = 0.0
+    for r in model.constraints:
+        y = sol.dual[r.name]
+        value += y * r.rhs
+        for nm, c in r.coeffs.items():
+            reduced[nm] = reduced.get(nm, 0.0) - y * c
+    for v in model.variables:
+        z = reduced.get(v.name, 0.0)
+        bound = v.upper if z < 0 else v.lower
+        if abs(bound) < INF:
+            value += z * bound
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_reps(max_n=10), st.integers(1, 3))
+def test_crash_start_matches_the_cold_solve(rep, height):
+    for model, start in (_cg_start(rep), _cgh_start(rep, height)):
+        warm, took = _crashed(model, start)
+        cold = solve_lp(model)
+        assert took, model.name
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9), model.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_reps(max_n=10), st.integers(1, 3))
+def test_crash_start_duals_are_optimal(rep, height):
+    for model, start in (_cg_start(rep), _cgh_start(rep, height)):
+        sol, took = _crashed(model, start)
+        assert took, model.name
+        _assert_optimality_conditions(model, sol, model.name, tol=1e-9)
+        assert _dual_objective(model, sol) == pytest.approx(sol.objective, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_reps(max_n=10))
+def test_a_bad_cg_start_falls_back_to_the_cold_solve(rep):
+    model, start = _cg_start(rep)
+    cold = solve_lp(model)
+    at_root = {arc_var(0, j): 1.0 for j in rep.vertices}
+    bad = [
+        {"c": 0.0},  # every parent row fails
+        {**start, "c": start["c"] - 0.5},  # some root row fails
+        {**start, "x_0_0": 1.0},  # not a variable of the model
+        # c sits strictly inside its bounds and no root row is tight
+        {**at_root, "c": rep.n + 0.5},
+    ]
+    # the midpoint of two feasible points is no vertex, so no basis has it
+    # as its basic solution
+    if start != {**at_root, "c": rep.n}:
+        bad.append({name: (start.get(name, 0.0) + at_root.get(name, 0.0)) / 2
+                    for name in model.var_names if name != "c"}
+                   | {"c": (start["c"] + rep.n) / 2})
+    for k, s in enumerate(bad):
+        sol, took = _crashed(model, s)
+        assert not took, k
+        assert sol == cold, k
+
+
+def test_crash_start_enters_a_positive_surplus_on_its_own_row():
+    # x = 3 is a vertex: the '<=' row is tight and takes x, the '>=' row
+    # has surplus 2, which enters in place of that row's artificial
+    m = _model()
+    m.add_var("x", 0.0, INF)
+    m.objective = {"x": -1.0}
+    m.add_constraint("hi", {"x": 1.0}, "<=", 3.0)
+    m.add_constraint("lo", {"x": 1.0}, ">=", 1.0)
+    sol, took = _crashed(m, {"x": 3.0})
+    assert took
+    assert sol.iterations == 2  # two crash pivots, none in phase 2
+    assert sol.primal == {"x": 3.0}
+    assert sol.dual == {"hi": -1.0, "lo": 0.0}
+
+
+def test_crash_start_on_every_bound_shape():
+    # from the cold optimum the crash lands on an optimal basis; from a
+    # point strictly inside all bounds it falls back to the cold solve
+    rng = np.random.default_rng(37)
+    took_some = False
+    for k in range(60):
+        m, point = _random_bounded_lp(rng, k)
+        cold = solve_lp(m)
+        if cold.status != "optimal":
+            continue
+        warm, took = _crashed(m, cold.primal)
+        took_some |= took
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7), k
+        _assert_optimality_conditions(m, warm, k)
+        sol, took = _crashed(m, point)
+        assert sol == cold or took, k
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-7), k
+        off = {**cold.primal, "v0": cold.primal["v0"] + 1.0}  # breaks a row or a bound
+        sol, took = _crashed(m, off)
+        assert sol == cold or took, k
+    assert took_some
+
+
+def test_devex_weights_stay_finite():
+    # a fractional clique cutting-plane master: the first-fit color classes
+    # of generate_one(50, 9102, 6) and the max-weight independent sets
+    # added while one weighed more than 1.  Devex weights that never reset
+    # overflowed to inf and NaN on it.
+    model = parse_lp_text((Path(__file__).parent / "data" / "devex_overflow.lp").read_text())
+    with np.errstate(over="raise", invalid="raise"):
+        sol = solve_lp(model)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(1021 / 113, abs=1e-9)

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from strategies import interval_reps
 
 from circlecolor import bnb, stowage
@@ -21,6 +22,7 @@ from circlecolor.stowage import (
     effective_height,
     greedy_stack_plan,
     nesting_depth,
+    plan_arcs,
 )
 
 
@@ -75,6 +77,47 @@ def test_nesting_depth_matches_brute_force(rep):
         if nested_chain(vs)
     )
     assert nesting_depth(rep) == longest
+
+
+def _reference_cgh_rows(rep, layered, matrix):
+    """CG_H rows straight from the definitions, scanning every vertex for
+    the copies that feed a vertex and every matrix entry for each row:
+    (name, coefficient items, relation, rhs) in build order."""
+    def var(i, h, j):
+        return f"x_{i}.{h}_{j}"
+
+    def sources(j, h):
+        if h == 1:
+            return [(0, 0)]
+        return [(i, h - 1) for i in rep.vertices if j in layered.containment_children[i]]
+
+    rows = []
+    for r, p in enumerate(matrix.points):
+        coeffs = {var(0, 0, j): 1.0 for j in rep.vertices if matrix.matrix[r, j - 1]}
+        rows.append((f"root_p{p}", list(coeffs.items()) + [("c", -1.0)], "<=", 0.0))
+    for i in sorted(layered.branching):
+        kids = layered.containment_children[i]
+        for h in range(1, layered.height):
+            inflow = [(var(s, hs, i), -1.0) for s, hs in sources(i, h)]
+            for r, p in enumerate(matrix.points):
+                coeffs = [(var(i, h, j), 1.0) for j in kids if matrix.matrix[r, j - 1]]
+                if coeffs:
+                    rows.append((f"chain_{i}.{h}_p{p}", coeffs + inflow, "<=", 0.0))
+    for j in rep.vertices:
+        coeffs = [(var(i, hs, j), 1.0)
+                  for h in range(1, layered.height + 1) for i, hs in sources(j, h)]
+        rows.append((f"enter_{j}", coeffs, "=", 1.0))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_reps(max_n=10), st.integers(1, 4), st.booleans())
+def test_build_cgh_rows_match_the_definitions(rep, height, full_points):
+    layered = _layered(rep, effective_height(rep, height))
+    matrix = build_clique_matrix(rep, full_points=full_points)
+    model = build_cgh(rep, layered, matrix)
+    got = [(c.name, list(c.coeffs.items()), c.relation, c.rhs) for c in model.constraints]
+    assert got == _reference_cgh_rows(rep, layered, matrix)
 
 
 def test_cgh_nested_pair_optima(nested):
@@ -165,6 +208,15 @@ def test_greedy_plan_is_feasible():
         g = build_graph(rep)
         for h in (1, 2, 3):
             _check_plan(rep, g, greedy_stack_plan(rep, h), h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_reps(max_n=12), st.integers(1, 4))
+def test_plan_arcs_decode_back_to_a_plan(rep, height):
+    h = effective_height(rep, height)
+    plan = greedy_stack_plan(rep, h)
+    decoded = decode_plan(rep, _layered(rep, h), plan_arcs(rep, plan), plan.num_stacks)
+    check_plan(rep, decoded, h, plan.num_stacks)
 
 
 def test_plan_format(nested):
