@@ -187,26 +187,59 @@ def _arcs_from_primal(primal, arc_map):
 
 
 # ---------------------------------------------------------------------------
-# chromatic number
+# the arborescence programs: CG for colors, CG_H for stacks
 
-def _cg_root(rep: IntervalRep, opts: SimplexOptions, timings: dict):
-    """cg_root, plus first_fit_arborescence(rep) as the last item: the
-    root LP starts from that coloring."""
+def _root_lp(model: LpModel, start: dict, opts: SimplexOptions, timings: dict) -> LpSolution:
+    """The LP relaxation of CG or CG_H, crash-started from start, the
+    point of a heuristic solution."""
+    t0 = time.perf_counter()
+    root = solve_lp(model.relaxed(), opts, start=start)
+    timings["root_lp"] = time.perf_counter() - t0
+    if root.status != "optimal":
+        # the heuristic solution is feasible, so this cannot happen
+        raise InfeasibleModelError(f"{model.name} root LP came back {root.status}")
+    return root
+
+
+def _solve(model: LpModel, start: dict, opts: SimplexOptions, timings: dict,
+           log=None, priority=None):
+    """Integer optimum of CG or CG_H, with the heuristic solution at start
+    (start["c"] colors) as the incumbent: the root LP, then
+    branch-and-bound unless the root is integral on the arcs.
+
+    Returns (value, root LP value, primal-or-None, nodes); primal is None
+    when the heuristic solution is optimal, and nodes counts the root."""
+    root = _root_lp(model, start, opts, timings)
+    t0 = time.perf_counter()
+    if all(abs(root.primal[name] - round(root.primal[name])) <= opts.int_tol
+           for name in model.metadata["arcs"]):
+        value, primal, nodes = round(root.objective), root.primal, 1
+    else:
+        value, primal, nodes = solve_ip(
+            model, opts,
+            incumbent_value=start["c"],
+            no_branch=frozenset(["c"]),
+            priority=priority,
+            log=log,
+            root=root,
+        )
+        nodes += 1  # the root LP above, which solve_ip counts once more
+    timings["search"] = time.perf_counter() - t0
+    return int(value), root.objective, primal, nodes
+
+
+def _build_cg(rep: IntervalRep, timings: dict):
+    """The CG program, and first_fit_arborescence(rep) as its arcs and its
+    start point."""
     t0 = time.perf_counter()
     dag = build_dag(rep)
     matrix = build_clique_matrix(rep)
     model = build_cg(rep, dag, matrix)
     ff, ff_arcs = first_fit_arborescence(rep)
-    timings["build"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     start = {arc_var(i, j): 1.0 for i, j in ff_arcs}
     start["c"] = ff.num_colors
-    root = solve_lp(model.relaxed(), opts, start=start)
-    timings["root_lp"] = time.perf_counter() - t0
-    if root.status != "optimal":
-        raise InfeasibleModelError(f"CG root LP came back {root.status}")
-    return dag, model, root, (ff, ff_arcs)
+    timings["build"] = time.perf_counter() - t0
+    return dag, model, ff_arcs, start
 
 
 def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
@@ -217,7 +250,8 @@ def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
     Returns (dag, model, root); the build and root-LP seconds go into
     timings when it is given."""
     timings = {} if timings is None else timings
-    return _cg_root(rep, options or DEFAULT_OPTIONS, timings)[:3]
+    dag, model, _, start = _build_cg(rep, timings)
+    return dag, model, _root_lp(model, start, options or DEFAULT_OPTIONS, timings)
 
 
 def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
@@ -225,43 +259,18 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
     """Exact chromatic number with a decoded coloring certificate; the root
     LP value is the fractional chromatic number.  graph is the overlap
     graph of rep, when the caller has already built it."""
-    opts = options or DEFAULT_OPTIONS
     timings = {}
-    dag, model, root, (ff, ff_arcs) = _cg_root(rep, opts, timings)
-    chi_f = root.objective
+    dag, model, ff_arcs, start = _build_cg(rep, timings)
+    arc_names = model.metadata["arcs"]
+    priority = {name: len(dag.children[ij[0]]) for name, ij in arc_names.items()}
+    chi, chi_f, primal, nodes = _solve(model, start, options or DEFAULT_OPTIONS, timings,
+                                       log, priority)
 
     t0 = time.perf_counter()
+    arcs = ff_arcs if primal is None else _arcs_from_primal(primal, arc_names)
+    coloring = decode_arborescence(rep, arcs, chi)
     if graph is None:
         graph = build_graph(rep)
-    arc_names = model.metadata["arcs"]
-    root_integral = all(
-        abs(root.primal[name] - round(root.primal[name])) <= opts.int_tol
-        for name in arc_names
-    )
-    if root_integral:
-        chi = round(root.objective)
-        arcs = _arcs_from_primal(root.primal, arc_names)
-        nodes = 1
-    else:
-        priority = {name: len(dag.children[ij[0]]) for name, ij in arc_names.items()}
-        value, primal, nodes = solve_ip(
-            model, opts,
-            incumbent_value=ff.num_colors,
-            no_branch=frozenset(["c"]),
-            priority=priority,
-            log=log,
-            root=root,
-        )
-        chi = int(value)
-        if primal is not None:
-            arcs = _arcs_from_primal(primal, arc_names)
-        else:
-            arcs = ff_arcs
-        nodes += 1  # the root LP above, which solve_ip counts once more
-    timings["search"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    coloring = decode_arborescence(rep, arcs, chi)
     if not validate_coloring(graph, coloring) or coloring.num_colors != chi:
         raise CertificateError(f"decoded coloring is not a proper {chi}-coloring")
     timings["decode"] = time.perf_counter() - t0
@@ -275,13 +284,9 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
     )
 
 
-# ---------------------------------------------------------------------------
-# capacitated stacks
-
 def solve_stacks(rep: IntervalRep, height: int,
                  options: SimplexOptions | None = None, log=None) -> SolveReport:
     """Exact minimum number of stacks of capacity `height`."""
-    opts = options or DEFAULT_OPTIONS
     timings = {}
     t0 = time.perf_counter()
     dag = build_dag(rep)
@@ -290,58 +295,26 @@ def solve_stacks(rep: IntervalRep, height: int,
     layered = build_layered_dag(rep, dag, h_eff)
     model = build_cgh(rep, layered, matrix)
     greedy = greedy_stack_plan(rep, h_eff)
-    timings["build"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     start = {layer_var(i, h, j): 1.0 for (i, h), (j, _) in plan_arcs(rep, greedy)}
     start["c"] = greedy.num_stacks
-    root = solve_lp(model.relaxed(), opts, start=start)
-    timings["root_lp"] = time.perf_counter() - t0
-    if root.status != "optimal":
-        # singleton stacks are always feasible, so this cannot happen
-        raise InfeasibleModelError(f"CG_H root LP came back {root.status}")
-    frac = root.objective
+    timings["build"] = time.perf_counter() - t0
+    value, frac, primal, nodes = _solve(model, start, options or DEFAULT_OPTIONS, timings, log)
 
     t0 = time.perf_counter()
-    arc_names = model.metadata["arcs"]
-    root_integral = all(
-        abs(root.primal[name] - round(root.primal[name])) <= opts.int_tol
-        for name in arc_names
-    )
-    if root_integral:
-        value = round(root.objective)
-        primal = root.primal
-        nodes = 1
-    else:
-        value, primal, nodes = solve_ip(
-            model, opts,
-            incumbent_value=greedy.num_stacks,
-            no_branch=frozenset(["c"]),
-            log=log,
-            root=root,
-        )
-        nodes += 1  # the root LP above, which solve_ip counts once more
-    timings["search"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if primal is not None:
-        arcs = {
-            ((i, h), (j, h + 1))
-            for name, (i, h, j) in arc_names.items()
-            if primal[name] > 0.5
-        }
-        plan = decode_plan(rep, layered, arcs, int(value))
-    else:
+    if primal is None:
         plan = greedy
-    check_plan(rep, plan, h_eff, int(value))
-    colors = plan.stack_of()
+    else:
+        arcs = {((i, h), (j, h + 1))
+                for i, h, j in _arcs_from_primal(primal, model.metadata["arcs"])}
+        plan = decode_plan(rep, layered, arcs, value)
+    check_plan(rep, plan, h_eff, value)
     timings["decode"] = time.perf_counter() - t0
     return SolveReport(
-        chromatic_number=int(value),
+        chromatic_number=value,
         fractional_chromatic=frac,
-        root_gap=int(value) - frac,
+        root_gap=value - frac,
         nodes_explored=nodes,
-        coloring=Coloring(colors=colors),
+        coloring=Coloring(colors=plan.stack_of()),
         timings=timings,
         plan=plan,
     )

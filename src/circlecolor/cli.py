@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bnb import cg_root, solve_chromatic, solve_stacks
+from .bnb import cg_root, first_fit, solve_chromatic, solve_stacks
 from .errors import CircleColorError, InstanceFormatError, NumericalFailureError
 from .instances import (
     GeneratorConfig,
@@ -34,6 +34,7 @@ from .intervals import (
     format_instance,
     load_instance,
     to_dimacs,
+    topological_order,
 )
 from .lpmodels import (
     build_as,
@@ -65,11 +66,11 @@ NEGATIVE_LIST = re.compile(r"-[0-9.][0-9.eE+,-]*")
 def _options_from_args(args) -> SimplexOptions:
     default = float(os.environ.get("CIRCLECOLOR_TOL", "1e-9"))
     opts = SimplexOptions(feas_tol=default, opt_tol=default)
-    if getattr(args, "feas_tol", None) is not None:
+    if args.feas_tol is not None:
         opts.feas_tol = args.feas_tol
-    if getattr(args, "opt_tol", None) is not None:
+    if args.opt_tol is not None:
         opts.opt_tol = args.opt_tol
-    if getattr(args, "int_tol", None) is not None:
+    if args.int_tol is not None:
         opts.int_tol = args.int_tol
     return opts
 
@@ -195,22 +196,20 @@ def cmd_gen(args) -> int:
 
 
 def _build_formulation(args, rep):
-    graph = build_graph(rep)
-    dag = build_dag(rep)
-    matrix = build_clique_matrix(rep)
-    if args.formulation == "cg":
-        return build_cg(rep, dag, matrix, relax=args.relax)
     if args.formulation == "cl":
-        from .bnb import first_fit
-        from .intervals import topological_order
+        graph = build_graph(rep)
         num = args.colors or first_fit(graph, topological_order(rep)).num_colors
         model = build_cl(graph, num)
     elif args.formulation == "as":
-        model = build_as(graph)
-    else:  # cgh
-        layered = build_layered_dag(rep, dag, effective_height(rep, args.height))
-        model = build_cgh(rep, layered, matrix, relax=args.relax)
-        return model
+        model = build_as(build_graph(rep))
+    else:
+        dag = build_dag(rep)
+        matrix = build_clique_matrix(rep)
+        if args.formulation == "cg":
+            model = build_cg(rep, dag, matrix)
+        else:  # cgh
+            layered = build_layered_dag(rep, dag, effective_height(rep, args.height))
+            model = build_cgh(rep, layered, matrix)
     return model.relaxed() if args.relax else model
 
 
@@ -285,15 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("instance", help="instance file (n, then n lines 'l r')")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--no-timing", action="store_true", help="omit timing fields from JSON")
-        p.add_argument("-v", "--verbose", action="store_true", help="log solver nodes to stderr")
+    def tolerances(p):
         p.add_argument("--feas-tol", type=float, default=None)
         p.add_argument("--opt-tol", type=float, default=None)
         p.add_argument("--int-tol", type=float, default=None)
+
+    def common(p):
+        p.add_argument("instance", help="instance file (n, then n lines 'l r')")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument("--no-timing", action="store_true", help="omit timing fields from JSON")
+        p.add_argument("-v", "--verbose", action="store_true", help="log solver nodes to stderr")
+        tolerances(p)
 
     p = sub.add_parser("solve", help="chromatic number, fractional bound, and a coloring")
     common(p)
@@ -338,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated vertex counts")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--feas-tol", type=float, default=None)
-    p.add_argument("--opt-tol", type=float, default=None)
-    p.add_argument("--int-tol", type=float, default=None)
+    tolerances(p)
     p.add_argument("-o", "--output", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_bench)
 
@@ -348,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--feas-tol", type=float, default=None)
-    p.add_argument("--opt-tol", type=float, default=None)
-    p.add_argument("--int-tol", type=float, default=None)
+    tolerances(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

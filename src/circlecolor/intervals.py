@@ -204,9 +204,6 @@ class ContainmentDag:
     def arcs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n + 1) for j in self.children[i]]
 
-    def parents_of(self, j: int) -> list[int]:
-        return [i for i in range(self.n + 1) if j in self.children[i] and i != j]
-
 
 def build_dag(rep: IntervalRep) -> ContainmentDag:
     """Endpoint sweep: the children of i are the vertices whose left
@@ -258,9 +255,6 @@ class CliqueMatrix:
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    def column(self, v: int) -> np.ndarray:
-        return self.matrix[:, v - 1]
-
     def column_rows(self) -> list[list[int]]:
         """rows[v]: ascending indices of the rows with a nonzero in column v
         (rows[0] is empty)."""
@@ -269,15 +263,6 @@ class CliqueMatrix:
         for v, r in zip(cols.tolist(), rows.tolist()):
             out[v + 1].append(r)
         return out
-
-    def rows_touching(self, vs) -> list[int]:
-        """Indices of rows with a nonzero entry in some column of vs."""
-        if not vs:
-            return []
-        mask = np.zeros(len(self.points), dtype=bool)
-        for v in vs:
-            mask |= self.matrix[:, v - 1] > 0
-        return [int(r) for r in np.nonzero(mask)[0]]
 
 
 def build_clique_matrix(rep: IntervalRep, full_points: bool = False) -> CliqueMatrix:

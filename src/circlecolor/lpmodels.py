@@ -87,31 +87,20 @@ class LpModel:
 
     def relaxed(self) -> "LpModel":
         """Continuous relaxation: binaries become [0,1], integers keep
-        their bounds but lose integrality."""
+        their bounds but lose integrality; metadata["relaxed"] is True."""
         out = LpModel(
             name=self.name,
             sense=self.sense,
             variables=[Variable(v.name, v.lower, v.upper, CONTINUOUS) for v in self.variables],
             objective=dict(self.objective),
             constraints=[Constraint(c.name, dict(c.coeffs), c.relation, c.rhs) for c in self.constraints],
-            metadata=dict(self.metadata),
+            metadata=dict(self.metadata, relaxed=True),
             integral_objective=self.integral_objective,
         )
         for v, orig in zip(out.variables, self.variables):
             if orig.kind == BINARY:
                 v.lower, v.upper = max(0.0, orig.lower), min(1.0, orig.upper)
         return out
-
-    def copy(self) -> "LpModel":
-        return LpModel(
-            name=self.name,
-            sense=self.sense,
-            variables=[Variable(v.name, v.lower, v.upper, v.kind) for v in self.variables],
-            objective=dict(self.objective),
-            constraints=[Constraint(c.name, dict(c.coeffs), c.relation, c.rhs) for c in self.constraints],
-            metadata=dict(self.metadata),
-            integral_objective=self.integral_objective,
-        )
 
     def integer_var_names(self) -> list:
         return [v.name for v in self.variables if v.kind in (BINARY, INTEGER)]
@@ -136,26 +125,28 @@ def _cover_rows(col_rows, names) -> dict:
     return {r: rows[r] for r in sorted(rows)}
 
 
+def _add_charges(model: LpModel, i: int, kids, col_rows, points) -> dict:
+    """Add a charge y_i_p >= 0 for each sweep row touching kids; returns
+    row index -> charge name, rows ascending."""
+    rows = sorted(set().union(*(col_rows[j] for j in kids)))
+    return {r: model.add_var(f"y_{i}_p{points[r]}") for r in rows}
+
+
 # ---------------------------------------------------------------------------
 # CG: the arborescence coloring program
 
-def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
-             relax: bool = False) -> LpModel:
+def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpModel:
     """min c subject to: the root child set has antichains of size <= c,
     each inner child set has antichains of size <= 1 (a chain), and every
     vertex picks exactly one parent arc.
     """
     model = LpModel(name="CG", sense="min", integral_objective=True)
-    kind = CONTINUOUS if relax else BINARY
     arc_map = {}
     for i, j in dag.arcs:
         name = arc_var(i, j)
-        model.add_var(name, 0.0, 1.0, kind)
+        model.add_var(name, 0.0, 1.0, BINARY)
         arc_map[name] = [i, j]
-    if relax:
-        model.add_var("c", 0.0, INF, CONTINUOUS)
-    else:
-        model.add_var("c", 0.0, INF, INTEGER)
+    model.add_var("c", 0.0, INF, INTEGER)
     model.objective = {"c": 1.0}
     col_rows = matrix.column_rows()
     root_rows = _cover_rows(col_rows, {j: arc_var(ROOT, j) for j in dag.children[ROOT]})
@@ -171,7 +162,7 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
         parent_rows[j][name] = 1.0
     for j, coeffs in parent_rows.items():
         model.add_constraint(f"parent_{j}", coeffs, "=", 1.0)
-    model.metadata = {"formulation": "CG", "relaxed": relax, "arcs": arc_map, "n": rep.n}
+    model.metadata = {"formulation": "CG", "relaxed": False, "arcs": arc_map, "n": rep.n}
     return model
 
 
@@ -202,21 +193,39 @@ def build_dlc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatri
               values) -> LpModel:
     """The dual: cover each child's value by sweep-point charges."""
     _branching_or_root(i, dag)
-    kids = dag.children[i]
-    rows = matrix.rows_touching(kids)
+    col_rows = matrix.column_rows()
     model = LpModel(name=f"DLC_{i}", sense="min")
-    for r in rows:
-        model.add_var(f"y_{i}_p{matrix.points[r]}", 0.0, INF, CONTINUOUS)
-    model.objective = {f"y_{i}_p{matrix.points[r]}": 1.0 for r in rows}
-    for j in kids:
-        coeffs = {
-            f"y_{i}_p{matrix.points[r]}": 1.0
-            for r in rows
-            if matrix.matrix[r, j - 1]
-        }
-        model.add_constraint(f"cover_{j}", coeffs, ">=", float(values[j]))
+    y = _add_charges(model, i, dag.children[i], col_rows, matrix.points)
+    model.objective = dict.fromkeys(y.values(), 1.0)
+    for j in dag.children[i]:
+        model.add_constraint(f"cover_{j}", {y[r]: 1.0 for r in col_rows[j]}, ">=", float(values[j]))
     model.metadata = {"formulation": "DLC", "vertex": i}
     return model
+
+
+def _charge_program(name: str, sense: str, rep: IntervalRep, dag: ContainmentDag,
+                    matrix: CliqueMatrix):
+    """The part ISD and FCP share: charges y_{i,p} for i in V*-or-root (only
+    at sweep rows touching the child set of i; structurally useless columns
+    are dropped), a free label ell_i per vertex, and a cover row per
+    containment arc i -> j (the charges of i at the rows of j cover ell_j).
+
+    Returns (model, y, covers): y[i] maps row index -> charge name, and
+    covers holds the (name, coeffs) of the cover rows, which the caller
+    adds after its own rows."""
+    model = LpModel(name=name, sense=sense)
+    col_rows = matrix.column_rows()
+    sources = [ROOT] + sorted(dag.branching)
+    y = {i: _add_charges(model, i, dag.children[i], col_rows, matrix.points) for i in sources}
+    for i in rep.vertices:
+        model.add_var(f"ell_{i}", -INF, INF, CONTINUOUS)
+    covers = []
+    for i in sources:
+        for j in dag.children[i]:
+            coeffs = {y[i][r]: 1.0 for r in col_rows[j]}
+            coeffs[f"ell_{j}"] = -1.0
+            covers.append((f"cover_{i}_{j}", coeffs))
+    return model, y, covers
 
 
 # ---------------------------------------------------------------------------
@@ -225,37 +234,15 @@ def build_dlc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatri
 def build_isd(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
               weights) -> LpModel:
     """min ell_0 = sum of root charges, with per-vertex label equations and
-    a cover row per containment arc.
-
-    Charge variables y_{i,p} exist only for i in V*-or-root and sweep rows
-    touching the child set of i; structurally useless columns are dropped.
-    """
-    model = LpModel(name="ISD", sense="min")
-    sources = [ROOT] + sorted(dag.branching)
-    y_rows = {i: matrix.rows_touching(dag.children[i]) for i in sources}
-    for i in sources:
-        for r in y_rows[i]:
-            model.add_var(f"y_{i}_p{matrix.points[r]}", 0.0, INF, CONTINUOUS)
+    a cover row per containment arc."""
+    model, y, covers = _charge_program("ISD", "min", rep, dag, matrix)
+    model.objective = dict.fromkeys(y[ROOT].values(), 1.0)
     for i in rep.vertices:
-        model.add_var(f"ell_{i}", -INF, INF, CONTINUOUS)
-    model.objective = {f"y_{ROOT}_p{matrix.points[r]}": 1.0 for r in y_rows[ROOT]}
-    for i in rep.vertices:
-        if i in dag.branching:
-            coeffs = {f"ell_{i}": 1.0}
-            for r in y_rows[i]:
-                coeffs[f"y_{i}_p{matrix.points[r]}"] = -1.0
-            model.add_constraint(f"label_{i}", coeffs, "=", float(weights[i]))
-        else:
-            model.add_constraint(f"label_{i}", {f"ell_{i}": 1.0}, "=", float(weights[i]))
-    for i in sources:
-        for j in dag.children[i]:
-            coeffs = {
-                f"y_{i}_p{matrix.points[r]}": 1.0
-                for r in y_rows[i]
-                if matrix.matrix[r, j - 1]
-            }
-            coeffs[f"ell_{j}"] = -1.0
-            model.add_constraint(f"cover_{i}_{j}", coeffs, ">=", 0.0)
+        coeffs = {f"ell_{i}": 1.0}
+        coeffs.update(dict.fromkeys(y.get(i, {}).values(), -1.0))
+        model.add_constraint(f"label_{i}", coeffs, "=", float(weights[i]))
+    for name, coeffs in covers:
+        model.add_constraint(name, coeffs, ">=", 0.0)
     model.metadata = {"formulation": "ISD"}
     return model
 
@@ -266,34 +253,13 @@ def build_isd(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
 def build_fcp(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpModel:
     """max sum of labels minus inner charges, subject to a unit budget on
     root charges and the same cover rows as ISD."""
-    model = LpModel(name="FCP", sense="max")
-    sources = [ROOT] + sorted(dag.branching)
-    y_rows = {i: matrix.rows_touching(dag.children[i]) for i in sources}
-    for i in sources:
-        for r in y_rows[i]:
-            model.add_var(f"y_{i}_p{matrix.points[r]}", 0.0, INF, CONTINUOUS)
-    for i in rep.vertices:
-        model.add_var(f"ell_{i}", -INF, INF, CONTINUOUS)
-    obj = {f"ell_{i}": 1.0 for i in rep.vertices}
+    model, y, covers = _charge_program("FCP", "max", rep, dag, matrix)
+    model.objective = {f"ell_{i}": 1.0 for i in rep.vertices}
     for i in sorted(dag.branching):
-        for r in y_rows[i]:
-            obj[f"y_{i}_p{matrix.points[r]}"] = -1.0
-    model.objective = obj
-    model.add_constraint(
-        "budget",
-        {f"y_{ROOT}_p{matrix.points[r]}": 1.0 for r in y_rows[ROOT]},
-        "<=",
-        1.0,
-    )
-    for i in sources:
-        for j in dag.children[i]:
-            coeffs = {
-                f"y_{i}_p{matrix.points[r]}": 1.0
-                for r in y_rows[i]
-                if matrix.matrix[r, j - 1]
-            }
-            coeffs[f"ell_{j}"] = -1.0
-            model.add_constraint(f"cover_{i}_{j}", coeffs, ">=", 0.0)
+        model.objective.update(dict.fromkeys(y[i].values(), -1.0))
+    model.add_constraint("budget", dict.fromkeys(y[ROOT].values(), 1.0), "<=", 1.0)
+    for name, coeffs in covers:
+        model.add_constraint(name, coeffs, ">=", 0.0)
     model.metadata = {"formulation": "FCP"}
     return model
 
@@ -380,9 +346,8 @@ def write_lp_text(model: LpModel) -> str:
     lines.append("Subject To")
     for con in model.constraints:
         terms = []
-        for name in model.var_names:
-            if name in con.coeffs and con.coeffs[name] != 0.0:
-                terms.append(_term(con.coeffs[name], name, first=not terms))
+        for name, coef in _in_var_order(model, con.coeffs):
+            terms.append(_term(coef, name, first=not terms))
         if not terms:
             terms = ["0 " + model.var_names[0]]
         rel = {"<=": "<=", ">=": ">=", "=": "="}[con.relation]
@@ -402,6 +367,12 @@ def write_lp_text(model: LpModel) -> str:
         lines.append(" " + " ".join(binaries))
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+def _in_var_order(model: LpModel, coeffs: dict) -> list:
+    """The nonzero (name, coefficient) pairs of coeffs in variable order."""
+    return sorted(((name, coef) for name, coef in coeffs.items() if coef != 0.0),
+                  key=lambda term: model._index[term[0]])
 
 
 def _term(coef: float, name: str, first: bool) -> str:
@@ -501,7 +472,12 @@ def write_mps(model: LpModel) -> str:
     def fmt(col, row, val):
         return f"    {col:<12} {row:<12} {_num(val)}"
 
-    for v in model.variables:
+    entries = [[] for _ in model.variables]  # per column: (row, value) in row order
+    for con in model.constraints:
+        for name, coef in con.coeffs.items():
+            if coef != 0.0:
+                entries[model._index[name]].append((con.name, coef))
+    for v, column in zip(model.variables, entries):
         is_int = v.kind in (BINARY, INTEGER)
         if is_int != marker_on:
             kind = "'INTORG'" if is_int else "'INTEND'"
@@ -510,9 +486,7 @@ def write_mps(model: LpModel) -> str:
             marker_idx += 1
         if v.name in model.objective and model.objective[v.name] != 0.0:
             out.append(fmt(v.name, "OBJ", model.objective[v.name]))
-        for con in model.constraints:
-            if v.name in con.coeffs and con.coeffs[v.name] != 0.0:
-                out.append(fmt(v.name, con.name, con.coeffs[v.name]))
+        out.extend(fmt(v.name, row, val) for row, val in column)
     if marker_on:
         out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} 'INTEND'")
     out.append("RHS")
@@ -603,12 +577,14 @@ def parse_mps(text: str) -> LpModel:
     model.objective = {
         col: columns[col]["OBJ"] for col in col_order if "OBJ" in columns[col]
     }
+    coeffs = {rname: {} for rname in row_order}  # per row: column -> value in column order
+    for col in col_order:
+        for rname, val in columns[col].items():
+            if rname in coeffs:
+                coeffs[rname][col] = val
     rel_code = {"L": "<=", "G": ">=", "E": "="}
     for rname in row_order:
-        coeffs = {
-            col: columns[col][rname] for col in col_order if rname in columns[col]
-        }
-        model.add_constraint(rname, coeffs, rel_code[rows[rname]], rhs.get(rname, 0.0))
+        model.add_constraint(rname, coeffs[rname], rel_code[rows[rname]], rhs.get(rname, 0.0))
     return model
 
 

@@ -26,7 +26,7 @@ from .intervals import (
     max_antichain,
     topological_order,
 )
-from .lpmodels import BINARY, CONTINUOUS, INF, INTEGER, LpModel, _cover_rows
+from .lpmodels import BINARY, INF, INTEGER, LpModel, _cover_rows
 from .mwis import decode_arborescence
 
 
@@ -43,18 +43,6 @@ class LayeredDag:
     height: int
     containment_children: tuple  # containment_children[i] from the flat DAG
     branching: frozenset
-
-    @property
-    def root(self):
-        return (ROOT, 0)
-
-    def out_targets(self, i: int, h: int):
-        """Vertices j with an arc from copy (i, h) to (j, h+1)."""
-        if i == ROOT:
-            return tuple(range(1, self.n + 1)) if h == 0 else ()
-        if 1 <= h < self.height:
-            return self.containment_children[i]
-        return ()
 
     def arcs(self):
         out = [((ROOT, 0), (j, 1)) for j in range(1, self.n + 1)]
@@ -92,18 +80,16 @@ def build_layered_dag(rep: IntervalRep, dag: ContainmentDag, height: int) -> Lay
     )
 
 
-def build_cgh(rep: IntervalRep, layered: LayeredDag, matrix: CliqueMatrix,
-              relax: bool = False) -> LpModel:
+def build_cgh(rep: IntervalRep, layered: LayeredDag, matrix: CliqueMatrix) -> LpModel:
     """min c: root children form at most c stacks, each occupied copy may
     pass one chain downward, and every vertex enters at exactly one layer."""
     model = LpModel(name="CG_H", sense="min", integral_objective=True)
-    kind = CONTINUOUS if relax else BINARY
     arc_map = {}
     for (i, h), (j, _) in layered.arcs():
         name = layer_var(i, h, j)
-        model.add_var(name, 0.0, 1.0, kind)
+        model.add_var(name, 0.0, 1.0, BINARY)
         arc_map[name] = [i, h, j]
-    model.add_var("c", 0.0, INF, CONTINUOUS if relax else INTEGER)
+    model.add_var("c", 0.0, INF, INTEGER)
     model.objective = {"c": 1.0}
 
     col_rows = matrix.column_rows()
@@ -136,7 +122,7 @@ def build_cgh(rep: IntervalRep, layered: LayeredDag, matrix: CliqueMatrix,
         model.add_constraint(f"enter_{j}", coeffs, "=", 1.0)
     model.metadata = {
         "formulation": "CG_H",
-        "relaxed": relax,
+        "relaxed": False,
         "height": layered.height,
         "arcs": arc_map,
         "n": rep.n,

@@ -18,6 +18,7 @@ from circlecolor.intervals import (
 )
 from circlecolor.mwis import arborescence_of_coloring
 from circlecolor.oracle import chromatic_exact, fractional_chromatic_exact
+from circlecolor.stowage import nesting_depth
 
 
 def test_first_fit_edgeless():
@@ -102,6 +103,17 @@ def test_stacks_reaches_chromatic_with_big_height():
         rep = generate_one(int(rng.integers(1, 9)), 558, k)
         chi = solve_chromatic(rep).chromatic_number
         assert solve_stacks(rep, rep.n).chromatic_number == chi
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_reps(max_n=10))
+def test_stacks_at_the_nesting_depth_are_colors(rep):
+    # with no capacity that binds, CG_H is CG with layered copies, and both
+    # go through the same root LP and branch-and-bound
+    colors = solve_chromatic(rep)
+    stacks = solve_stacks(rep, nesting_depth(rep))
+    assert stacks.chromatic_number == colors.chromatic_number
+    assert stacks.fractional_chromatic == pytest.approx(colors.fractional_chromatic, abs=1e-9)
 
 
 def test_node_log(c5):

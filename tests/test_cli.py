@@ -92,6 +92,13 @@ def test_export_to_file_writes_sidecar(tmp_path):
     assert target.read_text() == golden("c5_cg.lp")
     meta = json.loads((tmp_path / "model.lp.meta.json").read_text())
     assert meta["metadata"]["formulation"] == "CG"
+    assert meta["metadata"]["relaxed"] is False
+    for formulation in ("cg", "cgh", "cl", "as"):
+        relaxed = tmp_path / f"{formulation}.lp"
+        run_cli(["export", C5_FILE, "--formulation", formulation, "--relax", "-o", str(relaxed)])
+        meta = json.loads((tmp_path / f"{formulation}.lp.meta.json").read_text())
+        assert meta["metadata"]["relaxed"] is True
+        assert "Binary" not in relaxed.read_text() and "General" not in relaxed.read_text()
 
 
 def test_verify_golden():

@@ -2,12 +2,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import interval_reps
 
-from circlecolor.bnb import solve_ip
+from circlecolor.bnb import first_fit, solve_ip
 from circlecolor.errors import VertexNotBranchingError
 from circlecolor.instances import generate_one
-from circlecolor.intervals import build_clique_matrix, build_dag, build_graph, normalize
+from circlecolor.intervals import (
+    build_clique_matrix,
+    build_dag,
+    build_graph,
+    normalize,
+    topological_order,
+)
 from circlecolor.lpmodels import (
+    BINARY,
+    INF,
+    INTEGER,
+    _num,
+    _term,
     build_as,
     build_cg,
     build_cl,
@@ -24,6 +38,7 @@ from circlecolor.lpmodels import (
 )
 from circlecolor.mwis import max_weight_chain, solve_mwis
 from circlecolor.simplex import solve_lp
+from circlecolor.stowage import build_cgh, build_layered_dag, effective_height
 
 
 def _core(rep):
@@ -195,3 +210,100 @@ def test_metadata_sidecar(c5):
     for name, (i, j) in meta["metadata"]["arcs"].items():
         assert name in names
         assert 0 <= i <= 5 and 1 <= j <= 5
+
+
+# The exporters before they became O(nnz): every constraint scans every
+# variable, and every column scans every constraint.  Kept as the reference.
+
+def _quadratic_lp_text(model):
+    lines = ["\\ " + model.name]
+    lines.append("Minimize" if model.sense == "min" else "Maximize")
+    terms = []
+    for name in model.var_names:
+        if name in model.objective and model.objective[name] != 0.0:
+            terms.append(_term(model.objective[name], name, first=not terms))
+    lines.append(" obj: " + (" ".join(terms) if terms else "0 " + model.var_names[0]))
+    lines.append("Subject To")
+    for con in model.constraints:
+        terms = []
+        for name in model.var_names:
+            if name in con.coeffs and con.coeffs[name] != 0.0:
+                terms.append(_term(con.coeffs[name], name, first=not terms))
+        if not terms:
+            terms = ["0 " + model.var_names[0]]
+        lines.append(f" {con.name}: " + " ".join(terms) + f" {con.relation} {_num(con.rhs)}")
+    lines.append("Bounds")
+    for v in model.variables:
+        lo = "-inf" if v.lower == -INF else _num(v.lower)
+        hi = "+inf" if v.upper == INF else _num(v.upper)
+        lines.append(f" {lo} <= {v.name} <= {hi}")
+    generals = [v.name for v in model.variables if v.kind == INTEGER]
+    binaries = [v.name for v in model.variables if v.kind == BINARY]
+    if generals:
+        lines += ["General", " " + " ".join(generals)]
+    if binaries:
+        lines += ["Binary", " " + " ".join(binaries)]
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def _quadratic_mps_columns(model):
+    """The COLUMNS section of write_mps, markers included."""
+    out = []
+    marker_on = False
+    marker_idx = 0
+
+    def fmt(col, row, val):
+        return f"    {col:<12} {row:<12} {_num(val)}"
+
+    for v in model.variables:
+        is_int = v.kind in (BINARY, INTEGER)
+        if is_int != marker_on:
+            kind = "'INTORG'" if is_int else "'INTEND'"
+            out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} {kind}")
+            marker_on = is_int
+            marker_idx += 1
+        if v.name in model.objective and model.objective[v.name] != 0.0:
+            out.append(fmt(v.name, "OBJ", model.objective[v.name]))
+        for con in model.constraints:
+            if v.name in con.coeffs and con.coeffs[v.name] != 0.0:
+                out.append(fmt(v.name, con.name, con.coeffs[v.name]))
+    if marker_on:
+        out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} 'INTEND'")
+    return out
+
+
+def _export_models(rep):
+    dag, m = _core(rep)
+    graph = build_graph(rep)
+    weights = {v: float(v % 3 - 1) for v in rep.vertices}
+    layered = build_layered_dag(rep, dag, effective_height(rep, 2))
+    return [
+        build_cg(rep, dag, m),
+        build_cgh(rep, layered, m),
+        build_cl(graph, first_fit(graph, topological_order(rep)).num_colors),
+        build_as(graph),
+        build_isd(rep, dag, m, weights),
+        build_fcp(rep, dag, m),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(interval_reps(max_n=7), st.randoms(use_true_random=False))
+def test_exporters_match_the_quadratic_reference(rep, rnd):
+    for model in _export_models(rep):
+        # coefficient dicts out of variable order, with an explicit zero
+        for con in model.constraints:
+            items = list(con.coeffs.items())
+            rnd.shuffle(items)
+            con.coeffs = dict(items)
+        con = rnd.choice(model.constraints)
+        con.coeffs[rnd.choice(list(con.coeffs))] = 0.0
+        assert write_lp_text(model) == _quadratic_lp_text(model)
+        mps = write_mps(model)
+        assert _section(mps, "COLUMNS") == _quadratic_mps_columns(model)
+        back = parse_mps(mps)
+        for got, con in zip(back.constraints, model.constraints, strict=True):
+            want = [(name, con.coeffs[name]) for name in model.var_names
+                    if con.coeffs.get(name, 0.0) != 0.0]
+            assert list(got.coeffs.items()) == want

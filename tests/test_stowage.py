@@ -156,7 +156,7 @@ def test_cgh_lp_equals_set_cover_lp():
         m = build_clique_matrix(rep)
         for h in (1, 2, 3):
             h_eff = effective_height(rep, h)
-            model = build_cgh(rep, _layered(rep, h_eff), m, relax=True)
+            model = build_cgh(rep, _layered(rep, h_eff), m).relaxed()
             lhs = solve_lp(model).objective
             rhs = stacks_lp_exact(rep, g, h)
             assert lhs == pytest.approx(rhs, abs=1e-6), (k, h)
