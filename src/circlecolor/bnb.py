@@ -15,7 +15,6 @@ from heapq import heappop, heappush
 
 from .errors import CertificateError, InfeasibleModelError
 from .intervals import (
-    ROOT,
     CircleGraph,
     Coloring,
     ContainmentDag,
@@ -23,7 +22,6 @@ from .intervals import (
     build_clique_matrix,
     build_dag,
     build_graph,
-    topological_order,
     validate_coloring,
 )
 from .lpmodels import LpModel, arc_var, build_cg
@@ -68,35 +66,6 @@ def first_fit(graph: CircleGraph, order=None) -> Coloring:
     return Coloring(colors=colors)
 
 
-def first_fit_arborescence(rep: IntervalRep) -> tuple[Coloring, frozenset]:
-    """first_fit along topological_order(rep) and its arborescence
-    (arborescence_of_coloring), in one O(n * colors) sweep with no overlap
-    graph.
-
-    Each color keeps a stack of its intervals still open at the sweep
-    point; they nest, so the innermost is on top.  A vertex takes the
-    first color whose stack is empty or whose top contains it, and hangs
-    below that top (or below the root).
-    """
-    colors = {}
-    arcs = set()
-    stacks = []
-    for v in topological_order(rep):
-        for color, stack in enumerate(stacks, start=1):
-            while stack and rep.right[stack[-1]] < rep.left[v]:
-                stack.pop()
-            if not stack or rep.right[v] < rep.right[stack[-1]]:
-                break
-        else:
-            stack = []
-            stacks.append(stack)
-            color = len(stacks)
-        arcs.add((stack[-1] if stack else ROOT, v))
-        colors[v] = color
-        stack.append(v)
-    return Coloring(colors=colors), frozenset(arcs)
-
-
 # ---------------------------------------------------------------------------
 # generic LP-based branch and bound
 
@@ -114,13 +83,13 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
     incumbent supplied by the caller was never beaten (the caller then owns
     the certificate).  Branching splits one variable on floor/ceil of its
     LP value (a 0/1 fix for binaries); variables in no_branch are left to
-    the integrality implied by the others.  A caller that has already
-    solved model.relaxed() passes it as root: it is counted as the first
-    node and not solved again.
+    the integrality implied by the others.  Node LPs solve the model itself,
+    as solve_lp reads bounds only.  A caller that has already solved the
+    root LP passes it as root: it is counted as the first node and not
+    solved again.
     """
     assert model.sense == "min"
     opts = options or DEFAULT_OPTIONS
-    relaxed = model.relaxed()
     int_names = [n for n in model.integer_var_names() if n not in no_branch]
     prio = priority or {}
 
@@ -146,7 +115,7 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
         nonlocal nodes, best_value, best_primal, seq
         nodes += 1
         if sol is None:
-            sol = solve_lp(relaxed, opts, bound_overrides=fixings or None)
+            sol = solve_lp(model, opts, bound_overrides=fixings or None)
         if sol.status != "optimal":
             return
         bound = _node_bound(sol.objective, model.integral_objective, opts.int_tol)
@@ -193,7 +162,7 @@ def _root_lp(model: LpModel, start: dict, opts: SimplexOptions, timings: dict) -
     """The LP relaxation of CG or CG_H, crash-started from start, the
     point of a heuristic solution."""
     t0 = time.perf_counter()
-    root = solve_lp(model.relaxed(), opts, start=start)
+    root = solve_lp(model, opts, start=start)
     timings["root_lp"] = time.perf_counter() - t0
     if root.status != "optimal":
         # the heuristic solution is feasible, so this cannot happen
@@ -229,15 +198,16 @@ def _solve(model: LpModel, start: dict, opts: SimplexOptions, timings: dict,
 
 
 def _build_cg(rep: IntervalRep, timings: dict):
-    """The CG program, and first_fit_arborescence(rep) as its arcs and its
-    start point."""
+    """The CG program, and the arcs of greedy_stack_plan(rep, rep.n), a
+    stack plan with no binding height (first fit), as its start point."""
     t0 = time.perf_counter()
     dag = build_dag(rep)
     matrix = build_clique_matrix(rep)
     model = build_cg(rep, dag, matrix)
-    ff, ff_arcs = first_fit_arborescence(rep)
+    plan = greedy_stack_plan(rep, rep.n)
+    ff_arcs = {(i, j) for (i, _), (j, _) in plan_arcs(rep, plan)}
     start = {arc_var(i, j): 1.0 for i, j in ff_arcs}
-    start["c"] = ff.num_colors
+    start["c"] = plan.num_stacks
     timings["build"] = time.perf_counter() - t0
     return dag, model, ff_arcs, start
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -63,8 +64,25 @@ SOLVER_ERROR = 3
 NEGATIVE_LIST = re.compile(r"-[0-9.][0-9.eE+,-]*")
 
 
+def _checked(kind, ok, what):
+    """An argparse type: kind(text), which must satisfy ok."""
+    def parse(text):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_tolerance = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+_count = _checked(int, lambda k: k >= 1, "an integer >= 1")
+
+
 def _options_from_args(args) -> SimplexOptions:
-    default = float(os.environ.get("CIRCLECOLOR_TOL", "1e-9"))
+    default = _tolerance(os.environ.get("CIRCLECOLOR_TOL", "1e-9"))
     opts = SimplexOptions(feas_tol=default, opt_tol=default)
     if args.feas_tol is not None:
         opts.feas_tol = args.feas_tol
@@ -138,6 +156,8 @@ def cmd_mwis(args) -> int:
             raise InstanceFormatError(f"weights must be numbers: {args.weights!r}") from None
         if len(parts) != rep.n:
             raise InstanceFormatError(f"expected {rep.n} weights, got {len(parts)}")
+        if not all(map(math.isfinite, parts)):
+            raise InstanceFormatError(f"weights must be finite: {args.weights!r}")
         weights = {v: parts[v - 1] for v in rep.vertices}
     else:
         weights = {v: 1.0 for v in rep.vertices}
@@ -285,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def tolerances(p):
-        p.add_argument("--feas-tol", type=float, default=None)
-        p.add_argument("--opt-tol", type=float, default=None)
-        p.add_argument("--int-tol", type=float, default=None)
+        p.add_argument("--feas-tol", type=_tolerance, default=None)
+        p.add_argument("--opt-tol", type=_tolerance, default=None)
+        p.add_argument("--int-tol", type=_tolerance, default=None)
 
     def common(p):
         p.add_argument("instance", help="instance file (n, then n lines 'l r')")
@@ -318,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stacks)
 
     p = sub.add_parser("gen", help="generate random instances")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", help="output file (suffix .NNN added when count > 1)")
     p.set_defaults(func=cmd_gen)
@@ -344,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="cross-check the solvers against brute-force oracles")
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--n-max", type=_count, default=10)
+    p.add_argument("--trials", type=_count, default=50)
     p.add_argument("--seed", type=int, default=1)
     tolerances(p)
     p.set_defaults(func=cmd_verify)
@@ -375,6 +395,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:  # raised for a bad CIRCLECOLOR_TOL
+        print(f"error: CIRCLECOLOR_TOL: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (InstanceFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

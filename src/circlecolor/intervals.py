@@ -9,9 +9,8 @@ artificial root of the containment DAG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 from .errors import (
     DuplicateEndpointError,
@@ -239,44 +238,30 @@ def topological_order(rep: IntervalRep) -> list[int]:
 
 @dataclass(frozen=True)
 class CliqueMatrix:
-    """0-1 point-versus-interval incidence matrix.
+    """0-1 point-versus-interval incidence matrix, stored by column.
 
     Rows are sweep points; entry (p, v) is 1 iff the point lies inside
-    I(v).  By default one row per left endpoint is used (n rows): every
-    maximal antichain is realized at the left endpoint of its last-starting
-    interval, so maximum antichain sizes are preserved.  full_points=True
-    keeps all 2n endpoints (used to cross-check that claim).
+    I(v), so the ones of each column are consecutive: rows[v] is the range
+    of row indices whose point lies in I(v) (rows[0] is empty).  By default
+    one row per left endpoint is used (n rows): every maximal antichain is
+    realized at the left endpoint of its last-starting interval, so maximum
+    antichain sizes are preserved.  full_points=True keeps all 2n endpoints
+    (used to cross-check that claim).
     """
 
     points: tuple[int, ...]
-    matrix: np.ndarray = field(repr=False)  # shape (len(points), n), column v-1
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[1]
-
-    def column_rows(self) -> list[list[int]]:
-        """rows[v]: ascending indices of the rows with a nonzero in column v
-        (rows[0] is empty)."""
-        out = [[] for _ in range(self.n + 1)]
-        cols, rows = np.nonzero(self.matrix.T)
-        for v, r in zip(cols.tolist(), rows.tolist()):
-            out[v + 1].append(r)
-        return out
+    rows: tuple[range, ...]  # rows[v] for v in 0..n
 
 
 def build_clique_matrix(rep: IntervalRep, full_points: bool = False) -> CliqueMatrix:
     if full_points:
-        points = sorted(list(rep.left[1:]) + list(rep.right[1:]))
+        points = sorted(rep.left[1:] + rep.right[1:])
     else:
         points = sorted(rep.left[1:])
-    mat = np.zeros((len(points), rep.n), dtype=np.int8)
-    for r, p in enumerate(points):
-        for v in rep.vertices:
-            if rep.left[v] <= p <= rep.right[v]:
-                mat[r, v - 1] = 1
-    mat.setflags(write=False)
-    return CliqueMatrix(points=tuple(points), matrix=mat)
+    rows = [range(0)]
+    rows += [range(bisect_left(points, rep.left[v]), bisect_right(points, rep.right[v]))
+             for v in rep.vertices]
+    return CliqueMatrix(points=tuple(points), rows=tuple(rows))
 
 
 def max_antichain(rep: IntervalRep, subset) -> int:

@@ -66,6 +66,9 @@ class LpModel:
     def add_var(self, name, lower=0.0, upper=INF, kind=CONTINUOUS) -> str:
         if name in self._index:
             raise ValueError(f"duplicate variable {name}")
+        # so that a model and its relaxation have the same bounds
+        if kind == BINARY and (lower < 0.0 or upper > 1.0):
+            raise ValueError(f"binary {name} has bounds [{lower}, {upper}] outside [0, 1]")
         self._index[name] = len(self.variables)
         self.variables.append(Variable(name, lower, upper, kind))
         return name
@@ -86,9 +89,10 @@ class LpModel:
         return [v.name for v in self.variables]
 
     def relaxed(self) -> "LpModel":
-        """Continuous relaxation: binaries become [0,1], integers keep
-        their bounds but lose integrality; metadata["relaxed"] is True."""
-        out = LpModel(
+        """Continuous relaxation: every variable keeps its bounds (a
+        binary's lie in [0, 1]) and loses integrality; metadata["relaxed"]
+        is True."""
+        return LpModel(
             name=self.name,
             sense=self.sense,
             variables=[Variable(v.name, v.lower, v.upper, CONTINUOUS) for v in self.variables],
@@ -97,10 +101,6 @@ class LpModel:
             metadata=dict(self.metadata, relaxed=True),
             integral_objective=self.integral_objective,
         )
-        for v, orig in zip(out.variables, self.variables):
-            if orig.kind == BINARY:
-                v.lower, v.upper = max(0.0, orig.lower), min(1.0, orig.upper)
-        return out
 
     def integer_var_names(self) -> list:
         return [v.name for v in self.variables if v.kind in (BINARY, INTEGER)]
@@ -116,7 +116,7 @@ def arc_var(i: int, j: int) -> str:
 def _cover_rows(col_rows, names) -> dict:
     """Row index -> {names[j]: 1.0} over the vertices j of names with a
     nonzero in that row, rows ascending and vertices in the order of
-    names; col_rows is CliqueMatrix.column_rows().  O(nnz) plus sorting
+    names; col_rows is CliqueMatrix.rows.  O(nnz) plus sorting
     the rows."""
     rows = {}
     for j, name in names.items():
@@ -125,11 +125,11 @@ def _cover_rows(col_rows, names) -> dict:
     return {r: rows[r] for r in sorted(rows)}
 
 
-def _add_charges(model: LpModel, i: int, kids, col_rows, points) -> dict:
+def _add_charges(model: LpModel, i: int, kids, matrix: CliqueMatrix) -> dict:
     """Add a charge y_i_p >= 0 for each sweep row touching kids; returns
     row index -> charge name, rows ascending."""
-    rows = sorted(set().union(*(col_rows[j] for j in kids)))
-    return {r: model.add_var(f"y_{i}_p{points[r]}") for r in rows}
+    rows = sorted(set().union(*(matrix.rows[j] for j in kids)))
+    return {r: model.add_var(f"y_{i}_p{matrix.points[r]}") for r in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +148,13 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpM
         arc_map[name] = [i, j]
     model.add_var("c", 0.0, INF, INTEGER)
     model.objective = {"c": 1.0}
-    col_rows = matrix.column_rows()
-    root_rows = _cover_rows(col_rows, {j: arc_var(ROOT, j) for j in dag.children[ROOT]})
+    root_rows = _cover_rows(matrix.rows, {j: arc_var(ROOT, j) for j in dag.children[ROOT]})
     for r in range(len(matrix.points)):
         coeffs = root_rows.get(r, {})
         coeffs["c"] = -1.0
         model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0)
     for i in sorted(dag.branching):
-        for r, coeffs in _cover_rows(col_rows, {j: arc_var(i, j) for j in dag.children[i]}).items():
+        for r, coeffs in _cover_rows(matrix.rows, {j: arc_var(i, j) for j in dag.children[i]}).items():
             model.add_constraint(f"chain_{i}_p{matrix.points[r]}", coeffs, "<=", 1.0)
     parent_rows = {j: {} for j in rep.vertices}
     for name, (i, j) in arc_map.items():
@@ -183,7 +182,7 @@ def build_lc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix
     for j in kids:
         model.add_var(arc_var(i, j), 0.0, INF, CONTINUOUS)
     model.objective = {arc_var(i, j): float(values[j]) for j in kids}
-    for r, coeffs in _cover_rows(matrix.column_rows(), {j: arc_var(i, j) for j in kids}).items():
+    for r, coeffs in _cover_rows(matrix.rows, {j: arc_var(i, j) for j in kids}).items():
         model.add_constraint(f"p{matrix.points[r]}", coeffs, "<=", 1.0)
     model.metadata = {"formulation": "LC", "vertex": i}
     return model
@@ -193,12 +192,11 @@ def build_dlc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatri
               values) -> LpModel:
     """The dual: cover each child's value by sweep-point charges."""
     _branching_or_root(i, dag)
-    col_rows = matrix.column_rows()
     model = LpModel(name=f"DLC_{i}", sense="min")
-    y = _add_charges(model, i, dag.children[i], col_rows, matrix.points)
+    y = _add_charges(model, i, dag.children[i], matrix)
     model.objective = dict.fromkeys(y.values(), 1.0)
     for j in dag.children[i]:
-        model.add_constraint(f"cover_{j}", {y[r]: 1.0 for r in col_rows[j]}, ">=", float(values[j]))
+        model.add_constraint(f"cover_{j}", {y[r]: 1.0 for r in matrix.rows[j]}, ">=", float(values[j]))
     model.metadata = {"formulation": "DLC", "vertex": i}
     return model
 
@@ -214,15 +212,14 @@ def _charge_program(name: str, sense: str, rep: IntervalRep, dag: ContainmentDag
     covers holds the (name, coeffs) of the cover rows, which the caller
     adds after its own rows."""
     model = LpModel(name=name, sense=sense)
-    col_rows = matrix.column_rows()
     sources = [ROOT] + sorted(dag.branching)
-    y = {i: _add_charges(model, i, dag.children[i], col_rows, matrix.points) for i in sources}
+    y = {i: _add_charges(model, i, dag.children[i], matrix) for i in sources}
     for i in rep.vertices:
         model.add_var(f"ell_{i}", -INF, INF, CONTINUOUS)
     covers = []
     for i in sources:
         for j in dag.children[i]:
-            coeffs = {y[i][r]: 1.0 for r in col_rows[j]}
+            coeffs = {y[i][r]: 1.0 for r in matrix.rows[j]}
             coeffs[f"ell_{j}"] = -1.0
             covers.append((f"cover_{i}_{j}", coeffs))
     return model, y, covers

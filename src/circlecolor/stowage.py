@@ -9,6 +9,7 @@ into arc structure: layer-h copies can only feed layer h+1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,7 +23,6 @@ from .intervals import (
     CliqueMatrix,
     ContainmentDag,
     IntervalRep,
-    build_dag,
     max_antichain,
     topological_order,
 )
@@ -54,12 +54,17 @@ class LayeredDag:
 
 
 def nesting_depth(rep: IntervalRep) -> int:
-    """Number of vertices on the longest strict-containment chain."""
-    children = build_dag(rep).children
-    depth = {}
-    for v in reversed(topological_order(rep)):
-        depth[v] = 1 + max((depth[u] for u in children[v]), default=0)
-    return max(depth.values(), default=0)
+    """Number of vertices on the longest strict-containment chain.
+
+    Along a chain the left endpoints rise and the right endpoints fall, so
+    this is the longest falling run of right endpoints in left-endpoint
+    order, by patience sorting in O(n log n): tails[k] is the largest
+    (negated: smallest) last right endpoint of a run of k + 1."""
+    tails = []
+    for v in topological_order(rep):
+        k = bisect_left(tails, -rep.right[v])
+        tails[k:k + 1] = [-rep.right[v]]
+    return len(tails)
 
 
 def effective_height(rep: IntervalRep, height: int) -> int:
@@ -92,8 +97,7 @@ def build_cgh(rep: IntervalRep, layered: LayeredDag, matrix: CliqueMatrix) -> Lp
     model.add_var("c", 0.0, INF, INTEGER)
     model.objective = {"c": 1.0}
 
-    col_rows = matrix.column_rows()
-    root_rows = _cover_rows(col_rows, {j: layer_var(ROOT, 0, j) for j in rep.vertices})
+    root_rows = _cover_rows(matrix.rows, {j: layer_var(ROOT, 0, j) for j in rep.vertices})
     for r in range(len(matrix.points)):
         coeffs = root_rows.get(r, {})
         coeffs["c"] = -1.0
@@ -113,7 +117,7 @@ def build_cgh(rep: IntervalRep, layered: LayeredDag, matrix: CliqueMatrix) -> Lp
         for h in range(1, layered.height):
             inflow = {layer_var(s, hs, i): -1.0 for s, hs in sources(i, h)}
             names = {j: layer_var(i, h, j) for j in kids}
-            for r, coeffs in _cover_rows(col_rows, names).items():
+            for r, coeffs in _cover_rows(matrix.rows, names).items():
                 coeffs.update(inflow)
                 model.add_constraint(f"chain_{i}.{h}_p{matrix.points[r]}", coeffs, "<=", 0.0)
     for j in rep.vertices:
@@ -236,25 +240,29 @@ def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) 
 
 
 def greedy_stack_plan(rep: IntervalRep, height: int) -> StackPlan:
-    """First-fit incumbent: scan vertices left to right, drop each into the
-    first stack that stays independent and within the height cap."""
+    """First-fit incumbent: sweep the vertices by left endpoint and drop
+    each into the first stack that stays independent and within the height
+    cap.  At height >= nesting_depth(rep) the stacks are the color classes
+    of first_fit along topological_order(rep).
+
+    Each stack keeps its intervals still open at the sweep point; they
+    nest, so the innermost is last.  A vertex fits a stack whose open list
+    is empty or ends in an interval containing it, and shorter than
+    `height`; it then sits one layer above the open ones.  Stacks list
+    their vertices by (layer, left endpoint).
+    """
     if height < 1:
         raise InvalidHeightError(f"capacity must be >= 1, got {height}")
-    stacks: list[list[int]] = []
+    stacks = []  # (open intervals, [(layer, left endpoint, vertex)])
     for v in topological_order(rep):
-        for stack in stacks:
-            trial = stack + [v]
-            independent = all(not rep.overlaps(u, v) for u in stack)
-            if independent and max_antichain(rep, trial) <= height:
-                stack.append(v)
+        for open_, members in stacks:
+            while open_ and rep.right[open_[-1]] < rep.left[v]:
+                open_.pop()
+            if len(open_) < height and (not open_ or rep.right[v] < rep.right[open_[-1]]):
                 break
         else:
-            stacks.append([v])
-    ordered = []
-    for stack in stacks:
-        depth = {}
-        for v in sorted(stack, key=lambda u: -(rep.right[u] - rep.left[u])):
-            outer = [depth[u] for u in stack if u != v and rep.contains(u, v) and u in depth]
-            depth[v] = 1 + max(outer, default=0)
-        ordered.append(tuple(sorted(stack, key=lambda v: (depth[v], rep.left[v]))))
-    return StackPlan(stacks=tuple(ordered))
+            open_, members = [], []
+            stacks.append((open_, members))
+        members.append((len(open_) + 1, rep.left[v], v))
+        open_.append(v)
+    return StackPlan(stacks=tuple(tuple(v for _, _, v in sorted(members)) for _, members in stacks))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from strategies import interval_reps
 
-from circlecolor import bnb
-from circlecolor.bnb import cg_root, first_fit, first_fit_arborescence, solve_chromatic, solve_stacks
+from circlecolor import bnb, intervals, stowage
+from circlecolor.bnb import cg_root, first_fit, solve_chromatic, solve_stacks
 from circlecolor.errors import CertificateError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
@@ -16,9 +16,10 @@ from circlecolor.intervals import (
     topological_order,
     validate_coloring,
 )
+from circlecolor.lpmodels import LpModel
 from circlecolor.mwis import arborescence_of_coloring
 from circlecolor.oracle import chromatic_exact, fractional_chromatic_exact
-from circlecolor.stowage import nesting_depth
+from circlecolor.stowage import greedy_stack_plan, nesting_depth, plan_arcs
 
 
 def test_first_fit_edgeless():
@@ -41,10 +42,15 @@ def test_first_fit_c5(c5, c5_graph):
 
 @settings(max_examples=200, deadline=None)
 @given(interval_reps(max_n=14))
-def test_first_fit_arborescence_is_first_fit_and_its_arborescence(rep):
-    coloring, arcs = first_fit_arborescence(rep)
+def test_greedy_plan_with_no_cap_is_first_fit_and_its_arborescence(rep):
+    # the CG root starts from this plan
+    plan = greedy_stack_plan(rep, rep.n)
     want = first_fit(build_graph(rep), topological_order(rep))
-    assert list(coloring.colors.items()) == list(want.colors.items())
+    classes = {}
+    for v, c in want.colors.items():
+        classes.setdefault(c, []).append(v)
+    assert [sorted(s) for s in plan.stacks] == [sorted(classes[c]) for c in sorted(classes)]
+    arcs = {(i, j) for (i, _), (j, _) in plan_arcs(rep, plan)}
     assert arcs == arborescence_of_coloring(rep, want)
 
 
@@ -140,6 +146,33 @@ def test_root_lp_is_not_solved_twice(c5, monkeypatch):
     report = solve_chromatic(c5)
     assert len(calls) == 1
     assert report.nodes_explored == 2
+
+
+def test_solve_stacks_builds_the_dag_once(monkeypatch):
+    calls = []
+    build_dag = intervals.build_dag
+    for module in (intervals, bnb, stowage):  # every name it could be called by
+        monkeypatch.setattr(module, "build_dag",
+                            lambda rep: calls.append(rep) or build_dag(rep), raising=False)
+    for k in range(5):
+        solve_stacks(generate_one(16, 9103, k), 2)
+    assert len(calls) == 5
+
+
+def test_cg_root_starts_from_one_stack_of_any_height(monkeypatch):
+    starts = []
+    solve_lp = bnb.solve_lp
+    monkeypatch.setattr(bnb, "solve_lp",
+                        lambda *a, **k: starts.append(k.get("start")) or solve_lp(*a, **k))
+    cg_root(normalize([(1, 8), (2, 7), (3, 6)]))  # one nested chain, no overlaps
+    assert starts == [{"x_0_1": 1.0, "x_1_2": 1.0, "x_2_3": 1.0, "c": 1}]
+
+
+def test_solves_make_no_relaxed_copy(c5, monkeypatch):
+    # both roots are fractional on C5, so branch-and-bound runs too
+    monkeypatch.setattr(LpModel, "relaxed", None)
+    assert solve_chromatic(c5).nodes_explored > 1
+    assert solve_stacks(c5, 2).nodes_explored > 1
 
 
 def test_cg_root_is_the_fractional_chromatic_number(c5, monkeypatch):

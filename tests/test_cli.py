@@ -159,6 +159,43 @@ def test_mwis_negative_weights_after_a_space():
     run_cli(["mwis", C5_FILE, "--weights", "a,1,1,1,1"], expect=2)
 
 
+def test_mwis_rejects_non_finite_weights():
+    for bad in ("nan", "inf", "-inf"):
+        run_cli(["mwis", C5_FILE, f"--weights={bad},1,1,1,1"], expect=2)
+
+
+def _usage_error(capsys, args):
+    """Run args, expect exit 1, and return the error line, which must be
+    the last line of stderr and come with no traceback."""
+    capsys.readouterr()
+    run_cli(args, expect=1)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.strip().splitlines()[-1]
+
+
+def test_bad_tolerances_are_usage_errors(capsys):
+    for flag in ("--feas-tol", "--opt-tol", "--int-tol"):
+        for value in ("-1", "0", "nan", "inf", "abc"):
+            line = _usage_error(capsys, ["relax", C5_FILE, flag, value])
+            assert f"argument {flag}: expected a finite number > 0" in line
+
+
+def test_bad_counts_are_usage_errors(capsys):
+    for args in (["gen", "-n", "0"], ["gen", "-n", "3", "--count", "0"],
+                 ["verify", "--n-max", "0"], ["verify", "--trials", "-2"],
+                 ["gen", "-n", "2.5"]):
+        line = _usage_error(capsys, args)
+        assert f"argument {args[-2]}: expected an integer >= 1" in line
+
+
+def test_bad_env_tolerance_is_a_usage_error(capsys, monkeypatch):
+    for value in ("abc", "-1", "0", "nan"):
+        monkeypatch.setenv("CIRCLECOLOR_TOL", value)
+        line = _usage_error(capsys, ["relax", C5_FILE])
+        assert line == f"error: CIRCLECOLOR_TOL: expected a finite number > 0, got {value!r}"
+
+
 def test_solve_builds_the_graph_once(monkeypatch):
     calls = []
     build_graph = cli.build_graph

@@ -193,24 +193,35 @@ def test_adjacency_invariant_under_rank_compression():
         assert set(build_graph(normalize(scale)).edges()) == set(build_graph(rep).edges())
 
 
+def _incidence(rep, points):
+    """incidence[r]: the vertices whose interval holds points[r]."""
+    return [[v for v in rep.vertices if rep.left[v] <= p <= rep.right[v]] for p in points]
+
+
 def test_clique_matrix_consecutive_ones(c5):
-    for full in (False, True):
-        m = build_clique_matrix(c5, full_points=full)
-        for col in range(m.matrix.shape[1]):
-            ones = np.flatnonzero(m.matrix[:, col])
-            assert len(ones) == 0 or list(ones) == list(range(ones[0], ones[-1] + 1))
+    # the rows of each column are the consecutive ones of its incidence
+    rng = np.random.default_rng(6)
+    reps = [c5] + [generate_one(int(rng.integers(1, 25)), 906, k) for k in range(40)]
+    for rep in reps:
+        for full in (False, True):
+            m = build_clique_matrix(rep, full_points=full)
+            ends = rep.left[1:] + (rep.right[1:] if full else ())
+            assert list(m.points) == sorted(ends)
+            incidence = _incidence(rep, m.points)
+            assert list(m.rows[0]) == []
+            for v in rep.vertices:
+                ones = [r for r, vs in enumerate(incidence) if v in vs]
+                assert ones == list(range(ones[0], ones[-1] + 1))  # holds l_v at least
+                assert list(m.rows[v]) == ones, (rep, full, v)
 
 
 def test_clique_matrix_rows_match_max_antichain():
     rng = np.random.default_rng(5)
     for k in range(20):
         rep = generate_one(int(rng.integers(1, 11)), 905, k)
-        short = build_clique_matrix(rep)
-        full = build_clique_matrix(rep, full_points=True)
         subset = [v for v in rep.vertices if rng.random() < 0.7]
-        x = np.zeros(rep.n)
-        for v in subset:
-            x[v - 1] = 1
         want = max_antichain(rep, subset)
-        assert int((short.matrix @ x).max()) == want
-        assert int((full.matrix @ x).max()) == want
+        for full in (False, True):
+            m = build_clique_matrix(rep, full_points=full)
+            load = [len(set(subset) & set(vs)) for vs in _incidence(rep, m.points)]
+            assert max(load) == want

@@ -20,6 +20,7 @@ from circlecolor.lpmodels import (
     BINARY,
     INF,
     INTEGER,
+    LpModel,
     _num,
     _term,
     build_as,
@@ -198,6 +199,21 @@ def test_round_trip_random_models():
             iv, _, _ = solve_ip(again, no_branch=frozenset(["c"]))
             dv, _, _ = solve_ip(model, no_branch=frozenset(["c"]))
             assert iv == dv
+
+
+def test_binary_bounds_stay_in_the_unit_interval():
+    # so a model and its relaxation have the same bounds, and the solver
+    # can take the model itself
+    model = LpModel(name="t", sense="min")
+    model.add_var("a", 0.0, 1.0, BINARY)
+    model.add_var("b", 1.0, 1.0, BINARY)
+    model.add_var("c", 0.0, 0.0, BINARY)
+    for lo, hi in ((-1.0, 1.0), (0.0, 2.0), (0.0, INF), (-INF, 0.0)):
+        with pytest.raises(ValueError):
+            model.add_var("x", lo, hi, BINARY)
+    model.add_var("x", -1.0, 2.0, INTEGER)
+    bounds = [(v.lower, v.upper) for v in model.variables]
+    assert [(v.lower, v.upper) for v in model.relaxed().variables] == bounds
 
 
 def test_metadata_sidecar(c5):

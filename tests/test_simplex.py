@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from strategies import interval_reps
 
 from circlecolor import simplex
-from circlecolor.bnb import first_fit_arborescence
 from circlecolor.instances import generate_one
 from circlecolor.intervals import build_clique_matrix, build_dag
 from circlecolor.lpmodels import (
@@ -382,11 +381,12 @@ def test_tableau_duals_match_basis_solve(monkeypatch):
 
 
 def _cg_start(rep):
-    """The CG relaxation of rep, started from the first-fit arborescence."""
+    """The CG relaxation of rep, started from the greedy stack plan with
+    no binding height (first fit)."""
     model = build_cg(rep, build_dag(rep), build_clique_matrix(rep)).relaxed()
-    coloring, arcs = first_fit_arborescence(rep)
-    start = {arc_var(i, j): 1.0 for i, j in arcs}
-    start["c"] = coloring.num_colors
+    plan = greedy_stack_plan(rep, rep.n)
+    start = {arc_var(i, j): 1.0 for (i, _), (j, _) in plan_arcs(rep, plan)}
+    start["c"] = plan.num_stacks
     return model, start
 
 

@@ -81,10 +81,14 @@ def test_nesting_depth_matches_brute_force(rep):
 
 def _reference_cgh_rows(rep, layered, matrix):
     """CG_H rows straight from the definitions, scanning every vertex for
-    the copies that feed a vertex and every matrix entry for each row:
-    (name, coefficient items, relation, rhs) in build order."""
+    the copies that feed a vertex and every interval for the vertices at
+    each sweep point: (name, coefficient items, relation, rhs) in build
+    order."""
     def var(i, h, j):
         return f"x_{i}.{h}_{j}"
+
+    def at(p, j):
+        return rep.left[j] <= p <= rep.right[j]
 
     def sources(j, h):
         if h == 1:
@@ -92,15 +96,15 @@ def _reference_cgh_rows(rep, layered, matrix):
         return [(i, h - 1) for i in rep.vertices if j in layered.containment_children[i]]
 
     rows = []
-    for r, p in enumerate(matrix.points):
-        coeffs = {var(0, 0, j): 1.0 for j in rep.vertices if matrix.matrix[r, j - 1]}
+    for p in matrix.points:
+        coeffs = {var(0, 0, j): 1.0 for j in rep.vertices if at(p, j)}
         rows.append((f"root_p{p}", list(coeffs.items()) + [("c", -1.0)], "<=", 0.0))
     for i in sorted(layered.branching):
         kids = layered.containment_children[i]
         for h in range(1, layered.height):
             inflow = [(var(s, hs, i), -1.0) for s, hs in sources(i, h)]
-            for r, p in enumerate(matrix.points):
-                coeffs = [(var(i, h, j), 1.0) for j in kids if matrix.matrix[r, j - 1]]
+            for p in matrix.points:
+                coeffs = [(var(i, h, j), 1.0) for j in kids if at(p, j)]
                 if coeffs:
                     rows.append((f"chain_{i}.{h}_p{p}", coeffs + inflow, "<=", 0.0))
     for j in rep.vertices:
@@ -208,6 +212,36 @@ def test_greedy_plan_is_feasible():
         g = build_graph(rep)
         for h in (1, 2, 3):
             _check_plan(rep, g, greedy_stack_plan(rep, h), h)
+
+
+def _trial_greedy_plan(rep, height):
+    """The first-fit plan by trial: each vertex, by left endpoint, joins
+    the first stack that stays independent with a maximum antichain within
+    the height; stacks are then ordered by nesting depth and left endpoint."""
+    stacks = []
+    for v in sorted(rep.vertices, key=lambda u: rep.left[u]):
+        for stack in stacks:
+            trial = stack + [v]
+            if all(not rep.overlaps(u, v) for u in stack) and max_antichain(rep, trial) <= height:
+                stack.append(v)
+                break
+        else:
+            stacks.append([v])
+    ordered = []
+    for stack in stacks:
+        depth = {}
+        for v in sorted(stack, key=lambda u: -(rep.right[u] - rep.left[u])):
+            outer = [depth[u] for u in stack if u != v and rep.contains(u, v) and u in depth]
+            depth[v] = 1 + max(outer, default=0)
+        ordered.append(tuple(sorted(stack, key=lambda v: (depth[v], rep.left[v]))))
+    return StackPlan(stacks=tuple(ordered))
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=14), st.sampled_from([1, 2, 3, 4, None]))
+def test_greedy_plan_equals_the_trial_greedy(rep, height):
+    height = height or rep.n
+    assert greedy_stack_plan(rep, height) == _trial_greedy_plan(rep, height)
 
 
 @settings(max_examples=150, deadline=None)
