@@ -8,6 +8,7 @@ failure (or a failed verification).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -47,7 +48,6 @@ from .lpmodels import (
 from .mwis import solve_mwis
 from .oracle import (
     DEFAULT_BUDGET,
-    OracleBudget,
     chromatic_exact,
     fractional_chromatic_exact,
     mwis_exact,
@@ -79,18 +79,20 @@ def _checked(kind, ok, what):
 
 _tolerance = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
 _count = _checked(int, lambda k: k >= 1, "an integer >= 1")
+_oracle_size = _checked(int, lambda k: 1 <= k <= DEFAULT_BUDGET.max_vertices,
+                        f"an integer >= 1 and <= {DEFAULT_BUDGET.max_vertices} (the oracle budget)")
+
+
+def _counts(text):
+    """A comma-separated list of _count values."""
+    return [_count(x) for x in text.split(",")]
 
 
 def _options_from_args(args) -> SimplexOptions:
     default = _tolerance(os.environ.get("CIRCLECOLOR_TOL", "1e-9"))
-    opts = SimplexOptions(feas_tol=default, opt_tol=default)
-    if args.feas_tol is not None:
-        opts.feas_tol = args.feas_tol
-    if args.opt_tol is not None:
-        opts.opt_tol = args.opt_tol
-    if args.int_tol is not None:
-        opts.int_tol = args.int_tol
-    return opts
+    # a parsed tolerance is > 0, so only an omitted one is falsy
+    return SimplexOptions(feas_tol=args.feas_tol or default, opt_tol=args.opt_tol or default,
+                          int_tol=args.int_tol or SimplexOptions.int_tol)
 
 
 def _emit(args, payload: dict, human: str):
@@ -105,7 +107,7 @@ def _emit(args, payload: dict, human: str):
 
 
 def _node_log(args):
-    if getattr(args, "verbose", False):
+    if args.verbose:
         return lambda line: print(line, file=sys.stderr)
     return None
 
@@ -200,18 +202,11 @@ def cmd_gen(args) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(format_instance(rep))
         return 0
-    if args.json:
-        payload = {
-            "command": "gen",
-            "schema_version": SCHEMA_VERSION,
-            "instances": [
-                [[rep.left[v], rep.right[v]] for v in rep.vertices] for rep in reps
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        chunks = [format_instance(rep).rstrip("\n") for rep in reps]
-        print("\n\n".join(chunks))
+    payload = {
+        "command": "gen",
+        "instances": [[[rep.left[v], rep.right[v]] for v in rep.vertices] for rep in reps],
+    }
+    _emit(args, payload, "\n\n".join(format_instance(rep).rstrip("\n") for rep in reps))
     return 0
 
 
@@ -254,8 +249,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    n_values = [int(x) for x in args.n.split(",")]
-    rows = run_experiment(n_values, args.samples, args.seed, _options_from_args(args))
+    rows = run_experiment(args.n, args.samples, args.seed, _options_from_args(args))
     text = rows_to_csv(rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -266,7 +260,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = OracleBudget(max_vertices=max(args.n_max, DEFAULT_BUDGET.max_vertices))
     rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 2**32], dtype=np.uint64)))
     opts = _options_from_args(args)
     failures = []
@@ -275,17 +268,17 @@ def cmd_verify(args) -> int:
         rep = generate_one(n, args.seed, k)
         graph = build_graph(rep)
         report = solve_chromatic(rep, opts)
-        chi = chromatic_exact(graph, budget)
+        chi = chromatic_exact(graph)
         if report.chromatic_number != chi:
             failures.append(f"trial {k}: chi {report.chromatic_number} != oracle {chi}")
-        chi_f = fractional_chromatic_exact(graph, budget)
+        chi_f = fractional_chromatic_exact(graph)
         if abs(report.fractional_chromatic - chi_f) > 1e-6:
             failures.append(
                 f"trial {k}: chi_f {report.fractional_chromatic} != oracle {chi_f}"
             )
         weights = {v: int(rng.integers(-5, 6)) for v in rep.vertices}
         value, _, _ = solve_mwis(rep, weights)
-        brute = mwis_exact(graph, weights, budget)
+        brute = mwis_exact(graph, weights)
         if abs(value - brute) > 1e-6:
             failures.append(f"trial {k}: mwis {value} != oracle {brute}")
     for line in failures:
@@ -296,7 +289,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="circlecolor",
         description="Coloring and stack planning for circle graphs.",
@@ -304,71 +299,76 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def tolerances(p):
-        p.add_argument("--feas-tol", type=_tolerance, default=None)
-        p.add_argument("--opt-tol", type=_tolerance, default=None)
-        p.add_argument("--int-tol", type=_tolerance, default=None)
-
-    def common(p):
+    # flag groups, each attached only to the subcommands that read it
+    def instance(p):
         p.add_argument("instance", help="instance file (n, then n lines 'l r')")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--no-timing", action="store_true", help="omit timing fields from JSON")
-        p.add_argument("-v", "--verbose", action="store_true", help="log solver nodes to stderr")
-        tolerances(p)
 
-    p = sub.add_parser("solve", help="chromatic number, fractional bound, and a coloring")
-    common(p)
+    def json_output(p):
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def no_timing(p):
+        p.add_argument("--no-timing", action="store_true", help="omit timing fields from JSON")
+
+    def verbose(p):
+        p.add_argument("-v", "--verbose", action="store_true", help="log solver nodes to stderr")
+
+    def tolerances(p):
+        for flag in ("--feas-tol", "--opt-tol", "--int-tol"):
+            p.add_argument(flag, type=_tolerance)
+
+    def command(name, func, groups, help):
+        p = sub.add_parser(name, help=help)
+        for group in groups:
+            group(p)
+        p.set_defaults(func=func)
+        return p
+
+    branch_and_bound = (instance, json_output, no_timing, verbose, tolerances)
+
+    p = command("solve", cmd_solve, branch_and_bound,
+                "chromatic number, fractional bound, and a coloring")
     p.add_argument("--clique", action="store_true", help="also report the clique number")
     p.add_argument("-o", "--output", help="write the certificate file (vertex color parent)")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("relax", help="fractional chromatic number only")
-    common(p)
-    p.set_defaults(func=cmd_relax)
+    command("relax", cmd_relax, (instance, json_output, no_timing, tolerances),
+            "fractional chromatic number only")
 
-    p = sub.add_parser("mwis", help="maximum weight independent set")
-    common(p)
+    p = command("mwis", cmd_mwis, (instance, json_output), "maximum weight independent set")
     p.add_argument("--weights", help="comma-separated per-vertex weights (default all 1)")
-    p.set_defaults(func=cmd_mwis)
 
-    p = sub.add_parser("stacks", help="minimum number of capacity-H stacks")
-    common(p)
-    p.add_argument("--height", type=int, required=True, help="stack capacity H")
+    p = command("stacks", cmd_stacks, branch_and_bound, "minimum number of capacity-H stacks")
+    p.add_argument("--height", type=_count, required=True, help="stack capacity H")
     p.add_argument("-o", "--output", help="write the stack plan (one stack per line)")
-    p.set_defaults(func=cmd_stacks)
 
-    p = sub.add_parser("gen", help="generate random instances")
+    p = command("gen", cmd_gen, (), "generate random instances")
     p.add_argument("-n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_count, default=1)
-    p.add_argument("--json", action="store_true")
+    json_output(p)
     p.add_argument("-o", "--output", help="output file (suffix .NNN added when count > 1)")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("export", help="write a formulation as LP/MPS (or the graph as DIMACS)")
-    common(p)
+    p = command("export", cmd_export, (instance,),
+                "write a formulation as LP/MPS (or the graph as DIMACS)")
     p.add_argument("--formulation", choices=["cg", "cl", "as", "cgh"], default="cg")
     p.add_argument("--format", choices=["lp", "mps", "dimacs"], default="lp")
     p.add_argument("--relax", action="store_true", help="export the continuous relaxation")
-    p.add_argument("--height", type=int, default=1, help="capacity for cgh")
-    p.add_argument("--colors", type=int, help="color slots for cl (default: first fit)")
+    p.add_argument("--height", type=_count, default=1, help="capacity for cgh")
+    p.add_argument("--colors", type=_count, help="color slots for cl (default: first fit)")
     p.add_argument("-o", "--output", help="output path; a .meta.json sidecar is written too")
-    p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("bench", help="random-instance experiment summary (CSV)")
-    p.add_argument("--n", required=True, help="comma-separated vertex counts")
-    p.add_argument("--samples", type=int, default=100)
+    p = command("bench", cmd_bench, (), "random-instance experiment summary (CSV)")
+    p.add_argument("--n", type=_counts, required=True, help="comma-separated vertex counts")
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     tolerances(p)
     p.add_argument("-o", "--output", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("verify", help="cross-check the solvers against brute-force oracles")
-    p.add_argument("--n-max", type=_count, default=10)
+    p = command("verify", cmd_verify, (),
+                "cross-check the solvers against brute-force oracles")
+    p.add_argument("--n-max", type=_oracle_size, default=10)
     p.add_argument("--trials", type=_count, default=50)
     p.add_argument("--seed", type=int, default=1)
     tolerances(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

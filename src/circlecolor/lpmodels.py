@@ -125,6 +125,18 @@ def _cover_rows(col_rows, names) -> dict:
     return {r: rows[r] for r in sorted(rows)}
 
 
+def _add_root_rows(model: LpModel, matrix: CliqueMatrix, names) -> None:
+    """Add the integer objective c and, for every sweep point, a root_p row:
+    the root arcs of names (vertex -> arc name) covering it sum to <= c."""
+    model.add_var("c", 0.0, INF, INTEGER)
+    model.objective = {"c": 1.0}
+    root_rows = _cover_rows(matrix.rows, names)
+    for r in range(len(matrix.points)):
+        coeffs = root_rows.get(r, {})
+        coeffs["c"] = -1.0
+        model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0)
+
+
 def _add_charges(model: LpModel, i: int, kids, matrix: CliqueMatrix) -> dict:
     """Add a charge y_i_p >= 0 for each sweep row touching kids; returns
     row index -> charge name, rows ascending."""
@@ -146,13 +158,7 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpM
         name = arc_var(i, j)
         model.add_var(name, 0.0, 1.0, BINARY)
         arc_map[name] = [i, j]
-    model.add_var("c", 0.0, INF, INTEGER)
-    model.objective = {"c": 1.0}
-    root_rows = _cover_rows(matrix.rows, {j: arc_var(ROOT, j) for j in dag.children[ROOT]})
-    for r in range(len(matrix.points)):
-        coeffs = root_rows.get(r, {})
-        coeffs["c"] = -1.0
-        model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0)
+    _add_root_rows(model, matrix, {j: arc_var(ROOT, j) for j in dag.children[ROOT]})
     for i in sorted(dag.branching):
         for r, coeffs in _cover_rows(matrix.rows, {j: arc_var(i, j) for j in dag.children[i]}).items():
             model.add_constraint(f"chain_{i}_p{matrix.points[r]}", coeffs, "<=", 1.0)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import OverBudgetError
 from .intervals import CircleGraph, IntervalRep, max_antichain
 from .lpmodels import LpModel
@@ -85,6 +83,7 @@ def max_clique_exact(graph: CircleGraph) -> int:
     """Exact clique number; delegates to networkx's exact search."""
     if graph.n == 0:
         return 0
+    import networkx as nx  # here, so that only a running oracle loads it
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
     g.add_edges_from(graph.edges())
@@ -94,6 +93,7 @@ def max_clique_exact(graph: CircleGraph) -> int:
 
 def maximal_independent_sets(graph: CircleGraph) -> list:
     """All maximal independent sets, as sorted tuples."""
+    import networkx as nx
     g = nx.Graph()
     g.add_nodes_from(graph.vertices)
     g.add_edges_from(graph.edges())

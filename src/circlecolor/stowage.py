@@ -26,7 +26,7 @@ from .intervals import (
     max_antichain,
     topological_order,
 )
-from .lpmodels import BINARY, INF, INTEGER, LpModel, _cover_rows
+from .lpmodels import BINARY, LpModel, _add_root_rows, _cover_rows
 from .mwis import decode_arborescence
 
 
@@ -94,14 +94,7 @@ def build_cgh(rep: IntervalRep, layered: LayeredDag, matrix: CliqueMatrix) -> Lp
         name = layer_var(i, h, j)
         model.add_var(name, 0.0, 1.0, BINARY)
         arc_map[name] = [i, h, j]
-    model.add_var("c", 0.0, INF, INTEGER)
-    model.objective = {"c": 1.0}
-
-    root_rows = _cover_rows(matrix.rows, {j: layer_var(ROOT, 0, j) for j in rep.vertices})
-    for r in range(len(matrix.points)):
-        coeffs = root_rows.get(r, {})
-        coeffs["c"] = -1.0
-        model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0)
+    _add_root_rows(model, matrix, {j: layer_var(ROOT, 0, j) for j in rep.vertices})
     # (i, h) copies with an arc into (j, h + 1), for h >= 1
     parents = [[] for _ in range(rep.n + 1)]
     for i in sorted(layered.branching):

@@ -184,9 +184,20 @@ def test_bad_tolerances_are_usage_errors(capsys):
 def test_bad_counts_are_usage_errors(capsys):
     for args in (["gen", "-n", "0"], ["gen", "-n", "3", "--count", "0"],
                  ["verify", "--n-max", "0"], ["verify", "--trials", "-2"],
-                 ["gen", "-n", "2.5"]):
+                 ["gen", "-n", "2.5"], ["bench", "--n", "a"], ["bench", "--n", "3,0"],
+                 ["bench", "--n", "3", "--samples", "0"], ["stacks", C5_FILE, "--height", "0"],
+                 ["export", C5_FILE, "--height", "0"],
+                 ["export", C5_FILE, "--formulation", "cl", "--colors", "0"],
+                 ["verify", "--n-max", "13"]):
         line = _usage_error(capsys, args)
         assert f"argument {args[-2]}: expected an integer >= 1" in line
+
+
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys):
+    for args in (["relax", C5_FILE, "-v"], ["mwis", C5_FILE, "--feas-tol", "1e-8"],
+                 ["mwis", C5_FILE, "--no-timing"], ["export", C5_FILE, "--json"]):
+        line = _usage_error(capsys, args)
+        assert line.startswith("circlecolor: error: unrecognized arguments: ")
 
 
 def test_bad_env_tolerance_is_a_usage_error(capsys, monkeypatch):
@@ -194,6 +205,22 @@ def test_bad_env_tolerance_is_a_usage_error(capsys, monkeypatch):
         monkeypatch.setenv("CIRCLECOLOR_TOL", value)
         line = _usage_error(capsys, ["relax", C5_FILE])
         assert line == f"error: CIRCLECOLOR_TOL: expected a finite number > 0, got {value!r}"
+
+
+def test_parser_is_built_once_and_env_read_per_call(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("CIRCLECOLOR_TOL", "abc")
+    _usage_error(capsys, ["relax", C5_FILE])
+    monkeypatch.setenv("CIRCLECOLOR_TOL", "1e-8")
+    assert run_cli(["relax", C5_FILE]).strip() == "chi_f=2.5"
+
+
+def test_cli_import_does_not_load_networkx():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    check = "import circlecolor.cli, sys; assert 'networkx' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solve_builds_the_graph_once(monkeypatch):
