@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .errors import CertificateError, InfeasibleModelError
-from .intervals import (
+# build_graph and validate_coloring are not called here; perfbench/spans.py
+# wraps them at these names
+from .intervals import (  # noqa: F401
     CircleGraph,
     Coloring,
     ContainmentDag,
@@ -53,6 +55,8 @@ class SolveReport:
     plan: StackPlan | None = None
 
 
+# a library export on the overlap graph, which perfbench/spans.py also wraps
+# at this name; the solvers start from greedy_stack_plan instead
 def first_fit(graph: CircleGraph, order=None) -> Coloring:
     """Greedy smallest-available-color along the given vertex ordering."""
     order = list(order) if order is not None else list(graph.vertices)
@@ -225,10 +229,9 @@ def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
 
 
 def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
-                    log=None, graph: CircleGraph | None = None) -> SolveReport:
+                    log=None) -> SolveReport:
     """Exact chromatic number with a decoded coloring certificate; the root
-    LP value is the fractional chromatic number.  graph is the overlap
-    graph of rep, when the caller has already built it."""
+    LP value is the fractional chromatic number."""
     timings = {}
     dag, model, ff_arcs, start = _build_cg(rep, timings)
     arc_names = model.metadata["arcs"]
@@ -239,10 +242,13 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
     t0 = time.perf_counter()
     arcs = ff_arcs if primal is None else _arcs_from_primal(primal, arc_names)
     coloring = decode_arborescence(rep, arcs, chi)
-    if graph is None:
-        graph = build_graph(rep)
-    if not validate_coloring(graph, coloring) or coloring.num_colors != chi:
-        raise CertificateError(f"decoded coloring is not a proper {chi}-coloring")
+    # the color classes 1..chi, as a plan with no binding height
+    classes = tuple(tuple(v for v in rep.vertices if coloring.colors.get(v) == c)
+                    for c in range(1, chi + 1))
+    try:
+        check_plan(rep, StackPlan(stacks=classes), rep.n, chi)
+    except CertificateError as exc:
+        raise CertificateError(f"decoded coloring is not a proper {chi}-coloring: {exc}") from None
     timings["decode"] = time.perf_counter() - t0
     return SolveReport(
         chromatic_number=chi,

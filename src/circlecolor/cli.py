@@ -18,14 +18,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bnb import cg_root, first_fit, solve_chromatic, solve_stacks
+from .bnb import cg_root, solve_chromatic, solve_stacks
 from .errors import CircleColorError, InstanceFormatError, NumericalFailureError
 from .instances import (
     GeneratorConfig,
     format_certificate,
     generate,
     generate_one,
-    max_clique,
     rows_to_csv,
     run_experiment,
 )
@@ -33,10 +32,10 @@ from .intervals import (
     build_clique_matrix,
     build_dag,
     build_graph,
+    clique_number,
     format_instance,
     load_instance,
     to_dimacs,
-    topological_order,
 )
 from .lpmodels import (
     build_as,
@@ -50,10 +49,11 @@ from .oracle import (
     DEFAULT_BUDGET,
     chromatic_exact,
     fractional_chromatic_exact,
+    max_clique_exact,
     mwis_exact,
 )
 from .simplex import SimplexOptions
-from .stowage import build_cgh, build_layered_dag, effective_height
+from .stowage import build_cgh, build_layered_dag, effective_height, greedy_stack_plan
 
 SCHEMA_VERSION = 1
 
@@ -114,15 +114,14 @@ def _node_log(args):
 
 def cmd_solve(args) -> int:
     rep = load_instance(args.instance)
-    graph = build_graph(rep)
-    report = solve_chromatic(rep, _options_from_args(args), log=_node_log(args), graph=graph)
+    report = solve_chromatic(rep, _options_from_args(args), log=_node_log(args))
     payload = {
         "command": "solve",
         "chi": report.chromatic_number,
         "chi_f": report.fractional_chromatic,
         "root_gap": report.root_gap,
         "nodes": report.nodes_explored,
-        "omega": max_clique(graph) if args.clique else None,
+        "omega": clique_number(rep) if args.clique else None,
         "coloring": {str(v): c for v, c in sorted(report.coloring.colors.items())},
         "timings": report.timings,
     }
@@ -212,9 +211,8 @@ def cmd_gen(args) -> int:
 
 def _build_formulation(args, rep):
     if args.formulation == "cl":
-        graph = build_graph(rep)
-        num = args.colors or first_fit(graph, topological_order(rep)).num_colors
-        model = build_cl(graph, num)
+        num = args.colors or greedy_stack_plan(rep, rep.n).num_stacks
+        model = build_cl(build_graph(rep), num)
     elif args.formulation == "as":
         model = build_as(build_graph(rep))
     else:
@@ -223,12 +221,16 @@ def _build_formulation(args, rep):
         if args.formulation == "cg":
             model = build_cg(rep, dag, matrix)
         else:  # cgh
-            layered = build_layered_dag(rep, dag, effective_height(rep, args.height))
+            layered = build_layered_dag(rep, dag, effective_height(rep, args.height or 1))
             model = build_cgh(rep, layered, matrix)
     return model.relaxed() if args.relax else model
 
 
 def cmd_export(args) -> int:
+    for flag, reader in (("height", "cgh"), ("colors", "cl")):
+        if getattr(args, flag) is not None and args.formulation != reader:
+            build_parser().error(f"unrecognized arguments: --{flag} "
+                                 f"(only --formulation {reader} reads it)")
     rep = load_instance(args.instance)
     if args.format == "dimacs":
         data = to_dimacs(build_graph(rep)).encode()
@@ -271,6 +273,9 @@ def cmd_verify(args) -> int:
         chi = chromatic_exact(graph)
         if report.chromatic_number != chi:
             failures.append(f"trial {k}: chi {report.chromatic_number} != oracle {chi}")
+        omega, clique = clique_number(rep), max_clique_exact(graph)
+        if omega != clique:
+            failures.append(f"trial {k}: omega {omega} != oracle {clique}")
         chi_f = fractional_chromatic_exact(graph)
         if abs(report.fractional_chromatic - chi_f) > 1e-6:
             failures.append(
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formulation", choices=["cg", "cl", "as", "cgh"], default="cg")
     p.add_argument("--format", choices=["lp", "mps", "dimacs"], default="lp")
     p.add_argument("--relax", action="store_true", help="export the continuous relaxation")
-    p.add_argument("--height", type=_count, default=1, help="capacity for cgh")
+    p.add_argument("--height", type=_count, help="capacity for cgh (default 1)")
     p.add_argument("--colors", type=_count, help="color slots for cl (default: first fit)")
     p.add_argument("-o", "--output", help="output path; a .meta.json sidecar is written too")
 
@@ -390,11 +395,10 @@ def main(argv=None) -> int:
     argv = _glue_negative_weights(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; the contract here is 1
-        return 0 if exc.code == 0 else USAGE_ERROR
-    try:
         return args.func(args)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors (parser.error); the contract here is 1
+        return 0 if exc.code == 0 else USAGE_ERROR
     except argparse.ArgumentTypeError as exc:  # raised for a bad CIRCLECOLOR_TOL
         print(f"error: CIRCLECOLOR_TOL: {exc}", file=sys.stderr)
         return USAGE_ERROR

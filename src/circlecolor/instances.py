@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnb import solve_chromatic
-from .intervals import CircleGraph, Coloring, IntervalRep, build_graph, normalize
-from .oracle import max_clique_exact
+from .intervals import Coloring, IntervalRep, build_graph, clique_number, normalize
+# max_clique_exact is not called here; perfbench/spans.py wraps it at this name
+from .oracle import max_clique_exact  # noqa: F401
 from .simplex import SimplexOptions
 
 
@@ -68,11 +69,6 @@ def generate(config: GeneratorConfig) -> list:
     return [generate_one(config.n, config.seed, k) for k in range(config.count)]
 
 
-def max_clique(graph: CircleGraph) -> int:
-    """Exact clique number (desk-scale exact search)."""
-    return max_clique_exact(graph)
-
-
 def run_experiment(n_values, samples: int, seed: int,
                    options: SimplexOptions | None = None,
                    progress=None) -> list:
@@ -101,7 +97,7 @@ def run_experiment(n_values, samples: int, seed: int,
                 warnings.warn(f"instance n={n} index={k} failed: {exc}")
                 continue
             edges.append(graph.num_edges)
-            omega = max_clique(graph)
+            omega = clique_number(rep)
             if omega == report.chromatic_number:
                 omega_eq += 1
             if abs(report.chromatic_number - report.fractional_chromatic) <= 1e-6:

@@ -9,7 +9,6 @@ into arc structure: layer-h copies can only feed layer h+1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,6 +22,7 @@ from .intervals import (
     CliqueMatrix,
     ContainmentDag,
     IntervalRep,
+    longest_rising_run,
     max_antichain,
     topological_order,
 )
@@ -58,13 +58,8 @@ def nesting_depth(rep: IntervalRep) -> int:
 
     Along a chain the left endpoints rise and the right endpoints fall, so
     this is the longest falling run of right endpoints in left-endpoint
-    order, by patience sorting in O(n log n): tails[k] is the largest
-    (negated: smallest) last right endpoint of a run of k + 1."""
-    tails = []
-    for v in topological_order(rep):
-        k = bisect_left(tails, -rep.right[v])
-        tails[k:k + 1] = [-rep.right[v]]
-    return len(tails)
+    order, O(n log n)."""
+    return longest_rising_run(-rep.right[v] for v in topological_order(rep))
 
 
 def effective_height(rep: IntervalRep, height: int) -> int:
@@ -218,10 +213,10 @@ def plan_arcs(rep: IntervalRep, plan: StackPlan) -> set:
 
 def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) -> None:
     """Raise CertificateError unless the plan puts every vertex in exactly
-    one of num_stacks stacks, each independent and of height at most
-    `height`."""
+    one of num_stacks nonempty stacks, each independent and of height at
+    most `height`."""
     placed = sorted(v for stack in plan.stacks for v in stack)
-    if placed != list(rep.vertices) or plan.num_stacks != num_stacks:
+    if placed != list(rep.vertices) or plan.num_stacks != num_stacks or not all(plan.stacks):
         raise CertificateError(f"plan is not a partition into {num_stacks} stacks")
     for stack in plan.stacks:
         for k, u in enumerate(stack):

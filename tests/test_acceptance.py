@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 
 from circlecolor.bnb import first_fit, solve_chromatic, solve_ip, solve_stacks
-from circlecolor.instances import generate_one, max_clique, run_experiment
+from circlecolor.instances import generate_one, run_experiment
 from circlecolor.intervals import (
     build_clique_matrix,
     build_dag,
     build_graph,
+    clique_number,
     normalize,
     topological_order,
     validate_coloring,
@@ -71,7 +72,7 @@ def test_criterion_1_pentagon(capsys):
     t0 = time.perf_counter()
     rep = normalize([(1, 4), (3, 6), (5, 8), (7, 10), (2, 9)])
     report = solve_chromatic(rep)
-    omega = max_clique(build_graph(rep))
+    omega = clique_number(rep)
     elapsed = time.perf_counter() - t0
     ok = (report.chromatic_number == 3
           and abs(report.fractional_chromatic - 2.5) <= TOL

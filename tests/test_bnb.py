@@ -131,10 +131,15 @@ def test_node_log(c5):
 
 
 def test_corrupted_coloring_is_rejected(c5, monkeypatch):
-    monkeypatch.setattr(bnb, "decode_arborescence",
-                        lambda rep, arcs, c: Coloring(colors={v: 1 for v in rep.vertices}))
-    with pytest.raises(CertificateError):
-        solve_chromatic(c5)
+    good = solve_chromatic(c5).coloring.colors
+    assert sorted(set(good.values())) == [1, 2, 3]
+    for colors in ({v: 1 for v in c5.vertices},                   # improper
+                   {v: 4 if c == 3 else c for v, c in good.items()},  # a color above chi
+                   {v: c for v, c in good.items() if v != 5}):      # vertex 5 uncolored
+        monkeypatch.setattr(bnb, "decode_arborescence",
+                            lambda rep, arcs, c, colors=colors: Coloring(colors=colors))
+        with pytest.raises(CertificateError, match="^decoded coloring is not a proper 3-coloring"):
+            solve_chromatic(c5)
 
 
 def test_root_lp_is_not_solved_twice(c5, monkeypatch):

@@ -105,6 +105,12 @@ def test_verify_golden():
     assert run_cli(["verify", "--n-max", "6", "--trials", "5", "--seed", "3"]) == golden("verify.txt")
 
 
+def test_verify_checks_omega(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "clique_number", lambda rep: rep.n + 1)
+    run_cli(["verify", "--n-max", "4", "--trials", "2", "--seed", "3"], expect=3)
+    assert "FAIL trial 0: omega " in capsys.readouterr().err
+
+
 def test_bench_csv_shape():
     out = run_cli(["bench", "--n", "3,4", "--samples", "4", "--seed", "2"])
     lines = out.strip().splitlines()
@@ -195,7 +201,11 @@ def test_bad_counts_are_usage_errors(capsys):
 
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys):
     for args in (["relax", C5_FILE, "-v"], ["mwis", C5_FILE, "--feas-tol", "1e-8"],
-                 ["mwis", C5_FILE, "--no-timing"], ["export", C5_FILE, "--json"]):
+                 ["mwis", C5_FILE, "--no-timing"], ["export", C5_FILE, "--json"],
+                 ["export", C5_FILE, "--formulation", "cg", "--height", "3"],
+                 ["export", C5_FILE, "--formulation", "cg", "--colors", "9"],
+                 ["export", C5_FILE, "--formulation", "cgh", "--colors", "2"],
+                 ["export", C5_FILE, "--formulation", "cl", "--height", "2"]):
         line = _usage_error(capsys, args)
         assert line.startswith("circlecolor: error: unrecognized arguments: ")
 
@@ -223,13 +233,36 @@ def test_cli_import_does_not_load_networkx():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_solve_builds_the_graph_once(monkeypatch):
-    calls = []
-    build_graph = cli.build_graph
-    monkeypatch.setattr(cli, "build_graph", lambda rep: calls.append(rep) or build_graph(rep))
+def test_solve_builds_no_graph(monkeypatch):
+    monkeypatch.setattr(cli, "build_graph", None)
     monkeypatch.setattr(bnb, "build_graph", None)
     assert run_cli(["solve", C5_FILE, "--clique"]) == golden("solve.txt")
-    assert len(calls) == 1
+
+
+NO_NETWORKX = """
+import sys
+sys.modules["networkx"] = None  # any import of networkx now fails
+from circlecolor.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_solve_clique_and_bench_run_without_networkx():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-c", NO_NETWORKX, *args],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    solved = json.loads(run("solve", C5_FILE, "--clique", "--json"))
+    solved.pop("timings")
+    assert json.dumps(solved, sort_keys=True) + "\n" == golden("solve.json")
+    lines = run("bench", "--n", "5", "--samples", "2").splitlines()
+    assert lines[0] == "|V|,|E|,Ours,# ω = χ,# χ_f = χ,max. χ - χ_f"
+    row = lines[1].split(",")
+    assert len(lines) == 2 and row[:2] + row[3:] == ["5", "3.00", "2", "2", "0.0"]
 
 
 def test_relax_runs_no_branch_and_bound(monkeypatch):

@@ -8,11 +8,10 @@ from circlecolor.instances import (
     generate,
     generate_one,
     intervals_from_sequence,
-    max_clique,
     rows_to_csv,
     run_experiment,
 )
-from circlecolor.intervals import build_graph, normalize
+from circlecolor.intervals import build_graph, clique_number, normalize
 
 
 def test_sequence_example():
@@ -52,10 +51,10 @@ def test_mean_edges_near_one_third_of_pairs():
     assert total / samples == pytest.approx(10 / 3, rel=0.2)
 
 
-def test_max_clique_examples(c5_graph, p3):
-    assert max_clique(c5_graph) == 2
-    assert max_clique(build_graph(normalize([(1, 2), (3, 4)]))) == 1
-    assert max_clique(build_graph(p3)) == 2
+def test_max_clique_examples(c5, p3):
+    assert clique_number(c5) == 2
+    assert clique_number(normalize([(1, 2), (3, 4)])) == 1
+    assert clique_number(p3) == 2
 
 
 def test_run_experiment_shape():

@@ -8,12 +8,16 @@ from strategies import interval_reps
 
 from circlecolor.errors import DuplicateEndpointError, EmptyInstanceError, InstanceFormatError
 from circlecolor.instances import generate_one
+from circlecolor.oracle import max_clique_exact
 from circlecolor.intervals import (
     Coloring,
+    IntervalRep,
     build_clique_matrix,
     build_dag,
     build_graph,
+    clique_number,
     format_instance,
+    longest_rising_run,
     max_antichain,
     normalize,
     parse_instance,
@@ -225,3 +229,30 @@ def test_clique_matrix_rows_match_max_antichain():
             m = build_clique_matrix(rep, full_points=full)
             load = [len(set(subset) & set(vs)) for vs in _incidence(rep, m.points)]
             assert max(load) == want
+
+
+def test_longest_rising_run_is_strict():
+    assert longest_rising_run([]) == 0
+    assert longest_rising_run([3, 1, 2, 5, 4]) == 3
+    assert longest_rising_run([2, 2, 2]) == 1
+    assert longest_rising_run([1, 3, 3, 4]) == 3
+
+
+def test_clique_number_of_the_empty_set_and_singletons():
+    assert clique_number(IntervalRep(n=0, left=(0,), right=(0,))) == 0
+    assert clique_number(normalize([(1, 2)])) == 1
+    assert clique_number(normalize([(1, 2), (3, 4)])) == 1
+    assert clique_number(normalize([(1, 4), (2, 3)])) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_reps(max_n=14))
+def test_clique_number_matches_the_oracle(rep):
+    assert clique_number(rep) == max_clique_exact(build_graph(rep))
+
+
+def test_clique_number_matches_networkx_on_a_fixed_sweep():
+    for n in list(range(1, 30)) + [40, 60]:
+        for k in range(10):
+            rep = generate_one(n, 777, k)
+            assert clique_number(rep) == max_clique_exact(build_graph(rep)), (n, k)

@@ -267,6 +267,7 @@ def test_check_plan_rejects_corrupted_plans(c5):
         (three, StackPlan(stacks=((1, 2), (3,))), 3, 1),   # wrong stack count
         (three, StackPlan(stacks=((1, 2),)), 3, 1),        # vertex 3 missing
         (three, StackPlan(stacks=((1, 2, 3, 3),)), 3, 1),  # vertex 3 twice
+        (three, StackPlan(stacks=((1, 2, 3), ())), 3, 2),  # an empty stack
         (c5, StackPlan(stacks=((1, 2), (3, 4), (5,))), 2, 3),  # 1 and 2 overlap
     ]
     for rep, plan, height, count in bad:
