@@ -27,14 +27,14 @@ from .intervals import (  # noqa: F401
     validate_coloring,
 )
 from .lpmodels import LpModel, arc_var, build_cg
+from .mwis import decode_arborescence
+from .simplex import DEFAULT_OPTIONS, LpSolution, SimplexOptions, solve_lp
 # arborescence_of_coloring is not called here; perfbench/spans.py wraps it
 # at this name
-from .mwis import arborescence_of_coloring, decode_arborescence  # noqa: F401
-from .simplex import DEFAULT_OPTIONS, LpSolution, SimplexOptions, solve_lp
-from .stowage import (
+from .stowage import (  # noqa: F401
     StackPlan,
+    arborescence_of_coloring,
     build_cgh,
-    build_layered_dag,
     check_plan,
     decode_plan,
     effective_height,
@@ -209,7 +209,7 @@ def _build_cg(rep: IntervalRep, timings: dict):
     matrix = build_clique_matrix(rep)
     model = build_cg(rep, dag, matrix)
     plan = greedy_stack_plan(rep, rep.n)
-    ff_arcs = {(i, j) for (i, _), (j, _) in plan_arcs(rep, plan)}
+    ff_arcs = {(i, j) for i, _, j in plan_arcs(rep, plan)}
     start = {arc_var(i, j): 1.0 for i, j in ff_arcs}
     start["c"] = plan.num_stacks
     timings["build"] = time.perf_counter() - t0
@@ -268,10 +268,9 @@ def solve_stacks(rep: IntervalRep, height: int,
     dag = build_dag(rep)
     matrix = build_clique_matrix(rep)
     h_eff = effective_height(rep, height)
-    layered = build_layered_dag(rep, dag, h_eff)
-    model = build_cgh(rep, layered, matrix)
+    model = build_cgh(rep, dag, matrix, h_eff)
     greedy = greedy_stack_plan(rep, h_eff)
-    start = {layer_var(i, h, j): 1.0 for (i, h), (j, _) in plan_arcs(rep, greedy)}
+    start = {layer_var(*arc): 1.0 for arc in plan_arcs(rep, greedy)}
     start["c"] = greedy.num_stacks
     timings["build"] = time.perf_counter() - t0
     value, frac, primal, nodes = _solve(model, start, options or DEFAULT_OPTIONS, timings, log)
@@ -280,9 +279,7 @@ def solve_stacks(rep: IntervalRep, height: int,
     if primal is None:
         plan = greedy
     else:
-        arcs = {((i, h), (j, h + 1))
-                for i, h, j in _arcs_from_primal(primal, model.metadata["arcs"])}
-        plan = decode_plan(rep, layered, arcs, value)
+        plan = decode_plan(rep, _arcs_from_primal(primal, model.metadata["arcs"]), value, h_eff)
     check_plan(rep, plan, h_eff, value)
     timings["decode"] = time.perf_counter() - t0
     return SolveReport(

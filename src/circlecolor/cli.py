@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bnb import cg_root, solve_chromatic, solve_stacks
-from .errors import CircleColorError, InstanceFormatError, NumericalFailureError
+from .errors import CircleColorError, InstanceFormatError
 from .instances import (
     GeneratorConfig,
     format_certificate,
@@ -53,7 +53,7 @@ from .oracle import (
     mwis_exact,
 )
 from .simplex import SimplexOptions
-from .stowage import build_cgh, build_layered_dag, effective_height, greedy_stack_plan
+from .stowage import build_cgh, effective_height, greedy_stack_plan
 
 SCHEMA_VERSION = 1
 
@@ -218,19 +218,24 @@ def _build_formulation(args, rep):
     else:
         dag = build_dag(rep)
         matrix = build_clique_matrix(rep)
-        if args.formulation == "cg":
+        if args.formulation == "cgh":
+            model = build_cgh(rep, dag, matrix, effective_height(rep, args.height or 1))
+        else:  # cg, the default
             model = build_cg(rep, dag, matrix)
-        else:  # cgh
-            layered = build_layered_dag(rep, dag, effective_height(rep, args.height or 1))
-            model = build_cgh(rep, layered, matrix)
     return model.relaxed() if args.relax else model
 
 
 def cmd_export(args) -> int:
-    for flag, reader in (("height", "cgh"), ("colors", "cl")):
-        if getattr(args, flag) is not None and args.formulation != reader:
-            build_parser().error(f"unrecognized arguments: --{flag} "
-                                 f"(only --formulation {reader} reads it)")
+    if args.format == "dimacs":
+        unread = {flag: "--format dimacs writes the graph, not a formulation"
+                  for flag in ("formulation", "relax", "height", "colors")}
+    else:
+        unread = {flag: f"only --formulation {reader} reads it"
+                  for flag, reader in (("height", "cgh"), ("colors", "cl"))
+                  if args.formulation != reader}
+    for flag, why in unread.items():
+        if getattr(args, flag):  # unset is None or False; a set value is truthy
+            build_parser().error(f"unrecognized arguments: --{flag} ({why})")
     rep = load_instance(args.instance)
     if args.format == "dimacs":
         data = to_dimacs(build_graph(rep)).encode()
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("export", cmd_export, (instance,),
                 "write a formulation as LP/MPS (or the graph as DIMACS)")
-    p.add_argument("--formulation", choices=["cg", "cl", "as", "cgh"], default="cg")
+    p.add_argument("--formulation", choices=["cg", "cl", "as", "cgh"])
     p.add_argument("--format", choices=["lp", "mps", "dimacs"], default="lp")
     p.add_argument("--relax", action="store_true", help="export the continuous relaxation")
     p.add_argument("--height", type=_count, help="capacity for cgh (default 1)")
@@ -405,7 +410,7 @@ def main(argv=None) -> int:
     except (InstanceFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except (NumericalFailureError, CircleColorError) as exc:
+    except CircleColorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SOLVER_ERROR
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnb import solve_chromatic
-from .intervals import Coloring, IntervalRep, build_graph, clique_number, normalize
+from .intervals import Coloring, IntervalRep, clique_number, count_edges, normalize
 # max_clique_exact is not called here; perfbench/spans.py wraps it at this name
 from .oracle import max_clique_exact  # noqa: F401
 from .simplex import SimplexOptions
@@ -87,7 +87,6 @@ def run_experiment(n_values, samples: int, seed: int,
         failures = 0
         for k in range(samples):
             rep = generate_one(n, seed, k)
-            graph = build_graph(rep)
             try:
                 t0 = time.perf_counter()
                 report = solve_chromatic(rep, options)
@@ -96,7 +95,7 @@ def run_experiment(n_values, samples: int, seed: int,
                 failures += 1
                 warnings.warn(f"instance n={n} index={k} failed: {exc}")
                 continue
-            edges.append(graph.num_edges)
+            edges.append(count_edges(rep))
             omega = clique_number(rep)
             if omega == report.chromatic_number:
                 omega_eq += 1

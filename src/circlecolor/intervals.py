@@ -176,6 +176,27 @@ def build_graph(rep: IntervalRep) -> CircleGraph:
     return CircleGraph(n=rep.n, adj=tuple(frozenset(a) for a in adj))
 
 
+def count_edges(rep: IntervalRep) -> int:
+    """Number of edges of the overlap graph, from the endpoint order alone.
+
+    When I(i) closes at r_i, the intervals still open that started after
+    l_i are exactly the j with l_i < l_j < r_i < r_j.  Open left endpoints
+    arrive in rising order, so they stay sorted and one bisection finds
+    l_i among them.
+    """
+    left_of = {rep.right[v]: rep.left[v] for v in rep.vertices}
+    open_lefts = []
+    edges = 0
+    for p in range(1, 2 * rep.n + 1):
+        if p in left_of:
+            k = bisect_left(open_lefts, left_of[p])
+            edges += len(open_lefts) - k - 1
+            del open_lefts[k]
+        else:
+            open_lefts.append(p)
+    return edges
+
+
 def to_dimacs(graph: CircleGraph) -> str:
     """DIMACS edge format for the derived circle graph."""
     edges = graph.edges()

@@ -153,20 +153,3 @@ def decode_arborescence(rep: IntervalRep, arcs, c: int) -> Coloring:
             colors[v] = color
             stack.extend(children[v])
     return Coloring(colors=colors, certificate=frozenset(arcs))
-
-
-def arborescence_of_coloring(rep: IntervalRep, coloring: Coloring) -> frozenset:
-    """Rebuild the canonical arborescence of a coloring.
-
-    Each vertex's parent is the inclusion-minimal same-colored interval
-    strictly containing it, or the root if there is none.
-    """
-    arcs = set()
-    for j in rep.vertices:
-        best = None
-        for i in rep.vertices:
-            if i != j and coloring.colors[i] == coloring.colors[j] and rep.contains(i, j):
-                if best is None or rep.contains(best, i):
-                    best = i
-        arcs.add((best if best is not None else ROOT, j))
-    return frozenset(arcs)

@@ -1,25 +1,22 @@
-"""Capacitated stowage stacks: layered DAG, the CG_H program, and plan
-decoding.
+"""Capacitated stowage stacks: the CG_H program, and plan decoding.
 
 A stack holds an independent set whose height (maximum antichain, i.e. the
 deepest nesting level occupied at one point) stays within the capacity H.
 Copying each vertex once per admissible nesting level turns the height cap
-into arc structure: layer-h copies can only feed layer h+1.
+into arc structure: layer-h copies can only feed layer h+1.  A layered arc
+is the triple (i, h, j): copy (i, h) feeds (j, h + 1), and the root is the
+one copy (0, 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    AntichainBoundError,
-    CertificateError,
-    InvalidHeightError,
-    LayerConditionError,
-)
+from .errors import CertificateError, InvalidHeightError, LayerConditionError
 from .intervals import (
     ROOT,
     CliqueMatrix,
+    Coloring,
     ContainmentDag,
     IntervalRep,
     longest_rising_run,
@@ -32,25 +29,6 @@ from .mwis import decode_arborescence
 
 def layer_var(i: int, h: int, j: int) -> str:
     return f"x_{i}.{h}_{j}"
-
-
-@dataclass(frozen=True)
-class LayeredDag:
-    """Vertex copies (i, h) for h in 1..height plus the root (0, 0); arcs go
-    from layer h to layer h+1 along strict containment."""
-
-    n: int
-    height: int
-    containment_children: tuple  # containment_children[i] from the flat DAG
-    branching: frozenset
-
-    def arcs(self):
-        out = [((ROOT, 0), (j, 1)) for j in range(1, self.n + 1)]
-        for i in sorted(self.branching):
-            for h in range(1, self.height):
-                for j in self.containment_children[i]:
-                    out.append(((i, h), (j, h + 1)))
-        return out
 
 
 def nesting_depth(rep: IntervalRep) -> int:
@@ -69,54 +47,41 @@ def effective_height(rep: IntervalRep, height: int) -> int:
     return min(height, nesting_depth(rep))
 
 
-def build_layered_dag(rep: IntervalRep, dag: ContainmentDag, height: int) -> LayeredDag:
+def build_cgh(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
+              height: int) -> LpModel:
+    """min c: root children form at most c stacks, each occupied copy may
+    pass one chain downward, and every vertex enters at exactly one layer.
+
+    The arcs are the root's, (0, 0, j) for every vertex, then (i, h, j)
+    for each containment arc (i, j) of the DAG and each layer h below the
+    height."""
     if height < 1:
         raise InvalidHeightError(f"capacity must be >= 1, got {height}")
-    return LayeredDag(
-        n=rep.n,
-        height=height,
-        containment_children=dag.children,
-        branching=dag.branching,
-    )
-
-
-def build_cgh(rep: IntervalRep, layered: LayeredDag, matrix: CliqueMatrix) -> LpModel:
-    """min c: root children form at most c stacks, each occupied copy may
-    pass one chain downward, and every vertex enters at exactly one layer."""
     model = LpModel(name="CG_H", sense="min", integral_objective=True)
-    arc_map = {}
-    for (i, h), (j, _) in layered.arcs():
+    arcs = [(ROOT, 0, j) for j in rep.vertices]
+    arcs += [(i, h, j) for i in sorted(dag.branching) for h in range(1, height)
+             for j in dag.children[i]]
+    into = {}  # copy (j, h) -> the variables of its entry arcs, by source vertex
+    for i, h, j in arcs:
         name = layer_var(i, h, j)
         model.add_var(name, 0.0, 1.0, BINARY)
-        arc_map[name] = [i, h, j]
+        into.setdefault((j, h + 1), []).append(name)
     _add_root_rows(model, matrix, {j: layer_var(ROOT, 0, j) for j in rep.vertices})
-    # (i, h) copies with an arc into (j, h + 1), for h >= 1
-    parents = [[] for _ in range(rep.n + 1)]
-    for i in sorted(layered.branching):
-        for j in layered.containment_children[i]:
-            parents[j].append(i)
-
-    def sources(j, h):
-        """Copies (i, h - 1) with an arc into (j, h)."""
-        return [(ROOT, 0)] if h == 1 else [(i, h - 1) for i in parents[j]]
-
-    for i in sorted(layered.branching):
-        kids = layered.containment_children[i]
-        for h in range(1, layered.height):
-            inflow = {layer_var(s, hs, i): -1.0 for s, hs in sources(i, h)}
-            names = {j: layer_var(i, h, j) for j in kids}
+    for i in sorted(dag.branching):
+        for h in range(1, height):
+            inflow = dict.fromkeys(into.get((i, h), ()), -1.0)
+            names = {j: layer_var(i, h, j) for j in dag.children[i]}
             for r, coeffs in _cover_rows(matrix.rows, names).items():
                 coeffs.update(inflow)
                 model.add_constraint(f"chain_{i}.{h}_p{matrix.points[r]}", coeffs, "<=", 0.0)
     for j in rep.vertices:
-        coeffs = {layer_var(i, hs, j): 1.0
-                  for h in range(1, layered.height + 1) for i, hs in sources(j, h)}
+        coeffs = {name: 1.0 for h in range(1, height + 1) for name in into.get((j, h), ())}
         model.add_constraint(f"enter_{j}", coeffs, "=", 1.0)
     model.metadata = {
         "formulation": "CG_H",
         "relaxed": False,
-        "height": layered.height,
-        "arcs": arc_map,
+        "height": height,
+        "arcs": {layer_var(*arc): list(arc) for arc in arcs},
         "n": rep.n,
     }
     return model
@@ -144,71 +109,73 @@ class StackPlan:
         return "\n".join(" ".join(str(v) for v in stack) for stack in self.stacks) + "\n"
 
 
-def decode_plan(rep: IntervalRep, layered: LayeredDag, arcs, c: int) -> StackPlan:
-    """Collapse a layered arc set to a flat arborescence and decode it.
+def decode_plan(rep: IntervalRep, arcs, c: int, height: int) -> StackPlan:
+    """Decode a set of layered arcs (i, h, j) into a plan of c stacks of
+    height at most `height`.
 
-    Checks D0 (one entry arc per vertex across all layers), D1 (occupied
-    copies pass on chains, and only occupied copies pass anything on), and
-    D2 (at most c stacks at the root).
+    Checks D0 (one entry arc per vertex across all layers, each along
+    containment) and D1 (children of a copy form a chain, only occupied
+    copies pass arcs on, and no vertex enters above the height); the
+    flattened arcs then go to decode_arborescence, which checks the root
+    width (at most c stacks).
     """
     arcs = set(arcs)
-    entry_layer = {}
-    flat = set()
-    for (i, h), (j, hj) in arcs:
-        if hj != h + 1:
-            raise LayerConditionError("D0", (i, h))
+    entry_layer = {ROOT: 0}
+    children_by_copy = {}
+    for i, h, j in arcs:
         if j in entry_layer:
             raise LayerConditionError("D0", j)
         if i != ROOT and not rep.contains(i, j):
             raise LayerConditionError("D0", (i, h))
-        entry_layer[j] = hj
-        flat.add((i, j))
+        entry_layer[j] = h + 1
+        children_by_copy.setdefault((i, h), []).append(j)
     for v in rep.vertices:
         if v not in entry_layer:
             raise LayerConditionError("D0", v)
-    children_by_copy = {}
-    for (i, h), (j, _) in arcs:
-        children_by_copy.setdefault((i, h), []).append(j)
     for (i, h), kids in children_by_copy.items():
-        if i == ROOT:
-            continue
-        if not rep.is_chain(kids):
+        if entry_layer[i] != h or (i != ROOT and not rep.is_chain(kids)):
             raise LayerConditionError("D1", (i, h))
-        if entry_layer.get(i) != h:
-            raise LayerConditionError("D1", (i, h))
-    if entry_layer and max(entry_layer.values()) > layered.height:
+    if max(entry_layer.values()) > height:
         raise LayerConditionError("D1", max(entry_layer, key=entry_layer.get))
-    root_kids = children_by_copy.get((ROOT, 0), [])
-    width = max_antichain(rep, root_kids)
-    if width > c:
-        raise AntichainBoundError(ROOT, width, c)
-    coloring = decode_arborescence(rep, flat, c)
+    coloring = decode_arborescence(rep, {(i, j) for i, _, j in arcs}, c)
     groups = {}
     for v in rep.vertices:
         groups.setdefault(coloring.colors[v], []).append(v)
     stacks = []
     for color in sorted(groups):
         stack = sorted(groups[color], key=lambda v: (entry_layer[v], rep.left[v]))
-        if max_antichain(rep, stack) > layered.height:
-            raise CertificateError(f"decoded stack {stack} exceeds the capacity {layered.height}")
+        if max_antichain(rep, stack) > height:
+            raise CertificateError(f"decoded stack {stack} exceeds the capacity {height}")
         stacks.append(tuple(stack))
     return StackPlan(stacks=tuple(stacks))
 
 
 def plan_arcs(rep: IntervalRep, plan: StackPlan) -> set:
-    """The layered arc set of a plan, the inverse of decode_plan: each
-    vertex hangs one layer below the innermost interval of its own stack
-    that contains it, or below the root."""
+    """The layered arcs (i, h, j) of a plan, the inverse of decode_plan:
+    each vertex hangs one layer below the innermost interval of its own
+    stack that contains it, or below the root."""
     arcs = set()
     for stack in plan.stacks:
         open_ = []  # (vertex, layer) of the stack's intervals around the sweep point
         for v in sorted(stack, key=rep.left.__getitem__):
             while open_ and rep.right[open_[-1][0]] < rep.left[v]:
                 open_.pop()
-            parent = open_[-1] if open_ else (ROOT, 0)
-            arcs.add((parent, (v, parent[1] + 1)))
-            open_.append((v, parent[1] + 1))
+            i, h = open_[-1] if open_ else (ROOT, 0)
+            arcs.add((i, h, v))
+            open_.append((v, h + 1))
     return arcs
+
+
+def arborescence_of_coloring(rep: IntervalRep, coloring: Coloring) -> frozenset:
+    """The canonical arborescence of a proper coloring: each vertex hangs
+    below the inclusion-minimal same-colored interval strictly containing
+    it, or below the root.  A color class is a stack, so these are the
+    plan_arcs of the color classes, flattened."""
+    classes = {}
+    for v in rep.vertices:
+        classes.setdefault(coloring.colors[v], []).append(v)
+    plan = StackPlan(stacks=tuple(classes.values()))
+    return frozenset((i, j) for i, _, j in plan_arcs(rep, plan))
 
 
 def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) -> None:
@@ -223,7 +190,8 @@ def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) 
             for v in stack[k + 1:]:
                 if rep.overlaps(u, v):
                     raise CertificateError(f"stack {stack} holds overlapping {u} and {v}")
-        if max_antichain(rep, stack) > height:
+        # an antichain is never larger than its stack
+        if len(stack) > height and max_antichain(rep, stack) > height:
             raise CertificateError(f"stack {stack} exceeds the capacity {height}")
 
 

@@ -17,9 +17,13 @@ from circlecolor.intervals import (
     validate_coloring,
 )
 from circlecolor.lpmodels import LpModel
-from circlecolor.mwis import arborescence_of_coloring
 from circlecolor.oracle import chromatic_exact, fractional_chromatic_exact
-from circlecolor.stowage import greedy_stack_plan, nesting_depth, plan_arcs
+from circlecolor.stowage import (
+    arborescence_of_coloring,
+    greedy_stack_plan,
+    nesting_depth,
+    plan_arcs,
+)
 
 
 def test_first_fit_edgeless():
@@ -50,8 +54,17 @@ def test_greedy_plan_with_no_cap_is_first_fit_and_its_arborescence(rep):
     for v, c in want.colors.items():
         classes.setdefault(c, []).append(v)
     assert [sorted(s) for s in plan.stacks] == [sorted(classes[c]) for c in sorted(classes)]
-    arcs = {(i, j) for (i, _), (j, _) in plan_arcs(rep, plan)}
+    arcs = {(i, j) for i, _, j in plan_arcs(rep, plan)}
     assert arcs == arborescence_of_coloring(rep, want)
+
+
+def test_coloring_certificate_sweeps_no_antichain(c5, monkeypatch):
+    # a color class has at most n vertices, so its height needs no sweep
+    def sweep(rep, subset):
+        raise AssertionError("max_antichain called")
+
+    monkeypatch.setattr(stowage, "max_antichain", sweep)
+    assert solve_chromatic(c5).chromatic_number == 3
 
 
 def test_solve_chromatic_c5(c5, c5_graph):

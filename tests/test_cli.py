@@ -205,7 +205,12 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys):
                  ["export", C5_FILE, "--formulation", "cg", "--height", "3"],
                  ["export", C5_FILE, "--formulation", "cg", "--colors", "9"],
                  ["export", C5_FILE, "--formulation", "cgh", "--colors", "2"],
-                 ["export", C5_FILE, "--formulation", "cl", "--height", "2"]):
+                 ["export", C5_FILE, "--formulation", "cl", "--height", "2"],
+                 ["export", C5_FILE, "--format", "dimacs", "--relax"],
+                 ["export", C5_FILE, "--format", "dimacs", "--formulation", "cg"],
+                 ["export", C5_FILE, "--format", "dimacs", "--formulation", "cgh",
+                  "--height", "2"],
+                 ["export", C5_FILE, "--format", "dimacs", "--colors", "3"]):
         line = _usage_error(capsys, args)
         assert line.startswith("circlecolor: error: unrecognized arguments: ")
 

@@ -1,5 +1,6 @@
 import pytest
 
+from circlecolor import intervals
 from circlecolor.bnb import solve_chromatic
 from circlecolor.instances import (
     CSV_COLUMNS,
@@ -57,7 +58,9 @@ def test_max_clique_examples(c5, p3):
     assert clique_number(p3) == 2
 
 
-def test_run_experiment_shape():
+def test_run_experiment_shape(monkeypatch):
+    # |E| comes from the intervals: no overlap graph is built
+    monkeypatch.setattr(intervals, "CircleGraph", None)
     rows = run_experiment([3, 5], samples=8, seed=5)
     assert [r.n for r in rows] == [3, 5]
     for r in rows:

@@ -16,6 +16,7 @@ from circlecolor.intervals import (
     build_dag,
     build_graph,
     clique_number,
+    count_edges,
     format_instance,
     longest_rising_run,
     max_antichain,
@@ -59,6 +60,12 @@ def test_normalize_rejects_duplicates_and_empty():
 def test_build_graph_p3(p3):
     g = build_graph(p3)
     assert set(g.edges()) == {(1, 2), (2, 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=14))
+def test_count_edges_matches_the_graph(rep):
+    assert count_edges(rep) == build_graph(rep).num_edges
 
 
 def test_build_graph_disjoint():

@@ -39,7 +39,7 @@ from circlecolor.lpmodels import (
 )
 from circlecolor.mwis import max_weight_chain, solve_mwis
 from circlecolor.simplex import solve_lp
-from circlecolor.stowage import build_cgh, build_layered_dag, effective_height
+from circlecolor.stowage import build_cgh, effective_height
 
 
 def _core(rep):
@@ -293,10 +293,9 @@ def _export_models(rep):
     dag, m = _core(rep)
     graph = build_graph(rep)
     weights = {v: float(v % 3 - 1) for v in rep.vertices}
-    layered = build_layered_dag(rep, dag, effective_height(rep, 2))
     return [
         build_cg(rep, dag, m),
-        build_cgh(rep, layered, m),
+        build_cgh(rep, dag, m, effective_height(rep, 2)),
         build_cl(graph, first_fit(graph, topological_order(rep)).num_colors),
         build_as(graph),
         build_isd(rep, dag, m, weights),

@@ -15,13 +15,13 @@ from circlecolor.intervals import (
     validate_coloring,
 )
 from circlecolor.mwis import (
-    arborescence_of_coloring,
     chain_partition,
     decode_arborescence,
     max_weight_chain,
     solve_mwis,
 )
 from circlecolor.oracle import mwis_exact
+from circlecolor.stowage import arborescence_of_coloring
 
 
 def test_max_weight_chain_overlapping_pair(c5):

@@ -23,7 +23,6 @@ from circlecolor.lpmodels import (
 from circlecolor.simplex import SimplexOptions, solve_lp
 from circlecolor.stowage import (
     build_cgh,
-    build_layered_dag,
     effective_height,
     greedy_stack_plan,
     layer_var,
@@ -385,7 +384,7 @@ def _cg_start(rep):
     no binding height (first fit)."""
     model = build_cg(rep, build_dag(rep), build_clique_matrix(rep)).relaxed()
     plan = greedy_stack_plan(rep, rep.n)
-    start = {arc_var(i, j): 1.0 for (i, _), (j, _) in plan_arcs(rep, plan)}
+    start = {arc_var(i, j): 1.0 for i, _, j in plan_arcs(rep, plan)}
     start["c"] = plan.num_stacks
     return model, start
 
@@ -393,10 +392,9 @@ def _cg_start(rep):
 def _cgh_start(rep, height):
     """The CG_H relaxation of rep, started from the greedy stack plan."""
     h = effective_height(rep, height)
-    model = build_cgh(rep, build_layered_dag(rep, build_dag(rep), h),
-                      build_clique_matrix(rep)).relaxed()
+    model = build_cgh(rep, build_dag(rep), build_clique_matrix(rep), h).relaxed()
     plan = greedy_stack_plan(rep, h)
-    start = {layer_var(i, hs, j): 1.0 for (i, hs), (j, _) in plan_arcs(rep, plan)}
+    start = {layer_var(*arc): 1.0 for arc in plan_arcs(rep, plan)}
     start["c"] = plan.num_stacks
     return model, start
 

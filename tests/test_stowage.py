@@ -7,16 +7,24 @@ from hypothesis import strategies as st
 from strategies import interval_reps
 
 from circlecolor import bnb, stowage
-from circlecolor.bnb import solve_chromatic, solve_ip, solve_stacks
+from circlecolor.bnb import first_fit, solve_chromatic, solve_ip, solve_stacks
 from circlecolor.errors import CertificateError, InvalidHeightError, LayerConditionError
 from circlecolor.instances import generate_one
-from circlecolor.intervals import build_clique_matrix, build_dag, build_graph, max_antichain, normalize
+from circlecolor.intervals import (
+    ROOT,
+    build_clique_matrix,
+    build_dag,
+    build_graph,
+    max_antichain,
+    normalize,
+)
+from circlecolor.mwis import decode_arborescence
 from circlecolor.oracle import stacks_exact, stacks_lp_exact
 from circlecolor.simplex import solve_lp
 from circlecolor.stowage import (
     StackPlan,
+    arborescence_of_coloring,
     build_cgh,
-    build_layered_dag,
     check_plan,
     decode_plan,
     effective_height,
@@ -26,31 +34,31 @@ from circlecolor.stowage import (
 )
 
 
-def _layered(rep, height):
-    return build_layered_dag(rep, build_dag(rep), height)
+def _cgh(rep, height):
+    return build_cgh(rep, build_dag(rep), build_clique_matrix(rep), height)
+
+
+def _layered_arcs(rep, height):
+    """The arcs (i, h, j) of CG_H at this height."""
+    return {tuple(arc) for arc in _cgh(rep, height).metadata["arcs"].values()}
 
 
 def test_layered_dag_nested_pair(nested):
-    lay = _layered(nested, 2)
-    arcs = set(lay.arcs())
-    assert arcs == {((0, 0), (1, 1)), ((0, 0), (2, 1)), ((1, 1), (2, 2))}
+    assert _layered_arcs(nested, 2) == {(0, 0, 1), (0, 0, 2), (1, 1, 2)}
 
 
 def test_layered_dag_height_one(c5):
-    lay = _layered(c5, 1)
-    assert set(lay.arcs()) == {((0, 0), (j, 1)) for j in c5.vertices}
+    assert _layered_arcs(c5, 1) == {(0, 0, j) for j in c5.vertices}
 
 
 def test_layered_dag_c5_height_three(c5):
-    lay = _layered(c5, 3)
-    non_root = {a for a in lay.arcs() if a[0][0] != 0}
-    assert non_root == {
-        ((5, 1), (2, 2)), ((5, 1), (3, 2)), ((5, 2), (2, 3)), ((5, 2), (3, 3))}
+    non_root = {a for a in _layered_arcs(c5, 3) if a[0] != 0}
+    assert non_root == {(5, 1, 2), (5, 1, 3), (5, 2, 2), (5, 2, 3)}
 
 
 def test_invalid_height(c5):
     with pytest.raises(InvalidHeightError):
-        build_layered_dag(c5, build_dag(c5), 0)
+        _cgh(c5, 0)
     with pytest.raises(InvalidHeightError):
         effective_height(c5, 0)
     with pytest.raises(InvalidHeightError):
@@ -79,7 +87,7 @@ def test_nesting_depth_matches_brute_force(rep):
     assert nesting_depth(rep) == longest
 
 
-def _reference_cgh_rows(rep, layered, matrix):
+def _reference_cgh_rows(rep, dag, matrix, height):
     """CG_H rows straight from the definitions, scanning every vertex for
     the copies that feed a vertex and every interval for the vertices at
     each sweep point: (name, coefficient items, relation, rhs) in build
@@ -93,15 +101,15 @@ def _reference_cgh_rows(rep, layered, matrix):
     def sources(j, h):
         if h == 1:
             return [(0, 0)]
-        return [(i, h - 1) for i in rep.vertices if j in layered.containment_children[i]]
+        return [(i, h - 1) for i in rep.vertices if j in dag.children[i]]
 
     rows = []
     for p in matrix.points:
         coeffs = {var(0, 0, j): 1.0 for j in rep.vertices if at(p, j)}
         rows.append((f"root_p{p}", list(coeffs.items()) + [("c", -1.0)], "<=", 0.0))
-    for i in sorted(layered.branching):
-        kids = layered.containment_children[i]
-        for h in range(1, layered.height):
+    for i in sorted(dag.branching):
+        kids = dag.children[i]
+        for h in range(1, height):
             inflow = [(var(s, hs, i), -1.0) for s, hs in sources(i, h)]
             for p in matrix.points:
                 coeffs = [(var(i, h, j), 1.0) for j in kids if at(p, j)]
@@ -109,7 +117,7 @@ def _reference_cgh_rows(rep, layered, matrix):
                     rows.append((f"chain_{i}.{h}_p{p}", coeffs + inflow, "<=", 0.0))
     for j in rep.vertices:
         coeffs = [(var(i, hs, j), 1.0)
-                  for h in range(1, layered.height + 1) for i, hs in sources(j, h)]
+                  for h in range(1, height + 1) for i, hs in sources(j, h)]
         rows.append((f"enter_{j}", coeffs, "=", 1.0))
     return rows
 
@@ -117,17 +125,16 @@ def _reference_cgh_rows(rep, layered, matrix):
 @settings(max_examples=100, deadline=None)
 @given(interval_reps(max_n=10), st.integers(1, 4), st.booleans())
 def test_build_cgh_rows_match_the_definitions(rep, height, full_points):
-    layered = _layered(rep, effective_height(rep, height))
+    dag, h = build_dag(rep), effective_height(rep, height)
     matrix = build_clique_matrix(rep, full_points=full_points)
-    model = build_cgh(rep, layered, matrix)
+    model = build_cgh(rep, dag, matrix, h)
     got = [(c.name, list(c.coeffs.items()), c.relation, c.rhs) for c in model.constraints]
-    assert got == _reference_cgh_rows(rep, layered, matrix)
+    assert got == _reference_cgh_rows(rep, dag, matrix, h)
 
 
 def test_cgh_nested_pair_optima(nested):
-    m = build_clique_matrix(nested)
     for h, want in ((1, 2), (2, 1)):
-        model = build_cgh(nested, _layered(nested, h), m)
+        model = _cgh(nested, h)
         value, _, _ = solve_ip(model, no_branch=frozenset(["c"]))
         assert value == want
 
@@ -157,10 +164,8 @@ def test_cgh_lp_equals_set_cover_lp():
     for k in range(15):
         rep = generate_one(int(rng.integers(1, 9)), 662, k)
         g = build_graph(rep)
-        m = build_clique_matrix(rep)
         for h in (1, 2, 3):
-            h_eff = effective_height(rep, h)
-            model = build_cgh(rep, _layered(rep, h_eff), m).relaxed()
+            model = _cgh(rep, effective_height(rep, h)).relaxed()
             lhs = solve_lp(model).objective
             rhs = stacks_lp_exact(rep, g, h)
             assert lhs == pytest.approx(rhs, abs=1e-6), (k, h)
@@ -187,22 +192,29 @@ def _check_plan(rep, g, plan: StackPlan, height):
 
 
 def test_decode_plan_examples(nested, c5):
-    lay = _layered(nested, 2)
-    plan = decode_plan(nested, lay, {((0, 0), (1, 1)), ((1, 1), (2, 2))}, 1)
+    plan = decode_plan(nested, {(0, 0, 1), (1, 1, 2)}, 1, 2)
     assert plan.stacks == ((1, 2),)
-    lay5 = _layered(c5, 1)
-    plan5 = decode_plan(c5, lay5, {((0, 0), (v, 1)) for v in c5.vertices}, 3)
+    plan5 = decode_plan(c5, {(0, 0, v) for v in c5.vertices}, 3, 1)
     assert plan5.num_stacks == 3
     assert all(max_antichain(c5, s) == 1 for s in plan5.stacks)
 
 
 def test_decode_plan_rejects_bad_arcs(nested):
-    lay = _layered(nested, 2)
-    with pytest.raises(LayerConditionError):
-        decode_plan(nested, lay, {((0, 0), (1, 1))}, 1)  # vertex 2 never enters
-    with pytest.raises(LayerConditionError):
-        # vertex 2 hangs under a copy of 1 at the wrong layer
-        decode_plan(nested, lay, {((0, 0), (1, 1)), ((1, 2), (2, 3))}, 1)
+    three = normalize([(1, 8), (2, 7), (3, 6)])  # one nested chain
+    bad = [
+        (nested, {(0, 0, 1)}, 1, 2, "D0"),  # vertex 2 never enters
+        # copies of layers 0 and 1 both feed vertex 2
+        (nested, {(0, 0, 1), (0, 0, 2), (1, 1, 2)}, 2, 2, "D0"),
+        (nested, {(0, 0, 2), (2, 1, 1)}, 1, 2, "D0"),  # 2 does not contain 1
+        # vertex 3 hangs under copy (1, 2), but 1 entered at layer 1
+        (three, {(0, 0, 1), (0, 0, 2), (1, 2, 3)}, 2, 3, "D1"),
+        (nested, {(0, 1, 1), (1, 2, 2)}, 1, 3, "D1"),  # the root has no copy at layer 1
+        (three, {(0, 0, 1), (1, 1, 2), (2, 2, 3)}, 1, 2, "D1"),  # 3 enters above height 2
+    ]
+    for rep, arcs, c, height, condition in bad:
+        with pytest.raises(LayerConditionError) as err:
+            decode_plan(rep, arcs, c, height)
+        assert err.value.condition == condition, arcs
 
 
 def test_greedy_plan_is_feasible():
@@ -249,7 +261,7 @@ def test_greedy_plan_equals_the_trial_greedy(rep, height):
 def test_plan_arcs_decode_back_to_a_plan(rep, height):
     h = effective_height(rep, height)
     plan = greedy_stack_plan(rep, h)
-    decoded = decode_plan(rep, _layered(rep, h), plan_arcs(rep, plan), plan.num_stacks)
+    decoded = decode_plan(rep, plan_arcs(rep, plan), plan.num_stacks, h)
     check_plan(rep, decoded, h, plan.num_stacks)
 
 
@@ -287,4 +299,34 @@ def test_decode_plan_rejects_a_stack_over_capacity(nested, monkeypatch):
     # a root width of 3 is within c = 3; a stack of height 3 is not within 2
     monkeypatch.setattr(stowage, "max_antichain", lambda rep, subset: 3)
     with pytest.raises(CertificateError):
-        decode_plan(nested, _layered(nested, 2), {((0, 0), (1, 1)), ((1, 1), (2, 2))}, 3)
+        decode_plan(nested, {(0, 0, 1), (1, 1, 2)}, 3, 2)
+
+
+def _reference_arborescence(rep, coloring):
+    """Each vertex's parent is the inclusion-minimal same-colored interval
+    strictly containing it, or the root if there is none; a scan over all
+    pairs, O(n^2)."""
+    arcs = set()
+    for j in rep.vertices:
+        best = None
+        for i in rep.vertices:
+            if i != j and coloring.colors[i] == coloring.colors[j] and rep.contains(i, j):
+                if best is None or rep.contains(best, i):
+                    best = i
+        arcs.add((best if best is not None else ROOT, j))
+    return frozenset(arcs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=12), st.data())
+def test_arborescence_of_coloring_matches_the_pairwise_scan(rep, data):
+    order = data.draw(st.permutations(list(rep.vertices)))
+    height = data.draw(st.integers(1, rep.n))
+    plan = greedy_stack_plan(rep, height)
+    colorings = [
+        first_fit(build_graph(rep), order),
+        decode_arborescence(rep, {(0, v) for v in rep.vertices}, max_antichain(rep, rep.vertices)),
+        decode_arborescence(rep, {(i, j) for i, _, j in plan_arcs(rep, plan)}, plan.num_stacks),
+    ]
+    for coloring in colorings:
+        assert arborescence_of_coloring(rep, coloring) == _reference_arborescence(rep, coloring)
