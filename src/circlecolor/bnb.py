@@ -26,7 +26,7 @@ from .intervals import (  # noqa: F401
     build_graph,
     validate_coloring,
 )
-from .lpmodels import LpModel, arc_var, build_cg
+from .lpmodels import LpModel, build_cg
 from .mwis import decode_arborescence
 from .simplex import DEFAULT_OPTIONS, LpSolution, SimplexOptions, solve_lp
 # arborescence_of_coloring is not called here; perfbench/spans.py wraps it
@@ -39,7 +39,6 @@ from .stowage import (  # noqa: F401
     decode_plan,
     effective_height,
     greedy_stack_plan,
-    layer_var,
     plan_arcs,
 )
 
@@ -92,7 +91,8 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
     root LP passes it as root: it is counted as the first node and not
     solved again.
     """
-    assert model.sense == "min"
+    if model.sense != "min":
+        raise ValueError(f"solve_ip minimizes; model {model.name} is a {model.sense} model")
     opts = options or DEFAULT_OPTIONS
     int_names = [n for n in model.integer_var_names() if n not in no_branch]
     prio = priority or {}
@@ -155,12 +155,19 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
     return best_value, best_primal, nodes
 
 
-def _arcs_from_primal(primal, arc_map):
-    return {tuple(arc_map[name]) for name in arc_map if primal[name] > 0.5}
-
-
 # ---------------------------------------------------------------------------
 # the arborescence programs: CG for colors, CG_H for stacks
+
+def _start(rep: IntervalRep, model: LpModel, plan: StackPlan) -> dict:
+    """The point of a heuristic plan in the variables of CG or CG_H: its
+    arcs at 1 and c at its number of stacks.  A CG arc (i, j) is a layered
+    arc (i, h, j) with its layer dropped."""
+    held = plan_arcs(rep, plan)
+    held |= {(i, j) for i, _, j in held}
+    start = {name: 1.0 for name, arc in model.metadata["arcs"].items() if tuple(arc) in held}
+    start["c"] = plan.num_stacks
+    return start
+
 
 def _root_lp(model: LpModel, start: dict, opts: SimplexOptions, timings: dict) -> LpSolution:
     """The LP relaxation of CG or CG_H, crash-started from start, the
@@ -174,21 +181,26 @@ def _root_lp(model: LpModel, start: dict, opts: SimplexOptions, timings: dict) -
     return root
 
 
-def _solve(model: LpModel, start: dict, opts: SimplexOptions, timings: dict,
-           log=None, priority=None):
-    """Integer optimum of CG or CG_H, with the heuristic solution at start
-    (start["c"] colors) as the incumbent: the root LP, then
-    branch-and-bound unless the root is integral on the arcs.
+def _solve(rep: IntervalRep, model: LpModel, plan: StackPlan, decode,
+           options: SimplexOptions | None, timings: dict, log=None,
+           priority=None) -> SolveReport:
+    """The one answer path of CG and CG_H.
 
-    Returns (value, root LP value, primal-or-None, nodes); primal is None
-    when the heuristic solution is optimal, and nodes counts the root."""
+    The heuristic plan is the crash start and the incumbent: the root LP,
+    then branch-and-bound unless the root is integral on the arcs.  The
+    winning arcs, or the plan's own arcs when nothing beats it, go to
+    decode(arcs, value), which decodes and certifies them and returns
+    (coloring, plan-or-None) for the report; nodes counts the root."""
+    opts = options or DEFAULT_OPTIONS
+    arc_map = model.metadata["arcs"]
+    start = _start(rep, model, plan)
     root = _root_lp(model, start, opts, timings)
     t0 = time.perf_counter()
     if all(abs(root.primal[name] - round(root.primal[name])) <= opts.int_tol
-           for name in model.metadata["arcs"]):
-        value, primal, nodes = round(root.objective), root.primal, 1
+           for name in arc_map):
+        value, point, nodes = round(root.objective), root.primal, 1
     else:
-        value, primal, nodes = solve_ip(
+        value, point, nodes = solve_ip(
             model, opts,
             incumbent_value=start["c"],
             no_branch=frozenset(["c"]),
@@ -198,22 +210,33 @@ def _solve(model: LpModel, start: dict, opts: SimplexOptions, timings: dict,
         )
         nodes += 1  # the root LP above, which solve_ip counts once more
     timings["search"] = time.perf_counter() - t0
-    return int(value), root.objective, primal, nodes
+
+    t0 = time.perf_counter()
+    point = start if point is None else point
+    arcs = {tuple(arc) for name, arc in arc_map.items() if point.get(name, 0.0) > 0.5}
+    coloring, decoded = decode(arcs, value)
+    timings["decode"] = time.perf_counter() - t0
+    return SolveReport(
+        chromatic_number=value,
+        fractional_chromatic=root.objective,
+        root_gap=value - root.objective,
+        nodes_explored=nodes,
+        coloring=coloring,
+        timings=timings,
+        plan=decoded,
+    )
 
 
 def _build_cg(rep: IntervalRep, timings: dict):
-    """The CG program, and the arcs of greedy_stack_plan(rep, rep.n), a
-    stack plan with no binding height (first fit), as its start point."""
+    """The CG program, and greedy_stack_plan(rep, rep.n), a stack plan
+    with no binding height (first fit), as its start point."""
     t0 = time.perf_counter()
     dag = build_dag(rep)
     matrix = build_clique_matrix(rep)
     model = build_cg(rep, dag, matrix)
     plan = greedy_stack_plan(rep, rep.n)
-    ff_arcs = {(i, j) for i, _, j in plan_arcs(rep, plan)}
-    start = {arc_var(i, j): 1.0 for i, j in ff_arcs}
-    start["c"] = plan.num_stacks
     timings["build"] = time.perf_counter() - t0
-    return dag, model, ff_arcs, start
+    return dag, model, plan
 
 
 def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
@@ -224,8 +247,9 @@ def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
     Returns (dag, model, root); the build and root-LP seconds go into
     timings when it is given."""
     timings = {} if timings is None else timings
-    dag, model, _, start = _build_cg(rep, timings)
-    return dag, model, _root_lp(model, start, options or DEFAULT_OPTIONS, timings)
+    dag, model, plan = _build_cg(rep, timings)
+    return dag, model, _root_lp(model, _start(rep, model, plan),
+                                options or DEFAULT_OPTIONS, timings)
 
 
 def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
@@ -233,31 +257,21 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
     """Exact chromatic number with a decoded coloring certificate; the root
     LP value is the fractional chromatic number."""
     timings = {}
-    dag, model, ff_arcs, start = _build_cg(rep, timings)
-    arc_names = model.metadata["arcs"]
-    priority = {name: len(dag.children[ij[0]]) for name, ij in arc_names.items()}
-    chi, chi_f, primal, nodes = _solve(model, start, options or DEFAULT_OPTIONS, timings,
-                                       log, priority)
+    dag, model, plan = _build_cg(rep, timings)
+    priority = {name: len(dag.children[i]) for name, (i, _) in model.metadata["arcs"].items()}
 
-    t0 = time.perf_counter()
-    arcs = ff_arcs if primal is None else _arcs_from_primal(primal, arc_names)
-    coloring = decode_arborescence(rep, arcs, chi)
-    # the color classes 1..chi, as a plan with no binding height
-    classes = tuple(tuple(v for v in rep.vertices if coloring.colors.get(v) == c)
-                    for c in range(1, chi + 1))
-    try:
-        check_plan(rep, StackPlan(stacks=classes), rep.n, chi)
-    except CertificateError as exc:
-        raise CertificateError(f"decoded coloring is not a proper {chi}-coloring: {exc}") from None
-    timings["decode"] = time.perf_counter() - t0
-    return SolveReport(
-        chromatic_number=chi,
-        fractional_chromatic=chi_f,
-        root_gap=chi - chi_f,
-        nodes_explored=nodes,
-        coloring=coloring,
-        timings=timings,
-    )
+    def decode(arcs, chi):
+        coloring = decode_arborescence(rep, arcs, chi)
+        # the color classes 1..chi, as a plan with no binding height
+        classes = tuple(tuple(v for v in rep.vertices if coloring.colors.get(v) == c)
+                        for c in range(1, chi + 1))
+        try:
+            check_plan(rep, StackPlan(stacks=classes), rep.n, chi)
+        except CertificateError as exc:
+            raise CertificateError(f"decoded coloring is not a proper {chi}-coloring: {exc}") from None
+        return coloring, None
+
+    return _solve(rep, model, plan, decode, options, timings, log, priority)
 
 
 def solve_stacks(rep: IntervalRep, height: int,
@@ -270,24 +284,11 @@ def solve_stacks(rep: IntervalRep, height: int,
     h_eff = effective_height(rep, height)
     model = build_cgh(rep, dag, matrix, h_eff)
     greedy = greedy_stack_plan(rep, h_eff)
-    start = {layer_var(*arc): 1.0 for arc in plan_arcs(rep, greedy)}
-    start["c"] = greedy.num_stacks
     timings["build"] = time.perf_counter() - t0
-    value, frac, primal, nodes = _solve(model, start, options or DEFAULT_OPTIONS, timings, log)
 
-    t0 = time.perf_counter()
-    if primal is None:
-        plan = greedy
-    else:
-        plan = decode_plan(rep, _arcs_from_primal(primal, model.metadata["arcs"]), value, h_eff)
-    check_plan(rep, plan, h_eff, value)
-    timings["decode"] = time.perf_counter() - t0
-    return SolveReport(
-        chromatic_number=value,
-        fractional_chromatic=frac,
-        root_gap=value - frac,
-        nodes_explored=nodes,
-        coloring=Coloring(colors=plan.stack_of()),
-        timings=timings,
-        plan=plan,
-    )
+    def decode(arcs, value):
+        plan = decode_plan(rep, arcs, value, h_eff)
+        check_plan(rep, plan, h_eff, value)
+        return Coloring(colors=plan.stack_of()), plan
+
+    return _solve(rep, model, greedy, decode, options, timings, log)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OverBudgetError
+from .errors import NumericalFailureError, OverBudgetError
 from .intervals import CircleGraph, IntervalRep, max_antichain
 from .lpmodels import LpModel
 from .simplex import solve_lp
@@ -113,7 +113,8 @@ def all_independent_sets(graph: CircleGraph, budget: OracleBudget = DEFAULT_BUDG
     return out
 
 
-def _covering_lp(columns, n: int, relation: str) -> LpModel:
+def _cover_value(columns, n: int, relation: str) -> float:
+    """Optimum of the set-cover LP over the columns (vertex sets)."""
     model = LpModel(name="set_cover_lp", sense="min")
     for k in range(len(columns)):
         model.add_var(f"q_{k}", 0.0)
@@ -121,7 +122,10 @@ def _covering_lp(columns, n: int, relation: str) -> LpModel:
     for v in range(1, n + 1):
         coeffs = {f"q_{k}": 1.0 for k, col in enumerate(columns) if v in col}
         model.add_constraint(f"v_{v}", coeffs, relation, 1.0)
-    return model
+    sol = solve_lp(model)
+    if sol.status != "optimal":  # every vertex is in some column, so it is feasible
+        raise NumericalFailureError(f"{model.name} came back {sol.status}")
+    return sol.objective
 
 
 def fractional_chromatic_exact(graph: CircleGraph,
@@ -137,16 +141,11 @@ def fractional_chromatic_exact(graph: CircleGraph,
     if graph.n == 0:
         return 0.0
     if all_sets:
-        columns = all_independent_sets(graph, budget)
-        model = _covering_lp(columns, graph.n, "=")
-    else:
-        columns = maximal_independent_sets(graph)
-        if len(columns) > budget.max_independent_sets:
-            raise OverBudgetError("too many independent sets to enumerate")
-        model = _covering_lp(columns, graph.n, ">=")
-    sol = solve_lp(model)
-    assert sol.status == "optimal"
-    return sol.objective
+        return _cover_value(all_independent_sets(graph, budget), graph.n, "=")
+    columns = maximal_independent_sets(graph)
+    if len(columns) > budget.max_independent_sets:
+        raise OverBudgetError("too many independent sets to enumerate")
+    return _cover_value(columns, graph.n, ">=")
 
 
 def mwis_exact(graph: CircleGraph, weights,
@@ -217,8 +216,4 @@ def stacks_lp_exact(rep: IntervalRep, graph: CircleGraph, height: int,
                     budget: OracleBudget = DEFAULT_BUDGET) -> float:
     """LP relaxation of the exact stack partition (equality set-cover over
     every admissible independent set)."""
-    columns = admissible_sets(rep, graph, height, budget)
-    model = _covering_lp(columns, rep.n, "=")
-    sol = solve_lp(model)
-    assert sol.status == "optimal"
-    return sol.objective
+    return _cover_value(admissible_sets(rep, graph, height, budget), rep.n, "=")

@@ -6,17 +6,19 @@ from hypothesis import given, settings
 from strategies import interval_reps
 
 from circlecolor import bnb, intervals, stowage
-from circlecolor.bnb import cg_root, first_fit, solve_chromatic, solve_stacks
+from circlecolor.bnb import cg_root, first_fit, solve_chromatic, solve_ip, solve_stacks
 from circlecolor.errors import CertificateError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
     Coloring,
+    build_clique_matrix,
+    build_dag,
     build_graph,
     normalize,
     topological_order,
     validate_coloring,
 )
-from circlecolor.lpmodels import LpModel
+from circlecolor.lpmodels import LpModel, build_fcp
 from circlecolor.oracle import chromatic_exact, fractional_chromatic_exact
 from circlecolor.stowage import (
     arborescence_of_coloring,
@@ -191,6 +193,13 @@ def test_solves_make_no_relaxed_copy(c5, monkeypatch):
     monkeypatch.setattr(LpModel, "relaxed", None)
     assert solve_chromatic(c5).nodes_explored > 1
     assert solve_stacks(c5, 2).nodes_explored > 1
+
+
+def test_solve_ip_rejects_a_max_model(c5):
+    # FCP maximizes; solve_ip must refuse it, also under -O
+    fcp = build_fcp(c5, build_dag(c5), build_clique_matrix(c5))
+    with pytest.raises(ValueError, match="max model"):
+        solve_ip(fcp)
 
 
 def test_cg_root_is_the_fractional_chromatic_number(c5, monkeypatch):

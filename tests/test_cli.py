@@ -294,3 +294,24 @@ def test_corrupted_decode_fails_under_optimize():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: decoded coloring")
+
+
+CORRUPT_PLAN = """
+import sys
+from circlecolor import bnb
+from circlecolor.cli import main
+from circlecolor.stowage import StackPlan
+assert sys.flags.optimize == 1
+corrupt = StackPlan(stacks=((1, 2), (3, 4), (5,)))  # 1 and 2 overlap
+bnb.decode_plan = lambda *args: corrupt
+bnb.greedy_stack_plan = lambda rep, height: corrupt
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_corrupted_plan_fails_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_PLAN, "stacks", C5_FILE,
+                           "--height", "2"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: stack (1, 2) holds overlapping 1 and 2"), proc.stderr

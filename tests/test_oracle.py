@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from circlecolor.errors import OverBudgetError
+from circlecolor import oracle
+from circlecolor.errors import NumericalFailureError, OverBudgetError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import build_graph, normalize
 from circlecolor.oracle import (
@@ -13,7 +14,9 @@ from circlecolor.oracle import (
     max_clique_exact,
     mwis_exact,
     stacks_exact,
+    stacks_lp_exact,
 )
+from circlecolor.simplex import LpSolution
 
 
 def test_chromatic_examples(c5_graph, p3):
@@ -62,6 +65,16 @@ def test_maximal_vs_all_sets_lp_agree():
         a = fractional_chromatic_exact(g)
         b = fractional_chromatic_exact(g, all_sets=True)
         assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_a_cover_lp_that_fails_is_a_typed_error(c5, c5_graph, monkeypatch):
+    # a typed error, not an assert, so that it holds under -O
+    monkeypatch.setattr(oracle, "solve_lp", lambda model: LpSolution("infeasible", None))
+    for call in (lambda: fractional_chromatic_exact(c5_graph),
+                 lambda: fractional_chromatic_exact(c5_graph, all_sets=True),
+                 lambda: stacks_lp_exact(c5, c5_graph, 2)):
+        with pytest.raises(NumericalFailureError):
+            call()
 
 
 def test_sandwich_chain():

@@ -8,7 +8,12 @@ from strategies import interval_reps
 
 from circlecolor import bnb, stowage
 from circlecolor.bnb import first_fit, solve_chromatic, solve_ip, solve_stacks
-from circlecolor.errors import CertificateError, InvalidHeightError, LayerConditionError
+from circlecolor.errors import (
+    CertificateError,
+    ChainConditionError,
+    InvalidHeightError,
+    LayerConditionError,
+)
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
     ROOT,
@@ -215,6 +220,11 @@ def test_decode_plan_rejects_bad_arcs(nested):
         with pytest.raises(LayerConditionError) as err:
             decode_plan(rep, arcs, c, height)
         assert err.value.condition == condition, arcs
+    # the children of copy (1, 1) overlap: C1 of decode_arborescence is the
+    # chain half of D1
+    crossing = normalize([(1, 10), (2, 5), (3, 7)])
+    with pytest.raises(ChainConditionError):
+        decode_plan(crossing, {(0, 0, 1), (1, 1, 2), (1, 1, 3)}, 1, 2)
 
 
 def test_greedy_plan_is_feasible():
@@ -261,8 +271,8 @@ def test_greedy_plan_equals_the_trial_greedy(rep, height):
 def test_plan_arcs_decode_back_to_a_plan(rep, height):
     h = effective_height(rep, height)
     plan = greedy_stack_plan(rep, h)
-    decoded = decode_plan(rep, plan_arcs(rep, plan), plan.num_stacks, h)
-    check_plan(rep, decoded, h, plan.num_stacks)
+    # the solver decodes the greedy plan's arcs when nothing beats it
+    assert decode_plan(rep, plan_arcs(rep, plan), plan.num_stacks, h) == plan
 
 
 def test_plan_format(nested):
@@ -295,11 +305,13 @@ def test_solve_stacks_rejects_a_corrupted_decode(c5, monkeypatch):
         solve_stacks(c5, 2)
 
 
-def test_decode_plan_rejects_a_stack_over_capacity(nested, monkeypatch):
-    # a root width of 3 is within c = 3; a stack of height 3 is not within 2
-    monkeypatch.setattr(stowage, "max_antichain", lambda rep, subset: 3)
-    with pytest.raises(CertificateError):
-        decode_plan(nested, {(0, 0, 1), (1, 1, 2)}, 3, 2)
+def test_solve_stacks_certifies_the_stack_height(monkeypatch):
+    # decode_plan leaves a stack's height to check_plan; three disjoint
+    # intervals make one stack longer than the height 1
+    three = normalize([(1, 2), (3, 4), (5, 6)])
+    monkeypatch.setattr(stowage, "max_antichain", lambda rep, subset: 2)
+    with pytest.raises(CertificateError, match="exceeds the capacity 1"):
+        solve_stacks(three, 1)
 
 
 def _reference_arborescence(rep, coloring):
