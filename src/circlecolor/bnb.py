@@ -90,6 +90,12 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
     as solve_lp reads bounds only.  A caller that has already solved the
     root LP passes it as root: it is counted as the first node and not
     solved again.
+
+    A child's LP resumes from its parent's final tableau (solve_lp's warm
+    restart).  Only the heap entries pushed since the last pop keep their
+    LP solution for their children; a pop drops the others', whose
+    children are then solved cold.  Best-bound search with depth-first ties
+    nearly always pops one of the two children just pushed.
     """
     if model.sense != "min":
         raise ValueError(f"solve_ip minimizes; model {model.name} is a {model.sense} model")
@@ -114,17 +120,19 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
     nodes = 0
     seq = 0
     heap = []
+    kept = {}  # seq -> LpSolution of the entries pushed since the last pop
 
-    def evaluate(fixings, depth, sol=None):
+    def evaluate(fixings, depth, sol=None, parent=None):
         nonlocal nodes, best_value, best_primal, seq
         nodes += 1
         if sol is None:
-            sol = solve_lp(model, opts, bound_overrides=fixings or None)
+            sol = solve_lp(model, opts, bound_overrides=fixings or None, warm=parent)
         if sol.status != "optimal":
             return
         bound = _node_bound(sol.objective, model.integral_objective, opts.int_tol)
         if log:
-            log(f"node depth={depth} bound={bound:g} incumbent={best_value:g}")
+            log(f"node depth={depth} bound={bound:g} incumbent={best_value:g} "
+                f"pivots={sol.iterations}")
         if bound >= best_value - (0 if model.integral_objective else opts.int_tol):
             return
         branch_var = fractional(sol.primal)
@@ -136,10 +144,13 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
             return
         seq += 1
         heappush(heap, (bound, -depth, seq, fixings, branch_var, sol.primal[branch_var]))
+        kept[seq] = sol
 
     evaluate({}, 0, root)
     while heap:
-        bound, negdepth, _, fixings, branch_var, frac_val = heappop(heap)
+        bound, negdepth, popped, fixings, branch_var, frac_val = heappop(heap)
+        parent = kept.pop(popped, None)
+        kept.clear()
         if bound >= best_value:
             continue
         depth = -negdepth
@@ -148,8 +159,8 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
         down[branch_var] = (olo, math.floor(frac_val))
         up = dict(fixings)
         up[branch_var] = (math.ceil(frac_val), ohi)
-        evaluate(down, depth + 1)
-        evaluate(up, depth + 1)
+        evaluate(down, depth + 1, parent=parent)
+        evaluate(up, depth + 1, parent=parent)
     if math.isinf(best_value) or (incumbent_value is None and best_primal is None):
         raise InfeasibleModelError(f"model {model.name} has no integer solution")
     return best_value, best_primal, nodes

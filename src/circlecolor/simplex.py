@@ -1,4 +1,5 @@
-"""Dense two-phase primal simplex with implicit variable bounds.
+"""Dense two-phase primal simplex with implicit variable bounds, and a
+dual simplex that resumes a solved tableau after its bounds tighten.
 
 Solves the continuous models built in lpmodels (integrality is ignored;
 callers relax explicitly).  Devex pricing (Harris, "Pivot selection
@@ -36,6 +37,32 @@ left in the basis are fixed at 0.  If the start is infeasible, or some
 column finds no such row (always so when the point is no vertex), the
 tableau is built again and the two-phase method runs as it does without a start.  Crash
 pivots count in `iterations`; a dropped start's do not.
+
+Warm restart (branch-and-bound children; Koberstein, *The dual simplex
+method, techniques for a fast and stable implementation*, PhD thesis,
+Paderborn 2005, ch. 3): solve_lp(warm=parent) resumes from a copy of the
+parent's final tableau, whose cost row is still dual feasible after bounds
+tighten.  A column whose bounds move is shifted, T[:, -1] -= a * T[:, p],
+basic or not, with a = the move of its lower bound (of its upper bound
+when it is complemented); its new lower bound goes into a per-variable
+offset for the read-out, and a fixed column stays in the tableau with
+upper bound 0 and never enters.  The artificials are fixed at 0 and a
+dual simplex restores feasibility:
+
+- the row with the largest bound violation leaves; a basic variable above
+  its upper bound is complemented first, so it leaves at 0;
+- the bound-flipping ratio test picks the entering column: a boxed column
+  whose breakpoint the dual step passes flips to its upper bound while the
+  leaving row stays infeasible, and the column that would make it
+  feasible enters;
+- after m + (columns that may enter) dual-degenerate pivots the leaving
+  row and the entering column are chosen by lowest index (Bland);
+- when no column can enter, the node is infeasible.
+
+Phase 2 then runs once to clean up, and the answer is checked against the
+model in O(nnz): every row and bound within the feasibility tolerance.  A
+bound that would loosen, a moved bound on a free or mirrored column, or a
+failed check solves the node from scratch instead.
 
 Dual sign convention: for a minimization problem the returned row duals
 satisfy y >= 0 on '>=' rows, y <= 0 on '<=' rows, free on '='; signs flip
@@ -79,6 +106,8 @@ class LpSolution:
     primal: dict = field(default_factory=dict)
     dual: dict = field(default_factory=dict)
     iterations: int = 0
+    # the final tableau of an optimal solve, which solve_lp(warm=...) resumes
+    tableau: _Tableau | None = field(default=None, repr=False, compare=False)
 
 
 # Devex weights only grow; past this bound they are reset to 1 before
@@ -102,17 +131,45 @@ class _Standardized:
         self.col = np.full(n_var, -1, dtype=np.int64)
         self.sign = np.ones(n_var)
         self.free = np.zeros(n_var, dtype=bool)
+        self.lo = self.hi = None  # per variable: its bounds with the overrides
         self.upper = []      # per column: finite upper bound or INF
         self.origin = None   # per row: index of its model constraint
         self.rel = None      # per row: relation code
         self.rhs = None      # per row: right-hand side
         self.entries = None  # (row, column, value) arrays of A
+        self.model_rows = None  # (row, variable, value, relation, rhs) of the model
+        # set by _solve_cold: per-row signs, each row's unit column, the
+        # columns that may enter, the objective's sign and the feasibility
+        # tolerance
+        self.sgn = self.unit_col = None
+        self.n_enter = 0
+        self.sense_mul = 1.0
+        self.tol = 0.0
+
+
+@dataclass(eq=False)
+class _Tableau:
+    """A solved tableau, kept on its LpSolution for a warm restart.
+
+    offset is std.offset with the lower bounds a restart moved into it, and
+    lo and hi are the variables' bounds with the overrides in effect."""
+    model: LpModel
+    std: _Standardized
+    T: np.ndarray
+    basis: np.ndarray
+    upper: np.ndarray
+    flipped: np.ndarray
+    offset: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    overrides: dict
 
 
 def _standardize(model: LpModel, overrides, feas_tol):
     """Standard form of the model, or None when some variable's bounds, or
     some constraint left without a column, cannot hold."""
     std = _Standardized(len(model.variables))
+    los, his = [], []
     for k, v in enumerate(model.variables):
         lo, hi = v.lower, v.upper
         if overrides and v.name in overrides:
@@ -120,6 +177,8 @@ def _standardize(model: LpModel, overrides, feas_tol):
             lo, hi = max(lo, olo), min(hi, ohi)
         if lo > hi + feas_tol:
             return None  # contradictory bounds
+        los.append(lo)
+        his.append(hi)
         if hi - lo <= feas_tol and hi < INF:
             std.offset[k] = lo
             continue
@@ -134,6 +193,7 @@ def _standardize(model: LpModel, overrides, feas_tol):
             std.offset[k] = hi
             std.sign[k] = -1.0
             std.upper.append(INF)
+    std.lo, std.hi = np.array(los, dtype=float), np.array(his, dtype=float)
 
     index = model._index
     row, var, val = [], [], []
@@ -147,6 +207,7 @@ def _standardize(model: LpModel, overrides, feas_tol):
     n_con = len(model.constraints)
     rel = np.array([_RELATION[con.relation] for con in model.constraints], dtype=np.int64)
     rhs = np.array([con.rhs for con in model.constraints], dtype=float)
+    std.model_rows = (row, var, val, rel, rhs.copy())
     rhs -= np.bincount(row, weights=val * std.offset[var], minlength=n_con)
     live = std.col[var] >= 0
     kept = np.bincount(row[live], minlength=n_con) > 0
@@ -200,20 +261,26 @@ def _optimize(T, basis, n_enter, m, upper, flipped, opts):
     rhs = T[:m, -1]
     upper_basic = upper[basis]
     ratios = np.empty(m)
+    # a column fixed at 0 never enters: its flips would have zero length
+    fixed = np.flatnonzero(upper[:n_enter] <= 0.0)
     # Devex reference weights: the entering column maximizes d_j^2 / w_j
     weight = np.ones(n_enter)
     score = np.empty(n_enter)
     while True:
+        price = cost
+        if fixed.size:
+            price = cost.copy()
+            price[fixed] = 0.0
         if degenerate <= bland_after:
-            np.minimum(cost, 0.0, out=score)
+            np.minimum(price, 0.0, out=score)
             score *= score
             score /= weight
             j = int(score.argmax())
-            if cost[j] >= -opts.opt_tol:  # only columns within tolerance left
-                j = int(cost.argmin())
+            if price[j] >= -opts.opt_tol:  # only columns within tolerance left
+                j = int(price.argmin())
         else:
-            j = int((cost < -opts.opt_tol).argmax())
-        if cost[j] >= -opts.opt_tol:
+            j = int((price < -opts.opt_tol).argmax())
+        if price[j] >= -opts.opt_tol:
             return "optimal", iters
         col = T[:m, j]
         # a basic variable falls to 0 where col > 0 and rises to its upper
@@ -257,6 +324,158 @@ def _optimize(T, basis, n_enter, m, upper, flipped, opts):
         iters += 1
         if iters + flips > opts.max_iter:
             raise NumericalFailureError(f"simplex exceeded {opts.max_iter} iterations")
+
+
+def _dual(T, basis, n_enter, m, upper, flipped, tol, opts):
+    """Dual simplex from a dual feasible cost row (the warm restart in the
+    module docstring) until every basic variable is within its bounds.
+
+    Returns ('optimal' | 'infeasible', pivots); 'optimal' means primal
+    feasible, with the cost row still dual feasible.
+    """
+    rhs = T[:m, -1]
+    cost = T[m, :n_enter]
+    iters = 0
+    degenerate = 0
+    bland_after = m + n_enter
+    while True:
+        bland = degenerate >= bland_after
+        above = rhs - upper[basis]
+        violation = np.maximum(-rhs, above)
+        rows = (violation > tol).nonzero()[0]
+        if not rows.size:
+            return "optimal", iters
+        # the largest violation leaves, or under Bland the lowest basis index
+        r = int(rows[basis[rows].argmin()] if bland else violation.argmax())
+        if above[r] > 0.0:  # above its upper bound: leave at 0 as x' = u - x
+            _complement(T, int(basis[r]), upper, flipped)
+            T[r] *= -1.0
+        # row r's basic variable, rhs[r] < 0, rises with every column whose
+        # alpha is negative; the dual step stops at their ratios d_j / -alpha_j
+        alpha = T[r, :n_enter]
+        cand = ((alpha < -opts.pivot_tol) & (upper[:n_enter] > 0.0)).nonzero()[0]
+        step = -alpha[cand]
+        ratio = np.maximum(cost[cand], 0.0) / step
+        order = np.argsort(ratio, kind="stable") if bland else np.lexsort((-step, ratio))
+        # bound flipping: a boxed column passed by the dual step flips to
+        # its upper bound while row r stays below 0 by more than tol
+        slope = -rhs[r]
+        flips = []
+        q = -1
+        for k in order.tolist():
+            j = int(cand[k])
+            if step[k] * upper[j] >= slope - tol:
+                q = j
+                break
+            slope -= step[k] * upper[j]
+            flips.append(j)
+        if flips:
+            T[:, -1] -= T[:, flips] @ upper[flips]
+            T[:, flips] *= -1.0
+            flipped[flips] = ~flipped[flips]
+        if q < 0:  # even with every column at its best bound row r fails
+            return "infeasible", iters
+        if ratio[k] <= opts.opt_tol:
+            degenerate += 1
+        _pivot(T, r, q)
+        basis[r] = q
+        iters += 1
+        if iters > opts.max_iter:
+            raise NumericalFailureError(f"dual simplex exceeded {opts.max_iter} iterations")
+
+
+def _resume(model: LpModel, prev: _Tableau, overrides: dict, opts: SimplexOptions):
+    """Resume from prev, the tableau of an earlier solve of the same model,
+    with the bounds in overrides (the warm restart in the module docstring).
+
+    Returns (solution or None, pivots); None when a bound would loosen, a
+    free or mirrored column's bound moves, or the answer fails _certify."""
+    std = prev.std
+    if prev.model is not model or not prev.overrides.keys() <= overrides.keys():
+        return None, 0
+    T, basis, upper, flipped = prev.T.copy(), prev.basis.copy(), prev.upper.copy(), prev.flipped.copy()
+    offset, lo, hi = prev.offset.copy(), prev.lo.copy(), prev.hi.copy()
+    for name, (olo, ohi) in overrides.items():
+        k = model._index[name]
+        var = model.variables[k]
+        low, high = max(var.lower, olo), min(var.upper, ohi)
+        if low < lo[k] or high > hi[k]:
+            return None, 0
+        if low > high + opts.feas_tol:
+            return LpSolution(status="infeasible", objective=None), 0
+        if low == lo[k] and high == hi[k]:
+            continue
+        lo[k], hi[k] = low, high
+        p = std.col[k]
+        if p < 0:  # fixed when the tableau was built, and kept within feas_tol
+            continue
+        if std.free[k] or std.sign[k] < 0:
+            return None, 0
+        u = high - low if high - low > opts.feas_tol else 0.0
+        # the column's value moves by shift: from its lower bound, or from
+        # its upper bound when it is complemented
+        shift = offset[k] + upper[p] - (low + u) if flipped[p] else low - offset[k]
+        if shift:
+            T[:, -1] -= shift * T[:, p]
+        offset[k] = low
+        upper[p] = u
+    m = len(basis)
+    upper[std.n_enter:] = 0.0  # artificials
+    status, pivots = _dual(T, basis, std.n_enter, m, upper, flipped, std.tol, opts)
+    if status == "infeasible":
+        return LpSolution(status="infeasible", objective=None, iterations=pivots), pivots
+    status, more = _optimize(T, basis, std.n_enter, m, upper, flipped, opts)
+    pivots += more
+    if status != "optimal":
+        return None, pivots
+    tab = _Tableau(model, std, T, basis, upper, flipped, offset, lo, hi, dict(overrides))
+    values = _values(tab)
+    if not _certify(tab, values):
+        return None, pivots
+    return _solution(tab, values, pivots), pivots
+
+
+def _values(tab: _Tableau) -> np.ndarray:
+    """The model variables' values at the tableau's basic solution."""
+    std, T, upper, flipped, basis = tab.std, tab.T, tab.upper, tab.flipped, tab.basis
+    m = len(basis)
+    # x[-1] = 0 stands in for the column a fixed variable does not have
+    x = np.append(np.where(flipped, upper, 0.0), 0.0)
+    x[basis] = np.where(flipped[basis], upper[basis] - T[:m, -1], T[:m, -1])
+    values = tab.offset + std.sign * x[std.col]
+    values[std.free] -= x[std.col[std.free] + 1]
+    return values
+
+
+def _certify(tab: _Tableau, values: np.ndarray) -> bool:
+    """Whether values meet every model row and bound within the solve's
+    feasibility tolerance, in O(nnz)."""
+    row, var, val, rel, rhs = tab.std.model_rows
+    tol = tab.std.tol
+    gap = np.bincount(row, weights=val * values[var], minlength=len(rhs)) - rhs
+    bad = np.where(rel > 0, gap > tol, np.where(rel < 0, gap < -tol, np.abs(gap) > tol))
+    return not bad.any() and bool((values >= tab.lo - tol).all() and (values <= tab.hi + tol).all())
+
+
+def _solution(tab: _Tableau, values: np.ndarray, iterations: int) -> LpSolution:
+    """The optimal LpSolution read off a final tableau."""
+    model, std = tab.model, tab.std
+    primal = dict(zip(model.var_names, values.tolist()))
+    objective = sum(coef * primal[name] for name, coef in model.objective.items())
+    dual = {con.name: 0.0 for con in model.constraints}
+    # a resume may complement an artificial, which negates its cost entry
+    d = tab.T[len(tab.basis), std.unit_col]
+    y = np.where(tab.flipped[std.unit_col], d, -d) * std.sgn * std.sense_mul
+    for r, val in zip(std.origin.tolist(), y.tolist()):
+        dual[model.constraints[r].name] = val
+    return LpSolution(
+        status="optimal",
+        objective=float(objective),
+        primal=primal,
+        dual=dual,
+        iterations=iterations,
+        tableau=tab,
+    )
 
 
 def _start_columns(model: LpModel, std: _Standardized, start: dict) -> np.ndarray | None:
@@ -313,7 +532,8 @@ def _crash(T, basis, upper, flipped, x, rel, slack_col, n_enter, tol, opts):
 
 
 def solve_lp(model: LpModel, options: SimplexOptions | None = None,
-             bound_overrides: dict | None = None, start: dict | None = None) -> LpSolution:
+             bound_overrides: dict | None = None, start: dict | None = None,
+             warm: LpSolution | None = None) -> LpSolution:
     """Solve the continuous model; integrality markers are ignored.
 
     bound_overrides maps variable names to (lower, upper) pairs tightened
@@ -321,9 +541,25 @@ def solve_lp(model: LpModel, options: SimplexOptions | None = None,
     maps variable names to a feasible point (unnamed variables are 0); the
     solve then begins from a basis whose basic solution is that point and
     skips phase 1.  An infeasible start, or one the crash cannot turn into
-    a basis, is dropped and the model is solved from scratch.
+    a basis, is dropped and the model is solved from scratch.  warm is an
+    earlier optimal solution of this model whose overrides bound_overrides
+    only tightens; the solve resumes from its final tableau, which is left
+    as it was (the warm restart in the module docstring).  Pivots of a
+    resume that falls back to the cold solve count in `iterations`.
     """
     opts = options or DEFAULT_OPTIONS
+    resumed = 0
+    if warm is not None and warm.tableau is not None:
+        sol, resumed = _resume(model, warm.tableau, bound_overrides or {}, opts)
+        if sol is not None:
+            return sol
+    sol = _solve_cold(model, opts, bound_overrides, start)
+    sol.iterations += resumed
+    return sol
+
+
+def _solve_cold(model: LpModel, opts: SimplexOptions, bound_overrides, start) -> LpSolution:
+    """solve_lp from a fresh tableau: crash or two phases."""
     std = _standardize(model, bound_overrides, opts.feas_tol)
     if std is None:
         return LpSolution(status="infeasible", objective=None)
@@ -371,6 +607,7 @@ def solve_lp(model: LpModel, options: SimplexOptions | None = None,
     T, basis, upper, flipped = tableau()
     b_max = float(np.abs(T[:m, -1]).max(initial=0.0))
     tol = opts.feas_tol * max(1.0, b_max)
+    std.sgn, std.unit_col, std.n_enter, std.sense_mul, std.tol = sgn, unit_col, n_enter, sense_mul, tol
     x = None if start is None else _start_columns(model, std, start)
     crash = None if x is None else _crash(T, basis, upper, flipped, x, rel, slack_col,
                                           n_enter, tol, opts)
@@ -409,24 +646,6 @@ def solve_lp(model: LpModel, options: SimplexOptions | None = None,
     iterations += it2
     if status == "unbounded":
         return LpSolution(status="unbounded", objective=None, iterations=iterations)
-
-    # x[-1] = 0 stands in for the column a fixed variable does not have
-    x = np.append(np.where(flipped, upper, 0.0), 0.0)
-    x[basis] = np.where(flipped[basis], upper[basis] - T[:m, -1], T[:m, -1])
-    values = std.offset + std.sign * x[std.col]
-    values[std.free] -= x[std.col[std.free] + 1]
-    primal = dict(zip(model.var_names, values.tolist()))
-    objective = sum(coef * primal[name] for name, coef in model.objective.items())
-
-    dual = {con.name: 0.0 for con in model.constraints}
-    y = -T[m, unit_col] * sgn * sense_mul
-    for r, val in zip(std.origin.tolist(), y.tolist()):
-        dual[model.constraints[r].name] = val
-
-    return LpSolution(
-        status="optimal",
-        objective=float(objective),
-        primal=primal,
-        dual=dual,
-        iterations=iterations,
-    )
+    tab = _Tableau(model, std, T, basis, upper, flipped, std.offset, std.lo, std.hi,
+                   dict(bound_overrides or {}))
+    return _solution(tab, _values(tab), iterations)

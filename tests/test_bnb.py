@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import interval_reps
 
-from circlecolor import bnb, intervals, stowage
+from circlecolor import bnb, intervals, simplex, stowage
 from circlecolor.bnb import cg_root, first_fit, solve_chromatic, solve_ip, solve_stacks
 from circlecolor.errors import CertificateError
 from circlecolor.instances import generate_one
@@ -20,6 +20,7 @@ from circlecolor.intervals import (
 )
 from circlecolor.lpmodels import LpModel, build_fcp
 from circlecolor.oracle import chromatic_exact, fractional_chromatic_exact
+from circlecolor.simplex import SimplexOptions
 from circlecolor.stowage import (
     arborescence_of_coloring,
     greedy_stack_plan,
@@ -225,3 +226,96 @@ def test_roots_start_from_the_heuristic_solutions(c5, monkeypatch):
     # the greedy plan at height 2 stacks 1 3 | 5 2 | 4 the same way
     assert starts[1] == {"x_0.0_1": 1.0, "x_0.0_3": 1.0, "x_0.0_5": 1.0, "x_5.1_2": 1.0,
                          "x_0.0_4": 1.0, "c": 3}
+
+
+def _dual_objective(model, sol, overrides):
+    """y'b plus each reduced cost times the bound it points at, with the
+    overrides in effect (a min model)."""
+    bounds = {v.name: (v.lower, v.upper) for v in model.variables}
+    for name, (lo, hi) in overrides.items():
+        bounds[name] = (max(bounds[name][0], lo), min(bounds[name][1], hi))
+    reduced = dict(model.objective)
+    value = 0.0
+    for r in model.constraints:
+        y = sol.dual[r.name]
+        value += y * r.rhs
+        for name, c in r.coeffs.items():
+            reduced[name] = reduced.get(name, 0.0) - y * c
+    for name, z in reduced.items():
+        if abs(z) > 1e-12:  # c has no upper bound
+            value += z * bounds[name][1 if z < 0 else 0]
+    return value
+
+
+def _check_node_lps(monkeypatch):
+    """From here on every node LP is also solved cold and must agree in
+    status and objective; it must find its parent's tableau kept, resume
+    without falling back, and return duals that close the duality gap.
+    Returns the list the node statuses go to."""
+    nodes = []
+    real_solve_lp, real_resume = bnb.solve_lp, simplex._resume
+
+    def node_lp(model, opts=None, **kw):
+        sol = real_solve_lp(model, opts, **kw)
+        if "warm" in kw:  # a node LP; the root starts from a point instead
+            assert kw["warm"] is not None and kw["warm"].tableau is not None
+            cold = real_solve_lp(model, opts, bound_overrides=kw["bound_overrides"])
+            assert sol.status == cold.status
+            if cold.status == "optimal":
+                assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert _dual_objective(model, sol, kw["bound_overrides"]) == pytest.approx(
+                    sol.objective, abs=1e-9)
+            nodes.append(sol.status)
+        return sol
+
+    def resume(*args):
+        sol, pivots = real_resume(*args)
+        assert sol is not None, "the resume fell back to the cold solve"
+        return sol, pivots
+
+    monkeypatch.setattr(bnb, "solve_lp", node_lp)
+    monkeypatch.setattr(simplex, "_resume", resume)
+    return nodes
+
+
+def test_warm_node_lps_match_the_cold_solve_on_stacks(monkeypatch):
+    nodes = _check_node_lps(monkeypatch)
+    for k in range(100):
+        rep = generate_one(16, 9103, k)
+        for height in (2, 3):
+            solve_stacks(rep, height)
+    assert len(nodes) > 50
+
+
+def test_warm_node_lps_match_the_cold_solve_on_colors(monkeypatch):
+    nodes = _check_node_lps(monkeypatch)
+    for k in range(100):
+        solve_chromatic(generate_one(22, 9101, k))
+    assert len(nodes) > 10
+
+
+def test_fixed_columns_never_enter_after_a_warm_restart(monkeypatch):
+    # a column fixed by a branch is excluded from the dual ratio test, so
+    # its reduced cost may turn negative; phase 2 must not enter it, as its
+    # zero-length flips would reset the degeneracy count and let Devex
+    # cycle.  On these three instances a node's phase 2 meets such a column
+    depth = [0]
+    optimize, complement = simplex._optimize, simplex._complement
+
+    def in_phase2(*args):
+        depth[0] += 1
+        try:
+            return optimize(*args)
+        finally:
+            depth[0] -= 1
+
+    def flip(T, col, upper, flipped):
+        assert not (depth[0] and upper[col] == 0.0), f"phase 2 entered the fixed column {col}"
+        complement(T, col, upper, flipped)
+
+    monkeypatch.setattr(simplex, "_optimize", in_phase2)
+    monkeypatch.setattr(simplex, "_complement", flip)
+    report = solve_stacks(generate_one(16, 42, 1207), 3, SimplexOptions(max_iter=5000))
+    assert report.chromatic_number == 5
+    for k in (368, 1045):
+        solve_stacks(generate_one(16, 42, k), 3)

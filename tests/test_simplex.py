@@ -525,3 +525,66 @@ def test_devex_weights_stay_finite():
         sol = solve_lp(model)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1021 / 113, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# warm restart
+
+
+def test_warm_restart_flips_bounds_in_the_dual_ratio_test():
+    # the root rests at x1 = x2 = 1 with x3 = 0.5 basic; fixing x1 and x2 at
+    # 0 lifts x3 to 2.5.  The dual step passes x4's breakpoint, so x4 flips
+    # to 1 and x5 enters at 0.5: one pivot, where a ratio test without
+    # flips enters x4 first and needs a second pivot to take it out again
+    m = _model()
+    for j in range(1, 6):
+        m.add_var(f"x{j}", 0.0, 1.0)
+    m.objective = {f"x{j}": float(j) for j in range(1, 6)}
+    m.add_constraint("r", {f"x{j}": 1.0 for j in range(1, 6)}, ">=", 2.5)
+    root = solve_lp(m)
+    assert root.primal == pytest.approx({"x1": 1.0, "x2": 1.0, "x3": 0.5, "x4": 0.0, "x5": 0.0})
+    fixings = {"x1": (0.0, 0.0), "x2": (0.0, 0.0)}
+    with mock.patch.object(simplex, "_solve_cold", side_effect=AssertionError("solved cold")):
+        sol = solve_lp(m, bound_overrides=fixings, warm=root)
+    assert sol.iterations == 1
+    assert sol.primal == pytest.approx({"x1": 0.0, "x2": 0.0, "x3": 1.0, "x4": 1.0, "x5": 0.5})
+    assert sol.objective == pytest.approx(solve_lp(m, bound_overrides=fixings).objective, abs=1e-9)
+    assert sol.dual["r"] == pytest.approx(5.0)
+    # the root's tableau is left as it was
+    assert solve_lp(m, bound_overrides={"x1": (0.0, 0.0)}, warm=root).objective == pytest.approx(7.0)
+
+
+def test_warm_child_with_a_failing_parent_row_is_infeasible():
+    # fixing every arc into vertex j but one, then that one, leaves its
+    # parent row with no column: the resumed child is infeasible, as cold
+    rep = generate_one(12, 9103, 3)
+    model = build_cg(rep, build_dag(rep), build_clique_matrix(rep))
+    j = max(rep.vertices, key=lambda v: sum(1 for a in model.metadata["arcs"].values() if a[1] == v))
+    into = [name for name, arc in model.metadata["arcs"].items() if arc[1] == j]
+    assert len(into) >= 2
+    parent_fix = {name: (0.0, 0.0) for name in into[:-1]}
+    child_fix = {name: (0.0, 0.0) for name in into}
+    parent = solve_lp(model, bound_overrides=parent_fix, warm=solve_lp(model))
+    assert parent.status == "optimal"
+    assert solve_lp(model, bound_overrides=child_fix).status == "infeasible"
+    with mock.patch.object(simplex, "_solve_cold", side_effect=AssertionError("solved cold")):
+        assert solve_lp(model, bound_overrides=child_fix, warm=parent).status == "infeasible"
+
+
+def test_warm_restart_falls_back_when_a_bound_loosens():
+    m = _model("max")
+    m.add_var("x", 0.0, 1.0)
+    m.add_var("y", 0.0, 1.0)
+    m.objective = {"x": 2.0, "y": 1.0}
+    m.add_constraint("r", {"x": 1.0, "y": 1.0}, "<=", 1.5)
+    fixed = solve_lp(m, bound_overrides={"x": (0.0, 0.0)})
+    assert fixed.primal == pytest.approx({"x": 0.0, "y": 1.0})
+    # an override the tableau holds is dropped or widened: solved cold
+    for overrides in ({}, {"y": (0.0, 1.0)}, {"x": (0.0, 1.0)}):
+        sol = solve_lp(m, bound_overrides=overrides, warm=fixed)
+        assert sol.primal == pytest.approx({"x": 1.0, "y": 0.5}), overrides
+    # a tableau of another model is not resumed
+    other = _model("max")
+    other.add_var("x", 0.0, 1.0)
+    other.objective = {"x": 1.0}
+    assert solve_lp(other, warm=fixed).primal == {"x": 1.0}
