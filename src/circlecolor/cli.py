@@ -47,10 +47,13 @@ from .lpmodels import (
 from .mwis import solve_mwis
 from .oracle import (
     DEFAULT_BUDGET,
+    STACKS_MAX_N,
     chromatic_exact,
     fractional_chromatic_exact,
     max_clique_exact,
     mwis_exact,
+    stacks_exact,
+    stacks_lp_exact,
 )
 from .simplex import SimplexOptions
 from .stowage import build_cgh, effective_height, greedy_stack_plan
@@ -291,6 +294,17 @@ def cmd_verify(args) -> int:
         brute = mwis_exact(graph, weights)
         if abs(value - brute) > 1e-6:
             failures.append(f"trial {k}: mwis {value} != oracle {brute}")
+        if n <= STACKS_MAX_N:
+            height = 1 + k % 3
+            stacks = solve_stacks(rep, height, opts)
+            exact = stacks_exact(rep, graph, height)
+            if stacks.chromatic_number != exact:
+                failures.append(f"trial {k}: stacks {stacks.chromatic_number} != oracle {exact}"
+                                f" at H = {height}")
+            lp = stacks_lp_exact(rep, graph, height)
+            if abs(stacks.fractional_chromatic - lp) > 1e-6:
+                failures.append(f"trial {k}: stacks LP {stacks.fractional_chromatic} != oracle {lp}"
+                                f" at H = {height}")
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
     if failures:

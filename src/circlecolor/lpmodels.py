@@ -57,6 +57,10 @@ class LpModel:
     # set by builders whose integer optimum is always integral, so a
     # branch-and-bound may round LP bounds up
     integral_objective: bool = False
+    # indices of constraints that other constraints and the variable bounds
+    # imply; the simplex leaves them out of its tableau, and every writer
+    # and certificate check still sees them
+    implied: set = field(default_factory=set)
 
     def __post_init__(self):
         self._index = {v.name: k for k, v in enumerate(self.variables)}
@@ -73,12 +77,14 @@ class LpModel:
         self.variables.append(Variable(name, lower, upper, kind))
         return name
 
-    def add_constraint(self, name, coeffs, relation, rhs):
+    def add_constraint(self, name, coeffs, relation, rhs, implied=False):
         if relation not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {relation}")
         for var in coeffs:
             if var not in self._index:
                 raise ValueError(f"constraint {name} references unknown variable {var}")
+        if implied:
+            self.implied.add(len(self.constraints))
         self.constraints.append(Constraint(name, dict(coeffs), relation, float(rhs)))
 
     def var(self, name) -> Variable:
@@ -100,6 +106,7 @@ class LpModel:
             constraints=[Constraint(c.name, dict(c.coeffs), c.relation, c.rhs) for c in self.constraints],
             metadata=dict(self.metadata, relaxed=True),
             integral_objective=self.integral_objective,
+            implied=set(self.implied),
         )
 
     def integer_var_names(self) -> list:
@@ -113,28 +120,50 @@ def arc_var(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
-def _cover_rows(col_rows, names) -> dict:
+def _cover_rows(col_rows, names) -> tuple[dict, set]:
     """Row index -> {names[j]: 1.0} over the vertices j of names with a
     nonzero in that row, rows ascending and vertices in the order of
-    names; col_rows is CliqueMatrix.rows.  O(nnz) plus sorting
-    the rows."""
+    names; col_rows is CliqueMatrix.rows.  Also returns the implied rows:
+    each one's set lies inside a kept row's set, so with the names >= 0 a
+    bound on the kept row's sum bounds its sum too.
+
+    The ranges are intervals, so a row is kept, in one sweep, iff some
+    range ends there and some range started since the last kept row; the
+    kept rows are the distinct maximal sets, at most one per range
+    (Fulkerson & Gross, "Incidence matrices and interval graphs", Pacific
+    J. Math. 15, 1965).  A row where no range ends lies inside the next
+    row, and one where nothing started since the last kept row lies
+    inside that row.  O(nnz) plus sorting the rows."""
     rows = {}
     for j, name in names.items():
         for r in col_rows[j]:
             rows.setdefault(r, {})[name] = 1.0
-    return {r: rows[r] for r in sorted(rows)}
+    rows = {r: rows[r] for r in sorted(rows)}
+    starts = {col_rows[j].start for j in names}
+    ends = {col_rows[j].stop - 1 for j in names}
+    implied = set()
+    started = False
+    for r in rows:
+        started = started or r in starts
+        if started and r in ends:
+            started = False
+        else:
+            implied.add(r)
+    return rows, implied
 
 
 def _add_root_rows(model: LpModel, matrix: CliqueMatrix, names) -> None:
     """Add the integer objective c and, for every sweep point, a root_p row:
-    the root arcs of names (vertex -> arc name) covering it sum to <= c."""
+    the root arcs of names (vertex -> arc name) covering it sum to <= c.
+    A row with no root arc, -c <= 0, is implied by c >= 0."""
     model.add_var("c", 0.0, INF, INTEGER)
     model.objective = {"c": 1.0}
-    root_rows = _cover_rows(matrix.rows, names)
+    root_rows, implied = _cover_rows(matrix.rows, names)
     for r in range(len(matrix.points)):
         coeffs = root_rows.get(r, {})
         coeffs["c"] = -1.0
-        model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0)
+        model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0,
+                             implied=r in implied or r not in root_rows)
 
 
 def _add_charges(model: LpModel, i: int, kids, matrix: CliqueMatrix) -> dict:
@@ -160,8 +189,10 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpM
         arc_map[name] = [i, j]
     _add_root_rows(model, matrix, {j: arc_var(ROOT, j) for j in dag.children[ROOT]})
     for i in sorted(dag.branching):
-        for r, coeffs in _cover_rows(matrix.rows, {j: arc_var(i, j) for j in dag.children[i]}).items():
-            model.add_constraint(f"chain_{i}_p{matrix.points[r]}", coeffs, "<=", 1.0)
+        rows, implied = _cover_rows(matrix.rows, {j: arc_var(i, j) for j in dag.children[i]})
+        for r, coeffs in rows.items():
+            model.add_constraint(f"chain_{i}_p{matrix.points[r]}", coeffs, "<=", 1.0,
+                                 implied=r in implied)
     parent_rows = {j: {} for j in rep.vertices}
     for name, (i, j) in arc_map.items():
         parent_rows[j][name] = 1.0
@@ -188,8 +219,9 @@ def build_lc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix
     for j in kids:
         model.add_var(arc_var(i, j), 0.0, INF, CONTINUOUS)
     model.objective = {arc_var(i, j): float(values[j]) for j in kids}
-    for r, coeffs in _cover_rows(matrix.rows, {j: arc_var(i, j) for j in kids}).items():
-        model.add_constraint(f"p{matrix.points[r]}", coeffs, "<=", 1.0)
+    rows, implied = _cover_rows(matrix.rows, {j: arc_var(i, j) for j in kids})
+    for r, coeffs in rows.items():
+        model.add_constraint(f"p{matrix.points[r]}", coeffs, "<=", 1.0, implied=r in implied)
     model.metadata = {"formulation": "LC", "vertex": i}
     return model
 

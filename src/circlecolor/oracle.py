@@ -23,6 +23,10 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
+# the stack oracles enumerate vertex subsets with a height test each, so
+# they stop at fewer vertices than the others
+STACKS_MAX_N = 8
+
 
 def _check_budget(n: int, budget: OracleBudget, cap=None):
     limit = budget.max_vertices if cap is None else min(budget.max_vertices, cap)
@@ -165,7 +169,7 @@ def stacks_exact(rep: IntervalRep, graph: CircleGraph, height: int,
                  budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Exact minimum number of independent sets of height <= `height`
     covering all vertices, by set-cover DP over vertex bitmasks."""
-    _check_budget(rep.n, budget, cap=8)
+    _check_budget(rep.n, budget, cap=STACKS_MAX_N)
     n = rep.n
     adj_masks = _adjacency_masks(graph)
     admissible = []
@@ -200,7 +204,7 @@ def stacks_exact(rep: IntervalRep, graph: CircleGraph, height: int,
 def admissible_sets(rep: IntervalRep, graph: CircleGraph, height: int,
                     budget: OracleBudget = DEFAULT_BUDGET) -> list:
     """Every nonempty independent set of height <= `height`, as tuples."""
-    _check_budget(rep.n, budget, cap=8)
+    _check_budget(rep.n, budget, cap=STACKS_MAX_N)
     adj_masks = _adjacency_masks(graph)
     out = []
     for mask in range(1, 1 << rep.n):

@@ -64,6 +64,19 @@ model in O(nnz): every row and bound within the feasibility tolerance.  A
 bound that would loosen, a moved bound on a free or mirrored column, or a
 failed check solves the node from scratch instead.
 
+Implied rows: LpModel.implied lists the constraints that the others and
+the variable bounds imply.  In CG, CG_H and LC these are the sweep rows
+whose arc set lies inside another row of the same child set with the same
+other terms and right-hand side, so the tableau keeps one row per distinct
+maximal clique of each child set instead of one per sweep point.
+_standardize leaves them and their entries out of the tableau (after the
+check of constraints on fixed variables only, which needs every row), and
+their duals are 0, which keeps the duals optimal for the whole model.
+Every optimal answer, cold or resumed, is checked against every model row,
+implied ones included, and every bound (_certify, O(nnz)); a cold answer
+that fails raises NumericalFailureError, as does a phase 1, bounded below
+by 0, that comes back unbounded.
+
 Dual sign convention: for a minimization problem the returned row duals
 satisfy y >= 0 on '>=' rows, y <= 0 on '<=' rows, free on '='; signs flip
 for maximization.  They are read from the phase-2 cost row under each
@@ -123,7 +136,7 @@ class _Standardized:
 
     Model variable k is offset[k] + sign[k] * x[col[k]], less x[col[k] + 1]
     when it is free; a fixed variable has col -1 and equals its offset.
-    Only constraints that keep a column become rows.
+    Only constraints that keep a column and are not implied become rows.
     """
 
     def __init__(self, n_var):
@@ -214,6 +227,9 @@ def _standardize(model: LpModel, overrides, feas_tol):
     for r in np.flatnonzero(~kept):
         if (rel[r] >= 0 and rhs[r] < -feas_tol) or (rel[r] <= 0 and rhs[r] > feas_tol):
             return None  # a constraint on fixed variables only fails
+    if model.implied:  # implied rows and their entries stay out
+        kept[list(model.implied)] = False
+        live &= kept[row]
     std.origin = np.flatnonzero(kept)
     std.rel = rel[kept]
     std.rhs = rhs[kept]
@@ -620,6 +636,8 @@ def _solve_cold(model: LpModel, opts: SimplexOptions, bound_overrides, start) ->
         T[m] -= T[art_rows].sum(axis=0)
         status, it1 = _optimize(T, basis, n_enter, m, upper, flipped, opts)
         iterations += it1
+        if status != "optimal":  # phase 1 is bounded below by 0
+            raise NumericalFailureError(f"phase 1 of {model.name} came back {status}")
         phase1 = -T[m, -1]
         if phase1 > tol:
             return LpSolution(status="infeasible", objective=None, iterations=iterations)
@@ -648,4 +666,7 @@ def _solve_cold(model: LpModel, opts: SimplexOptions, bound_overrides, start) ->
         return LpSolution(status="unbounded", objective=None, iterations=iterations)
     tab = _Tableau(model, std, T, basis, upper, flipped, std.offset, std.lo, std.hi,
                    dict(bound_overrides or {}))
-    return _solution(tab, _values(tab), iterations)
+    values = _values(tab)
+    if not _certify(tab, values):
+        raise NumericalFailureError(f"{model.name}: the optimal basis fails a row or bound")
+    return _solution(tab, values, iterations)

@@ -71,9 +71,11 @@ def build_cgh(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
         for h in range(1, height):
             inflow = dict.fromkeys(into.get((i, h), ()), -1.0)
             names = {j: layer_var(i, h, j) for j in dag.children[i]}
-            for r, coeffs in _cover_rows(matrix.rows, names).items():
+            rows, implied = _cover_rows(matrix.rows, names)
+            for r, coeffs in rows.items():
                 coeffs.update(inflow)
-                model.add_constraint(f"chain_{i}.{h}_p{matrix.points[r]}", coeffs, "<=", 0.0)
+                model.add_constraint(f"chain_{i}.{h}_p{matrix.points[r]}", coeffs, "<=", 0.0,
+                                     implied=r in implied)
     for j in rep.vertices:
         coeffs = {name: 1.0 for h in range(1, height + 1) for name in into.get((j, h), ())}
         model.add_constraint(f"enter_{j}", coeffs, "=", 1.0)

@@ -106,6 +106,13 @@ def test_root_lp_is_fractional_chromatic():
         assert report.fractional_chromatic == pytest.approx(want, abs=1e-6), k
 
 
+def test_cg_root_at_n80_solves_on_the_maximal_rows():
+    # with every sweep row in it the tableau had 1,991 constraint rows
+    _, model, root = cg_root(generate_one(80, 6001, 0))
+    assert root.objective == pytest.approx(11.0, abs=1e-9)
+    assert len(root.tableau.basis) <= 500 < len(model.constraints)
+
+
 def test_report_invariants():
     rng = np.random.default_rng(43)
     for k in range(25):

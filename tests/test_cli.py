@@ -111,6 +111,17 @@ def test_verify_checks_omega(capsys, monkeypatch):
     assert "FAIL trial 0: omega " in capsys.readouterr().err
 
 
+def test_verify_checks_stacks(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "stacks_exact", lambda rep, graph, height: rep.n + 1)
+    run_cli(["verify", "--n-max", "4", "--trials", "2", "--seed", "3"], expect=3)
+    err = capsys.readouterr().err
+    assert "FAIL trial 0: stacks " in err and " at H = 1" in err and "stacks LP" not in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "stacks_lp_exact", lambda rep, graph, height: rep.n + 0.5)
+    run_cli(["verify", "--n-max", "4", "--trials", "2", "--seed", "3"], expect=3)
+    assert "FAIL trial 1: stacks LP " in capsys.readouterr().err
+
+
 def test_bench_csv_shape():
     out = run_cli(["bench", "--n", "3,4", "--samples", "4", "--seed", "2"])
     lines = out.strip().splitlines()

@@ -10,6 +10,7 @@ from circlecolor.bnb import first_fit, solve_ip
 from circlecolor.errors import VertexNotBranchingError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
+    ROOT,
     build_clique_matrix,
     build_dag,
     build_graph,
@@ -61,6 +62,58 @@ def test_cg_c5_shape_and_relaxation(c5):
     assert len(model.variables) == 8  # 7 arcs + c
     sol = solve_lp(model.relaxed())
     assert sol.objective == pytest.approx(2.5, abs=1e-6)
+
+
+def _sweep_families(model):
+    """The sweep rows of a model by family (root_p*, chain_i_p*,
+    chain_i.h_p*, or LC's p*): family -> {constraint index: (arc set,
+    other terms, rhs)}, the arcs being the terms with coefficient 1."""
+    families = {}
+    for r, con in enumerate(model.constraints):
+        family, sep, point = con.name.rpartition("p")
+        if sep and point.isdigit():
+            arcs = frozenset(name for name, coef in con.coeffs.items() if coef == 1.0)
+            other = {name: coef for name, coef in con.coeffs.items() if coef != 1.0}
+            families.setdefault(family, {})[r] = (arcs, other, con.rhs)
+    return families
+
+
+@settings(max_examples=80, deadline=None)
+@given(interval_reps(max_n=14))
+def test_implied_rows_are_the_dominated_sweep_rows(rep):
+    dag, m = _core(rep)
+    models = [build_cg(rep, dag, m)] + [build_cgh(rep, dag, m, h) for h in (1, 2, 3)]
+    models += [build_lc(i, rep, dag, m, {j: 1.0 for j in rep.vertices})
+               for i in [ROOT] + sorted(dag.branching)]
+    for model in models:
+        families = _sweep_families(model)
+        assert model.implied <= {r for rows in families.values() for r in rows}, model.name
+        for family, rows in families.items():
+            # pairwise: a set is maximal when no other row's set strictly holds it
+            maximal = {a for a, _, _ in rows.values() if not any(a < b for b, _, _ in rows.values())}
+            kept = [rows[r][0] for r in rows if r not in model.implied]
+            assert len(set(kept)) == len(kept) and set(kept) == maximal, (model.name, family)
+            for r in rows.keys() & model.implied:
+                arcs, other, rhs = rows[r]
+                assert any(arcs <= rows[k][0] and (other, rhs) == rows[k][1:]
+                           for k in rows if k not in model.implied), (model.name, r)
+
+
+def test_c5_implied_rows(c5):
+    dag, m = _core(c5)
+
+    def implied(model):
+        return sorted(model.constraints[r].name for r in model.implied)
+
+    cg = build_cg(c5, dag, m)
+    assert implied(cg) == ["chain_5_p3", "chain_5_p7", "root_p1", "root_p2"]
+    assert implied(build_cgh(c5, dag, m, 1)) == ["root_p1", "root_p2"]
+    assert implied(build_cgh(c5, dag, m, 2)) == ["chain_5.1_p3", "chain_5.1_p7", "root_p1", "root_p2"]
+    # a relaxed copy keeps the marks; the writers write every row and the
+    # parsers mark none
+    assert cg.relaxed().implied == cg.implied
+    for back in (parse_lp_text(write_lp_text(cg)), parse_mps(write_mps(cg))):
+        assert len(back.constraints) == len(cg.constraints) and not back.implied
 
 
 def test_cg_p3_integer_optimum(p3):

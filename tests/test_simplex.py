@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from strategies import interval_reps
 
 from circlecolor import simplex
+from circlecolor.errors import NumericalFailureError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import build_clique_matrix, build_dag
 from circlecolor.lpmodels import (
@@ -335,8 +336,8 @@ def test_bound_overrides_tighten_unit_interval():
 
 def test_tableau_duals_match_basis_solve(monkeypatch):
     """The duals read off the cost row equal B^-T c_B for the final basis
-    B, and with the bound duals from the reduced costs they close the
-    duality gap."""
+    B of the tableau rows, implied rows' duals are 0, and with the bound
+    duals from the reduced costs they close the duality gap."""
     seen = {}
     orig = simplex._optimize
 
@@ -358,7 +359,9 @@ def test_tableau_duals_match_basis_solve(monkeypatch):
         c[:len(model.variables)] = [model.objective.get(v.name, 0.0) for v in model.variables]
         y_ref = np.linalg.solve(A[:, basis].T, c[basis])
         y = np.array([sol.dual[r.name] for r in model.constraints])
-        assert np.abs(y - y_ref).max() <= 1e-9, k
+        tableau_rows = [r for r in range(len(y)) if r not in model.implied]
+        assert np.abs(y[tableau_rows] - y_ref).max() <= 1e-9, k
+        assert not y[sorted(model.implied)].any(), k
         # strong duality: y'b plus u times each negative reduced cost
         dual_obj = sum(y[i] * r.rhs for i, r in enumerate(model.constraints))
         reduced = dict(model.objective)
@@ -588,3 +591,55 @@ def test_warm_restart_falls_back_when_a_bound_loosens():
     other.add_var("x", 0.0, 1.0)
     other.objective = {"x": 1.0}
     assert solve_lp(other, warm=fixed).primal == {"x": 1.0}
+
+
+# ---------------------------------------------------------------------------
+# implied rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_reps(max_n=12))
+def test_implied_rows_leave_the_lp_value_as_it_is(rep):
+    dag, matrix = build_dag(rep), build_clique_matrix(rep)
+    models = [build_cg(rep, dag, matrix)] + [build_cgh(rep, dag, matrix, h) for h in (1, 2, 3)]
+    models += [build_lc(i, rep, dag, matrix, {j: float(j % 3) for j in rep.vertices})
+               for i in [0] + sorted(dag.branching)]
+    for model in models:
+        sol = solve_lp(model)
+        assert len(sol.tableau.basis) <= len(model.constraints) - len(model.implied), model.name
+        assert not any(sol.dual[model.constraints[r].name] for r in model.implied), model.name
+        every_row = model.relaxed()
+        every_row.implied.clear()
+        full = solve_lp(every_row)
+        assert len(full.tableau.basis) == len(model.constraints), model.name
+        assert sol.objective == pytest.approx(full.objective, abs=1e-9), model.name
+
+
+def test_a_binding_row_marked_implied_fails_the_certificate(c5):
+    # chain_5_p5 is maximal and binding (dual -1/2); without it the LP
+    # drops below 2.5 and its optimum breaks the row
+    model = build_cg(c5, build_dag(c5), build_clique_matrix(c5))
+    assert solve_lp(model).dual["chain_5_p5"] == pytest.approx(-0.5)
+    model.implied.add(next(r for r, con in enumerate(model.constraints) if con.name == "chain_5_p5"))
+    with pytest.raises(NumericalFailureError, match="fails a row or bound"):
+        solve_lp(model)
+
+
+def test_phase_one_that_comes_back_unbounded_raises(monkeypatch):
+    # phase 1 is bounded below by 0, so "unbounded" there is numerical
+    # trouble, not an answer to go on from
+    m = _model()
+    m.add_var("x", 0.0, INF)
+    m.objective = {"x": 1.0}
+    m.add_constraint("r", {"x": 1.0}, ">=", 1.0)
+    orig = simplex._optimize
+    calls = []
+
+    def first_unbounded(*args):
+        calls.append(args)
+        return ("unbounded", 0) if len(calls) == 1 else orig(*args)
+
+    monkeypatch.setattr(simplex, "_optimize", first_unbounded)
+    with pytest.raises(NumericalFailureError, match="phase 1"):
+        solve_lp(m)
+    assert len(calls) == 1
