@@ -266,6 +266,10 @@ def cmd_bench(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    failed = sum(row.failures for row in rows)
+    if failed:
+        print(f"error: {failed} of {args.samples * len(rows)} instances failed", file=sys.stderr)
+        return SOLVER_ERROR
     return 0
 
 

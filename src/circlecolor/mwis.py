@@ -3,15 +3,16 @@
 On a circle graph the maximal intervals of an independent set form a
 pairwise-disjoint chain, and the vertices hiding underneath a chosen
 interval again form an independent set of the sub-instance it contains.
-That nesting gives a label recursion: process vertices innermost-first,
-labelling each branching vertex with its own weight plus the best chain of
-labels among the intervals it contains; the root label is the optimum.
-Negative weights are allowed, so the empty chain (value 0) is always a
-candidate.
+That nesting gives a label recursion: each vertex is labelled with its own
+weight plus the best chain of labels among the intervals it contains; the
+root label is the optimum.  Negative weights are allowed, so the empty
+chain (value 0) is always a candidate.
 
-Cost: the containment DAG comes from an endpoint sweep, O(n + m + sum of
-k) for m edges and k children per vertex, and each chain step is a
-bisection over its candidates, O(sum of k log k) over the recursion.
+Cost: solve_mwis evaluates the recursion in one sweep over the 2n
+endpoints (after Supowit, "Finding a maximum planar subset of a set of
+nets in a channel", IEEE TCAD 6(1), 1987): O(n) vector steps of length
+O(n) each, so O(n^2) work, and O(n * depth) live floats for a nesting
+depth `depth`.  No containment DAG is built.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     AntichainBoundError,
+    CertificateError,
     ChainConditionError,
     NotArborescenceError,
 )
@@ -28,7 +32,6 @@ from .intervals import (
     ROOT,
     Coloring,
     IntervalRep,
-    build_dag,
     max_antichain,
     topological_order,
 )
@@ -74,29 +77,84 @@ def solve_mwis(rep: IntervalRep, weights) -> tuple[float, DpLabels, frozenset]:
     weights maps vertex -> real (0 is implied for the root).  Returns
     (value, labels, witness set).  The value is always >= 0: the empty set
     is independent.
+
+    One sweep over the endpoints 1..2n.  With vertices ranked by left
+    endpoint (topological_order), row[k] holds the best chain among the
+    intervals closed so far whose rank is >= k; a vertex ranked k - 1
+    contains exactly those closed before its right endpoint, so row[k]
+    there is its chain term.  Each vertex keeps the row prefix it saw at
+    its left endpoint (the best chains ending before it starts) and, when
+    it closes, offers itself to every container at once.  A row is never
+    written in place, so a kept prefix is a view, not a copy.  Strict
+    comparison keeps the first maximizer in right-endpoint order, so each
+    label is the float that max_weight_chain over the vertex's contents
+    would give, and the witness is the chains it would choose.
     """
-    dag_children = build_dag(rep).children
     order = topological_order(rep)
-    ell = {}
-    chosen_chain = {}
-    for i in reversed(order):
-        kids = dag_children[i]
-        if kids:
-            val, chain = max_weight_chain(rep, kids, ell)
-            ell[i] = weights[i] + val
-            chosen_chain[i] = chain
+    rank = {v: k for k, v in enumerate(order)}
+    at = [ROOT] * (2 * rep.n)  # at[p - 1]: the vertex with an endpoint at p
+    for v in rep.vertices:
+        at[rep.left[v] - 1] = at[rep.right[v] - 1] = v
+    row = np.zeros(rep.n + 1)
+    kept, ell, took = {}, {}, {}
+    closed_left = 0  # largest left endpoint among the closed intervals
+    for p, v in enumerate(at, start=1):
+        if p == rep.left[v]:
+            kept[v] = row[:rank[v] + 1]
+            continue
+        k = rank[v]
+        if closed_left > rep.left[v]:  # some closed interval sits inside v
+            ell[v] = weights[v] + float(row[k + 1])
         else:
-            ell[i] = weights[i]
-            chosen_chain[i] = []
-    root_val, root_chain = max_weight_chain(rep, dag_children[ROOT], ell)
-    ell[ROOT] = root_val
+            ell[v] = weights[v]
+        closed_left = max(closed_left, rep.left[v])
+        cand = kept.pop(v) + float(ell[v])
+        took[v] = mask = cand > row[:k + 1]
+        if mask.any():
+            row = row.copy()
+            np.copyto(row[:k + 1], cand, where=mask)
+    labels = {v: ell[v] for v in reversed(order)}
+    labels[ROOT] = float(row[0])
+    witness = _trace_witness(rep, at, rank, took)
+    check_independent(rep, witness)
+    return labels[ROOT], DpLabels(ell=labels), witness
+
+
+def _trace_witness(rep: IntervalRep, at, rank, took) -> frozenset:
+    """The chains solve_mwis chose, read back from its masks.
+
+    The holder of row[k] just after endpoint p is the last vertex of rank
+    >= k closing at or before p that set row[k]; its chain goes on with the
+    holder of row[k] before it opened, and inside it with the holder of
+    row[rank + 1] before it closed, found between its two endpoints.
+    """
     witness = set()
-    stack = list(root_chain)
-    while stack:
-        v = stack.pop()
-        witness.add(v)
-        stack.extend(chosen_chain[v])
-    return root_val, DpLabels(ell=ell), frozenset(witness)
+    pending = [(0, 2 * rep.n, 0)]  # (k, last endpoint, endpoint to stop at)
+    while pending:
+        k, p, stop = pending.pop()
+        while p > stop:
+            v = at[p - 1]
+            if p == rep.right[v] and rank[v] >= k and took[v][k]:
+                witness.add(v)
+                pending.append((rank[v] + 1, p - 1, rep.left[v]))
+                p = rep.left[v]
+            p -= 1
+    return frozenset(witness)
+
+
+def check_independent(rep: IntervalRep, vertices) -> None:
+    """Raise CertificateError unless no two of the vertices overlap.
+
+    Independent intervals are laminar, so a sweep over their endpoints
+    closes the most recently opened one first: O(k log k).
+    """
+    ends = sorted((p, v) for v in vertices for p in rep.interval(v))
+    open_ = []
+    for p, v in ends:
+        if p == rep.left[v]:
+            open_.append(v)
+        elif (u := open_.pop()) != v:  # u opened after v and is still open
+            raise CertificateError(f"independent set holds overlapping {v} and {u}")
 
 
 def chain_partition(rep: IntervalRep, subset) -> list[list[int]]:

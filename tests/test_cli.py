@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from circlecolor import bnb, cli
+import pytest
+
+from circlecolor import bnb, cli, instances
 from circlecolor.cli import main
+from circlecolor.errors import NumericalFailureError
 from circlecolor.intervals import parse_instance
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -128,6 +131,18 @@ def test_bench_csv_shape():
     assert lines[0] == "|V|,|E|,Ours,# ω = χ,# χ_f = χ,max. χ - χ_f"
     assert len(lines) == 3
     assert lines[1].startswith("3,") and lines[2].startswith("4,")
+
+
+def test_bench_reports_failed_solves(capsys, monkeypatch):
+    def fail(rep, options=None):
+        raise NumericalFailureError("no progress")
+
+    monkeypatch.setattr(instances, "solve_chromatic", fail)
+    with pytest.warns(UserWarning, match="failed: no progress"):
+        out = run_cli(["bench", "--n", "3,4", "--samples", "2", "--seed", "2"], expect=3)
+    assert out.splitlines()[0] == "|V|,|E|,Ours,# ω = χ,# χ_f = χ,max. χ - χ_f"
+    assert len(out.splitlines()) == 3
+    assert capsys.readouterr().err == "error: 4 of 4 instances failed\n"
 
 
 def test_solve_writes_certificate(tmp_path):
@@ -326,3 +341,21 @@ def test_corrupted_plan_fails_under_optimize():
                            "--height", "2"], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: stack (1, 2) holds overlapping 1 and 2"), proc.stderr
+
+
+CORRUPT_WITNESS = """
+import sys
+from circlecolor import mwis
+from circlecolor.cli import main
+assert sys.flags.optimize == 1
+mwis._trace_witness = lambda *args: frozenset({1, 2})  # 1 and 2 overlap
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_corrupted_mwis_witness_fails_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_WITNESS, "mwis", C5_FILE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "error: independent set holds overlapping 1 and 2\n", proc.stderr

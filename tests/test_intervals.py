@@ -26,6 +26,7 @@ from circlecolor.intervals import (
     topological_order,
     validate_coloring,
 )
+from circlecolor.mwis import solve_mwis
 
 
 def test_normalize_sequence_example():
@@ -115,6 +116,27 @@ def test_instance_round_trip(c5):
         parse_instance("2\n1 2\n")
     with pytest.raises(InstanceFormatError):
         parse_instance("x\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=20))
+def test_format_then_parse_is_the_identity(rep):
+    assert parse_instance(format_instance(rep)) == rep
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=20), st.integers(1, 9), st.integers(-50, 50), st.data())
+def test_order_preserving_rescaling_changes_nothing(rep, scale, shift, data):
+    def rescaled(a, b):
+        # endpoints given right first, as raw input may be
+        return normalize([(a * rep.right[v] + b, a * rep.left[v] + b) for v in rep.vertices])
+
+    assert rescaled(3, 7) == rep
+    again = rescaled(scale, shift)
+    assert again == rep
+    weights = {v: data.draw(st.integers(-3, 3)) for v in rep.vertices}
+    value, _, chosen = solve_mwis(rep, weights)
+    assert solve_mwis(again, weights)[::2] == (value, chosen)
 
 
 def test_parse_instance_comments():

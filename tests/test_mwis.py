@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import interval_reps
 
-from circlecolor.errors import ChainConditionError, NotArborescenceError
+from circlecolor.errors import CertificateError, ChainConditionError, NotArborescenceError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
     ROOT,
@@ -16,6 +16,7 @@ from circlecolor.intervals import (
 )
 from circlecolor.mwis import (
     chain_partition,
+    check_independent,
     decode_arborescence,
     max_weight_chain,
     solve_mwis,
@@ -119,6 +120,39 @@ def test_solve_mwis_matches_reference_label_dp(data):
     ref_value, ref_ell, ref_chosen = _solve_mwis_reference(rep, weights)
     assert (value, labels.ell, chosen) == (ref_value, ref_ell, ref_chosen)
     assert [type(labels.ell[v]) for v in labels.ell] == [type(ref_ell[v]) for v in labels.ell]
+
+
+WEIGHT_KINDS = {
+    "int": lambda rng: int(rng.integers(-5, 6)),
+    "real": lambda rng: float(rng.uniform(-3, 3)),
+    "ones": lambda rng: 1.0,
+    "minus_ones": lambda rng: -1.0,
+    "int_zeros": lambda rng: 0,
+}
+
+
+@pytest.mark.parametrize("n", [50, 120, 400])
+def test_solve_mwis_matches_reference_at_benchmark_size(n):
+    # the hypothesis test above stops at n <= 24; deep nesting needs larger n
+    for k in range(6):
+        rep = generate_one(n, 31, k)
+        for kind, weight in WEIGHT_KINDS.items():
+            rng = np.random.default_rng([n, k])
+            weights = {v: weight(rng) for v in rep.vertices}
+            value, labels, chosen = solve_mwis(rep, weights)
+            ref_value, ref_ell, ref_chosen = _solve_mwis_reference(rep, weights)
+            assert (value, chosen) == (ref_value, ref_chosen), (n, k, kind)
+            assert labels.ell == ref_ell, (n, k, kind)
+            assert list(labels.ell) == list(ref_ell), (n, k, kind)
+            assert [type(x) for x in labels.ell.values()] == \
+                [type(x) for x in ref_ell.values()], (n, k, kind)
+
+
+def test_check_independent_rejects_the_crossing_pair(c5):
+    with pytest.raises(CertificateError, match="overlapping 1 and 2"):
+        check_independent(c5, {1, 2})
+    check_independent(c5, {5, 3})  # I(5) contains I(3)
+    check_independent(c5, set())
 
 
 def test_solve_mwis_negative_single():
