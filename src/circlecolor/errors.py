@@ -74,6 +74,11 @@ class NumericalFailureError(CircleColorError):
     """Raised when the simplex solver cannot make progress within tolerance."""
 
 
+class TableauTooLargeError(CircleColorError):
+    """Raised before the simplex allocates a tableau larger than
+    SimplexOptions.max_tableau_bytes."""
+
+
 class InfeasibleModelError(CircleColorError):
     """Raised when an integer solve proves the model infeasible."""
 

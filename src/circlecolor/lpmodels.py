@@ -6,13 +6,35 @@ fractional coloring program (FCP), the classical and representative
 baseline colorings (CL, AS), and the layered stack program (CG_H, built in
 the stowage module on top of this one).  Models can be written as LP text
 or fixed MPS and re-read (our own dialect only).
+
+An LpModel is arrays, and the simplex and both writers read them as they
+are:
+
+- variables: `var_names`, with `lower`, `upper` and `kind` (an index into
+  KINDS) per variable;
+- rows: `row_names`, with `rel` (RELATION: 1 for '<=', -1 for '>=', 0 for
+  '='), `rhs` and the `implied` mask per row;
+- coefficients: COO triples `row`, `var`, `val`, stored row by row, rows
+  ascending, each row's entries in the order they were added.
+
+CG, CG_H and LC write whole blocks of rows with numpy index arithmetic
+(`_sweep_rows`, `add_vars`, `add_rows`).  The other builders, the parsers
+and the tests add one variable or row at a time with `add_var` and
+`add_constraint`; these are staged in lists and become arrays on the next
+read.  `variables` and `constraints` are read-only views built from the
+arrays on demand.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from itertools import chain
+from types import MappingProxyType
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InstanceFormatError, VertexNotBranchingError
 from .intervals import (
@@ -28,89 +50,211 @@ INF = math.inf
 CONTINUOUS = "continuous"
 BINARY = "binary"
 INTEGER = "integer"
+KINDS = (CONTINUOUS, BINARY, INTEGER)
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+# relation codes; the simplex also takes each as the sign of the row's slack
+RELATION = {"<=": 1, ">=": -1, "=": 0}
+_RELATION_OF = {code: rel for rel, code in RELATION.items()}
 
 
-@dataclass
-class Variable:
+class Variable(NamedTuple):
     name: str
     lower: float = 0.0
     upper: float = INF
     kind: str = CONTINUOUS
 
 
-@dataclass
-class Constraint:
+class Constraint(NamedTuple):
     name: str
-    coeffs: dict  # var name -> coefficient
+    coeffs: MappingProxyType  # var name -> coefficient, in entry order
     relation: str  # '<=', '=', '>='
     rhs: float
 
 
-@dataclass
-class LpModel:
-    name: str
-    sense: str  # 'min' | 'max'
-    variables: list = field(default_factory=list)
-    objective: dict = field(default_factory=dict)  # var name -> coefficient
-    constraints: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-    # set by builders whose integer optimum is always integral, so a
-    # branch-and-bound may round LP bounds up
-    integral_objective: bool = False
-    # indices of constraints that other constraints and the variable bounds
-    # imply; the simplex leaves them out of its tableau, and every writer
-    # and certificate check still sees them
-    implied: set = field(default_factory=set)
+class _Staged:
+    """Equal-length arrays that grow an item or a block at a time; what
+    was added is concatenated onto them on the next read."""
 
-    def __post_init__(self):
-        self._index = {v.name: k for k, v in enumerate(self.variables)}
-        if len(self._index) != len(self.variables):
-            raise ValueError("duplicate variable names")
+    def __init__(self, *dtypes):
+        self.dtypes = dtypes
+        self.arrays = tuple(np.empty(0, dtype) for dtype in dtypes)
+        self.items = []   # one tuple per item
+        self.blocks = []  # one tuple of columns per block
+
+    def append(self, *item):
+        self.items.append(item)
+
+    def extend(self, *block):
+        self._block_items()
+        self.blocks.append(block)
+
+    def _block_items(self):
+        if self.items:
+            self.blocks.append(tuple(zip(*self.items)))
+            self.items = []
+
+    def read(self) -> tuple:
+        if self.items or self.blocks:
+            self._block_items()
+            self.arrays = tuple(
+                np.concatenate([have, *(np.asarray(block[k], dtype) for block in self.blocks)])
+                for k, (have, dtype) in enumerate(zip(self.arrays, self.dtypes)))
+            self.blocks = []
+        return self.arrays
+
+    def copy(self) -> "_Staged":
+        out = _Staged(*self.dtypes)
+        out.arrays = tuple(a.copy() for a in self.read())
+        return out
+
+
+class _View(Sequence):
+    """Records built from a model's arrays: the count is known up front,
+    and the records are built on the first read of one."""
+
+    def __init__(self, count: int, build):
+        self._count = count
+        self._build = build
+        self._items = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k):
+        if self._items is None:
+            self._items = self._build()
+        return self._items[k]
+
+    def __iter__(self):
+        return iter(self[:])
+
+
+def _column(staged: str, k: int, doc: str) -> property:
+    return property(lambda self: getattr(self, staged).read()[k], doc=doc)
+
+
+class LpModel:
+    """A linear or integer program stored as arrays (module docstring)."""
+
+    lower = _column("_vars", 0, "per variable: lower bound")
+    upper = _column("_vars", 1, "per variable: upper bound")
+    kind = _column("_vars", 2, "per variable: its kind, an index into KINDS")
+    rel = _column("_rows", 0, "per row: its relation code (RELATION)")
+    rhs = _column("_rows", 1, "per row: right-hand side")
+    implied = _column("_rows", 2, (
+        "per row: whether the other rows and the variable bounds imply it; the "
+        "simplex leaves these rows out of its tableau, and every writer and "
+        "certificate check still sees them"))
+    row = _column("_entries", 0, "per entry: its row")
+    var = _column("_entries", 1, "per entry: its variable")
+    val = _column("_entries", 2, "per entry: its coefficient")
+
+    def __init__(self, name: str, sense: str, integral_objective: bool = False):
+        self.name = name
+        self.sense = sense  # 'min' | 'max'
+        self.objective = {}  # var name -> coefficient
+        self.metadata = {}
+        # set by builders whose integer optimum is always integral, so a
+        # branch-and-bound may round LP bounds up
+        self.integral_objective = integral_objective
+        self.var_names = []
+        self.row_names = []
+        self._index = {}  # var name -> index
+        self._vars = _Staged(float, float, np.int8)
+        self._rows = _Staged(np.int64, float, bool)
+        self._entries = _Staged(np.int64, np.int64, float)
 
     def add_var(self, name, lower=0.0, upper=INF, kind=CONTINUOUS) -> str:
         if name in self._index:
             raise ValueError(f"duplicate variable {name}")
-        # so that a model and its relaxation have the same bounds
-        if kind == BINARY and (lower < 0.0 or upper > 1.0):
-            raise ValueError(f"binary {name} has bounds [{lower}, {upper}] outside [0, 1]")
-        self._index[name] = len(self.variables)
-        self.variables.append(Variable(name, lower, upper, kind))
+        _check_kind(name, lower, upper, kind)
+        self._index[name] = len(self.var_names)
+        self.var_names.append(name)
+        self._vars.append(lower, upper, _KIND_CODE[kind])
         return name
 
+    def add_vars(self, names: list, lower: float, upper: float, kind: str) -> None:
+        """Add the named variables, all with the same bounds and kind."""
+        start = len(self.var_names)
+        _check_kind(names, lower, upper, kind)
+        self._index.update(zip(names, range(start, start + len(names))))
+        if len(self._index) != start + len(names):
+            raise ValueError("duplicate variable names")
+        self.var_names += names
+        count = len(names)
+        self._vars.extend(np.full(count, lower), np.full(count, upper),
+                          np.full(count, _KIND_CODE[kind], np.int8))
+
     def add_constraint(self, name, coeffs, relation, rhs, implied=False):
-        if relation not in ("<=", "=", ">="):
+        if relation not in RELATION:
             raise ValueError(f"bad relation {relation}")
         for var in coeffs:
             if var not in self._index:
                 raise ValueError(f"constraint {name} references unknown variable {var}")
-        if implied:
-            self.implied.add(len(self.constraints))
-        self.constraints.append(Constraint(name, dict(coeffs), relation, float(rhs)))
+        r = len(self.row_names)
+        for var, coef in coeffs.items():
+            self._entries.append(r, self._index[var], coef)
+        self.row_names.append(name)
+        self._rows.append(RELATION[relation], rhs, implied)
 
-    def var(self, name) -> Variable:
-        return self.variables[self._index[name]]
+    def add_rows(self, names: list, rel, rhs, implied, row, var, val) -> None:
+        """Add a block of rows: per row its name, relation code, right-hand
+        side and implied mark, and their entries (row within the block,
+        variable index, coefficient) in any row order; a row's entries keep
+        the order they are given in."""
+        order = np.argsort(row, kind="stable")
+        self._entries.extend(row[order] + len(self.row_names), var[order], val[order])
+        self.row_names += names
+        self._rows.extend(rel, rhs, implied)
 
     @property
-    def var_names(self) -> list:
-        return [v.name for v in self.variables]
+    def variables(self) -> "_View":
+        """The variables as read-only records."""
+        def build():
+            lower, upper, kind = self._vars.read()
+            return tuple(map(Variable, self.var_names, lower.tolist(), upper.tolist(),
+                             map(KINDS.__getitem__, kind.tolist())))
+
+        return _View(len(self.var_names), build)
+
+    @property
+    def constraints(self) -> "_View":
+        """The rows as read-only records."""
+        def build():
+            rel, rhs, _ = self._rows.read()
+            row, var, val = self._entries.read()
+            ends = np.searchsorted(row, np.arange(1, len(rel) + 1)).tolist()
+            pairs = list(zip(map(self.var_names.__getitem__, var.tolist()), val.tolist()))
+            coeffs = (MappingProxyType(dict(pairs[start:end])) for start, end in zip([0] + ends, ends))
+            return tuple(map(Constraint, self.row_names, coeffs,
+                             map(_RELATION_OF.__getitem__, rel.tolist()), rhs.tolist()))
+
+        return _View(len(self.row_names), build)
 
     def relaxed(self) -> "LpModel":
         """Continuous relaxation: every variable keeps its bounds (a
         binary's lie in [0, 1]) and loses integrality; metadata["relaxed"]
         is True."""
-        return LpModel(
-            name=self.name,
-            sense=self.sense,
-            variables=[Variable(v.name, v.lower, v.upper, CONTINUOUS) for v in self.variables],
-            objective=dict(self.objective),
-            constraints=[Constraint(c.name, dict(c.coeffs), c.relation, c.rhs) for c in self.constraints],
-            metadata=dict(self.metadata, relaxed=True),
-            integral_objective=self.integral_objective,
-            implied=set(self.implied),
-        )
+        out = LpModel(self.name, self.sense, self.integral_objective)
+        out.objective = dict(self.objective)
+        out.metadata = dict(self.metadata, relaxed=True)
+        out.var_names, out.row_names = list(self.var_names), list(self.row_names)
+        out._index = dict(self._index)
+        out._vars, out._rows, out._entries = self._vars.copy(), self._rows.copy(), self._entries.copy()
+        out.kind[:] = _KIND_CODE[CONTINUOUS]
+        return out
 
     def integer_var_names(self) -> list:
-        return [v.name for v in self.variables if v.kind in (BINARY, INTEGER)]
+        return [self.var_names[k] for k in np.flatnonzero(self.kind).tolist()]
+
+
+def _check_kind(name, lower, upper, kind) -> None:
+    if kind not in _KIND_CODE:
+        raise ValueError(f"bad kind {kind}")
+    # so that a model and its relaxation have the same bounds
+    if kind == BINARY and (lower < 0.0 or upper > 1.0):
+        raise ValueError(f"binary {name} has bounds [{lower}, {upper}] outside [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -120,50 +264,56 @@ def arc_var(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
-def _cover_rows(col_rows, names) -> tuple[dict, set]:
-    """Row index -> {names[j]: 1.0} over the vertices j of names with a
-    nonzero in that row, rows ascending and vertices in the order of
-    names; col_rows is CliqueMatrix.rows.  Also returns the implied rows:
-    each one's set lies inside a kept row's set, so with the names >= 0 a
-    bound on the kept row's sum bounds its sum too.
+def _ranges(first, count):
+    """The integers first[k] .. first[k] + count[k] - 1 for every k, in
+    that order, and the k of each."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(len(owner)), owner
 
-    The ranges are intervals, so a row is kept, in one sweep, iff some
-    range ends there and some range started since the last kept row; the
-    kept rows are the distinct maximal sets, at most one per range
+
+def _sweep_rows(matrix: CliqueMatrix, group, head):
+    """The sweep rows of child sets given by their arcs: arc a lies in set
+    group[a] (an int >= 0) and covers the rows of its head vertex head[a]
+    (matrix.rows).  Returns (key, row, arc, implied):
+
+    - key: group * len(matrix.points) + sweep row of each distinct (set,
+      row) pair, ascending;
+    - row, arc: for each (arc, covered row) pair, arc by arc and rows
+      ascending, the index of its key and its arc;
+    - implied: per key, whether its arcs lie inside a kept row's of the
+      same set, so that with the arcs >= 0 a bound on that row's sum
+      bounds this one's too.
+
+    The ranges are intervals, so a row is kept iff some range ends there
+    and the last range start in its set comes after the set's previous end
+    row; the kept rows are the distinct maximal sets, at most one per range
     (Fulkerson & Gross, "Incidence matrices and interval graphs", Pacific
     J. Math. 15, 1965).  A row where no range ends lies inside the next
-    row, and one where nothing started since the last kept row lies
-    inside that row.  O(nnz) plus sorting the rows."""
-    rows = {}
-    for j, name in names.items():
-        for r in col_rows[j]:
-            rows.setdefault(r, {})[name] = 1.0
-    rows = {r: rows[r] for r in sorted(rows)}
-    starts = {col_rows[j].start for j in names}
-    ends = {col_rows[j].stop - 1 for j in names}
-    implied = set()
-    started = False
-    for r in rows:
-        started = started or r in starts
-        if started and r in ends:
-            started = False
-        else:
-            implied.add(r)
-    return rows, implied
+    row, and one where nothing started since the previous end row lies
+    inside that row.  A set's first row is a range start, so the running
+    maxima below never carry a decision over from the previous set."""
+    span = np.array([(r.start, r.stop) for r in matrix.rows], dtype=np.int64)[head]
+    first = np.asarray(group, dtype=np.int64) * len(matrix.points) + span[:, 0]
+    count = span[:, 1] - span[:, 0]
+    flat, arc = _ranges(first, count)
+    key, row = np.unique(flat, return_inverse=True)
+    start = np.full(len(key), -1)
+    end = np.full(len(key), -1)
+    at = np.searchsorted(key, first)
+    start[at] = at
+    at = np.searchsorted(key, first + count - 1)
+    end[at] = at
+    end_before = np.concatenate(([-1], np.maximum.accumulate(end)[:-1]))
+    implied = (end < 0) | (np.maximum.accumulate(start) <= end_before)
+    return key, row, arc, implied
 
 
-def _add_root_rows(model: LpModel, matrix: CliqueMatrix, names) -> None:
-    """Add the integer objective c and, for every sweep point, a root_p row:
-    the root arcs of names (vertex -> arc name) covering it sum to <= c.
-    A row with no root arc, -c <= 0, is implied by c >= 0."""
-    model.add_var("c", 0.0, INF, INTEGER)
-    model.objective = {"c": 1.0}
-    root_rows, implied = _cover_rows(matrix.rows, names)
-    for r in range(len(matrix.points)):
-        coeffs = root_rows.get(r, {})
-        coeffs["c"] = -1.0
-        model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0,
-                             implied=r in implied or r not in root_rows)
+def _point_names(matrix: CliqueMatrix, key, label) -> list:
+    """The name of each sweep row key (from _sweep_rows): label[group],
+    then p and the row's sweep point."""
+    groups, rows = np.divmod(key, len(matrix.points))
+    points = [f"p{p}" for p in matrix.points]
+    return [label[g] + points[r] for g, r in zip(groups.tolist(), rows.tolist())]
 
 
 def _add_charges(model: LpModel, i: int, kids, matrix: CliqueMatrix) -> dict:
@@ -171,6 +321,47 @@ def _add_charges(model: LpModel, i: int, kids, matrix: CliqueMatrix) -> dict:
     row index -> charge name, rows ascending."""
     rows = sorted(set().union(*(matrix.rows[j] for j in kids)))
     return {r: model.add_var(f"y_{i}_p{matrix.points[r]}") for r in rows}
+
+
+def _add_arborescence(model: LpModel, matrix: CliqueMatrix, arcs, group, label,
+                      chain_rhs: float, entry: str, inflow=None) -> None:
+    """The part CG and CG_H share.  model.metadata["arcs"] names the arcs
+    in variable order, arcs holds them as rows (tail, ..., head), and
+    group[a] is the child set of arc a, 0 for the root's.  Adds a binary
+    per arc, the integer objective c, and three blocks of rows:
+
+    - root_p<point>: the root's arcs covering a sweep point sum to <= c.
+      The root's set covers every sweep point, so these rows come first,
+      one per point;
+    - <label[g]>p<point>: the arcs of set g covering a sweep point, with
+      the (row, variable, coefficient) entries inflow(group of each sweep
+      row) adds when it is given, sum to <= chain_rhs;
+    - <entry>_<j>: vertex j enters by exactly one arc; a row lists its
+      arcs by their second field, then in variable order."""
+    names = list(model.metadata["arcs"])
+    model.add_vars(names, 0.0, 1.0, BINARY)
+    model.add_var("c", 0.0, INF, INTEGER)
+    model.objective = {"c": 1.0}
+    head = arcs[:, -1]
+    key, row, arc, implied = _sweep_rows(matrix, group, head)
+    groups = key // len(matrix.points)
+    n_root, n_sweep, n = int(np.count_nonzero(groups == 0)), len(key), model.metadata["n"]
+    rows = [row, np.arange(n_root)]
+    cols = [arc, np.full(n_root, len(names))]
+    vals = [np.ones(len(row)), np.full(n_root, -1.0)]
+    if inflow is not None:
+        for part, add in zip((rows, cols, vals), inflow(groups)):
+            part.append(add)
+    by_entry = np.argsort(arcs[:, 1], kind="stable")
+    rows.append(n_sweep + head[by_entry] - 1)
+    cols.append(by_entry)
+    vals.append(np.ones(len(names)))
+    model.add_rows(
+        _point_names(matrix, key, label) + [f"{entry}_{j}" for j in range(1, n + 1)],
+        np.repeat([RELATION["<="], RELATION["="]], [n_sweep, n]),
+        np.concatenate([np.where(groups == 0, 0.0, chain_rhs), np.ones(n)]),
+        np.concatenate([implied, np.zeros(n, dtype=bool)]),
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +373,14 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpM
     vertex picks exactly one parent arc.
     """
     model = LpModel(name="CG", sense="min", integral_objective=True)
-    arc_map = {}
-    for i, j in dag.arcs:
-        name = arc_var(i, j)
-        model.add_var(name, 0.0, 1.0, BINARY)
-        arc_map[name] = [i, j]
-    _add_root_rows(model, matrix, {j: arc_var(ROOT, j) for j in dag.children[ROOT]})
-    for i in sorted(dag.branching):
-        rows, implied = _cover_rows(matrix.rows, {j: arc_var(i, j) for j in dag.children[i]})
-        for r, coeffs in rows.items():
-            model.add_constraint(f"chain_{i}_p{matrix.points[r]}", coeffs, "<=", 1.0,
-                                 implied=r in implied)
-    parent_rows = {j: {} for j in rep.vertices}
-    for name, (i, j) in arc_map.items():
-        parent_rows[j][name] = 1.0
-    for j, coeffs in parent_rows.items():
-        model.add_constraint(f"parent_{j}", coeffs, "=", 1.0)
-    model.metadata = {"formulation": "CG", "relaxed": False, "arcs": arc_map, "n": rep.n}
+    tail = np.repeat(np.arange(rep.n + 1), [len(kids) for kids in dag.children])
+    head = np.fromiter(chain.from_iterable(dag.children), np.int64, len(tail))
+    arcs = np.column_stack((tail, head))
+    pairs = arcs.tolist()
+    model.metadata = {"formulation": "CG", "relaxed": False,
+                      "arcs": dict(zip([arc_var(i, j) for i, j in pairs], pairs)), "n": rep.n}
+    label = ["root_"] + [f"chain_{i}_" for i in rep.vertices]
+    _add_arborescence(model, matrix, arcs, arcs[:, 0], label, 1.0, "parent")
     return model
 
 
@@ -216,12 +398,12 @@ def build_lc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix
     _branching_or_root(i, dag)
     kids = dag.children[i]
     model = LpModel(name=f"LC_{i}", sense="max")
-    for j in kids:
-        model.add_var(arc_var(i, j), 0.0, INF, CONTINUOUS)
-    model.objective = {arc_var(i, j): float(values[j]) for j in kids}
-    rows, implied = _cover_rows(matrix.rows, {j: arc_var(i, j) for j in kids})
-    for r, coeffs in rows.items():
-        model.add_constraint(f"p{matrix.points[r]}", coeffs, "<=", 1.0, implied=r in implied)
+    names = [arc_var(i, j) for j in kids]
+    model.add_vars(names, 0.0, INF, CONTINUOUS)
+    model.objective = {name: float(values[j]) for name, j in zip(names, kids)}
+    key, row, arc, implied = _sweep_rows(matrix, 0, list(kids))
+    model.add_rows(_point_names(matrix, key, [""]), np.full(len(key), RELATION["<="]),
+                   np.ones(len(key)), implied, row, arc, np.ones(len(row)))
     model.metadata = {"formulation": "LC", "vertex": i}
     return model
 
@@ -371,22 +553,20 @@ def _num(x: float) -> str:
 
 def write_lp_text(model: LpModel) -> str:
     """LP text format (CPLEX-like dialect; round-trips via parse_lp_text)."""
+    names = model.var_names
     lines = ["\\ " + model.name]
     lines.append("Minimize" if model.sense == "min" else "Maximize")
     terms = []
-    for name in model.var_names:
+    for name in names:
         if name in model.objective and model.objective[name] != 0.0:
             terms.append(_term(model.objective[name], name, first=not terms))
-    lines.append(" obj: " + (" ".join(terms) if terms else "0 " + model.var_names[0]))
+    lines.append(" obj: " + (" ".join(terms) if terms else "0 " + names[0]))
     lines.append("Subject To")
-    for con in model.constraints:
-        terms = []
-        for name, coef in _in_var_order(model, con.coeffs):
-            terms.append(_term(coef, name, first=not terms))
-        if not terms:
-            terms = ["0 " + model.var_names[0]]
-        rel = {"<=": "<=", ">=": ">=", "=": "="}[con.relation]
-        lines.append(f" {con.name}: " + " ".join(terms) + f" {rel} {_num(con.rhs)}")
+    for con, rel, rhs, entries in zip(model.row_names, model.rel.tolist(), model.rhs.tolist(),
+                                      _nonzeros(model, by_var=False)):
+        terms = [_term(coef, names[k], first=not t) for t, (k, coef) in enumerate(entries)]
+        lines.append(f" {con}: " + " ".join(terms or ["0 " + names[0]])
+                     + f" {_RELATION_OF[rel]} {_num(rhs)}")
     lines.append("Bounds")
     for v in model.variables:
         lo = "-inf" if v.lower == -INF else _num(v.lower)
@@ -404,10 +584,22 @@ def write_lp_text(model: LpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _in_var_order(model: LpModel, coeffs: dict) -> list:
-    """The nonzero (name, coefficient) pairs of coeffs in variable order."""
-    return sorted(((name, coef) for name, coef in coeffs.items() if coef != 0.0),
-                  key=lambda term: model._index[term[0]])
+def _nonzeros(model: LpModel, by_var: bool) -> list:
+    """The nonzero entries as (index, coefficient) lists: per row in
+    variable order (CSR), or per variable in row order (a stable sort of
+    the row-ordered entries by variable)."""
+    row, var, val = model.row, model.var, model.val
+    nonzero = val != 0.0
+    row, var, val = row[nonzero], var[nonzero], val[nonzero]
+    if by_var:
+        order = np.argsort(var, kind="stable")
+        major, minor, count = var[order], row[order], len(model.var_names)
+    else:
+        order = np.lexsort((var, row))
+        major, minor, count = row[order], var[order], len(model.row_names)
+    ends = np.searchsorted(major, np.arange(1, count + 1)).tolist()
+    pairs = list(zip(minor.tolist(), val[order].tolist()))
+    return [pairs[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def _term(coef: float, name: str, first: bool) -> str:
@@ -497,9 +689,10 @@ def write_mps(model: LpModel) -> str:
     out.append(f"NAME          {model.name}")
     out.append("ROWS")
     out.append(" N  OBJ")
-    rel_code = {"<=": "L", ">=": "G", "=": "E"}
-    for con in model.constraints:
-        out.append(f" {rel_code[con.relation]}  {con.name}")
+    rel_code = {RELATION["<="]: "L", RELATION[">="]: "G", RELATION["="]: "E"}
+    rows = model.row_names
+    for name, rel in zip(rows, model.rel.tolist()):
+        out.append(f" {rel_code[rel]}  {name}")
     out.append("COLUMNS")
     marker_on = False
     marker_idx = 0
@@ -507,12 +700,7 @@ def write_mps(model: LpModel) -> str:
     def fmt(col, row, val):
         return f"    {col:<12} {row:<12} {_num(val)}"
 
-    entries = [[] for _ in model.variables]  # per column: (row, value) in row order
-    for con in model.constraints:
-        for name, coef in con.coeffs.items():
-            if coef != 0.0:
-                entries[model._index[name]].append((con.name, coef))
-    for v, column in zip(model.variables, entries):
+    for v, column in zip(model.variables, _nonzeros(model, by_var=True)):
         is_int = v.kind in (BINARY, INTEGER)
         if is_int != marker_on:
             kind = "'INTORG'" if is_int else "'INTEND'"
@@ -521,13 +709,13 @@ def write_mps(model: LpModel) -> str:
             marker_idx += 1
         if v.name in model.objective and model.objective[v.name] != 0.0:
             out.append(fmt(v.name, "OBJ", model.objective[v.name]))
-        out.extend(fmt(v.name, row, val) for row, val in column)
+        out.extend(fmt(v.name, rows[r], val) for r, val in column)
     if marker_on:
         out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} 'INTEND'")
     out.append("RHS")
-    for con in model.constraints:
-        if con.rhs != 0.0:
-            out.append(fmt("RHS", con.name, con.rhs))
+    for name, rhs in zip(rows, model.rhs.tolist()):
+        if rhs != 0.0:
+            out.append(fmt("RHS", name, rhs))
     out.append("BOUNDS")
     for v in model.variables:
         if v.lower == -INF and v.upper == INF:

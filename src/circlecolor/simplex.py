@@ -64,7 +64,14 @@ model in O(nnz): every row and bound within the feasibility tolerance.  A
 bound that would loosen, a moved bound on a free or mirrored column, or a
 failed check solves the node from scratch instead.
 
-Implied rows: LpModel.implied lists the constraints that the others and
+Standard form: _standardize reads the model's arrays (lpmodels) with no
+loop over variables or rows: the bounds give each variable's column,
+offset and sign, and the COO entries are shifted, masked and renumbered
+as whole arrays.  The dense tableau, (rows + 1) x (columns + 1) floats,
+is sized before it is allocated; one over SimplexOptions.max_tableau_bytes
+raises TableauTooLargeError.
+
+Implied rows: the LpModel.implied mask marks the rows that the others and
 the variable bounds imply.  In CG, CG_H and LC these are the sweep rows
 whose arc set lies inside another row of the same child set with the same
 other terms and right-hand side, so the tableau keeps one row per distinct
@@ -94,7 +101,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, TableauTooLargeError
 from .lpmodels import LpModel
 
 INF = math.inf
@@ -107,6 +114,9 @@ class SimplexOptions:
     int_tol: float = 1e-6
     pivot_tol: float = 1e-9
     max_iter: int = 200000
+    # the largest dense tableau a solve may allocate; a CG root at n = 160
+    # needs about 86 MB
+    max_tableau_bytes: int = 1 << 30
 
 
 DEFAULT_OPTIONS = SimplexOptions()
@@ -127,10 +137,6 @@ class LpSolution:
 # they overflow
 _DEVEX_RESET = 1e6
 
-# relation codes; each is also the sign of the row's slack column
-_RELATION = {"<=": 1, ">=": -1, "=": 0}
-
-
 class _Standardized:
     """Rows A x (rel) b over columns 0 <= x <= upper.
 
@@ -139,13 +145,10 @@ class _Standardized:
     Only constraints that keep a column and are not implied become rows.
     """
 
-    def __init__(self, n_var):
-        self.offset = np.zeros(n_var)
-        self.col = np.full(n_var, -1, dtype=np.int64)
-        self.sign = np.ones(n_var)
-        self.free = np.zeros(n_var, dtype=bool)
+    def __init__(self):
+        self.offset = self.col = self.sign = self.free = None  # per variable
         self.lo = self.hi = None  # per variable: its bounds with the overrides
-        self.upper = []      # per column: finite upper bound or INF
+        self.upper = None    # per column: finite upper bound or INF
         self.origin = None   # per row: index of its model constraint
         self.rel = None      # per row: relation code
         self.rhs = None      # per row: right-hand side
@@ -181,55 +184,41 @@ class _Tableau:
 def _standardize(model: LpModel, overrides, feas_tol):
     """Standard form of the model, or None when some variable's bounds, or
     some constraint left without a column, cannot hold."""
-    std = _Standardized(len(model.variables))
-    los, his = [], []
-    for k, v in enumerate(model.variables):
-        lo, hi = v.lower, v.upper
-        if overrides and v.name in overrides:
-            olo, ohi = overrides[v.name]
-            lo, hi = max(lo, olo), min(hi, ohi)
-        if lo > hi + feas_tol:
+    std = _Standardized()
+    lo, hi = model.lower.copy(), model.upper.copy()
+    moved = [(model._index[name], bounds) for name, bounds in (overrides or {}).items()
+             if name in model._index]
+    if moved:
+        k = np.array([k for k, _ in moved], dtype=np.int64)
+        bounds = np.array([b for _, b in moved], dtype=float)
+        lo[k] = np.maximum(lo[k], bounds[:, 0])
+        hi[k] = np.minimum(hi[k], bounds[:, 1])
+    with np.errstate(invalid="ignore"):  # inf - inf on contradictory infinite bounds
+        if (lo > hi + feas_tol).any():
             return None  # contradictory bounds
-        los.append(lo)
-        his.append(hi)
-        if hi - lo <= feas_tol and hi < INF:
-            std.offset[k] = lo
-            continue
-        std.col[k] = len(std.upper)
-        if lo == -INF and hi == INF:  # x = x' - x''
-            std.free[k] = True
-            std.upper += [INF, INF]
-        elif lo > -INF:  # x = lo + x'
-            std.offset[k] = lo
-            std.upper.append(hi - lo)
-        else:  # lo == -inf, hi finite: x = hi - x'
-            std.offset[k] = hi
-            std.sign[k] = -1.0
-            std.upper.append(INF)
-    std.lo, std.hi = np.array(los, dtype=float), np.array(his, dtype=float)
+        fixed = (hi - lo <= feas_tol) & (hi < INF)
+        free = ~fixed & (lo == -INF) & (hi == INF)
+        mirrored = ~fixed & (lo == -INF) & (hi < INF)  # x = hi - x'
+        shifted = ~(fixed | free | mirrored)  # x = lo + x'
+        width = np.where(fixed, 0, np.where(free, 2, 1))  # a free x is x' - x''
+        std.col = np.where(fixed, -1, np.cumsum(width) - width)
+        std.upper = np.full(int(width.sum()), INF)
+        std.upper[std.col[shifted]] = hi[shifted] - lo[shifted]
+    std.offset = np.where(fixed | shifted, lo, np.where(mirrored, hi, 0.0))
+    std.sign = np.where(mirrored, -1.0, 1.0)
+    std.free = free
+    std.lo, std.hi = lo, hi
 
-    index = model._index
-    row, var, val = [], [], []
-    for r, con in enumerate(model.constraints):
-        row += [r] * len(con.coeffs)
-        var += map(index.__getitem__, con.coeffs)
-        val += con.coeffs.values()
-    row = np.array(row, dtype=np.int64)
-    var = np.array(var, dtype=np.int64)
-    val = np.array(val, dtype=float)
-    n_con = len(model.constraints)
-    rel = np.array([_RELATION[con.relation] for con in model.constraints], dtype=np.int64)
-    rhs = np.array([con.rhs for con in model.constraints], dtype=float)
-    std.model_rows = (row, var, val, rel, rhs.copy())
-    rhs -= np.bincount(row, weights=val * std.offset[var], minlength=n_con)
+    row, var, val, rel = model.row, model.var, model.val, model.rel
+    n_con = len(rel)
+    std.model_rows = (row, var, val, rel, model.rhs)
+    rhs = model.rhs - np.bincount(row, weights=val * std.offset[var], minlength=n_con)
     live = std.col[var] >= 0
     kept = np.bincount(row[live], minlength=n_con) > 0
-    for r in np.flatnonzero(~kept):
-        if (rel[r] >= 0 and rhs[r] < -feas_tol) or (rel[r] <= 0 and rhs[r] > feas_tol):
-            return None  # a constraint on fixed variables only fails
-    if model.implied:  # implied rows and their entries stay out
-        kept[list(model.implied)] = False
-        live &= kept[row]
+    if (~kept & (((rel >= 0) & (rhs < -feas_tol)) | ((rel <= 0) & (rhs > feas_tol)))).any():
+        return None  # a constraint on fixed variables only fails
+    kept &= ~model.implied  # implied rows and their entries stay out
+    live &= kept[row]
     std.origin = np.flatnonzero(kept)
     std.rel = rel[kept]
     std.rhs = rhs[kept]
@@ -411,10 +400,10 @@ def _resume(model: LpModel, prev: _Tableau, overrides: dict, opts: SimplexOption
         return None, 0
     T, basis, upper, flipped = prev.T.copy(), prev.basis.copy(), prev.upper.copy(), prev.flipped.copy()
     offset, lo, hi = prev.offset.copy(), prev.lo.copy(), prev.hi.copy()
+    lower, upper_model = model.lower.tolist(), model.upper.tolist()
     for name, (olo, ohi) in overrides.items():
         k = model._index[name]
-        var = model.variables[k]
-        low, high = max(var.lower, olo), min(var.upper, ohi)
+        low, high = max(lower[k], olo), min(upper_model[k], ohi)
         if low < lo[k] or high > hi[k]:
             return None, 0
         if low > high + opts.feas_tol:
@@ -478,12 +467,11 @@ def _solution(tab: _Tableau, values: np.ndarray, iterations: int) -> LpSolution:
     model, std = tab.model, tab.std
     primal = dict(zip(model.var_names, values.tolist()))
     objective = sum(coef * primal[name] for name, coef in model.objective.items())
-    dual = {con.name: 0.0 for con in model.constraints}
     # a resume may complement an artificial, which negates its cost entry
     d = tab.T[len(tab.basis), std.unit_col]
-    y = np.where(tab.flipped[std.unit_col], d, -d) * std.sgn * std.sense_mul
-    for r, val in zip(std.origin.tolist(), y.tolist()):
-        dual[model.constraints[r].name] = val
+    y = np.zeros(len(model.row_names))
+    y[std.origin] = np.where(tab.flipped[std.unit_col], d, -d) * std.sgn * std.sense_mul
+    dual = dict(zip(model.row_names, y.tolist()))
     return LpSolution(
         status="optimal",
         objective=float(objective),
@@ -497,7 +485,7 @@ def _solution(tab: _Tableau, values: np.ndarray, iterations: int) -> LpSolution:
 def _start_columns(model: LpModel, std: _Standardized, start: dict) -> np.ndarray | None:
     """The start point in standardized columns (unnamed variables are 0),
     or None when it names a variable the model does not have."""
-    value = np.zeros(len(model.variables))
+    value = np.zeros(len(model.var_names))
     for name, v in start.items():
         if name not in model._index:
             return None
@@ -608,6 +596,11 @@ def _solve_cold(model: LpModel, opts: SimplexOptions, bound_overrides, start) ->
     slack_col = n_struct + np.cumsum(has_slack) - 1
     unit_col = slack_col.copy()
     unit_col[art_rows] = n_enter + np.arange(n_art)
+    size = (m + 1) * (ncols + 1) * 8
+    if size > opts.max_tableau_bytes:
+        raise TableauTooLargeError(
+            f"{model.name}: its {m + 1} x {ncols + 1} tableau needs {size} bytes, "
+            f"over the budget of {opts.max_tableau_bytes}")
 
     def tableau():
         T = np.zeros((m + 1, ncols + 1))

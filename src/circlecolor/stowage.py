@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CertificateError, InvalidHeightError, LayerConditionError
 from .intervals import (
     ROOT,
@@ -23,7 +25,7 @@ from .intervals import (
     max_antichain,
     topological_order,
 )
-from .lpmodels import BINARY, LpModel, _add_root_rows, _cover_rows
+from .lpmodels import LpModel, _add_arborescence, _ranges
 from .mwis import decode_arborescence
 
 
@@ -58,27 +60,9 @@ def build_cgh(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
     if height < 1:
         raise InvalidHeightError(f"capacity must be >= 1, got {height}")
     model = LpModel(name="CG_H", sense="min", integral_objective=True)
+    inner = sorted(dag.branching)
     arcs = [(ROOT, 0, j) for j in rep.vertices]
-    arcs += [(i, h, j) for i in sorted(dag.branching) for h in range(1, height)
-             for j in dag.children[i]]
-    into = {}  # copy (j, h) -> the variables of its entry arcs, by source vertex
-    for i, h, j in arcs:
-        name = layer_var(i, h, j)
-        model.add_var(name, 0.0, 1.0, BINARY)
-        into.setdefault((j, h + 1), []).append(name)
-    _add_root_rows(model, matrix, {j: layer_var(ROOT, 0, j) for j in rep.vertices})
-    for i in sorted(dag.branching):
-        for h in range(1, height):
-            inflow = dict.fromkeys(into.get((i, h), ()), -1.0)
-            names = {j: layer_var(i, h, j) for j in dag.children[i]}
-            rows, implied = _cover_rows(matrix.rows, names)
-            for r, coeffs in rows.items():
-                coeffs.update(inflow)
-                model.add_constraint(f"chain_{i}.{h}_p{matrix.points[r]}", coeffs, "<=", 0.0,
-                                     implied=r in implied)
-    for j in rep.vertices:
-        coeffs = {name: 1.0 for h in range(1, height + 1) for name in into.get((j, h), ())}
-        model.add_constraint(f"enter_{j}", coeffs, "=", 1.0)
+    arcs += [(i, h, j) for i in inner for h in range(1, height) for j in dag.children[i]]
     model.metadata = {
         "formulation": "CG_H",
         "relaxed": False,
@@ -86,6 +70,20 @@ def build_cgh(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
         "arcs": {layer_var(*arc): list(arc) for arc in arcs},
         "n": rep.n,
     }
+    arcs = np.array(arcs, dtype=np.int64).reshape(-1, 3)
+    tail, layer, head = arcs.T
+    # the child set of copy (i, h) is group i * height + h; the root's is 0
+    label = {i * height + h: f"chain_{i}.{h}_" for i in inner for h in range(1, height)}
+    label[0] = "root_"
+
+    def inflow(groups):
+        # each sweep row of copy (i, h) also takes -1 for every arc into (i, h)
+        into = np.where(layer + 1 < height, head * height + layer + 1, -1)
+        first = np.searchsorted(groups, into)
+        row, arc = _ranges(first, np.searchsorted(groups, into, "right") - first)
+        return row, arc, np.full(len(row), -1.0)
+
+    _add_arborescence(model, matrix, arcs, tail * height + layer, label, 0.0, "enter", inflow)
     return model
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -145,6 +146,15 @@ def test_bench_reports_failed_solves(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: 4 of 4 instances failed\n"
 
 
+def test_oversized_tableau_exits_3(capsys, monkeypatch):
+    options = cli._options_from_args
+    monkeypatch.setattr(cli, "_options_from_args",
+                        lambda args: dataclasses.replace(options(args), max_tableau_bytes=64))
+    for cmd in (["solve", C5_FILE], ["relax", C5_FILE], ["stacks", C5_FILE, "--height", "2"]):
+        assert run_cli(cmd, expect=3) == ""
+        assert "tableau needs" in capsys.readouterr().err
+
+
 def test_solve_writes_certificate(tmp_path):
     cert = tmp_path / "cert.txt"
     run_cli(["solve", C5_FILE, "-o", str(cert)])
@@ -258,7 +268,8 @@ def test_parser_is_built_once_and_env_read_per_call(capsys, monkeypatch):
 
 def test_cli_import_does_not_load_networkx():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    check = "import circlecolor.cli, sys; assert 'networkx' not in sys.modules"
+    check = ("import circlecolor.cli, sys; "
+             "assert 'networkx' not in sys.modules and 'scipy' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -22,6 +22,7 @@ from circlecolor.lpmodels import (
     INF,
     INTEGER,
     LpModel,
+    arc_var,
     _num,
     _term,
     build_as,
@@ -39,8 +40,8 @@ from circlecolor.lpmodels import (
     write_mps,
 )
 from circlecolor.mwis import max_weight_chain, solve_mwis
-from circlecolor.simplex import solve_lp
-from circlecolor.stowage import build_cgh, effective_height
+from circlecolor.simplex import _standardize, solve_lp
+from circlecolor.stowage import build_cgh, effective_height, layer_var
 
 
 def _core(rep):
@@ -87,23 +88,24 @@ def test_implied_rows_are_the_dominated_sweep_rows(rep):
                for i in [ROOT] + sorted(dag.branching)]
     for model in models:
         families = _sweep_families(model)
-        assert model.implied <= {r for rows in families.values() for r in rows}, model.name
+        implied = set(np.flatnonzero(model.implied).tolist())
+        assert implied <= {r for rows in families.values() for r in rows}, model.name
         for family, rows in families.items():
             # pairwise: a set is maximal when no other row's set strictly holds it
             maximal = {a for a, _, _ in rows.values() if not any(a < b for b, _, _ in rows.values())}
-            kept = [rows[r][0] for r in rows if r not in model.implied]
+            kept = [rows[r][0] for r in rows if r not in implied]
             assert len(set(kept)) == len(kept) and set(kept) == maximal, (model.name, family)
-            for r in rows.keys() & model.implied:
+            for r in rows.keys() & implied:
                 arcs, other, rhs = rows[r]
                 assert any(arcs <= rows[k][0] and (other, rhs) == rows[k][1:]
-                           for k in rows if k not in model.implied), (model.name, r)
+                           for k in rows if k not in implied), (model.name, r)
 
 
 def test_c5_implied_rows(c5):
     dag, m = _core(c5)
 
     def implied(model):
-        return sorted(model.constraints[r].name for r in model.implied)
+        return sorted(model.row_names[r] for r in np.flatnonzero(model.implied))
 
     cg = build_cg(c5, dag, m)
     assert implied(cg) == ["chain_5_p3", "chain_5_p7", "root_p1", "root_p2"]
@@ -111,9 +113,9 @@ def test_c5_implied_rows(c5):
     assert implied(build_cgh(c5, dag, m, 2)) == ["chain_5.1_p3", "chain_5.1_p7", "root_p1", "root_p2"]
     # a relaxed copy keeps the marks; the writers write every row and the
     # parsers mark none
-    assert cg.relaxed().implied == cg.implied
+    assert np.array_equal(cg.relaxed().implied, cg.implied)
     for back in (parse_lp_text(write_lp_text(cg)), parse_mps(write_mps(cg))):
-        assert len(back.constraints) == len(cg.constraints) and not back.implied
+        assert len(back.constraints) == len(cg.constraints) and not back.implied.any()
 
 
 def test_cg_p3_integer_optimum(p3):
@@ -356,17 +358,30 @@ def _export_models(rep):
     ]
 
 
+def _reordered(model, rnd):
+    """The model built again row by row, with each row's coefficients out
+    of variable order and one of them an explicit zero."""
+    out = LpModel(name=model.name, sense=model.sense)
+    for v in model.variables:
+        out.add_var(v.name, v.lower, v.upper, v.kind)
+    out.objective = dict(model.objective)
+    rows = model.constraints
+    zero = rnd.randrange(len(rows))
+    for r, con in enumerate(rows):
+        items = list(con.coeffs.items())
+        rnd.shuffle(items)
+        coeffs = dict(items)
+        if r == zero:
+            coeffs[rnd.choice(items)[0]] = 0.0
+        out.add_constraint(con.name, coeffs, con.relation, con.rhs)
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(interval_reps(max_n=7), st.randoms(use_true_random=False))
 def test_exporters_match_the_quadratic_reference(rep, rnd):
     for model in _export_models(rep):
-        # coefficient dicts out of variable order, with an explicit zero
-        for con in model.constraints:
-            items = list(con.coeffs.items())
-            rnd.shuffle(items)
-            con.coeffs = dict(items)
-        con = rnd.choice(model.constraints)
-        con.coeffs[rnd.choice(list(con.coeffs))] = 0.0
+        model = _reordered(model, rnd)
         assert write_lp_text(model) == _quadratic_lp_text(model)
         mps = write_mps(model)
         assert _section(mps, "COLUMNS") == _quadratic_mps_columns(model)
@@ -375,3 +390,115 @@ def test_exporters_match_the_quadratic_reference(rep, rnd):
             want = [(name, con.coeffs[name]) for name in model.var_names
                     if con.coeffs.get(name, 0.0) != 0.0]
             assert list(got.coeffs.items()) == want
+
+
+# CG and CG_H as they were built before the models became arrays: one
+# dict per row through add_constraint.  Kept as the reference for the
+# array builders.
+
+def _reference_cover_rows(col_rows, names):
+    rows = {}
+    for j, name in names.items():
+        for r in col_rows[j]:
+            rows.setdefault(r, {})[name] = 1.0
+    rows = {r: rows[r] for r in sorted(rows)}
+    starts = {col_rows[j].start for j in names}
+    ends = {col_rows[j].stop - 1 for j in names}
+    implied = set()
+    started = False
+    for r in rows:
+        started = started or r in starts
+        if started and r in ends:
+            started = False
+        else:
+            implied.add(r)
+    return rows, implied
+
+
+def _reference_root_rows(model, matrix, names):
+    model.add_var("c", 0.0, INF, INTEGER)
+    model.objective = {"c": 1.0}
+    root_rows, implied = _reference_cover_rows(matrix.rows, names)
+    for r in range(len(matrix.points)):
+        coeffs = root_rows.get(r, {})
+        coeffs["c"] = -1.0
+        model.add_constraint(f"root_p{matrix.points[r]}", coeffs, "<=", 0.0,
+                             implied=r in implied or r not in root_rows)
+
+
+def _reference_cg(rep, dag, matrix):
+    model = LpModel(name="CG", sense="min", integral_objective=True)
+    arc_map = {}
+    for i, j in dag.arcs:
+        name = arc_var(i, j)
+        model.add_var(name, 0.0, 1.0, BINARY)
+        arc_map[name] = [i, j]
+    _reference_root_rows(model, matrix, {j: arc_var(ROOT, j) for j in dag.children[ROOT]})
+    for i in sorted(dag.branching):
+        rows, implied = _reference_cover_rows(matrix.rows, {j: arc_var(i, j) for j in dag.children[i]})
+        for r, coeffs in rows.items():
+            model.add_constraint(f"chain_{i}_p{matrix.points[r]}", coeffs, "<=", 1.0,
+                                 implied=r in implied)
+    parent_rows = {j: {} for j in rep.vertices}
+    for name, (i, j) in arc_map.items():
+        parent_rows[j][name] = 1.0
+    for j, coeffs in parent_rows.items():
+        model.add_constraint(f"parent_{j}", coeffs, "=", 1.0)
+    model.metadata = {"formulation": "CG", "relaxed": False, "arcs": arc_map, "n": rep.n}
+    return model
+
+
+def _reference_cgh(rep, dag, matrix, height):
+    model = LpModel(name="CG_H", sense="min", integral_objective=True)
+    arcs = [(ROOT, 0, j) for j in rep.vertices]
+    arcs += [(i, h, j) for i in sorted(dag.branching) for h in range(1, height)
+             for j in dag.children[i]]
+    into = {}
+    for i, h, j in arcs:
+        name = layer_var(i, h, j)
+        model.add_var(name, 0.0, 1.0, BINARY)
+        into.setdefault((j, h + 1), []).append(name)
+    _reference_root_rows(model, matrix, {j: layer_var(ROOT, 0, j) for j in rep.vertices})
+    for i in sorted(dag.branching):
+        for h in range(1, height):
+            inflow = dict.fromkeys(into.get((i, h), ()), -1.0)
+            names = {j: layer_var(i, h, j) for j in dag.children[i]}
+            rows, implied = _reference_cover_rows(matrix.rows, names)
+            for r, coeffs in rows.items():
+                coeffs.update(inflow)
+                model.add_constraint(f"chain_{i}.{h}_p{matrix.points[r]}", coeffs, "<=", 0.0,
+                                     implied=r in implied)
+    for j in rep.vertices:
+        coeffs = {name: 1.0 for h in range(1, height + 1) for name in into.get((j, h), ())}
+        model.add_constraint(f"enter_{j}", coeffs, "=", 1.0)
+    model.metadata = {"formulation": "CG_H", "relaxed": False, "height": height,
+                      "arcs": {layer_var(*arc): list(arc) for arc in arcs}, "n": rep.n}
+    return model
+
+
+def _assert_same_program(rep):
+    dag, m = _core(rep)
+    pairs = [(build_cg(rep, dag, m), _reference_cg(rep, dag, m))]
+    pairs += [(build_cgh(rep, dag, m, h), _reference_cgh(rep, dag, m, h)) for h in (1, 2, 3)]
+    for got, want in pairs:
+        assert write_lp_text(got) == write_lp_text(want)
+        assert write_mps(got) == write_mps(want)
+        assert np.array_equal(got.implied, want.implied)
+        assert got.metadata == want.metadata
+        assert ([list(c.coeffs.items()) for c in got.constraints]
+                == [list(c.coeffs.items()) for c in want.constraints])
+        a, b = _standardize(got, None, 1e-9), _standardize(want, None, 1e-9)
+        for field in ("origin", "rel", "rhs"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (got.name, field)
+        assert set(zip(*(e.tolist() for e in a.entries))) == set(zip(*(e.tolist() for e in b.entries)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(interval_reps(max_n=14))
+def test_array_builders_match_the_dict_reference(rep):
+    _assert_same_program(rep)
+
+
+@pytest.mark.parametrize("n, k", [(25, 0), (25, 1), (25, 2), (80, 0)])
+def test_array_builders_match_the_dict_reference_at_benchmark_size(n, k):
+    _assert_same_program(generate_one(n, 21, k))

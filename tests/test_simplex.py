@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from strategies import interval_reps
 
 from circlecolor import simplex
-from circlecolor.errors import NumericalFailureError
+from circlecolor.errors import NumericalFailureError, TableauTooLargeError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import build_clique_matrix, build_dag
 from circlecolor.lpmodels import (
@@ -359,9 +359,8 @@ def test_tableau_duals_match_basis_solve(monkeypatch):
         c[:len(model.variables)] = [model.objective.get(v.name, 0.0) for v in model.variables]
         y_ref = np.linalg.solve(A[:, basis].T, c[basis])
         y = np.array([sol.dual[r.name] for r in model.constraints])
-        tableau_rows = [r for r in range(len(y)) if r not in model.implied]
-        assert np.abs(y[tableau_rows] - y_ref).max() <= 1e-9, k
-        assert not y[sorted(model.implied)].any(), k
+        assert np.abs(y[~model.implied] - y_ref).max() <= 1e-9, k
+        assert not y[model.implied].any(), k
         # strong duality: y'b plus u times each negative reduced cost
         dual_obj = sum(y[i] * r.rhs for i, r in enumerate(model.constraints))
         reduced = dict(model.objective)
@@ -606,10 +605,10 @@ def test_implied_rows_leave_the_lp_value_as_it_is(rep):
                for i in [0] + sorted(dag.branching)]
     for model in models:
         sol = solve_lp(model)
-        assert len(sol.tableau.basis) <= len(model.constraints) - len(model.implied), model.name
-        assert not any(sol.dual[model.constraints[r].name] for r in model.implied), model.name
+        assert len(sol.tableau.basis) <= len(model.row_names) - model.implied.sum(), model.name
+        assert not any(sol.dual[model.row_names[r]] for r in np.flatnonzero(model.implied)), model.name
         every_row = model.relaxed()
-        every_row.implied.clear()
+        every_row.implied[:] = False
         full = solve_lp(every_row)
         assert len(full.tableau.basis) == len(model.constraints), model.name
         assert sol.objective == pytest.approx(full.objective, abs=1e-9), model.name
@@ -620,9 +619,18 @@ def test_a_binding_row_marked_implied_fails_the_certificate(c5):
     # drops below 2.5 and its optimum breaks the row
     model = build_cg(c5, build_dag(c5), build_clique_matrix(c5))
     assert solve_lp(model).dual["chain_5_p5"] == pytest.approx(-0.5)
-    model.implied.add(next(r for r, con in enumerate(model.constraints) if con.name == "chain_5_p5"))
+    model.implied[model.row_names.index("chain_5_p5")] = True
     with pytest.raises(NumericalFailureError, match="fails a row or bound"):
         solve_lp(model)
+
+
+def test_tableau_over_the_byte_budget_is_refused_before_it_is_built(c5, monkeypatch):
+    model = build_cg(c5, build_dag(c5), build_clique_matrix(c5))
+    size = solve_lp(model).tableau.T.nbytes
+    assert solve_lp(model, SimplexOptions(max_tableau_bytes=size)).objective == pytest.approx(2.5)
+    monkeypatch.setattr(simplex, "_optimize", None)  # nothing may pivot
+    with pytest.raises(TableauTooLargeError, match=f"needs {size} bytes"):
+        solve_lp(model, SimplexOptions(max_tableau_bytes=size - 1))
 
 
 def test_phase_one_that_comes_back_unbounded_raises(monkeypatch):

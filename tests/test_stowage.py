@@ -9,10 +9,12 @@ from strategies import interval_reps
 from circlecolor import bnb, stowage
 from circlecolor.bnb import first_fit, solve_chromatic, solve_ip, solve_stacks
 from circlecolor.errors import (
+    AntichainBoundError,
     CertificateError,
     ChainConditionError,
     InvalidHeightError,
     LayerConditionError,
+    NotArborescenceError,
 )
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
@@ -342,3 +344,54 @@ def test_arborescence_of_coloring_matches_the_pairwise_scan(rep, data):
     ]
     for coloring in colorings:
         assert arborescence_of_coloring(rep, coloring) == _reference_arborescence(rep, coloring)
+
+
+DECODE_ERRORS = (NotArborescenceError, ChainConditionError, AntichainBoundError,
+                 LayerConditionError)
+
+
+def _single_arc_corruptions(rep, arcs, height=None):
+    """Every arc set one arc away from arcs: one arc dropped, a vertex given
+    a second entry arc along containment, or an arc's source swapped for a
+    vertex that does not contain its head.  The arcs are CG pairs (i, j),
+    or layered triples (i, h, j) when the height is given."""
+    def entries(i, j):
+        if height is None:
+            return [(i, j)]
+        return [(i, h, j) for h in ([0] if i == ROOT else range(1, height))]
+
+    arcs = set(arcs)
+    for a in arcs:
+        j = a[-1]
+        yield arcs - {a}
+        for i in [ROOT, *rep.vertices]:
+            if i == ROOT or rep.contains(i, j):
+                yield from (arcs | {b} for b in entries(i, j) if b not in arcs)
+            elif i != j:
+                yield from ((arcs - {a}) | {b} for b in entries(i, j))
+
+
+@settings(max_examples=40, deadline=None)
+@given(interval_reps(max_n=8))
+def test_single_arc_corruptions_are_rejected(rep):
+    report = solve_chromatic(rep)
+    chi = report.chromatic_number
+    for arcs in _single_arc_corruptions(rep, report.coloring.certificate):
+        try:
+            coloring = decode_arborescence(rep, arcs, chi)
+        except DECODE_ERRORS:
+            continue
+        classes = {}
+        for v in rep.vertices:
+            classes.setdefault(coloring.colors[v], []).append(v)
+        plan = StackPlan(stacks=tuple(tuple(c) for c in classes.values()))
+        check_plan(rep, plan, rep.n, plan.num_stacks)
+        assert plan.num_stacks <= chi
+    report = solve_stacks(rep, 2)
+    for arcs in _single_arc_corruptions(rep, plan_arcs(rep, report.plan), 2):
+        try:
+            plan = decode_plan(rep, arcs, report.chromatic_number, 2)
+        except DECODE_ERRORS:
+            continue
+        check_plan(rep, plan, 2, plan.num_stacks)
+        assert plan.num_stacks <= report.chromatic_number
