@@ -75,8 +75,8 @@ class NumericalFailureError(CircleColorError):
 
 
 class TableauTooLargeError(CircleColorError):
-    """Raised before the simplex allocates a tableau larger than
-    SimplexOptions.max_tableau_bytes."""
+    """Raised before the simplex allocates a dense tableau of more than
+    1 GiB."""
 
 
 class InfeasibleModelError(CircleColorError):

@@ -323,19 +323,20 @@ def _add_charges(model: LpModel, i: int, kids, matrix: CliqueMatrix) -> dict:
     return {r: model.add_var(f"y_{i}_p{matrix.points[r]}") for r in rows}
 
 
-def _add_arborescence(model: LpModel, matrix: CliqueMatrix, arcs, group, label,
-                      chain_rhs: float, entry: str, inflow=None) -> None:
+def _add_arborescence(model: LpModel, matrix: CliqueMatrix, arcs, sweep, label,
+                      chain_rhs: float, entry: str, extra=()) -> None:
     """The part CG and CG_H share.  model.metadata["arcs"] names the arcs
     in variable order, arcs holds them as rows (tail, ..., head), and
-    group[a] is the child set of arc a, 0 for the root's.  Adds a binary
-    per arc, the integer objective c, and three blocks of rows:
+    sweep is _sweep_rows of their child sets (0 for the root's) and heads.
+    Adds a binary per arc, the integer objective c, and three blocks of
+    rows:
 
     - root_p<point>: the root's arcs covering a sweep point sum to <= c.
       The root's set covers every sweep point, so these rows come first,
       one per point;
-    - <label[g]>p<point>: the arcs of set g covering a sweep point, with
-      the (row, variable, coefficient) entries inflow(group of each sweep
-      row) adds when it is given, sum to <= chain_rhs;
+    - <label[g]>p<point>: the arcs of set g covering a sweep point, plus
+      the extra (sweep row, variable, coefficient) entries when given, sum
+      to <= chain_rhs;
     - <entry>_<j>: vertex j enters by exactly one arc; a row lists its
       arcs by their second field, then in variable order."""
     names = list(model.metadata["arcs"])
@@ -343,15 +344,14 @@ def _add_arborescence(model: LpModel, matrix: CliqueMatrix, arcs, group, label,
     model.add_var("c", 0.0, INF, INTEGER)
     model.objective = {"c": 1.0}
     head = arcs[:, -1]
-    key, row, arc, implied = _sweep_rows(matrix, group, head)
+    key, row, arc, implied = sweep
     groups = key // len(matrix.points)
     n_root, n_sweep, n = int(np.count_nonzero(groups == 0)), len(key), model.metadata["n"]
     rows = [row, np.arange(n_root)]
     cols = [arc, np.full(n_root, len(names))]
     vals = [np.ones(len(row)), np.full(n_root, -1.0)]
-    if inflow is not None:
-        for part, add in zip((rows, cols, vals), inflow(groups)):
-            part.append(add)
+    for part, add in zip((rows, cols, vals), extra):
+        part.append(add)
     by_entry = np.argsort(arcs[:, 1], kind="stable")
     rows.append(n_sweep + head[by_entry] - 1)
     cols.append(by_entry)
@@ -380,7 +380,8 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpM
     model.metadata = {"formulation": "CG", "relaxed": False,
                       "arcs": dict(zip([arc_var(i, j) for i, j in pairs], pairs)), "n": rep.n}
     label = ["root_"] + [f"chain_{i}_" for i in rep.vertices]
-    _add_arborescence(model, matrix, arcs, arcs[:, 0], label, 1.0, "parent")
+    _add_arborescence(model, matrix, arcs, _sweep_rows(matrix, tail, head), label, 1.0,
+                      "parent")
     return model
 
 

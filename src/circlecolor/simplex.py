@@ -68,7 +68,7 @@ Standard form: _standardize reads the model's arrays (lpmodels) with no
 loop over variables or rows: the bounds give each variable's column,
 offset and sign, and the COO entries are shifted, masked and renumbered
 as whole arrays.  The dense tableau, (rows + 1) x (columns + 1) floats,
-is sized before it is allocated; one over SimplexOptions.max_tableau_bytes
+is sized before it is allocated; one over _MAX_TABLEAU_BYTES (1 GiB)
 raises TableauTooLargeError.
 
 Implied rows: the LpModel.implied mask marks the rows that the others and
@@ -105,6 +105,8 @@ from .errors import NumericalFailureError, TableauTooLargeError
 from .lpmodels import LpModel
 
 INF = math.inf
+# the largest dense tableau a solve may allocate
+_MAX_TABLEAU_BYTES = 1 << 30
 
 
 @dataclass
@@ -114,9 +116,6 @@ class SimplexOptions:
     int_tol: float = 1e-6
     pivot_tol: float = 1e-9
     max_iter: int = 200000
-    # the largest dense tableau a solve may allocate; a CG root at n = 160
-    # needs about 86 MB
-    max_tableau_bytes: int = 1 << 30
 
 
 DEFAULT_OPTIONS = SimplexOptions()
@@ -597,10 +596,10 @@ def _solve_cold(model: LpModel, opts: SimplexOptions, bound_overrides, start) ->
     unit_col = slack_col.copy()
     unit_col[art_rows] = n_enter + np.arange(n_art)
     size = (m + 1) * (ncols + 1) * 8
-    if size > opts.max_tableau_bytes:
+    if size > _MAX_TABLEAU_BYTES:
         raise TableauTooLargeError(
             f"{model.name}: its {m + 1} x {ncols + 1} tableau needs {size} bytes, "
-            f"over the budget of {opts.max_tableau_bytes}")
+            f"over the budget of {_MAX_TABLEAU_BYTES}")
 
     def tableau():
         T = np.zeros((m + 1, ncols + 1))

@@ -25,7 +25,7 @@ from .intervals import (
     max_antichain,
     topological_order,
 )
-from .lpmodels import LpModel, _add_arborescence, _ranges
+from .lpmodels import LpModel, _add_arborescence, _ranges, _sweep_rows
 from .mwis import decode_arborescence
 
 
@@ -76,14 +76,14 @@ def build_cgh(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
     label = {i * height + h: f"chain_{i}.{h}_" for i in inner for h in range(1, height)}
     label[0] = "root_"
 
-    def inflow(groups):
-        # each sweep row of copy (i, h) also takes -1 for every arc into (i, h)
-        into = np.where(layer + 1 < height, head * height + layer + 1, -1)
-        first = np.searchsorted(groups, into)
-        row, arc = _ranges(first, np.searchsorted(groups, into, "right") - first)
-        return row, arc, np.full(len(row), -1.0)
-
-    _add_arborescence(model, matrix, arcs, tail * height + layer, label, 0.0, "enter", inflow)
+    sweep = _sweep_rows(matrix, tail * height + layer, head)
+    # each sweep row of copy (i, h) also takes -1 for every arc into (i, h)
+    groups = sweep[0] // len(matrix.points)
+    into = np.where(layer + 1 < height, head * height + layer + 1, -1)
+    first = np.searchsorted(groups, into)
+    row, arc = _ranges(first, np.searchsorted(groups, into, "right") - first)
+    _add_arborescence(model, matrix, arcs, sweep, label, 0.0, "enter",
+                      (row, arc, np.full(len(row), -1.0)))
     return model
 
 

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from circlecolor import bnb, cli, instances
+from circlecolor import bnb, cli, instances, simplex
 from circlecolor.cli import main
 from circlecolor.errors import NumericalFailureError
 from circlecolor.intervals import parse_instance
@@ -147,9 +146,7 @@ def test_bench_reports_failed_solves(capsys, monkeypatch):
 
 
 def test_oversized_tableau_exits_3(capsys, monkeypatch):
-    options = cli._options_from_args
-    monkeypatch.setattr(cli, "_options_from_args",
-                        lambda args: dataclasses.replace(options(args), max_tableau_bytes=64))
+    monkeypatch.setattr(simplex, "_MAX_TABLEAU_BYTES", 64)
     for cmd in (["solve", C5_FILE], ["relax", C5_FILE], ["stacks", C5_FILE, "--height", "2"]):
         assert run_cli(cmd, expect=3) == ""
         assert "tableau needs" in capsys.readouterr().err

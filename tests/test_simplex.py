@@ -627,10 +627,12 @@ def test_a_binding_row_marked_implied_fails_the_certificate(c5):
 def test_tableau_over_the_byte_budget_is_refused_before_it_is_built(c5, monkeypatch):
     model = build_cg(c5, build_dag(c5), build_clique_matrix(c5))
     size = solve_lp(model).tableau.T.nbytes
-    assert solve_lp(model, SimplexOptions(max_tableau_bytes=size)).objective == pytest.approx(2.5)
+    monkeypatch.setattr(simplex, "_MAX_TABLEAU_BYTES", size)
+    assert solve_lp(model).objective == pytest.approx(2.5)
+    monkeypatch.setattr(simplex, "_MAX_TABLEAU_BYTES", size - 1)
     monkeypatch.setattr(simplex, "_optimize", None)  # nothing may pivot
     with pytest.raises(TableauTooLargeError, match=f"needs {size} bytes"):
-        solve_lp(model, SimplexOptions(max_tableau_bytes=size - 1))
+        solve_lp(model)
 
 
 def test_phase_one_that_comes_back_unbounded_raises(monkeypatch):
