@@ -178,9 +178,9 @@ class LpModel:
         """Add the named variables, all with the same bounds and kind."""
         start = len(self.var_names)
         _check_kind(names, lower, upper, kind)
-        self._index.update(zip(names, range(start, start + len(names))))
-        if len(self._index) != start + len(names):
+        if len(set(names)) != len(names) or not self._index.keys().isdisjoint(names):
             raise ValueError("duplicate variable names")
+        self._index.update(zip(names, range(start, start + len(names))))
         self.var_names += names
         count = len(names)
         self._vars.extend(np.full(count, lower), np.full(count, upper),

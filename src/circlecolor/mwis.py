@@ -32,7 +32,7 @@ from .intervals import (
     ROOT,
     Coloring,
     IntervalRep,
-    max_antichain,
+    max_antichain,  # noqa: F401  perfbench/spans.py wraps it under this module
     topological_order,
 )
 
@@ -199,12 +199,12 @@ def decode_arborescence(rep: IntervalRep, arcs, c: int) -> Coloring:
     for i in rep.vertices:
         if children[i] and not rep.is_chain(children[i]):
             raise ChainConditionError(i)
-    top = children[ROOT]
-    width = max_antichain(rep, top)
-    if width > c:
-        raise AntichainBoundError(ROOT, width, c)
+    # the greedy partition has exactly max_antichain chains: its count is C2's width
+    chains = chain_partition(rep, children[ROOT])
+    if len(chains) > c:
+        raise AntichainBoundError(ROOT, len(chains), c)
     colors = {}
-    for color, chain in enumerate(chain_partition(rep, top), start=1):
+    for color, chain in enumerate(chains, start=1):
         stack = list(chain)
         while stack:
             v = stack.pop()

@@ -41,8 +41,12 @@ pivots count in `iterations`; a dropped start's do not.
 Warm restart (branch-and-bound children; Koberstein, *The dual simplex
 method, techniques for a fast and stable implementation*, PhD thesis,
 Paderborn 2005, ch. 3): solve_lp(warm=parent) resumes from a copy of the
-parent's final tableau, whose cost row is still dual feasible after bounds
-tighten.  A column whose bounds move is shifted, T[:, -1] -= a * T[:, p],
+parent's final tableau (_Tableau.copy), whose cost row is still dual
+feasible after bounds tighten.  The child's bounds come from the cold
+solve's merge (_bounds: the model's bounds with the overrides tightened on
+top, names the model lacks ignored), and comparing them as whole arrays
+with the parent's gives the bounds that loosen, contradict or move.  A
+column whose bounds move is shifted, T[:, -1] -= a * T[:, p],
 basic or not, with a = the move of its lower bound (of its upper bound
 when it is complemented); its new lower bound goes into a per-variable
 offset for the read-out, and a fixed column stays in the tableau with
@@ -68,8 +72,22 @@ Standard form: _standardize reads the model's arrays (lpmodels) with no
 loop over variables or rows: the bounds give each variable's column,
 offset and sign, and the COO entries are shifted, masked and renumbered
 as whole arrays.  The dense tableau, (rows + 1) x (columns + 1) floats,
-is sized before it is allocated; one over _MAX_TABLEAU_BYTES (1 GiB)
+is sized before _tableau allocates it; one over _MAX_TABLEAU_BYTES (1 GiB)
 raises TableauTooLargeError.
+
+Layout: _standardize also fixes the tableau layout, and nothing changes
+_Standardized after it returns.  A row with a negative right-hand side is
+negated (sgn), so every right-hand side is at least 0.  The columns are
+the structural ones, then a slack ('<=') or surplus ('>=') column per
+inequality row, then an artificial per '>=' or '=' row; only the first
+n_enter, structural, slack and surplus, may enter.  Each row has one unit
+column, its '<=' slack or its artificial: _tableau starts with it basic,
+and _solution reads the row's dual under it in the phase-2 cost row.  The
+crash reads slack_col, the phase-2 setup the cost vector, and every loop
+the feasibility tolerance scaled by the largest right-hand side.  A
+_Tableau carries the solve state (tableau, basis, column bounds and
+complements, variable offsets and bounds) that the cold, crashed and
+resumed solves share.
 
 Implied rows: the LpModel.implied mask marks the rows that the others and
 the variable bounds imply.  In CG, CG_H and LC these are the sweep rows
@@ -137,7 +155,8 @@ class LpSolution:
 _DEVEX_RESET = 1e6
 
 class _Standardized:
-    """Rows A x (rel) b over columns 0 <= x <= upper.
+    """Rows A x (rel) b, b >= 0, over columns 0 <= x <= upper, and their
+    tableau layout (Layout in the module docstring).
 
     Model variable k is offset[k] + sign[k] * x[col[k]], less x[col[k] + 1]
     when it is free; a fixed variable has col -1 and equals its offset.
@@ -148,26 +167,27 @@ class _Standardized:
         self.offset = self.col = self.sign = self.free = None  # per variable
         self.lo = self.hi = None  # per variable: its bounds with the overrides
         self.upper = None    # per column: finite upper bound or INF
+        self.cost = None     # per column: phase-2 cost, to be minimized
         self.origin = None   # per row: index of its model constraint
-        self.rel = None      # per row: relation code
-        self.rhs = None      # per row: right-hand side
-        self.entries = None  # (row, column, value) arrays of A
-        self.model_rows = None  # (row, variable, value, relation, rhs) of the model
-        # set by _solve_cold: per-row signs, each row's unit column, the
-        # columns that may enter, the objective's sign and the feasibility
-        # tolerance
-        self.sgn = self.unit_col = None
-        self.n_enter = 0
-        self.sense_mul = 1.0
-        self.tol = 0.0
+        self.sgn = None      # per row: -1.0 when the model row is negated, else 1.0
+        self.rel = None      # per row: relation code, after the negation
+        self.rhs = None      # per row: right-hand side, after the negation
+        self.slack_col = None  # per row: its slack or surplus column, if it has one
+        self.unit_col = None   # per row: its slack ('<=') or artificial column
+        self.entries = None  # (row, column, value) arrays of A, after the negation
+        self.n_enter = 0     # the columns that may enter: all but the artificials
+        self.sense_mul = 1.0  # -1.0 for a max model
+        self.tol = 0.0       # feas_tol scaled by the largest right-hand side
 
 
 @dataclass(eq=False)
 class _Tableau:
-    """A solved tableau, kept on its LpSolution for a warm restart.
-
-    offset is std.offset with the lower bounds a restart moved into it, and
-    lo and hi are the variables' bounds with the overrides in effect."""
+    """The state of a solve: the tableau T (the cost row last, the
+    right-hand sides in the last column), the basic column of each row,
+    each column's upper bound and whether it is complemented.  offset is
+    std.offset with the lower bounds a restart moved into it, and lo and hi
+    are the variables' bounds with the overrides in effect.  An optimal
+    solve keeps its final one on its LpSolution for a warm restart."""
     model: LpModel
     std: _Standardized
     T: np.ndarray
@@ -179,11 +199,16 @@ class _Tableau:
     hi: np.ndarray
     overrides: dict
 
+    def copy(self) -> _Tableau:
+        """A copy with its own arrays; the model and std are shared."""
+        return _Tableau(self.model, self.std, self.T.copy(), self.basis.copy(),
+                        self.upper.copy(), self.flipped.copy(), self.offset.copy(),
+                        self.lo.copy(), self.hi.copy(), dict(self.overrides))
 
-def _standardize(model: LpModel, overrides, feas_tol):
-    """Standard form of the model, or None when some variable's bounds, or
-    some constraint left without a column, cannot hold."""
-    std = _Standardized()
+
+def _bounds(model: LpModel, overrides):
+    """Each variable's (lower, upper) bounds: the model's, tightened by the
+    overrides; names the model lacks are ignored."""
     lo, hi = model.lower.copy(), model.upper.copy()
     moved = [(model._index[name], bounds) for name, bounds in (overrides or {}).items()
              if name in model._index]
@@ -192,6 +217,15 @@ def _standardize(model: LpModel, overrides, feas_tol):
         bounds = np.array([b for _, b in moved], dtype=float)
         lo[k] = np.maximum(lo[k], bounds[:, 0])
         hi[k] = np.minimum(hi[k], bounds[:, 1])
+    return lo, hi
+
+
+def _standardize(model: LpModel, overrides, feas_tol):
+    """Standard form of the model and its tableau layout, or None when some
+    variable's bounds, or some constraint left without a column, cannot
+    hold."""
+    std = _Standardized()
+    lo, hi = _bounds(model, overrides)
     with np.errstate(invalid="ignore"):  # inf - inf on contradictory infinite bounds
         if (lo > hi + feas_tol).any():
             return None  # contradictory bounds
@@ -201,8 +235,8 @@ def _standardize(model: LpModel, overrides, feas_tol):
         shifted = ~(fixed | free | mirrored)  # x = lo + x'
         width = np.where(fixed, 0, np.where(free, 2, 1))  # a free x is x' - x''
         std.col = np.where(fixed, -1, np.cumsum(width) - width)
-        std.upper = np.full(int(width.sum()), INF)
-        std.upper[std.col[shifted]] = hi[shifted] - lo[shifted]
+        upper = np.full(int(width.sum()), INF)
+        upper[std.col[shifted]] = hi[shifted] - lo[shifted]
     std.offset = np.where(fixed | shifted, lo, np.where(mirrored, hi, 0.0))
     std.sign = np.where(mirrored, -1.0, 1.0)
     std.free = free
@@ -210,7 +244,6 @@ def _standardize(model: LpModel, overrides, feas_tol):
 
     row, var, val, rel = model.row, model.var, model.val, model.rel
     n_con = len(rel)
-    std.model_rows = (row, var, val, rel, model.rhs)
     rhs = model.rhs - np.bincount(row, weights=val * std.offset[var], minlength=n_con)
     live = std.col[var] >= 0
     kept = np.bincount(row[live], minlength=n_con) > 0
@@ -219,15 +252,56 @@ def _standardize(model: LpModel, overrides, feas_tol):
     kept &= ~model.implied  # implied rows and their entries stay out
     live &= kept[row]
     std.origin = np.flatnonzero(kept)
-    std.rel = rel[kept]
-    std.rhs = rhs[kept]
+    rhs = rhs[kept]
+    std.sgn = np.where(rhs < 0, -1.0, 1.0)
+    std.rel = np.where(rhs < 0, -rel[kept], rel[kept])
+    std.rhs = std.sgn * rhs
     pos = np.cumsum(kept) - 1
     row, var, val = pos[row[live]], var[live], val[live]
     free = std.free[var]
-    std.entries = (np.concatenate([row, row[free]]),
-                   np.concatenate([std.col[var], std.col[var[free]] + 1]),
-                   np.concatenate([val * std.sign[var], -val[free]]))
+    rows = np.concatenate([row, row[free]])
+    std.entries = (rows, np.concatenate([std.col[var], std.col[var[free]] + 1]),
+                   np.concatenate([val * std.sign[var], -val[free]]) * std.sgn[rows])
+
+    has_slack, art = std.rel != 0, std.rel <= 0
+    std.n_enter = len(upper) + int(has_slack.sum())
+    std.slack_col = len(upper) + np.cumsum(has_slack) - 1
+    std.unit_col = np.where(art, std.n_enter + np.cumsum(art) - 1, std.slack_col)
+    std.upper = np.full(std.n_enter + int(art.sum()), INF)
+    std.upper[:len(upper)] = upper
+    std.sense_mul = 1.0 if model.sense == "min" else -1.0
+    k = np.array([model._index[name] for name in model.objective], dtype=np.int64)
+    coef = std.sense_mul * np.array(list(model.objective.values()), dtype=float)
+    live = std.col[k] >= 0
+    k, coef = k[live], coef[live]
+    free = std.free[k]
+    std.cost = np.zeros(len(std.upper))
+    std.cost[std.col[k]] += coef * std.sign[k]
+    std.cost[std.col[k[free]] + 1] -= coef[free]
+    std.tol = feas_tol * max(1.0, float(np.abs(std.rhs).max(initial=0.0)))
     return std
+
+
+def _tableau(model: LpModel, std: _Standardized, overrides) -> _Tableau:
+    """The starting tableau of the standard form, every row's unit column
+    basic and the cost row 0; one over the byte budget is refused before
+    it is allocated."""
+    m, ncols = len(std.rhs), len(std.upper)
+    size = (m + 1) * (ncols + 1) * 8
+    if size > _MAX_TABLEAU_BYTES:
+        raise TableauTooLargeError(
+            f"{model.name}: its {m + 1} x {ncols + 1} tableau needs {size} bytes, "
+            f"over the budget of {_MAX_TABLEAU_BYTES}")
+    T = np.zeros((m + 1, ncols + 1))
+    rows, cols, vals = std.entries
+    T[rows, cols] = vals
+    T[:m, -1] = std.rhs
+    slack = np.flatnonzero(std.rel)
+    T[slack, std.slack_col[slack]] = std.rel[slack]
+    T[np.arange(m), std.unit_col] = 1.0
+    return _Tableau(model, std, T, std.unit_col.copy(), std.upper.copy(),
+                    np.zeros(ncols, dtype=bool), std.offset, std.lo, std.hi,
+                    dict(overrides or {}))
 
 
 def _pivot(T, row, col):
@@ -249,12 +323,14 @@ def _complement(T, col, upper, flipped):
     flipped[col] = not flipped[col]
 
 
-def _optimize(T, basis, n_enter, m, upper, flipped, opts):
-    """Pivot until the cost row (row m) has no improving column among the
-    first n_enter.
+def _optimize(tab: _Tableau, opts: SimplexOptions):
+    """Pivot until the cost row has no improving column among the first
+    n_enter.
 
     Returns ('optimal' | 'unbounded', pivots); bound flips are not pivots.
     """
+    T, basis, upper, flipped = tab.T, tab.basis, tab.upper, tab.flipped
+    n_enter, m = tab.std.n_enter, len(basis)
     iters = 0
     flips = 0
     degenerate = 0
@@ -330,13 +406,15 @@ def _optimize(T, basis, n_enter, m, upper, flipped, opts):
             raise NumericalFailureError(f"simplex exceeded {opts.max_iter} iterations")
 
 
-def _dual(T, basis, n_enter, m, upper, flipped, tol, opts):
+def _dual(tab: _Tableau, opts: SimplexOptions):
     """Dual simplex from a dual feasible cost row (the warm restart in the
     module docstring) until every basic variable is within its bounds.
 
     Returns ('optimal' | 'infeasible', pivots); 'optimal' means primal
     feasible, with the cost row still dual feasible.
     """
+    T, basis, upper, flipped = tab.T, tab.basis, tab.upper, tab.flipped
+    n_enter, m, tol = tab.std.n_enter, len(basis), tab.std.tol
     rhs = T[:m, -1]
     cost = T[m, :n_enter]
     iters = 0
@@ -389,87 +467,78 @@ def _dual(T, basis, n_enter, m, upper, flipped, tol, opts):
 
 
 def _resume(model: LpModel, prev: _Tableau, overrides: dict, opts: SimplexOptions):
-    """Resume from prev, the tableau of an earlier solve of the same model,
-    with the bounds in overrides (the warm restart in the module docstring).
+    """Resume from a copy of prev, the tableau of an earlier solve of the
+    same model, with the bounds in overrides (the warm restart in the
+    module docstring); prev is left as it was.
 
     Returns (solution or None, pivots); None when a bound would loosen, a
     free or mirrored column's bound moves, or the answer fails _certify."""
     std = prev.std
     if prev.model is not model or not prev.overrides.keys() <= overrides.keys():
         return None, 0
-    T, basis, upper, flipped = prev.T.copy(), prev.basis.copy(), prev.upper.copy(), prev.flipped.copy()
-    offset, lo, hi = prev.offset.copy(), prev.lo.copy(), prev.hi.copy()
-    lower, upper_model = model.lower.tolist(), model.upper.tolist()
-    for name, (olo, ohi) in overrides.items():
-        k = model._index[name]
-        low, high = max(lower[k], olo), min(upper_model[k], ohi)
-        if low < lo[k] or high > hi[k]:
-            return None, 0
-        if low > high + opts.feas_tol:
-            return LpSolution(status="infeasible", objective=None), 0
-        if low == lo[k] and high == hi[k]:
-            continue
-        lo[k], hi[k] = low, high
+    lo, hi = _bounds(model, overrides)
+    if (lo < prev.lo).any() or (hi > prev.hi).any():
+        return None, 0
+    if (lo > hi + opts.feas_tol).any():
+        return LpSolution(status="infeasible", objective=None), 0
+    moved = np.flatnonzero((lo != prev.lo) | (hi != prev.hi))
+    # a variable fixed when the tableau was built has no column, and its
+    # bounds stay within feas_tol
+    moved = moved[std.col[moved] >= 0]
+    if (std.free[moved] | (std.sign[moved] < 0)).any():
+        return None, 0
+    tab = prev.copy()
+    tab.lo, tab.hi, tab.overrides = lo, hi, dict(overrides)
+    T, upper, offset = tab.T, tab.upper, tab.offset
+    for k in moved.tolist():
         p = std.col[k]
-        if p < 0:  # fixed when the tableau was built, and kept within feas_tol
-            continue
-        if std.free[k] or std.sign[k] < 0:
-            return None, 0
-        u = high - low if high - low > opts.feas_tol else 0.0
+        u = hi[k] - lo[k] if hi[k] - lo[k] > opts.feas_tol else 0.0
         # the column's value moves by shift: from its lower bound, or from
         # its upper bound when it is complemented
-        shift = offset[k] + upper[p] - (low + u) if flipped[p] else low - offset[k]
+        shift = offset[k] + upper[p] - (lo[k] + u) if tab.flipped[p] else lo[k] - offset[k]
         if shift:
             T[:, -1] -= shift * T[:, p]
-        offset[k] = low
+        offset[k] = lo[k]
         upper[p] = u
-    m = len(basis)
     upper[std.n_enter:] = 0.0  # artificials
-    status, pivots = _dual(T, basis, std.n_enter, m, upper, flipped, std.tol, opts)
+    status, pivots = _dual(tab, opts)
     if status == "infeasible":
         return LpSolution(status="infeasible", objective=None, iterations=pivots), pivots
-    status, more = _optimize(T, basis, std.n_enter, m, upper, flipped, opts)
+    status, more = _optimize(tab, opts)
     pivots += more
     if status != "optimal":
         return None, pivots
-    tab = _Tableau(model, std, T, basis, upper, flipped, offset, lo, hi, dict(overrides))
-    values = _values(tab)
-    if not _certify(tab, values):
-        return None, pivots
-    return _solution(tab, values, pivots), pivots
+    return _solution(tab, pivots), pivots
 
 
-def _values(tab: _Tableau) -> np.ndarray:
-    """The model variables' values at the tableau's basic solution."""
-    std, T, upper, flipped, basis = tab.std, tab.T, tab.upper, tab.flipped, tab.basis
+def _certify(tab: _Tableau, values: np.ndarray) -> bool:
+    """Whether values meet every model row and bound within the solve's
+    feasibility tolerance, in O(nnz)."""
+    model, tol = tab.model, tab.std.tol
+    rel, rhs = model.rel, model.rhs
+    gap = np.bincount(model.row, weights=model.val * values[model.var], minlength=len(rhs)) - rhs
+    bad = np.where(rel > 0, gap > tol, np.where(rel < 0, gap < -tol, np.abs(gap) > tol))
+    return not bad.any() and bool((values >= tab.lo - tol).all() and (values <= tab.hi + tol).all())
+
+
+def _solution(tab: _Tableau, iterations: int) -> LpSolution | None:
+    """The optimal LpSolution read off a final tableau, or None when its
+    values fail _certify."""
+    model, std, T, upper, flipped, basis = tab.model, tab.std, tab.T, tab.upper, tab.flipped, tab.basis
     m = len(basis)
     # x[-1] = 0 stands in for the column a fixed variable does not have
     x = np.append(np.where(flipped, upper, 0.0), 0.0)
     x[basis] = np.where(flipped[basis], upper[basis] - T[:m, -1], T[:m, -1])
     values = tab.offset + std.sign * x[std.col]
     values[std.free] -= x[std.col[std.free] + 1]
-    return values
-
-
-def _certify(tab: _Tableau, values: np.ndarray) -> bool:
-    """Whether values meet every model row and bound within the solve's
-    feasibility tolerance, in O(nnz)."""
-    row, var, val, rel, rhs = tab.std.model_rows
-    tol = tab.std.tol
-    gap = np.bincount(row, weights=val * values[var], minlength=len(rhs)) - rhs
-    bad = np.where(rel > 0, gap > tol, np.where(rel < 0, gap < -tol, np.abs(gap) > tol))
-    return not bad.any() and bool((values >= tab.lo - tol).all() and (values <= tab.hi + tol).all())
-
-
-def _solution(tab: _Tableau, values: np.ndarray, iterations: int) -> LpSolution:
-    """The optimal LpSolution read off a final tableau."""
-    model, std = tab.model, tab.std
+    if not _certify(tab, values):
+        return None
     primal = dict(zip(model.var_names, values.tolist()))
     objective = sum(coef * primal[name] for name, coef in model.objective.items())
     # a resume may complement an artificial, which negates its cost entry
-    d = tab.T[len(tab.basis), std.unit_col]
+    d = T[m, std.unit_col]
     y = np.zeros(len(model.row_names))
-    y[std.origin] = np.where(tab.flipped[std.unit_col], d, -d) * std.sgn * std.sense_mul
+    y[std.origin] = np.where(flipped[std.unit_col], d, -d) * std.sgn * std.sense_mul
     dual = dict(zip(model.row_names, y.tolist()))
     return LpSolution(
         status="optimal",
@@ -482,8 +551,9 @@ def _solution(tab: _Tableau, values: np.ndarray, iterations: int) -> LpSolution:
 
 
 def _start_columns(model: LpModel, std: _Standardized, start: dict) -> np.ndarray | None:
-    """The start point in standardized columns (unnamed variables are 0),
-    or None when it names a variable the model does not have."""
+    """The start point in standardized columns (unnamed variables and the
+    slack and artificial columns are 0), or None when it names a variable
+    the model does not have."""
     value = np.zeros(len(model.var_names))
     for name, v in start.items():
         if name not in model._index:
@@ -497,25 +567,25 @@ def _start_columns(model: LpModel, std: _Standardized, start: dict) -> np.ndarra
     return x
 
 
-def _crash(T, basis, upper, flipped, x, rel, slack_col, n_enter, tol, opts):
+def _crash(tab: _Tableau, x: np.ndarray, opts: SimplexOptions):
     """Pivot from the slack/artificial basis to one whose basic solution is
-    the start point x, a value per structural column (the crash in the
-    module docstring).  Returns the pivots made, or None when x is
-    infeasible or some column finds no row to enter on."""
-    m = len(basis)
-    n_struct = len(x)
-    top = np.flatnonzero(x >= upper[:n_struct] - tol)
+    the start point x, a value per column (the crash in the module
+    docstring).  Returns the pivots made, or None when x is infeasible or
+    some column finds no row to enter on."""
+    T, basis, upper, flipped, std = tab.T, tab.basis, tab.upper, tab.flipped, tab.std
+    m, tol = len(basis), std.tol
+    top = np.flatnonzero(x >= upper - tol)
     T[:, -1] -= T[:, top] @ upper[top]
     T[:, top] *= -1.0
     flipped[top] = True
-    inner = np.flatnonzero((np.abs(x) > tol) & ~flipped[:n_struct])
+    inner = np.flatnonzero((np.abs(x) > tol) & ~flipped)
     # each row's slack or artificial at x, with every surplus at 0
     resid = T[:m, -1] - T[:m, inner] @ x[inner]
     tight = np.abs(resid) <= tol
     pivots = 0
-    for r in np.flatnonzero((rel < 0) & (resid < -tol)):
-        _pivot(T, r, slack_col[r])
-        basis[r] = slack_col[r]
+    for r in np.flatnonzero((std.rel < 0) & (resid < -tol)):
+        _pivot(T, r, std.slack_col[r])
+        basis[r] = std.slack_col[r]
         pivots += 1
     for j in inner:
         # the tight row with the largest pivot element
@@ -527,7 +597,7 @@ def _crash(T, basis, upper, flipped, x, rel, slack_col, n_enter, tol, opts):
         basis[r] = j
         tight[r] = False
         pivots += 1
-    upper[n_enter:] = 0.0  # artificials never enter, so fix them all
+    upper[std.n_enter:] = 0.0  # artificials never enter, so fix them all
     b = T[:m, -1]
     if (b < -tol).any() or (b > upper[basis] + tol).any():
         return None
@@ -566,99 +636,45 @@ def _solve_cold(model: LpModel, opts: SimplexOptions, bound_overrides, start) ->
     std = _standardize(model, bound_overrides, opts.feas_tol)
     if std is None:
         return LpSolution(status="infeasible", objective=None)
-
-    sense_mul = 1.0 if model.sense == "min" else -1.0
-    n_struct = len(std.upper)
-    index = model._index
-    c_struct = np.zeros(n_struct)
-    for name, coef in model.objective.items():
-        k = index[name]
-        p = std.col[k]
-        if p >= 0:
-            c_struct[p] += sense_mul * coef * std.sign[k]
-            if std.free[k]:
-                c_struct[p + 1] -= sense_mul * coef
-
-    m = len(std.rhs)
-    # rows with a negative right-hand side are negated
-    sgn = np.where(std.rhs < 0, -1.0, 1.0)
-    rel = np.where(std.rhs < 0, -std.rel, std.rel)
-    # column layout: structural | slack/surplus | artificial.  Each row
-    # has one unit column (its '<=' slack or its artificial) whose phase-2
-    # reduced cost is minus the row's dual.
-    has_slack = rel != 0
-    art_rows = np.flatnonzero(rel <= 0)
-    n_slack = int(has_slack.sum())
-    n_art = len(art_rows)
-    ncols = n_struct + n_slack + n_art
-    n_enter = n_struct + n_slack  # artificials never re-enter
-    slack_col = n_struct + np.cumsum(has_slack) - 1
-    unit_col = slack_col.copy()
-    unit_col[art_rows] = n_enter + np.arange(n_art)
-    size = (m + 1) * (ncols + 1) * 8
-    if size > _MAX_TABLEAU_BYTES:
-        raise TableauTooLargeError(
-            f"{model.name}: its {m + 1} x {ncols + 1} tableau needs {size} bytes, "
-            f"over the budget of {_MAX_TABLEAU_BYTES}")
-
-    def tableau():
-        T = np.zeros((m + 1, ncols + 1))
-        rows, cols, vals = std.entries
-        T[rows, cols] = vals * sgn[rows]
-        T[:m, -1] = sgn * std.rhs
-        T[has_slack.nonzero()[0], slack_col[has_slack]] = rel[has_slack]
-        T[np.arange(m), unit_col] = 1.0
-        upper = np.full(ncols, INF)
-        upper[:n_struct] = std.upper
-        return T, unit_col.copy(), upper, np.zeros(ncols, dtype=bool)
-
-    T, basis, upper, flipped = tableau()
-    b_max = float(np.abs(T[:m, -1]).max(initial=0.0))
-    tol = opts.feas_tol * max(1.0, b_max)
-    std.sgn, std.unit_col, std.n_enter, std.sense_mul, std.tol = sgn, unit_col, n_enter, sense_mul, tol
+    tab = _tableau(model, std, bound_overrides)
     x = None if start is None else _start_columns(model, std, start)
-    crash = None if x is None else _crash(T, basis, upper, flipped, x, rel, slack_col,
-                                          n_enter, tol, opts)
+    crash = None if x is None else _crash(tab, x, opts)
     if x is not None and crash is None:  # the start is dropped
-        T, basis, upper, flipped = tableau()
+        tab = _tableau(model, std, bound_overrides)
+    T, basis, m = tab.T, tab.basis, len(tab.basis)
     iterations = crash or 0
 
-    if n_art and crash is None:
-        T[m, n_enter:ncols] = 1.0
-        T[m] -= T[art_rows].sum(axis=0)
-        status, it1 = _optimize(T, basis, n_enter, m, upper, flipped, opts)
+    art = np.flatnonzero(std.unit_col >= std.n_enter)
+    if art.size and crash is None:
+        T[m, std.n_enter:-1] = 1.0
+        T[m] -= T[art].sum(axis=0)
+        status, it1 = _optimize(tab, opts)
         iterations += it1
         if status != "optimal":  # phase 1 is bounded below by 0
             raise NumericalFailureError(f"phase 1 of {model.name} came back {status}")
-        phase1 = -T[m, -1]
-        if phase1 > tol:
+        if -T[m, -1] > std.tol:
             return LpSolution(status="infeasible", objective=None, iterations=iterations)
         # drive basic artificials out where possible; leftover rows are
         # redundant and stay inert
-        for i in range(m):
-            if basis[i] >= n_enter:
-                row = T[i, :n_enter]
-                j = int(np.argmax(np.abs(row)))
-                if abs(row[j]) > opts.pivot_tol:
-                    _pivot(T, i, j)
-                    basis[i] = j
-                    iterations += 1
+        for i in np.flatnonzero(basis >= std.n_enter).tolist():
+            row = T[i, :std.n_enter]
+            j = int(np.argmax(np.abs(row)))
+            if abs(row[j]) > opts.pivot_tol:
+                _pivot(T, i, j)
+                basis[i] = j
+                iterations += 1
 
     # phase-2 costs in the current (partly complemented) columns; the
     # objective is read from the primal, so T[m, -1] is left as it is
-    c_ext = np.zeros(ncols)
-    c_ext[:n_struct] = c_struct
-    T[m, :ncols] = np.where(flipped, -c_ext, c_ext)
+    T[m, :-1] = np.where(tab.flipped, -std.cost, std.cost)
     c_basic = T[m, basis].copy()
     for i in np.flatnonzero(c_basic):
         T[m] -= c_basic[i] * T[i]
-    status, it2 = _optimize(T, basis, n_enter, m, upper, flipped, opts)
+    status, it2 = _optimize(tab, opts)
     iterations += it2
     if status == "unbounded":
         return LpSolution(status="unbounded", objective=None, iterations=iterations)
-    tab = _Tableau(model, std, T, basis, upper, flipped, std.offset, std.lo, std.hi,
-                   dict(bound_overrides or {}))
-    values = _values(tab)
-    if not _certify(tab, values):
+    sol = _solution(tab, iterations)
+    if sol is None:
         raise NumericalFailureError(f"{model.name}: the optimal basis fails a row or bound")
-    return _solution(tab, values, iterations)
+    return sol

@@ -114,20 +114,19 @@ def decode_plan(rep: IntervalRep, arcs, c: int, height: int) -> StackPlan:
     height at most `height`.
 
     Checks only what the layers add: D0 (one entry arc per vertex across
-    all layers, each along containment) and the layer half of D1 (an arc
-    leaves only the copy its source entered at, and no vertex enters above
-    the height).  The flattened arcs then go to decode_arborescence, whose
-    C1 is the chain half of D1 and whose C2 bounds the root width (at most
-    c stacks).  A stack's nesting chain climbs one layer per arc, so its
+    all layers) and the layer half of D1 (an arc leaves only the copy its
+    source entered at, and no vertex enters above the height).  The
+    flattened arcs then go to decode_arborescence, which rejects an arc
+    that does not follow containment (NotArborescenceError), whose C1 is
+    the chain half of D1 and whose C2 bounds the root width (at most c
+    stacks).  A stack's nesting chain climbs one layer per arc, so its
     height is within the height; check_plan certifies it.
     """
     arcs = set(arcs)
     entry_layer = {ROOT: 0}
-    for i, h, j in arcs:
+    for _, h, j in arcs:
         if j in entry_layer:
             raise LayerConditionError("D0", j)
-        if i != ROOT and not rep.contains(i, j):
-            raise LayerConditionError("D0", (i, h))
         entry_layer[j] = h + 1
     for v in rep.vertices:
         if v not in entry_layer:

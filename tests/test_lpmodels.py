@@ -271,6 +271,19 @@ def test_binary_bounds_stay_in_the_unit_interval():
     assert [(v.lower, v.upper) for v in model.relaxed().variables] == bounds
 
 
+def test_add_vars_refuses_a_duplicate_and_leaves_the_model_as_it_was():
+    model = LpModel(name="t", sense="min")
+    model.add_vars(["a", "b"], 0.0, 1.0, BINARY)
+    for names in (["c", "a"], ["c", "c"]):
+        with pytest.raises(ValueError):
+            model.add_vars(names, 0.0, 1.0, BINARY)
+    assert model.var_names == ["a", "b"]
+    model.add_vars(["c"], 0.0, 1.0, BINARY)
+    model.objective = {"a": 1.0, "b": 2.0, "c": 3.0}
+    model.add_constraint("r", {"a": 1.0, "c": 1.0}, ">=", 1.0)
+    assert solve_lp(model).primal == pytest.approx({"a": 1.0, "b": 0.0, "c": 0.0})
+
+
 def test_metadata_sidecar(c5):
     dag, m = _core(c5)
     model = build_cg(c5, dag, m)

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import interval_reps
 
-from circlecolor.errors import CertificateError, ChainConditionError, NotArborescenceError
+from circlecolor.errors import (
+    AntichainBoundError,
+    CertificateError,
+    ChainConditionError,
+    NotArborescenceError,
+)
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
     ROOT,
@@ -243,6 +248,10 @@ def test_decode_arborescence_rejects_bad_input(c5):
     # chain condition
     with pytest.raises(ChainConditionError):
         decode_arborescence(c5, {(0, 1), (5, 2), (5, 3), (0, 4), (0, 5)}, 3)
+    # C2: the root's five children hold an antichain of 3
+    with pytest.raises(AntichainBoundError) as err:
+        decode_arborescence(c5, {(0, v) for v in c5.vertices}, 2)
+    assert (err.value.needed, err.value.allowed) == (3, 2)
 
 
 def test_rebuild_arborescence_round_trip():

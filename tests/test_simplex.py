@@ -341,10 +341,10 @@ def test_tableau_duals_match_basis_solve(monkeypatch):
     seen = {}
     orig = simplex._optimize
 
-    def spy(T, basis, *args):
-        seen.setdefault("A", T[:-1, :-1].copy())  # first call: no pivot yet
-        seen["basis"] = basis  # updated in place up to the optimum
-        return orig(T, basis, *args)
+    def spy(tab, *args):
+        seen.setdefault("A", tab.T[:-1, :-1].copy())  # first call: no pivot yet
+        seen["basis"] = tab.basis  # updated in place up to the optimum
+        return orig(tab, *args)
 
     monkeypatch.setattr(simplex, "_optimize", spy)
     rng = np.random.default_rng(36)
@@ -590,6 +590,35 @@ def test_warm_restart_falls_back_when_a_bound_loosens():
     other.add_var("x", 0.0, 1.0)
     other.objective = {"x": 1.0}
     assert solve_lp(other, warm=fixed).primal == {"x": 1.0}
+
+
+def test_a_resume_leaves_its_parents_tableau_as_it_was():
+    # an optimal resume, an infeasible one, one that ignores a name the
+    # model lacks as the cold solve does, and one that falls back to the
+    # cold solve because a mirrored column's bound moves
+    m = _model()
+    for j in range(1, 6):
+        m.add_var(f"x{j}", 0.0, 1.0)
+    m.add_var("w", -INF, 3.0)
+    m.objective = {f"x{j}": float(j) for j in range(1, 6)}
+    m.add_constraint("r", {f"x{j}": 1.0 for j in range(1, 6)}, ">=", 2.5)
+    root = solve_lp(m)
+    fields = ("T", "basis", "upper", "flipped", "offset", "lo", "hi")
+    before = [getattr(root.tableau, f).copy() for f in fields]
+    zero = (0.0, 0.0)
+    for overrides, resumed in (({"x1": zero, "x2": zero}, True),
+                               ({"x1": zero, "x2": zero, "x3": zero}, True),
+                               ({"nope": zero}, True),
+                               ({"w": (-INF, 2.0)}, False)):
+        with mock.patch.object(simplex, "_solve_cold", wraps=simplex._solve_cold) as cold:
+            sol = solve_lp(m, bound_overrides=overrides, warm=root)
+        assert cold.called != resumed, overrides
+        want = solve_lp(m, bound_overrides=overrides)
+        assert sol.status == want.status, overrides
+        if want.status == "optimal":
+            assert sol.objective == pytest.approx(want.objective, abs=1e-9), overrides
+        for f, old in zip(fields, before):
+            assert np.array_equal(getattr(root.tableau, f), old), (overrides, f)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,6 @@ def test_decode_plan_rejects_bad_arcs(nested):
         (nested, {(0, 0, 1)}, 1, 2, "D0"),  # vertex 2 never enters
         # copies of layers 0 and 1 both feed vertex 2
         (nested, {(0, 0, 1), (0, 0, 2), (1, 1, 2)}, 2, 2, "D0"),
-        (nested, {(0, 0, 2), (2, 1, 1)}, 1, 2, "D0"),  # 2 does not contain 1
         # vertex 3 hangs under copy (1, 2), but 1 entered at layer 1
         (three, {(0, 0, 1), (0, 0, 2), (1, 2, 3)}, 2, 3, "D1"),
         (nested, {(0, 1, 1), (1, 2, 2)}, 1, 3, "D1"),  # the root has no copy at layer 1
@@ -222,6 +221,9 @@ def test_decode_plan_rejects_bad_arcs(nested):
         with pytest.raises(LayerConditionError) as err:
             decode_plan(rep, arcs, c, height)
         assert err.value.condition == condition, arcs
+    # 2 does not contain 1: containment is decode_arborescence's check
+    with pytest.raises(NotArborescenceError):
+        decode_plan(nested, {(0, 0, 2), (2, 1, 1)}, 1, 2)
     # the children of copy (1, 1) overlap: C1 of decode_arborescence is the
     # chain half of D1
     crossing = normalize([(1, 10), (2, 5), (3, 7)])
