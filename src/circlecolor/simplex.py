@@ -32,11 +32,15 @@ feasible point and builds a basis whose basic solution is that point, then
 goes straight to phase 2.  Columns at their finite upper bound are
 complemented, each column strictly inside its bounds is pivoted onto a row
 that is tight at the point and still has its slack or artificial basic (a
-'>=' row with a positive surplus takes its surplus), and the artificials
-left in the basis are fixed at 0.  If the start is infeasible, or some
-column finds no such row (always so when the point is no vertex), the
-tableau is built again and the two-phase method runs as it does without a start.  Crash
-pivots count in `iterations`; a dropped start's do not.
+'>=' row with a positive surplus takes its surplus).  Then each tight '='
+row whose artificial is still basic takes a complemented column that is
+nonzero in no other such row, all in one block pivot (_pivot_block).  In
+CG and CG_H each arc lies in one '=' row and a plan sets one arc into each
+vertex, so every artificial leaves there; the ones left in the basis are
+fixed at 0.  If the start is infeasible, or some column finds no such row
+(always so when the point is no vertex), the tableau is built again and
+the two-phase method runs as it does without a start.  Crash pivots count
+in `iterations`, one per row of the block; a dropped start's do not.
 
 Warm restart (branch-and-bound children; Koberstein, *The dual simplex
 method, techniques for a fast and stable implementation*, PhD thesis,
@@ -313,6 +317,20 @@ def _pivot(T, row, col):
     rows = rows[rows != row]
     cols = T[row].nonzero()[0]
     T[rows[:, None], cols] -= T[rows, col, None] * T[row, cols]
+
+
+def _pivot_block(T, rows, cols):
+    """Pivot on (rows[i], cols[i]) for every i at once.  Each column must
+    be zero in the other pivot rows; then T[rows][:, cols] is diagonal and
+    the pivots leave each other's rows alone, so one division and one
+    rank-k update of the rows where some column is nonzero equal the
+    sequential _pivot calls, for a fraction of their per-call overhead."""
+    pivot_rows = T[rows] / T[rows, cols][:, None]
+    T[rows] = pivot_rows
+    a = T[:, cols]
+    hit = a.any(axis=1)
+    hit[rows] = False
+    T[hit] -= a[hit] @ pivot_rows
 
 
 def _complement(T, col, upper, flipped):
@@ -597,6 +615,18 @@ def _crash(tab: _Tableau, x: np.ndarray, opts: SimplexOptions):
         basis[r] = j
         tight[r] = False
         pivots += 1
+    # a tight '=' row whose artificial is still basic takes a complemented
+    # column that is nonzero in no other such row
+    eq = np.flatnonzero((std.rel == 0) & (basis == std.unit_col) & (np.abs(T[:m, -1]) <= tol))
+    if eq.size and top.size:
+        size = np.abs(T[eq[:, None], top])
+        size[:, (size != 0.0).sum(axis=0) != 1] = 0.0
+        best = size.argmax(axis=1)
+        ok = size[np.arange(eq.size), best] > opts.pivot_tol
+        rows, cols = eq[ok], top[best[ok]]
+        _pivot_block(T, rows, cols)
+        basis[rows] = cols
+        pivots += rows.size
     upper[std.n_enter:] = 0.0  # artificials never enter, so fix them all
     b = T[:m, -1]
     if (b < -tol).any() or (b > upper[basis] + tol).any():

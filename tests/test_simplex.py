@@ -517,6 +517,89 @@ def test_crash_start_on_every_bound_shape():
     assert took_some
 
 
+def _crash_input(model, start):
+    """The starting tableau of model and start in its columns: what
+    _crash takes."""
+    std = simplex._standardize(model, None, simplex.DEFAULT_OPTIONS.feas_tol)
+    return simplex._tableau(model, std, None), simplex._start_columns(model, std, start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_reps(max_n=10), st.integers(1, 3))
+def test_the_crash_pivots_out_every_equality_rows_artificial(rep, height):
+    # each arc lies in one '=' row and a plan sets one arc into each vertex,
+    # so every parent_j / enter_j row takes its plan arc
+    for model, start in (_cg_start(rep), _cgh_start(rep, height)):
+        tab, x = _crash_input(model, start)
+        assert simplex._crash(tab, x, simplex.DEFAULT_OPTIONS) is not None, model.name
+        eq = tab.std.rel == 0
+        assert eq.any(), model.name
+        assert not np.isin(tab.std.unit_col[eq], tab.basis).any(), model.name
+
+
+def test_the_crashed_basis_reads_back_the_start():
+    # the '=' rows' pivots are degenerate: every column keeps its start value
+    rep = generate_one(25, 21, 0)
+    model, start = _cg_start(rep)
+    tab, x = _crash_input(model, start)
+    crash = simplex._crash(tab, x, simplex.DEFAULT_OPTIONS)
+    assert crash is not None and crash > rep.n
+    m = len(tab.basis)
+    value = np.where(tab.flipped, tab.upper, 0.0)
+    b = tab.T[:m, -1]
+    value[tab.basis] = np.where(tab.flipped[tab.basis], tab.upper[tab.basis] - b, b)
+    cols = tab.std.col[tab.std.col >= 0]
+    np.testing.assert_allclose(value[cols], x[cols], rtol=0.0, atol=1e-9)
+
+
+def test_the_block_pivot_equals_sequential_pivots():
+    rep = generate_one(25, 21, 0)
+    model, start = _cg_start(rep)
+    tab, x = _crash_input(model, start)
+    seq = tab.copy()
+    blocks = []
+    block = simplex._pivot_block
+
+    def spy(T, rows, cols):
+        blocks.append(len(rows))
+        block(T, rows, cols)
+
+    def one_by_one(T, rows, cols):
+        for r, c in zip(rows, cols):
+            simplex._pivot(T, r, c)
+
+    with mock.patch.object(simplex, "_pivot_block", spy):
+        crash = simplex._crash(tab, x, simplex.DEFAULT_OPTIONS)
+    with mock.patch.object(simplex, "_pivot_block", one_by_one):
+        assert simplex._crash(seq, x, simplex.DEFAULT_OPTIONS) == crash
+    assert blocks == [rep.n]
+    np.testing.assert_allclose(tab.T, seq.T, rtol=0.0, atol=1e-12)
+    assert (tab.basis == seq.basis).all()
+
+
+def test_an_at_upper_column_in_two_equality_rows_keeps_their_artificials():
+    # x rests at its upper bound in rows a and b, so neither row takes it
+    # and both artificials stay basic at 0; row c takes w
+    m = _model()
+    for name in "xyzw":
+        m.add_var(name, 0.0, 1.0)
+    m.objective = {"x": 3.0, "y": 1.0, "z": 1.0, "w": 1.0}
+    m.add_constraint("a", {"x": 1.0, "y": 1.0}, "=", 1.0)
+    m.add_constraint("b", {"x": 1.0, "z": 1.0}, "=", 1.0)
+    m.add_constraint("c", {"w": 1.0}, "=", 1.0)
+    start = {"x": 1.0, "w": 1.0}
+    tab, x = _crash_input(m, start)
+    assert simplex._crash(tab, x, simplex.DEFAULT_OPTIONS) == 1
+    art = tab.std.unit_col
+    assert tab.basis.tolist() == [art[0], art[1], tab.std.col[m._index["w"]]]
+    sol, took = _crashed(m, start)
+    cold = solve_lp(m)
+    assert took
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-12) == 3.0
+    assert sol.primal == pytest.approx(cold.primal, abs=1e-12)
+    _assert_optimality_conditions(m, sol, "a, b", tol=1e-9)
+
+
 def test_devex_weights_stay_finite():
     # a fractional clique cutting-plane master: the first-fit color classes
     # of generate_one(50, 9102, 6) and the max-weight independent sets
