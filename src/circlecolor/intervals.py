@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import (
     DuplicateEndpointError,
@@ -73,32 +76,34 @@ def normalize(raw_intervals) -> IntervalRep:
     reordered so left < right; vertex order follows input order.
     Duplicate endpoints are rejected, not perturbed.
     """
-    pairs = list(raw_intervals)
-    if not pairs:
+    return _from_endpoints([x for a, b in raw_intervals for x in (a, b)])
+
+
+def _from_endpoints(flat: list) -> IntervalRep:
+    """normalize on the pairs laid end to end: flat[2v - 2], flat[2v - 1]
+    are the endpoints of vertex v.  One argsort ranks all 2n of them."""
+    if not flat:
         raise EmptyInstanceError("no intervals given")
-    flat = []
-    for a, b in pairs:
-        if a == b:
-            raise DuplicateEndpointError(f"degenerate interval ({a}, {b})")
-        flat.extend((a, b))
-    if len(set(flat)) != len(flat):
-        seen, dup = set(), None
+    ends = np.array(flat)
+    if ends.dtype.kind != "i":  # only int64 holds every endpoint exactly
+        ends = np.array(flat, dtype=object)
+    order = ends.argsort(kind="stable")
+    ascending = ends[order]
+    repeats = ascending[1:] == ascending[:-1]
+    if repeats[repeats.argmax()]:  # equal endpoints sort next to each other
+        for a, b in zip(flat[0::2], flat[1::2]):
+            if a == b:
+                raise DuplicateEndpointError(f"degenerate interval ({a}, {b})")
+        seen = set()
         for x in flat:
             if x in seen:
-                dup = x
-                break
+                raise DuplicateEndpointError(f"endpoint {x} appears twice")
             seen.add(x)
-        raise DuplicateEndpointError(f"endpoint {dup} appears twice")
-    rank = {x: k + 1 for k, x in enumerate(sorted(flat))}
-    left = [0]
-    right = [0]
-    for a, b in pairs:
-        ra, rb = rank[a], rank[b]
-        if ra > rb:
-            ra, rb = rb, ra
-        left.append(ra)
-        right.append(rb)
-    return IntervalRep(n=len(pairs), left=tuple(left), right=tuple(right))
+    rank = np.empty(len(flat), dtype=np.intp)
+    rank[order] = np.arange(1, len(flat) + 1)
+    a, b = rank[0::2], rank[1::2]
+    return IntervalRep(n=len(a), left=(0, *np.minimum(a, b).tolist()),
+                       right=(0, *np.maximum(a, b).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +114,7 @@ def parse_instance(text: str) -> IntervalRep:
 
     Lines starting with '#' are comments.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise InstanceFormatError("empty instance file")
     try:
@@ -119,19 +123,30 @@ def parse_instance(text: str) -> IntervalRep:
         raise InstanceFormatError(f"bad vertex count line: {lines[0]!r}") from exc
     if len(lines) != n + 1:
         raise InstanceFormatError(f"expected {n} interval lines, found {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    flat = _endpoints(lines[1:])
+    try:
+        return _from_endpoints(flat)
+    except (DuplicateEndpointError, EmptyInstanceError) as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
+def _endpoints(lines) -> list[int]:
+    """The two integers of every interval line, laid end to end."""
+    rows = [ln.split() for ln in lines]
+    if set(map(len, rows)) <= {2}:
+        try:
+            return list(map(int, chain.from_iterable(rows)))
+        except ValueError:
+            pass  # the loop below names the line
+    flat = []
+    for ln, parts in zip(lines, rows):
         if len(parts) != 2:
             raise InstanceFormatError(f"bad interval line: {ln!r}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            flat += (int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise InstanceFormatError(f"bad interval line: {ln!r}") from exc
-    try:
-        return normalize(pairs)
-    except (DuplicateEndpointError, EmptyInstanceError) as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    return flat
 
 
 def load_instance(path) -> IntervalRep:
@@ -251,7 +266,7 @@ def topological_order(rep: IntervalRep) -> list[int]:
     Sorting by left endpoint ascending suffices: I(i) strictly containing
     I(j) forces l_i < l_j.  Ties cannot occur (distinct endpoints).
     """
-    return sorted(rep.vertices, key=lambda v: rep.left[v])
+    return sorted(rep.vertices, key=rep.left.__getitem__)
 
 
 # ---------------------------------------------------------------------------

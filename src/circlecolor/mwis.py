@@ -11,8 +11,11 @@ chain (value 0) is always a candidate.
 Cost: solve_mwis evaluates the recursion in one sweep over the 2n
 endpoints (after Supowit, "Finding a maximum planar subset of a set of
 nets in a channel", IEEE TCAD 6(1), 1987): O(n) vector steps of length
-O(n) each, so O(n^2) work, and O(n * depth) live floats for a nesting
-depth `depth`.  No containment DAG is built.
+O(n) each, so O(n^2) work.  No containment DAG is built.  Memory: an open
+interval holds a view of the row it saw when it opened, so up to n + 1
+floats per interval open at once, and each close that improves the row
+keeps its mask of up to n bytes until the witness is traced, O(n^2) bytes
+when most closes do (with unit weights all of them do).
 """
 
 from __future__ import annotations
@@ -85,36 +88,44 @@ def solve_mwis(rep: IntervalRep, weights) -> tuple[float, DpLabels, frozenset]:
     there is its chain term.  Each vertex keeps the row prefix it saw at
     its left endpoint (the best chains ending before it starts) and, when
     it closes, offers itself to every container at once.  A row is never
-    written in place, so a kept prefix is a view, not a copy.  Strict
-    comparison keeps the first maximizer in right-endpoint order, so each
-    label is the float that max_weight_chain over the vertex's contents
-    would give, and the witness is the chains it would choose.
+    written in place, so a kept prefix is a view, not a copy.  A close
+    that sets no entry keeps None for its mask (about half of the closes
+    at n = 400 with small integer weights).  Strict comparison keeps the
+    first maximizer in right-endpoint order, so each label is the float
+    that max_weight_chain over the vertex's contents would give, and the
+    witness is the chains it would choose.
     """
     order = topological_order(rep)
-    rank = {v: k for k, v in enumerate(order)}
+    left, copyto = rep.left, np.copyto
+    rank = [0] * (rep.n + 1)
+    for k, v in enumerate(order):
+        rank[v] = k
     at = [ROOT] * (2 * rep.n)  # at[p - 1]: the vertex with an endpoint at p
     for v in rep.vertices:
-        at[rep.left[v] - 1] = at[rep.right[v] - 1] = v
+        at[left[v] - 1] = at[rep.right[v] - 1] = v
     row = np.zeros(rep.n + 1)
-    kept, ell, took = {}, {}, {}
+    kept, ell, took = [None] * (rep.n + 1), [0.0] * (rep.n + 1), [None] * (rep.n + 1)
     closed_left = 0  # largest left endpoint among the closed intervals
     for p, v in enumerate(at, start=1):
-        if p == rep.left[v]:
+        lv = left[v]
+        if p == lv:
             kept[v] = row[:rank[v] + 1]
             continue
         k = rank[v]
-        if closed_left > rep.left[v]:  # some closed interval sits inside v
-            ell[v] = weights[v] + float(row[k + 1])
+        if closed_left > lv:  # some closed interval sits inside v
+            ell[v] = label = weights[v] + row.item(k + 1)
         else:
-            ell[v] = weights[v]
-        closed_left = max(closed_left, rep.left[v])
-        cand = kept.pop(v) + float(ell[v])
-        took[v] = mask = cand > row[:k + 1]
-        if mask.any():
+            ell[v] = label = weights[v]
+            closed_left = lv
+        cand = kept[v] + float(label)
+        kept[v] = None  # drop the view, so that its row can be freed
+        mask = cand > row[:k + 1]
+        if mask[mask.argmax()]:  # the close improved some row entry
+            took[v] = mask
             row = row.copy()
-            np.copyto(row[:k + 1], cand, where=mask)
+            copyto(row[:k + 1], cand, where=mask)
     labels = {v: ell[v] for v in reversed(order)}
-    labels[ROOT] = float(row[0])
+    labels[ROOT] = row.item(0)
     witness = _trace_witness(rep, at, rank, took)
     check_independent(rep, witness)
     return labels[ROOT], DpLabels(ell=labels), witness
@@ -126,7 +137,8 @@ def _trace_witness(rep: IntervalRep, at, rank, took) -> frozenset:
     The holder of row[k] just after endpoint p is the last vertex of rank
     >= k closing at or before p that set row[k]; its chain goes on with the
     holder of row[k] before it opened, and inside it with the holder of
-    row[rank + 1] before it closed, found between its two endpoints.
+    row[rank + 1] before it closed, found between its two endpoints.  A
+    vertex whose close set no entry has the mask None.
     """
     witness = set()
     pending = [(0, 2 * rep.n, 0)]  # (k, last endpoint, endpoint to stop at)
@@ -134,7 +146,7 @@ def _trace_witness(rep: IntervalRep, at, rank, took) -> frozenset:
         k, p, stop = pending.pop()
         while p > stop:
             v = at[p - 1]
-            if p == rep.right[v] and rank[v] >= k and took[v][k]:
+            if p == rep.right[v] and rank[v] >= k and (mask := took[v]) is not None and mask[k]:
                 witness.add(v)
                 pending.append((rank[v] + 1, p - 1, rep.left[v]))
                 p = rep.left[v]

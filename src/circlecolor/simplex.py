@@ -311,12 +311,16 @@ def _tableau(model: LpModel, std: _Standardized, overrides) -> _Tableau:
 def _pivot(T, row, col):
     """Eliminate col from every other row.  Only rows where the column is
     nonzero and columns where the pivot row is nonzero change, so the
-    update touches a small block of a sparse tableau."""
+    update touches a small block of a sparse tableau.  It is addressed by
+    flat index into the C-contiguous tableau, which numpy gathers and
+    scatters faster than a 2-D fancy index; the arithmetic is the same."""
     T[row] /= T[row, col]
-    rows = T[:, col].nonzero()[0]
+    column, pivot_row = T[:, col], T[row]
+    rows = column.nonzero()[0]
     rows = rows[rows != row]
-    cols = T[row].nonzero()[0]
-    T[rows[:, None], cols] -= T[rows, col, None] * T[row, cols]
+    cols = pivot_row.nonzero()[0]
+    flat = T.reshape(-1)  # a view: every tableau is built C contiguous
+    flat[(rows * T.shape[1])[:, None] + cols] -= np.multiply.outer(column[rows], pivot_row[cols])
 
 
 def _pivot_block(T, rows, cols):

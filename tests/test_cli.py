@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 
 from circlecolor import bnb, cli, instances, simplex
 from circlecolor.cli import main
-from circlecolor.errors import NumericalFailureError
-from circlecolor.intervals import parse_instance
+from circlecolor.errors import InstanceFormatError, NumericalFailureError
+from circlecolor.intervals import format_instance, parse_instance
+from test_mwis import _solve_mwis_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 C5_FILE = str(GOLDEN / "c5.txt")
@@ -196,6 +198,49 @@ def test_mwis_negative_weights_after_a_space():
     payload = json.loads(spaced)
     assert payload["value"] == 3.0 and payload["set"] == [3, 5]
     run_cli(["mwis", C5_FILE, "--weights", "a,1,1,1,1"], expect=2)
+
+
+# Every typed error of the instance parser with its text: parse_instance
+# raises it as InstanceFormatError, and the CLI turns it into exit code 2.
+BAD_INSTANCES = [
+    ("2\n1 2 3\n3 4\n", "bad interval line: '1 2 3'"),
+    ("2\n1\n3 4\n", "bad interval line: '1'"),
+    ("2\n1 x\n3 4\n", "bad interval line: '1 x'"),
+    ("3\n1 x\n1 2 3\n5 6\n", "bad interval line: '1 x'"),  # the first bad line
+    ("3\n3 2\n2 1\n1 4\n", "endpoint 2 appears twice"),  # 1 repeats too, later
+    ("3\n2 3\n3 4\n1 1\n", "degenerate interval (1, 1)"),  # before any repeat
+    ("3\n1 2\n3 4\n", "expected 3 interval lines, found 2"),
+    ("x\n1 2\n", "bad vertex count line: 'x'"),
+    ("0\n", "no intervals given"),
+    ("# only a comment\n\n", "empty instance file"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_INSTANCES)
+def test_parse_instance_errors_keep_their_text(tmp_path, capsys, text, message):
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    run_cli(["mwis", str(path), "--json"], expect=2)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_mwis_json_matches_the_reference_label_dp(tmp_path, k):
+    # beyond the C5 golden: the whole CLI path at a size with deep nesting
+    rep = instances.generate_one(120, 31, k)
+    rng = random.Random(k)
+    ints = [rng.randint(-5, 5) for _ in rep.vertices]
+    path = tmp_path / "rep.txt"
+    path.write_text(format_instance(rep))
+    out = run_cli(["mwis", str(path), f"--weights={','.join(map(str, ints))}", "--json"])
+    weights = {v: float(w) for v, w in zip(rep.vertices, ints)}
+    value, ell, chosen = _solve_mwis_reference(rep, weights)
+    want = {"command": "mwis", "value": value, "set": sorted(chosen),
+            "labels": {str(v): ell[v] for v in sorted(ell)}, "schema_version": cli.SCHEMA_VERSION}
+    assert out == json.dumps(want, sort_keys=True) + "\n"
 
 
 def test_mwis_rejects_non_finite_weights():

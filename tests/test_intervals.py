@@ -42,6 +42,41 @@ def test_normalize_rank_compresses():
     assert rep.interval(1) == (1, 2)
 
 
+def _normalize_reference(pairs):
+    """normalize by a dict of sorted ranks: the pairs, or the error text."""
+    flat = [x for pair in pairs for x in pair]
+    if not flat:
+        return "no intervals given"
+    for a, b in pairs:
+        if a == b:
+            return f"degenerate interval ({a}, {b})"
+    seen = set()
+    for x in flat:
+        if x in seen:
+            return f"endpoint {x} appears twice"
+        seen.add(x)
+    rank = {x: k + 1 for k, x in enumerate(sorted(flat))}
+    return [tuple(sorted((rank[a], rank[b]))) for a, b in pairs]
+
+
+ENDPOINTS = (st.integers(-6, 6) | st.integers(2**63 - 3, 2**64)
+             | st.floats(-6, 6, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(ENDPOINTS, ENDPOINTS), max_size=6))
+def test_normalize_matches_the_sorted_rank_reference(pairs):
+    # small ranges make repeats common; the big integers overflow int64
+    want = _normalize_reference(pairs)
+    try:
+        rep = normalize(pairs)
+    except (DuplicateEndpointError, EmptyInstanceError) as exc:
+        assert str(exc) == want
+    else:
+        assert [rep.interval(v) for v in rep.vertices] == want
+        assert all(type(x) is int for x in rep.left + rep.right)
+
+
 def test_normalize_c5_already_permutation(c5):
     eps = sorted(c5.left[1:]) + sorted(c5.right[1:])
     assert sorted(eps) == list(range(1, 11))
