@@ -100,6 +100,7 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
     if model.sense != "min":
         raise ValueError(f"solve_ip minimizes; model {model.name} is a {model.sense} model")
     opts = options or DEFAULT_OPTIONS
+    integral = model.integral_objective
     int_names = [n for n in model.integer_var_names() if n not in no_branch]
     prio = priority or {}
 
@@ -129,15 +130,15 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
             sol = solve_lp(model, opts, bound_overrides=fixings or None, warm=parent)
         if sol.status != "optimal":
             return
-        bound = _node_bound(sol.objective, model.integral_objective, opts.int_tol)
+        bound = _node_bound(sol.objective, integral, opts.int_tol)
         if log:
             log(f"node depth={depth} bound={bound:g} incumbent={best_value:g} "
                 f"pivots={sol.iterations}")
-        if bound >= best_value - (0 if model.integral_objective else opts.int_tol):
+        if bound >= best_value - (0 if integral else opts.int_tol):
             return
         branch_var = fractional(sol.primal)
         if branch_var is None:
-            value = round(sol.objective) if model.integral_objective else sol.objective
+            value = round(sol.objective) if integral else sol.objective
             if value < best_value:
                 best_value = value
                 best_primal = dict(sol.primal)

@@ -150,14 +150,11 @@ class LpModel:
     var = _column("_entries", 1, "per entry: its variable")
     val = _column("_entries", 2, "per entry: its coefficient")
 
-    def __init__(self, name: str, sense: str, integral_objective: bool = False):
+    def __init__(self, name: str, sense: str):
         self.name = name
         self.sense = sense  # 'min' | 'max'
         self.objective = {}  # var name -> coefficient
         self.metadata = {}
-        # set by builders whose integer optimum is always integral, so a
-        # branch-and-bound may round LP bounds up
-        self.integral_objective = integral_objective
         self.var_names = []
         self.row_names = []
         self._index = {}  # var name -> index
@@ -236,7 +233,7 @@ class LpModel:
         """Continuous relaxation: every variable keeps its bounds (a
         binary's lie in [0, 1]) and loses integrality; metadata["relaxed"]
         is True."""
-        out = LpModel(self.name, self.sense, self.integral_objective)
+        out = LpModel(self.name, self.sense)
         out.objective = dict(self.objective)
         out.metadata = dict(self.metadata, relaxed=True)
         out.var_names, out.row_names = list(self.var_names), list(self.row_names)
@@ -244,6 +241,15 @@ class LpModel:
         out._vars, out._rows, out._entries = self._vars.copy(), self._rows.copy(), self._entries.copy()
         out.kind[:] = _KIND_CODE[CONTINUOUS]
         return out
+
+    @property
+    def integral_objective(self) -> bool:
+        """Whether every objective variable is binary or integer with an
+        integral coefficient: then every integer point has an integral
+        objective, so a branch-and-bound may round its LP bounds up."""
+        kind = self.kind
+        return all(kind[self._index[name]] and float(coef).is_integer()
+                   for name, coef in self.objective.items())
 
     def integer_var_names(self) -> list:
         return [self.var_names[k] for k in np.flatnonzero(self.kind).tolist()]
@@ -372,7 +378,7 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpM
     each inner child set has antichains of size <= 1 (a chain), and every
     vertex picks exactly one parent arc.
     """
-    model = LpModel(name="CG", sense="min", integral_objective=True)
+    model = LpModel(name="CG", sense="min")
     tail = np.repeat(np.arange(rep.n + 1), [len(kids) for kids in dag.children])
     head = np.fromiter(chain.from_iterable(dag.children), np.int64, len(tail))
     arcs = np.column_stack((tail, head))
@@ -487,7 +493,7 @@ def build_fcp(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> Lp
 
 def build_cl(graph: CircleGraph, num_colors: int) -> LpModel:
     """The classical assignment program with num_colors color slots."""
-    model = LpModel(name="CL", sense="min", integral_objective=True)
+    model = LpModel(name="CL", sense="min")
     colors = range(1, num_colors + 1)
     for i in graph.vertices:
         for c in colors:
@@ -518,7 +524,7 @@ def build_as(graph: CircleGraph) -> LpModel:
     pos = {v: k + 1 for k, v in enumerate(order)}  # original -> reordered index
     n = graph.n
     edges = {(min(pos[i], pos[j]), max(pos[i], pos[j])) for i, j in graph.edges()}
-    model = LpModel(name="AS", sense="min", integral_objective=True)
+    model = LpModel(name="AS", sense="min")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             zero = (min(i, j), max(i, j)) in edges or j < i
@@ -611,58 +617,78 @@ def _term(coef: float, name: str, first: bool) -> str:
     return ("- " if coef < 0 else "+ ") + body
 
 
+# the kind of line each LP section holds; End holds none
+_LP_SECTIONS = {"subject to": "constraint", "bounds": "bounds", "general": "general",
+                "binary": "binary", "end": None}
+
+
 def parse_lp_text(text: str) -> LpModel:
-    """Parse our own LP dialect back into a model."""
+    """Parse our own LP dialect back into a model.  A line it cannot read,
+    or one naming a variable the Bounds section does not declare, raises
+    InstanceFormatError naming that line."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.lstrip().startswith("\\")]
-    it = iter(lines)
-    try:
-        sense_line = next(it)
-    except StopIteration:
+    if not lines:
         raise InstanceFormatError("empty LP file")
-    sense = "min" if sense_line.strip().lower().startswith("min") else "max"
-    model = LpModel(name="parsed", sense=sense)
-    obj_line = next(it).strip()
-    _, expr = obj_line.split(":", 1)
-    obj_terms = _parse_expr(expr)
-    section = None
+    sense = lines[0].strip().lower()[:3]
+    if sense not in ("min", "max"):
+        raise InstanceFormatError(f"bad sense line: {lines[0]!r}")
+    if len(lines) < 2:
+        raise InstanceFormatError(f"no objective line after {lines[0]!r}")
+    try:
+        _, expr = lines[1].split(":", 1)
+        objective = _parse_expr(expr)
+    except ValueError:
+        raise InstanceFormatError(f"bad objective line: {lines[1]!r}") from None
+    what = None  # the kind of line the section holds; None outside one
     bounds = []
     constraints = []
     generals, binaries = set(), set()
-    for ln in it:
+    for ln in lines[2:]:
         stripped = ln.strip()
-        low = stripped.lower()
-        if low in ("subject to", "bounds", "general", "binary", "end"):
-            section = low
+        if stripped.lower() in _LP_SECTIONS:
+            what = _LP_SECTIONS[stripped.lower()]
             continue
-        if section == "subject to":
-            name, rest = stripped.split(":", 1)
-            for rel in ("<=", ">=", "="):
-                if f" {rel} " in rest:
-                    left, right = rest.rsplit(f" {rel} ", 1)
-                    constraints.append((name.strip(), _parse_expr(left), rel, float(right)))
-                    break
-            else:
-                raise InstanceFormatError(f"bad constraint line: {ln!r}")
-        elif section == "bounds":
-            lo, _, name, _, hi = stripped.split()
-            bounds.append((name, lo, hi))
-        elif section == "general":
-            generals.update(stripped.split())
-        elif section == "binary":
-            binaries.update(stripped.split())
-    for name, lo, hi in bounds:
-        lower = -INF if lo == "-inf" else float(lo)
-        upper = INF if hi == "+inf" else float(hi)
+        try:
+            if what == "constraint":
+                name, rest = stripped.split(":", 1)
+                rel = next(rel for rel in ("<=", ">=", "=") if f" {rel} " in rest)
+                left, right = rest.rsplit(f" {rel} ", 1)
+                constraints.append((ln, name.strip(), _parse_expr(left), rel, float(right)))
+            elif what == "bounds":
+                lo, le, name, le_too, hi = stripped.split()
+                if le != "<=" or le_too != "<=":
+                    raise ValueError
+                bounds.append((ln, name, float(lo), float(hi)))
+            elif what == "general":
+                generals.update(stripped.split())
+            elif what == "binary":
+                binaries.update(stripped.split())
+            else:  # before Subject To or after End
+                raise ValueError
+        except (ValueError, StopIteration):
+            raise InstanceFormatError(f"bad {what or 'LP'} line: {ln!r}") from None
+    model = LpModel(name="parsed", sense=sense)
+    for ln, name, lower, upper in bounds:
         kind = INTEGER if name in generals else (BINARY if name in binaries else CONTINUOUS)
-        model.add_var(name, lower, upper, kind)
-    model.objective = {k: v for k, v in obj_terms.items() if v != 0.0}
-    for name, coeffs, rel, rhs in constraints:
-        model.add_constraint(name, {k: v for k, v in coeffs.items() if v != 0.0}, rel, rhs)
+        try:
+            model.add_var(name, lower, upper, kind)
+        except ValueError as exc:
+            raise InstanceFormatError(f"bad bounds line: {ln!r} ({exc})") from None
+    if not objective.keys() <= model._index.keys():
+        raise InstanceFormatError(f"bad objective line: {lines[1]!r} (an undeclared variable)")
+    model.objective = {k: v for k, v in objective.items() if v != 0.0}
+    for ln, name, coeffs, rel, rhs in constraints:
+        try:
+            model.add_constraint(name, {k: v for k, v in coeffs.items() if v != 0.0}, rel, rhs)
+        except ValueError as exc:
+            raise InstanceFormatError(f"bad constraint line: {ln!r} ({exc})") from None
     return model
 
 
 def _parse_expr(expr: str) -> dict:
+    """The coefficient of each name in a sum of terms; a number with no
+    name after it raises ValueError."""
     tokens = expr.split()
     coeffs = {}
     sign = 1.0
@@ -681,6 +707,8 @@ def _parse_expr(expr: str) -> dict:
                 sign, pending = 1.0, None
                 continue
             pending = value
+    if pending is not None:
+        raise ValueError(f"{pending} has no variable")
     return coeffs
 
 
@@ -736,14 +764,20 @@ def write_mps(model: LpModel) -> str:
     return "\n".join(out) + "\n"
 
 
+_MPS_RELATION = {"L": "<=", "G": ">=", "E": "="}
+
+
 def parse_mps(text: str) -> LpModel:
     """Parse our own MPS dialect.  The objective sense is not stored in
-    MPS; minimization is assumed (callers flip via metadata if needed)."""
+    MPS; minimization is assumed (callers flip via metadata if needed).
+    A line it cannot read, or a COLUMNS or RHS entry naming a row that
+    ROWS does not declare, raises InstanceFormatError naming that line.
+    A BOUNDS line for a column with no entry is ignored: the writer leaves
+    such a column out of COLUMNS."""
     section = None
-    rows = {}
-    row_order = []
-    columns = {}
-    col_order = []
+    objective = None  # the name of the N row
+    rows = {}  # row name -> relation, in file order
+    columns = {}  # column -> {row: value}, in file order
     col_kind = {}
     rhs = {}
     bounds = {}
@@ -752,63 +786,73 @@ def parse_mps(text: str) -> LpModel:
     for raw in text.splitlines():
         if not raw.strip() or raw.startswith("*"):
             continue
+        parts = raw.split()
         if not raw.startswith(" "):
-            parts = raw.split()
             section = parts[0]
             if section == "NAME" and len(parts) > 1:
                 name = parts[1]
             continue
-        parts = raw.split()
-        if section == "ROWS":
-            code, rname = parts
-            if code != "N":
-                rows[rname] = code
-                row_order.append(rname)
-        elif section == "COLUMNS":
-            if len(parts) >= 3 and parts[2] in ("'INTORG'", "'INTEND'"):
-                marker_int = parts[2] == "'INTORG'"
-                continue
-            col, row, val = parts[0], parts[1], float(parts[2])
-            if col not in columns:
-                columns[col] = {}
-                col_order.append(col)
-                col_kind[col] = INTEGER if marker_int else CONTINUOUS
-            columns[col][row] = val
-        elif section == "RHS":
-            rhs[parts[1]] = float(parts[2])
-        elif section == "BOUNDS":
-            code, _, col = parts[0], parts[1], parts[2]
-            val = float(parts[3]) if len(parts) > 3 else None
-            lo, hi = bounds.get(col, (0.0, INF))
-            if code == "FR":
-                lo, hi = -INF, INF
-            elif code == "MI":
-                lo = -INF
-            elif code == "LO":
-                lo = val
-            elif code == "UP":
-                hi = val
-            elif code == "FX":
-                lo = hi = val
-            bounds[col] = (lo, hi)
+        try:
+            if section == "ROWS":
+                code, rname = parts
+                if rname in rows or rname == objective:
+                    raise ValueError
+                if code == "N" and objective is None:
+                    objective = rname
+                else:
+                    rows[rname] = _MPS_RELATION[code]
+            elif section == "COLUMNS":
+                col, row, val = parts
+                if val in ("'INTORG'", "'INTEND'"):
+                    marker_int = val == "'INTORG'"
+                    continue
+                if row != objective and row not in rows:
+                    raise ValueError
+                if col not in columns:
+                    columns[col] = {}
+                    col_kind[col] = INTEGER if marker_int else CONTINUOUS
+                columns[col][row] = float(val)
+            elif section == "RHS":
+                _, row, val = parts
+                if row not in rows:
+                    raise ValueError
+                rhs[row] = float(val)
+            elif section == "BOUNDS":
+                code, _, col, *val = parts
+                lo, hi = bounds.get(col, (0.0, INF))
+                if code == "FR" and not val:
+                    lo, hi = -INF, INF
+                elif code == "MI" and not val:
+                    lo = -INF
+                elif code == "LO" and len(val) == 1:
+                    lo = float(val[0])
+                elif code == "UP" and len(val) == 1:
+                    hi = float(val[0])
+                elif code == "FX" and len(val) == 1:
+                    lo = hi = float(val[0])
+                else:
+                    raise ValueError
+                bounds[col] = (lo, hi)
+            else:
+                raise ValueError
+        except (ValueError, KeyError):
+            raise InstanceFormatError(f"bad {section or 'MPS'} line: {raw!r}") from None
     model = LpModel(name=name, sense="min")
-    for col in col_order:
+    for col in columns:
         lo, hi = bounds.get(col, (0.0, INF))
         kind = col_kind[col]
         if kind == INTEGER and lo == 0.0 and hi == 1.0:
             kind = BINARY
         model.add_var(col, lo, hi, kind)
-    model.objective = {
-        col: columns[col]["OBJ"] for col in col_order if "OBJ" in columns[col]
-    }
-    coeffs = {rname: {} for rname in row_order}  # per row: column -> value in column order
-    for col in col_order:
-        for rname, val in columns[col].items():
-            if rname in coeffs:
+    model.objective = {col: entries[objective] for col, entries in columns.items()
+                       if objective in entries}
+    coeffs = {rname: {} for rname in rows}  # per row: column -> value in column order
+    for col, entries in columns.items():
+        for rname, val in entries.items():
+            if rname != objective:
                 coeffs[rname][col] = val
-    rel_code = {"L": "<=", "G": ">=", "E": "="}
-    for rname in row_order:
-        model.add_constraint(rname, coeffs[rname], rel_code[rows[rname]], rhs.get(rname, 0.0))
+    for rname, rel in rows.items():
+        model.add_constraint(rname, coeffs[rname], rel, rhs.get(rname, 0.0))
     return model
 
 

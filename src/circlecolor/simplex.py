@@ -30,17 +30,25 @@ Crash start (Bixby, "Implementing the simplex method: the initial
 basis", ORSA J. Computing 4(3), 1992): solve_lp(start=...) takes a
 feasible point and builds a basis whose basic solution is that point, then
 goes straight to phase 2.  Columns at their finite upper bound are
-complemented, each column strictly inside its bounds is pivoted onto a row
-that is tight at the point and still has its slack or artificial basic (a
-'>=' row with a positive surplus takes its surplus).  Then each tight '='
-row whose artificial is still basic takes a complemented column that is
-nonzero in no other such row, all in one block pivot (_pivot_block).  In
-CG and CG_H each arc lies in one '=' row and a plan sets one arc into each
-vertex, so every artificial leaves there; the ones left in the basis are
-fixed at 0.  If the start is infeasible, or some column finds no such row
-(always so when the point is no vertex), the tableau is built again and
-the two-phase method runs as it does without a start.  Crash pivots count
-in `iterations`, one per row of the block; a dropped start's do not.
+complemented, every '>=' row with a positive surplus takes its surplus
+(one block pivot: each surplus column is nonzero in its own row only), and
+each column strictly inside its bounds is pivoted onto a row that is tight
+at the point and still has its slack or artificial basic.  Then each tight
+'=' row whose artificial is still basic takes a complemented column that
+is nonzero in no other such row, all in one block pivot (_pivot_block).
+In CG and CG_H each arc lies in one '=' row and a plan sets one arc into
+each vertex, so every artificial leaves there.  If the start is
+infeasible, or some column finds no such row (always so when the point is
+no vertex), the tableau is built again and the two-phase method runs as
+it does without a start.  Crash pivots count in `iterations`, one per row
+of a block; a dropped start's do not.
+
+Artificials: every start ends in one state, each artificial still basic
+fixed at 0 (upper bound 0).  Phase 1 fixes them once it has found the
+model feasible and the crash once its basis holds the start point, so
+every tableau a resume copies has them fixed too.  Phase 2 and the dual
+simplex treat one as any basic variable with upper bound 0: a pivot takes
+it out at 0, and one still basic at the optimum gives its row a dual of 0.
 
 Warm restart (branch-and-bound children; Koberstein, *The dual simplex
 method, techniques for a fast and stable implementation*, PhD thesis,
@@ -54,8 +62,7 @@ column whose bounds move is shifted, T[:, -1] -= a * T[:, p],
 basic or not, with a = the move of its lower bound (of its upper bound
 when it is complemented); its new lower bound goes into a per-variable
 offset for the read-out, and a fixed column stays in the tableau with
-upper bound 0 and never enters.  The artificials are fixed at 0 and a
-dual simplex restores feasibility:
+upper bound 0 and never enters.  A dual simplex restores feasibility:
 
 - the row with the largest bound violation leaves; a basic variable above
   its upper bound is complemented first, so it leaves at 0;
@@ -337,12 +344,13 @@ def _pivot_block(T, rows, cols):
     T[hit] -= a[hit] @ pivot_rows
 
 
-def _complement(T, col, upper, flipped):
-    """Substitute x = u - x' in a nonbasic column: the right-hand sides
-    absorb u times the column, and the column changes sign."""
-    T[:, -1] -= upper[col] * T[:, col]
-    T[:, col] *= -1.0
-    flipped[col] = not flipped[col]
+def _complement(T, cols, upper, flipped):
+    """Substitute x = u - x' in nonbasic columns, one index or an array of
+    distinct ones: the right-hand sides absorb u times each column, and
+    the columns change sign."""
+    T[:, -1] -= np.dot(T[:, cols], upper[cols])
+    T[:, cols] *= -1.0
+    flipped[cols] = ~flipped[cols]
 
 
 def _optimize(tab: _Tableau, opts: SimplexOptions):
@@ -407,7 +415,7 @@ def _optimize(tab: _Tableau, opts: SimplexOptions):
         else:
             degenerate = 0
         leaving = int(basis[r])
-        # a variable fixed at 0 (a crash's leftover artificial) leaves at 0
+        # a variable fixed at 0 (an artificial left basic) leaves at 0
         at_upper = col[r] < 0 and upper_basic[r] > 0
         w_leaving = max(weight[j] / (col[r] * col[r]), 1.0)
         _pivot(T, r, j)
@@ -474,9 +482,7 @@ def _dual(tab: _Tableau, opts: SimplexOptions):
             slope -= step[k] * upper[j]
             flips.append(j)
         if flips:
-            T[:, -1] -= T[:, flips] @ upper[flips]
-            T[:, flips] *= -1.0
-            flipped[flips] = ~flipped[flips]
+            _complement(T, flips, upper, flipped)
         if q < 0:  # even with every column at its best bound row r fails
             return "infeasible", iters
         if ratio[k] <= opts.opt_tol:
@@ -522,7 +528,6 @@ def _resume(model: LpModel, prev: _Tableau, overrides: dict, opts: SimplexOption
             T[:, -1] -= shift * T[:, p]
         offset[k] = lo[k]
         upper[p] = u
-    upper[std.n_enter:] = 0.0  # artificials
     status, pivots = _dual(tab, opts)
     if status == "infeasible":
         return LpSolution(status="infeasible", objective=None, iterations=pivots), pivots
@@ -597,18 +602,18 @@ def _crash(tab: _Tableau, x: np.ndarray, opts: SimplexOptions):
     T, basis, upper, flipped, std = tab.T, tab.basis, tab.upper, tab.flipped, tab.std
     m, tol = len(basis), std.tol
     top = np.flatnonzero(x >= upper - tol)
-    T[:, -1] -= T[:, top] @ upper[top]
-    T[:, top] *= -1.0
-    flipped[top] = True
+    _complement(T, top, upper, flipped)
     inner = np.flatnonzero((np.abs(x) > tol) & ~flipped)
     # each row's slack or artificial at x, with every surplus at 0
     resid = T[:m, -1] - T[:m, inner] @ x[inner]
     tight = np.abs(resid) <= tol
-    pivots = 0
-    for r in np.flatnonzero((std.rel < 0) & (resid < -tol)):
-        _pivot(T, r, std.slack_col[r])
-        basis[r] = std.slack_col[r]
-        pivots += 1
+    # a surplus column is nonzero only in its own row, so one block pivot
+    # enters every positive surplus
+    rows = np.flatnonzero((std.rel < 0) & (resid < -tol))
+    if rows.size:
+        _pivot_block(T, rows, std.slack_col[rows])
+        basis[rows] = std.slack_col[rows]
+    pivots = rows.size
     for j in inner:
         # the tight row with the largest pivot element
         size = np.where(tight, np.abs(T[:m, j]), 0.0)
@@ -688,15 +693,7 @@ def _solve_cold(model: LpModel, opts: SimplexOptions, bound_overrides, start) ->
             raise NumericalFailureError(f"phase 1 of {model.name} came back {status}")
         if -T[m, -1] > std.tol:
             return LpSolution(status="infeasible", objective=None, iterations=iterations)
-        # drive basic artificials out where possible; leftover rows are
-        # redundant and stay inert
-        for i in np.flatnonzero(basis >= std.n_enter).tolist():
-            row = T[i, :std.n_enter]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > opts.pivot_tol:
-                _pivot(T, i, j)
-                basis[i] = j
-                iterations += 1
+        tab.upper[std.n_enter:] = 0.0  # as the crash leaves them
 
     # phase-2 costs in the current (partly complemented) columns; the
     # objective is read from the primal, so T[m, -1] is left as it is

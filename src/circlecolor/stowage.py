@@ -59,7 +59,7 @@ def build_cgh(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
     height."""
     if height < 1:
         raise InvalidHeightError(f"capacity must be >= 1, got {height}")
-    model = LpModel(name="CG_H", sense="min", integral_objective=True)
+    model = LpModel(name="CG_H", sense="min")
     inner = sorted(dag.branching)
     arcs = [(ROOT, 0, j) for j in rep.vertices]
     arcs += [(i, h, j) for i in inner for h in range(1, height) for j in dag.children[i]]

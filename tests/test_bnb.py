@@ -316,9 +316,10 @@ def test_fixed_columns_never_enter_after_a_warm_restart(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def flip(T, col, upper, flipped):
-        assert not (depth[0] and upper[col] == 0.0), f"phase 2 entered the fixed column {col}"
-        complement(T, col, upper, flipped)
+    def flip(T, cols, upper, flipped):
+        for col in np.atleast_1d(cols).tolist():
+            assert not (depth[0] and upper[col] == 0.0), f"phase 2 entered the fixed column {col}"
+        complement(T, cols, upper, flipped)
 
     monkeypatch.setattr(simplex, "_optimize", in_phase2)
     monkeypatch.setattr(simplex, "_complement", flip)

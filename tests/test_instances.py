@@ -1,7 +1,8 @@
 import pytest
 
-from circlecolor import intervals
+from circlecolor import instances, intervals
 from circlecolor.bnb import solve_chromatic
+from circlecolor.errors import NumericalFailureError
 from circlecolor.instances import (
     CSV_COLUMNS,
     GeneratorConfig,
@@ -69,6 +70,22 @@ def test_run_experiment_shape(monkeypatch):
         assert 0 <= r.count_chi_f_eq_chi <= 8
         assert r.mean_edges >= 0
         assert r.max_chi_minus_chi_f < 1.0
+
+
+def test_run_experiment_counts_solver_errors_and_lets_bugs_through(monkeypatch):
+    def solver_error(rep, options=None):
+        raise NumericalFailureError("no progress")
+
+    def bug(rep, options=None):
+        raise TypeError("not a solver error")
+
+    monkeypatch.setattr(instances, "solve_chromatic", solver_error)
+    with pytest.warns(UserWarning, match="failed: no progress"):
+        rows = run_experiment([3], samples=2, seed=5)
+    assert rows[0].failures == 2 and rows[0].mean_solve_time == 0.0
+    monkeypatch.setattr(instances, "solve_chromatic", bug)
+    with pytest.raises(TypeError, match="not a solver error"):
+        run_experiment([3], samples=2, seed=5)
 
 
 def test_rows_to_csv():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from strategies import interval_reps
 
 from circlecolor.bnb import first_fit, solve_ip
-from circlecolor.errors import VertexNotBranchingError
+from circlecolor.errors import InstanceFormatError, VertexNotBranchingError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
     ROOT,
@@ -256,6 +256,108 @@ def test_round_trip_random_models():
             assert iv == dv
 
 
+def test_integral_objective_holds_for_integer_objectives_only(c5):
+    # every objective variable binary or integer with an integral
+    # coefficient; the relaxation loses it, so its optimum is not rounded
+    dag, m = _core(c5)
+    graph = build_graph(c5)
+    weights = {v: 1.0 for v in c5.vertices}
+    assert build_cg(c5, dag, m).integral_objective
+    assert build_cgh(c5, dag, m, 2).integral_objective
+    assert build_cl(graph, 3).integral_objective
+    assert build_as(graph).integral_objective
+    for model in (build_isd(c5, dag, m, weights), build_fcp(c5, dag, m),
+                  build_lc(ROOT, c5, dag, m, weights), build_dlc(ROOT, c5, dag, m, weights),
+                  build_cg(c5, dag, m).relaxed()):
+        assert not model.integral_objective, model.name
+    value, _, _ = solve_ip(build_cg(c5, dag, m).relaxed())
+    assert value == pytest.approx(2.5)
+    half = LpModel(name="t", sense="min")
+    half.add_var("a", 0.0, 1.0, BINARY)
+    half.objective = {"a": 0.5}
+    assert not half.integral_objective
+
+
+_LP = """Minimize
+ obj: x
+Subject To
+ r: x + y >= 1
+Bounds
+ 0 <= x <= 1
+ 0 <= y <= +inf
+End
+"""
+
+_MPS = """NAME          t
+ROWS
+ N  OBJ
+ G  r
+COLUMNS
+    x            OBJ          1
+    x            r            1
+    y            r            1
+RHS
+    RHS          r            1
+BOUNDS
+ UP BND       x            1
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("old, new, error", [
+    (_LP, "Minimize\n", "no objective line after 'Minimize'"),
+    (" obj: x", " obj x", "bad objective line: ' obj x'"),
+    (" obj: x", " obj: z", "bad objective line: ' obj: z' (an undeclared variable)"),
+    (" obj: x", " obj: x + 3", "bad objective line: ' obj: x + 3'"),
+    ("Minimize", "Optimize", "bad sense line: 'Optimize'"),
+    (" 0 <= x <= 1", " 0 <= x", "bad bounds line: ' 0 <= x'"),
+    (" 0 <= y <= +inf", " 0 <= y <= many", "bad bounds line: ' 0 <= y <= many'"),
+    (" 0 <= y <= +inf", " 0 <= x <= 2", "bad bounds line: ' 0 <= x <= 2' (duplicate variable x)"),
+    (">= 1", ">= one", "bad constraint line: ' r: x + y >= one'"),
+    (" r: x + y", " r x + y", "bad constraint line: ' r x + y >= 1'"),
+    (" r: x + y", " r: x + w", "bad constraint line: ' r: x + w >= 1' (constraint r references"),
+    ("Subject To\n", "Subject To\n stray\n", "bad constraint line: ' stray'"),
+    ("End\n", "End\nmore\n", "bad LP line: 'more'"),
+], ids=["no-objective", "objective-colon", "objective-variable", "objective-constant", "sense",
+        "bounds-tokens", "bounds-value", "bounds-twice", "constraint-value", "constraint-colon",
+        "constraint-variable", "stray-line", "after-end"])
+def test_parse_lp_text_names_the_line_it_cannot_read(old, new, error):
+    assert old in _LP
+    with pytest.raises(InstanceFormatError) as info:
+        parse_lp_text(_LP.replace(old, new))
+    assert str(info.value).startswith(error)
+
+
+@pytest.mark.parametrize("old, new, error", [
+    (" G  r", " X  r", "bad ROWS line: ' X  r'"),
+    (" G  r", " G  r s", "bad ROWS line: ' G  r s'"),
+    (" G  r", " N  r", "bad ROWS line: ' N  r'"),
+    (" G  r", " G  r\n E  r", "bad ROWS line: ' E  r'"),
+    ("    y            r ", "    y            s ", "bad COLUMNS line: '    y            s"),
+    ("r            1\nRHS", "r            one\nRHS", "bad COLUMNS line: '    y            r            one'"),
+    ("RHS          r", "RHS          s", "bad RHS line: '    RHS          s            1'"),
+    ("RHS          r            1", "RHS          r", "bad RHS line: '    RHS          r'"),
+    (" UP BND       x            1", " UP BND       x", "bad BOUNDS line: ' UP BND       x'"),
+    (" UP BND       x            1", " UP BND       x            up", "bad BOUNDS line: ' UP BND       x            up'"),
+    (" UP BND       x", " XX BND       x", "bad BOUNDS line: ' XX BND       x            1'"),
+    ("ENDATA", "RANGES\n    RNG          r            1\nENDATA", "bad RANGES line"),
+], ids=["row-code", "rows-tokens", "second-n-row", "row-twice", "columns-row", "columns-value", "rhs-row",
+        "rhs-tokens", "bounds-tokens", "bounds-value", "bounds-code", "section"])
+def test_parse_mps_names_the_line_it_cannot_read(old, new, error):
+    assert old in _MPS
+    with pytest.raises(InstanceFormatError) as info:
+        parse_mps(_MPS.replace(old, new))
+    assert str(info.value).startswith(error)
+
+
+def test_the_parsers_read_the_error_cases_unbroken():
+    lp, mps = parse_lp_text(_LP), parse_mps(_MPS)
+    for model in (lp, mps):
+        assert model.var_names == ["x", "y"] and model.objective == {"x": 1.0}
+        assert [tuple(c) for c in model.constraints] == [("r", {"x": 1.0, "y": 1.0}, ">=", 1.0)]
+        assert [(v.lower, v.upper) for v in model.variables] == [(0.0, 1.0), (0.0, INF)]
+
+
 def test_binary_bounds_stay_in_the_unit_interval():
     # so a model and its relaxation have the same bounds, and the solver
     # can take the model itself
@@ -440,7 +542,7 @@ def _reference_root_rows(model, matrix, names):
 
 
 def _reference_cg(rep, dag, matrix):
-    model = LpModel(name="CG", sense="min", integral_objective=True)
+    model = LpModel(name="CG", sense="min")
     arc_map = {}
     for i, j in dag.arcs:
         name = arc_var(i, j)
@@ -462,7 +564,7 @@ def _reference_cg(rep, dag, matrix):
 
 
 def _reference_cgh(rep, dag, matrix, height):
-    model = LpModel(name="CG_H", sense="min", integral_objective=True)
+    model = LpModel(name="CG_H", sense="min")
     arcs = [(ROOT, 0, j) for j in rep.vertices]
     arcs += [(i, h, j) for i in sorted(dag.branching) for h in range(1, height)
              for j in dag.children[i]]

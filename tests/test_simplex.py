@@ -135,8 +135,7 @@ def test_objective_stable_under_permutation():
         mat = build_clique_matrix(rep)
         model = build_cg(rep, dag, mat).relaxed()
         base = solve_lp(model).objective
-        shuffled = LpModel(name=model.name, sense=model.sense,
-                           integral_objective=model.integral_objective)
+        shuffled = LpModel(name=model.name, sense=model.sense)
         cols = list(model.variables)
         rows = list(model.constraints)
         rng.shuffle(cols)
@@ -176,16 +175,17 @@ def test_dual_weak_duality_sign_convention():
 
 
 def _spy(monkeypatch, events):
-    """Log ('pivot', row, column) and ('flip', column) steps."""
+    """Log ('pivot', row, column) and ('flip', column) steps; a complement
+    of several columns logs a flip for each."""
     pivot, complement = simplex._pivot, simplex._complement
 
     def spy_pivot(T, row, col, *args):
         events.append(("pivot", row, col))
         pivot(T, row, col, *args)
 
-    def spy_complement(T, col, *args):
-        events.append(("flip", col))
-        complement(T, col, *args)
+    def spy_complement(T, cols, *args):
+        events.extend(("flip", col) for col in np.atleast_1d(cols).tolist())
+        complement(T, cols, *args)
 
     monkeypatch.setattr(simplex, "_pivot", spy_pivot)
     monkeypatch.setattr(simplex, "_complement", spy_complement)
@@ -229,6 +229,29 @@ def test_basic_variable_leaves_at_upper_bound(monkeypatch):
     assert sol.primal == pytest.approx({"x": 1.5, "y": 3.0, "z": 2.0})
     assert sol.objective == pytest.approx(3.5)
     assert sol.dual["r"] == pytest.approx(0.5)
+
+
+def test_complementing_an_array_equals_one_call_per_column():
+    # negating the columns is exact; the right-hand sides subtract one sum
+    # instead of one product at a time, which is exact on integer values
+    # (the 0/1 entries and integer bounds of CG) and within rounding on others
+    rng = np.random.default_rng(41)
+    for values, exact in ((rng.integers(-3, 4, size=(7, 10)).astype(float), True),
+                          (rng.normal(size=(7, 10)), False)):
+        upper = np.abs(values[0, :-1]) + 1.0
+        cols = np.array([0, 3, 4, 8])
+        flipped = rng.random(9) < 0.5
+        T, one = values.copy(), values.copy()
+        flips, one_flips = flipped.copy(), flipped.copy()
+        simplex._complement(T, cols, upper, flips)
+        for col in cols.tolist():
+            simplex._complement(one, col, upper, one_flips)
+        assert np.array_equal(flips, one_flips) and np.array_equal(flips[cols], ~flipped[cols])
+        assert np.array_equal(T[:, :-1], one[:, :-1])
+        if exact:
+            assert np.array_equal(T[:, -1], one[:, -1])
+        else:
+            np.testing.assert_allclose(T[:, -1], one[:, -1], rtol=1e-14, atol=1e-14)
 
 
 def _bounds_as_rows(model):
@@ -598,6 +621,84 @@ def test_an_at_upper_column_in_two_equality_rows_keeps_their_artificials():
     assert sol.objective == pytest.approx(cold.objective, abs=1e-12) == 3.0
     assert sol.primal == pytest.approx(cold.primal, abs=1e-12)
     _assert_optimality_conditions(m, sol, "a, b", tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# artificials
+
+
+def test_every_start_ends_with_its_artificials_fixed_at_0():
+    # cold two-phase solves, crashes from the cold optimum, and resumes
+    # after a boxed column's upper bound falls below its optimal value
+    rng = np.random.default_rng(42)
+    seen = set()
+    for k in range(80):
+        m, _ = _random_bounded_lp(rng, k)
+        cold = solve_lp(m)
+        if cold.status != "optimal":
+            continue
+        solves = [("cold", m, cold)]
+        crashed, took = _crashed(m, cold.primal)
+        if took:
+            solves.append(("crash", m, crashed))
+        boxed = [v for v in m.variables if -INF < v.lower and v.upper < INF
+                 and cold.primal[v.name] > v.lower + 0.1]
+        if boxed:
+            v = boxed[0]
+            bounds = (v.lower, (v.lower + cold.primal[v.name]) / 2)
+            with mock.patch.object(simplex, "_solve_cold", wraps=simplex._solve_cold) as fallback:
+                resumed = solve_lp(m, bound_overrides={v.name: bounds}, warm=cold)
+            tight = m.relaxed()
+            tight.lower[m._index[v.name]], tight.upper[m._index[v.name]] = bounds
+            if not fallback.called:
+                solves.append(("resume", tight, resumed))
+        for how, model, sol in solves:
+            if sol.status != "optimal":
+                continue
+            seen.add(how)
+            tab = sol.tableau
+            assert not tab.upper[tab.std.n_enter:].any(), (k, how)
+            _assert_optimality_conditions(model, sol, (k, how))
+    assert seen == {"cold", "crash", "resume"}
+
+
+def test_an_artificial_that_phase_one_leaves_basic_stays_there_at_0():
+    # phase 1 ends with r2's artificial basic at 0 in a row where x2 and
+    # r2's surplus are nonzero, so a pivot could take it out; it stays
+    # basic, fixed at 0, through the optimum, and r2's dual is 0
+    m = _model()
+    m.add_var("x0", 0.0, 1.0)
+    m.add_var("x1", 0.0, 1.0)
+    m.add_var("x2", 0.0, INF)
+    m.add_var("x3", 0.0, INF)
+    m.objective = {name: -2.0 for name in m.var_names}
+    m.add_constraint("r0", {"x1": 2.0, "x2": 1.0}, "=", 1.0)
+    m.add_constraint("r1", {"x0": -1.0, "x1": 2.0, "x3": -2.0}, ">=", 0.0)
+    m.add_constraint("r2", {"x2": -2.0}, ">=", 0.0)
+    starts = []
+    optimize = simplex._optimize
+
+    def spy(tab, *args):
+        # at the start of each phase: the rows whose artificial is basic,
+        # the largest entry of each in a column that may enter, and the
+        # artificials' upper bounds
+        n_enter = tab.std.n_enter
+        art = np.flatnonzero(tab.basis >= n_enter)
+        starts.append((art.tolist(), np.abs(tab.T[art, :n_enter]).max(axis=1).tolist(),
+                       tab.upper[n_enter:].tolist()))
+        return optimize(tab, *args)
+
+    with mock.patch.object(simplex, "_optimize", spy):
+        sol = solve_lp(m)
+    assert len(starts) == 2
+    assert starts[1] == ([2], [2.0], [0.0, 0.0, 0.0])
+    assert sol.iterations == 2  # both in phase 1
+    assert sol.tableau.basis[2] == sol.tableau.std.unit_col[2]
+    assert sol.primal == {"x0": 1.0, "x1": 0.5, "x2": 0.0, "x3": 0.0}
+    assert sol.objective == -3.0
+    assert sol.dual == {"r0": -2.0, "r1": 1.0, "r2": 0.0}
+    assert solve_lp(_bounds_as_rows(m)).objective == pytest.approx(-3.0, abs=1e-12)
+    _assert_optimality_conditions(m, sol, "r2", tol=1e-12)
 
 
 def test_devex_weights_stay_finite():
