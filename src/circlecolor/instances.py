@@ -71,8 +71,7 @@ def generate(config: GeneratorConfig) -> list:
 
 
 def run_experiment(n_values, samples: int, seed: int,
-                   options: SimplexOptions | None = None,
-                   progress=None) -> list:
+                   options: SimplexOptions | None = None) -> list:
     """Generate and solve `samples` instances per n, aggregating the
     summary statistics of the published experiment table.
 
@@ -104,8 +103,6 @@ def run_experiment(n_values, samples: int, seed: int,
             if abs(report.chromatic_number - report.fractional_chromatic) <= 1e-6:
                 chif_eq += 1
             max_gap = max(max_gap, report.chromatic_number - report.fractional_chromatic)
-            if progress:
-                progress(n, k, report)
         rows.append(ExperimentRow(
             n=n,
             mean_edges=sum(edges) / len(edges) if edges else 0.0,

@@ -736,8 +736,9 @@ def write_mps(model: LpModel) -> str:
             out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} {kind}")
             marker_on = is_int
             marker_idx += 1
-        if v.name in model.objective and model.objective[v.name] != 0.0:
-            out.append(fmt(v.name, "OBJ", model.objective[v.name]))
+        obj = model.objective.get(v.name, 0.0)
+        if obj != 0.0 or not column:  # a column with no entry keeps one, so it is read back
+            out.append(fmt(v.name, "OBJ", obj))
         out.extend(fmt(v.name, rows[r], val) for r, val in column)
     if marker_on:
         out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} 'INTEND'")
@@ -770,10 +771,10 @@ _MPS_RELATION = {"L": "<=", "G": ">=", "E": "="}
 def parse_mps(text: str) -> LpModel:
     """Parse our own MPS dialect.  The objective sense is not stored in
     MPS; minimization is assumed (callers flip via metadata if needed).
-    A line it cannot read, or a COLUMNS or RHS entry naming a row that
-    ROWS does not declare, raises InstanceFormatError naming that line.
-    A BOUNDS line for a column with no entry is ignored: the writer leaves
-    such a column out of COLUMNS."""
+    A line it cannot read, a COLUMNS or RHS entry naming a row that ROWS
+    does not declare, or a BOUNDS line naming a column that COLUMNS lacks,
+    raises InstanceFormatError naming that line.  Zero objective
+    coefficients are dropped, as parse_lp_text drops them."""
     section = None
     objective = None  # the name of the N row
     rows = {}  # row name -> relation, in file order
@@ -819,6 +820,8 @@ def parse_mps(text: str) -> LpModel:
                 rhs[row] = float(val)
             elif section == "BOUNDS":
                 code, _, col, *val = parts
+                if col not in columns:
+                    raise ValueError
                 lo, hi = bounds.get(col, (0.0, INF))
                 if code == "FR" and not val:
                     lo, hi = -INF, INF
@@ -845,7 +848,7 @@ def parse_mps(text: str) -> LpModel:
             kind = BINARY
         model.add_var(col, lo, hi, kind)
     model.objective = {col: entries[objective] for col, entries in columns.items()
-                       if objective in entries}
+                       if entries.get(objective, 0.0) != 0.0}
     coeffs = {rname: {} for rname in rows}  # per row: column -> value in column order
     for col, entries in columns.items():
         for rname, val in entries.items():

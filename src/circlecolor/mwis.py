@@ -154,19 +154,22 @@ def _trace_witness(rep: IntervalRep, at, rank, took) -> frozenset:
     return frozenset(witness)
 
 
-def check_independent(rep: IntervalRep, vertices) -> None:
-    """Raise CertificateError unless no two of the vertices overlap.
+def check_independent(rep: IntervalRep, vertices, what: str = "independent set") -> None:
+    """Raise CertificateError, naming `what` and an overlapping pair,
+    unless no two of the vertices overlap.
 
-    Independent intervals are laminar, so a sweep over their endpoints
-    closes the most recently opened one first: O(k log k).
+    Independent intervals are laminar, so a sweep by left endpoint keeps
+    the intervals still open at the sweep point nested, the innermost last
+    (the sweep of greedy_stack_plan).  A vertex that the innermost one does
+    not contain overlaps it: O(k log k).
     """
-    ends = sorted((p, v) for v in vertices for p in rep.interval(v))
     open_ = []
-    for p, v in ends:
-        if p == rep.left[v]:
-            open_.append(v)
-        elif (u := open_.pop()) != v:  # u opened after v and is still open
-            raise CertificateError(f"independent set holds overlapping {v} and {u}")
+    for v in sorted(vertices, key=rep.left.__getitem__):
+        while open_ and rep.right[open_[-1]] < rep.left[v]:
+            open_.pop()
+        if open_ and rep.right[open_[-1]] < rep.right[v]:
+            raise CertificateError(f"{what} holds overlapping {open_[-1]} and {v}")
+        open_.append(v)
 
 
 def chain_partition(rep: IntervalRep, subset) -> list[list[int]]:

@@ -3,6 +3,12 @@
 Everything here is ground truth at tiny scale: enumeration and
 backtracking, refusing inputs over a budget rather than running
 unbounded.  Used in tests and behind the `verify` CLI subcommand.
+
+The independent sets are enumerated in one place, _independent_sets, a
+bitmask loop over every vertex subset that the set and stack oracles all
+read; the networkx graph is built in one place, _networkx.  Nothing here
+calls check_independent or check_plan, and they call nothing here, so the
+oracles and the certificates stay independent checks of each other.
 """
 
 from __future__ import annotations
@@ -42,11 +48,30 @@ def _adjacency_masks(graph: CircleGraph) -> list:
     return masks
 
 
-def _is_independent(mask: int, adj_masks, n: int) -> bool:
-    for v in range(1, n + 1):
-        if mask & (1 << (v - 1)) and mask & adj_masks[v]:
-            return False
-    return True
+def _independent_sets(graph: CircleGraph, budget: OracleBudget, cap=None):
+    """Every nonempty independent set as a tuple of its vertices, ascending,
+    in the order of its vertex bitmask.  Refuses a graph over the budget
+    before the first set, and stops at the first set over its count."""
+    _check_budget(graph.n, budget, cap)
+    adj_masks = _adjacency_masks(graph)
+    count = 0
+    for mask in range(1, 1 << graph.n):
+        members = tuple(v for v in graph.vertices if mask & (1 << (v - 1)))
+        if not any(mask & adj_masks[v] for v in members):
+            count += 1
+            if count > budget.max_independent_sets:
+                raise OverBudgetError("too many independent sets to enumerate")
+            yield members
+
+
+def _networkx(graph: CircleGraph):
+    """networkx and the graph as a networkx Graph; imported here, so that
+    only a running oracle loads it."""
+    import networkx as nx
+    g = nx.Graph()
+    g.add_nodes_from(graph.vertices)
+    g.add_edges_from(graph.edges())
+    return nx, g
 
 
 def chromatic_exact(graph: CircleGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -87,34 +112,19 @@ def max_clique_exact(graph: CircleGraph) -> int:
     """Exact clique number; delegates to networkx's exact search."""
     if graph.n == 0:
         return 0
-    import networkx as nx  # here, so that only a running oracle loads it
-    g = nx.Graph()
-    g.add_nodes_from(graph.vertices)
-    g.add_edges_from(graph.edges())
+    nx, g = _networkx(graph)
     clique, _ = nx.max_weight_clique(g, weight=None)
     return len(clique)
 
 
 def maximal_independent_sets(graph: CircleGraph) -> list:
     """All maximal independent sets, as sorted tuples."""
-    import networkx as nx
-    g = nx.Graph()
-    g.add_nodes_from(graph.vertices)
-    g.add_edges_from(graph.edges())
-    comp = nx.complement(g)
-    return [tuple(sorted(c)) for c in nx.find_cliques(comp)]
+    nx, g = _networkx(graph)
+    return [tuple(sorted(c)) for c in nx.find_cliques(nx.complement(g))]
 
 
 def all_independent_sets(graph: CircleGraph, budget: OracleBudget = DEFAULT_BUDGET) -> list:
-    _check_budget(graph.n, budget)
-    adj_masks = _adjacency_masks(graph)
-    out = []
-    for mask in range(1, 1 << graph.n):
-        if _is_independent(mask, adj_masks, graph.n):
-            out.append(tuple(v for v in graph.vertices if mask & (1 << (v - 1))))
-        if len(out) > budget.max_independent_sets:
-            raise OverBudgetError("too many independent sets to enumerate")
-    return out
+    return list(_independent_sets(graph, budget))
 
 
 def _cover_value(columns, n: int, relation: str) -> float:
@@ -155,13 +165,9 @@ def fractional_chromatic_exact(graph: CircleGraph,
 def mwis_exact(graph: CircleGraph, weights,
                budget: OracleBudget = DEFAULT_BUDGET) -> float:
     """Max over independent subsets of the total weight, empty set included."""
-    _check_budget(graph.n, budget)
-    adj_masks = _adjacency_masks(graph)
     best = 0.0
-    for mask in range(1, 1 << graph.n):
-        if _is_independent(mask, adj_masks, graph.n):
-            total = sum(weights[v] for v in graph.vertices if mask & (1 << (v - 1)))
-            best = max(best, total)
+    for members in _independent_sets(graph, budget):
+        best = max(best, sum(weights[v] for v in members))
     return best
 
 
@@ -169,17 +175,9 @@ def stacks_exact(rep: IntervalRep, graph: CircleGraph, height: int,
                  budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Exact minimum number of independent sets of height <= `height`
     covering all vertices, by set-cover DP over vertex bitmasks."""
-    _check_budget(rep.n, budget, cap=STACKS_MAX_N)
-    n = rep.n
-    adj_masks = _adjacency_masks(graph)
-    admissible = []
-    for mask in range(1, 1 << n):
-        if not _is_independent(mask, adj_masks, n):
-            continue
-        members = [v for v in range(1, n + 1) if mask & (1 << (v - 1))]
-        if max_antichain(rep, members) <= height:
-            admissible.append(mask)
-    full = (1 << n) - 1
+    admissible = [sum(1 << (v - 1) for v in members)
+                  for members in admissible_sets(rep, graph, height, budget)]
+    full = (1 << rep.n) - 1
     best = {0: 0}
     frontier = {0}
     count = 0
@@ -204,16 +202,8 @@ def stacks_exact(rep: IntervalRep, graph: CircleGraph, height: int,
 def admissible_sets(rep: IntervalRep, graph: CircleGraph, height: int,
                     budget: OracleBudget = DEFAULT_BUDGET) -> list:
     """Every nonempty independent set of height <= `height`, as tuples."""
-    _check_budget(rep.n, budget, cap=STACKS_MAX_N)
-    adj_masks = _adjacency_masks(graph)
-    out = []
-    for mask in range(1, 1 << rep.n):
-        if not _is_independent(mask, adj_masks, rep.n):
-            continue
-        members = tuple(v for v in rep.vertices if mask & (1 << (v - 1)))
-        if max_antichain(rep, members) <= height:
-            out.append(members)
-    return out
+    return [members for members in _independent_sets(graph, budget, cap=STACKS_MAX_N)
+            if max_antichain(rep, members) <= height]
 
 
 def stacks_lp_exact(rep: IntervalRep, graph: CircleGraph, height: int,

@@ -208,13 +208,12 @@ class _Tableau:
     offset: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    overrides: dict
 
     def copy(self) -> _Tableau:
         """A copy with its own arrays; the model and std are shared."""
         return _Tableau(self.model, self.std, self.T.copy(), self.basis.copy(),
                         self.upper.copy(), self.flipped.copy(), self.offset.copy(),
-                        self.lo.copy(), self.hi.copy(), dict(self.overrides))
+                        self.lo.copy(), self.hi.copy())
 
 
 def _bounds(model: LpModel, overrides):
@@ -293,7 +292,7 @@ def _standardize(model: LpModel, overrides, feas_tol):
     return std
 
 
-def _tableau(model: LpModel, std: _Standardized, overrides) -> _Tableau:
+def _tableau(model: LpModel, std: _Standardized) -> _Tableau:
     """The starting tableau of the standard form, every row's unit column
     basic and the cost row 0; one over the byte budget is refused before
     it is allocated."""
@@ -311,8 +310,7 @@ def _tableau(model: LpModel, std: _Standardized, overrides) -> _Tableau:
     T[slack, std.slack_col[slack]] = std.rel[slack]
     T[np.arange(m), std.unit_col] = 1.0
     return _Tableau(model, std, T, std.unit_col.copy(), std.upper.copy(),
-                    np.zeros(ncols, dtype=bool), std.offset, std.lo, std.hi,
-                    dict(overrides or {}))
+                    np.zeros(ncols, dtype=bool), std.offset, std.lo, std.hi)
 
 
 def _pivot(T, row, col):
@@ -502,7 +500,7 @@ def _resume(model: LpModel, prev: _Tableau, overrides: dict, opts: SimplexOption
     Returns (solution or None, pivots); None when a bound would loosen, a
     free or mirrored column's bound moves, or the answer fails _certify."""
     std = prev.std
-    if prev.model is not model or not prev.overrides.keys() <= overrides.keys():
+    if prev.model is not model:
         return None, 0
     lo, hi = _bounds(model, overrides)
     if (lo < prev.lo).any() or (hi > prev.hi).any():
@@ -516,7 +514,7 @@ def _resume(model: LpModel, prev: _Tableau, overrides: dict, opts: SimplexOption
     if (std.free[moved] | (std.sign[moved] < 0)).any():
         return None, 0
     tab = prev.copy()
-    tab.lo, tab.hi, tab.overrides = lo, hi, dict(overrides)
+    tab.lo, tab.hi = lo, hi
     T, upper, offset = tab.T, tab.upper, tab.offset
     for k in moved.tolist():
         p = std.col[k]
@@ -675,11 +673,11 @@ def _solve_cold(model: LpModel, opts: SimplexOptions, bound_overrides, start) ->
     std = _standardize(model, bound_overrides, opts.feas_tol)
     if std is None:
         return LpSolution(status="infeasible", objective=None)
-    tab = _tableau(model, std, bound_overrides)
+    tab = _tableau(model, std)
     x = None if start is None else _start_columns(model, std, start)
     crash = None if x is None else _crash(tab, x, opts)
     if x is not None and crash is None:  # the start is dropped
-        tab = _tableau(model, std, bound_overrides)
+        tab = _tableau(model, std)
     T, basis, m = tab.T, tab.basis, len(tab.basis)
     iterations = crash or 0
 

@@ -26,7 +26,7 @@ from .intervals import (
     topological_order,
 )
 from .lpmodels import LpModel, _add_arborescence, _ranges, _sweep_rows
-from .mwis import decode_arborescence
+from .mwis import check_independent, decode_arborescence
 
 
 def layer_var(i: int, h: int, j: int) -> str:
@@ -181,10 +181,7 @@ def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) 
     if placed != list(rep.vertices) or plan.num_stacks != num_stacks or not all(plan.stacks):
         raise CertificateError(f"plan is not a partition into {num_stacks} stacks")
     for stack in plan.stacks:
-        for k, u in enumerate(stack):
-            for v in stack[k + 1:]:
-                if rep.overlaps(u, v):
-                    raise CertificateError(f"stack {stack} holds overlapping {u} and {v}")
+        check_independent(rep, stack, f"stack {stack}")
         # an antichain is never larger than its stack
         if len(stack) > height and max_antichain(rep, stack) > height:
             raise CertificateError(f"stack {stack} exceeds the capacity {height}")

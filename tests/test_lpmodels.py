@@ -340,9 +340,10 @@ def test_parse_lp_text_names_the_line_it_cannot_read(old, new, error):
     (" UP BND       x            1", " UP BND       x", "bad BOUNDS line: ' UP BND       x'"),
     (" UP BND       x            1", " UP BND       x            up", "bad BOUNDS line: ' UP BND       x            up'"),
     (" UP BND       x", " XX BND       x", "bad BOUNDS line: ' XX BND       x            1'"),
+    (" UP BND       x            1", " UP BND       z            1", "bad BOUNDS line: ' UP BND       z            1'"),
     ("ENDATA", "RANGES\n    RNG          r            1\nENDATA", "bad RANGES line"),
 ], ids=["row-code", "rows-tokens", "second-n-row", "row-twice", "columns-row", "columns-value", "rhs-row",
-        "rhs-tokens", "bounds-tokens", "bounds-value", "bounds-code", "section"])
+        "rhs-tokens", "bounds-tokens", "bounds-value", "bounds-code", "bounds-column", "section"])
 def test_parse_mps_names_the_line_it_cannot_read(old, new, error):
     assert old in _MPS
     with pytest.raises(InstanceFormatError) as info:
@@ -356,6 +357,20 @@ def test_the_parsers_read_the_error_cases_unbroken():
         assert model.var_names == ["x", "y"] and model.objective == {"x": 1.0}
         assert [tuple(c) for c in model.constraints] == [("r", {"x": 1.0, "y": 1.0}, ">=", 1.0)]
         assert [(v.lower, v.upper) for v in model.variables] == [(0.0, 1.0), (0.0, INF)]
+
+
+def test_a_column_with_no_nonzero_entry_survives_both_round_trips():
+    # z's only entry is a 0 in row r; MPS keeps it as a zero objective entry
+    model = LpModel(name="t", sense="min")
+    model.add_var("x", 0.0, 1.0)
+    model.add_var("z", 0.0, 5.0, INTEGER)
+    model.objective = {"x": 1.0}
+    model.add_constraint("r", {"x": 1.0, "z": 0.0}, ">=", 0.5)
+    for back in (parse_lp_text(write_lp_text(model)), parse_mps(write_mps(model))):
+        assert back.var_names == ["x", "z"]
+        assert back.objective == {"x": 1.0}
+        z = back.variables[1]
+        assert (z.kind, z.lower, z.upper) == (INTEGER, 0.0, 5.0)
 
 
 def test_binary_bounds_stay_in_the_unit_interval():

@@ -1,3 +1,6 @@
+import re
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +161,23 @@ def test_check_independent_rejects_the_crossing_pair(c5):
         check_independent(c5, {1, 2})
     check_independent(c5, {5, 3})  # I(5) contains I(3)
     check_independent(c5, set())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_independent_refuses_exactly_the_sets_with_an_overlapping_pair(data):
+    rep = data.draw(interval_reps(14))
+    subset = data.draw(st.lists(st.sampled_from(list(rep.vertices)), unique=True))
+    crossing = [(u, v) for u, v in combinations(subset, 2) if rep.overlaps(u, v)]
+    try:
+        check_independent(rep, subset, "this set")
+    except CertificateError as exc:
+        named = re.fullmatch(r"this set holds overlapping (\d+) and (\d+)", str(exc))
+        assert named, str(exc)
+        u, v = int(named[1]), int(named[2])
+        assert u in subset and v in subset and rep.overlaps(u, v)
+    else:
+        assert not crossing
 
 
 def test_solve_mwis_negative_single():

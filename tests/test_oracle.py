@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from circlecolor.instances import generate_one
 from circlecolor.intervals import build_graph, normalize
 from circlecolor.oracle import (
     OracleBudget,
+    admissible_sets,
+    all_independent_sets,
     chromatic_exact,
     fractional_chromatic_exact,
     max_clique_exact,
@@ -86,6 +89,34 @@ def test_sandwich_chain():
         chi = chromatic_exact(g)
         assert max_clique_exact(g) <= chi_f + 1e-9
         assert chi >= math.ceil(chi_f - 1e-6)
+
+
+def _reference_independent_sets(rep):
+    """Every nonempty independent set by pairwise overlap tests, ordered by
+    vertex bitmask as the oracles enumerate them."""
+    sets = [c for k in range(1, rep.n + 1) for c in combinations(rep.vertices, k)
+            if not any(rep.overlaps(u, v) for u, v in combinations(c, 2))]
+    return sorted(sets, key=lambda c: sum(1 << (v - 1) for v in c))
+
+
+def _reference_height(rep, vertices) -> int:
+    """The most intervals of the set around one endpoint."""
+    return max(sum(rep.left[v] <= p <= rep.right[v] for v in vertices)
+               for p in range(1, 2 * rep.n + 1))
+
+
+def test_oracles_match_a_pairwise_reference():
+    rng = np.random.default_rng(61)
+    for k in range(48):
+        rep = generate_one(1 + k % 8, 661, k)
+        g = build_graph(rep)
+        want = _reference_independent_sets(rep)
+        assert all_independent_sets(g) == want, k
+        for h in (1, 2, 3):
+            assert admissible_sets(rep, g, h) == \
+                [c for c in want if _reference_height(rep, c) <= h], (k, h)
+        w = {v: float(rng.integers(-5, 6)) for v in rep.vertices}
+        assert mwis_exact(g, w) == max([0.0] + [sum(w[v] for v in c) for c in want]), k
 
 
 def test_budget_refusal():

@@ -544,7 +544,7 @@ def _crash_input(model, start):
     """The starting tableau of model and start in its columns: what
     _crash takes."""
     std = simplex._standardize(model, None, simplex.DEFAULT_OPTIONS.feas_tol)
-    return simplex._tableau(model, std, None), simplex._start_columns(model, std, start)
+    return simplex._tableau(model, std), simplex._start_columns(model, std, start)
 
 
 @settings(max_examples=60, deadline=None)
@@ -774,6 +774,24 @@ def test_warm_restart_falls_back_when_a_bound_loosens():
     other.add_var("x", 0.0, 1.0)
     other.objective = {"x": 1.0}
     assert solve_lp(other, warm=fixed).primal == {"x": 1.0}
+
+
+def test_dropping_an_override_that_does_not_bind_still_resumes():
+    # the parent's override repeats x's own bounds, so the child that drops
+    # it asks for the same bounds: the tableau stays valid and is resumed
+    m = _model("max")
+    m.add_var("x", 0.0, 1.0)
+    m.add_var("y", 0.0, 1.0)
+    m.objective = {"x": 2.0, "y": 1.0}
+    m.add_constraint("r", {"x": 1.0, "y": 1.0}, "<=", 1.5)
+    parent = solve_lp(m, bound_overrides={"x": (0.0, 1.0)})
+    with mock.patch.object(simplex, "_solve_cold", wraps=simplex._solve_cold) as cold:
+        sol = solve_lp(m, bound_overrides={}, warm=parent)
+    assert not cold.called
+    want = solve_lp(m)
+    assert sol.status == want.status == "optimal"
+    assert sol.objective == pytest.approx(want.objective, abs=1e-9)
+    assert sol.primal == pytest.approx(want.primal)
 
 
 def test_a_resume_leaves_its_parents_tableau_as_it_was():

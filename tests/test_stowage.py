@@ -301,6 +301,27 @@ def test_check_plan_rejects_corrupted_plans(c5):
             check_plan(rep, plan, height, count)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_plan_refuses_a_stack_exactly_when_two_of_its_vertices_overlap(data):
+    rep = data.draw(interval_reps(10))
+    groups = {}
+    for v in rep.vertices:
+        groups.setdefault(data.draw(st.integers(0, 2)), []).append(v)
+    plan = StackPlan(stacks=tuple(tuple(data.draw(st.permutations(g))) for g in groups.values()))
+    bad = [stack for stack in plan.stacks
+           if any(rep.overlaps(u, v) for u, v in combinations(stack, 2))]
+    if not bad:
+        check_plan(rep, plan, rep.n, plan.num_stacks)
+        return
+    with pytest.raises(CertificateError) as info:
+        check_plan(rep, plan, rep.n, plan.num_stacks)
+    head, pair = str(info.value).split(" holds overlapping ")
+    u, v = map(int, pair.split(" and "))
+    assert head == f"stack {bad[0]}"
+    assert u in bad[0] and v in bad[0] and rep.overlaps(u, v)
+
+
 def test_solve_stacks_rejects_a_corrupted_decode(c5, monkeypatch):
     corrupt = StackPlan(stacks=((1, 2), (3, 4), (5,)))  # 1 and 2 overlap
     monkeypatch.setattr(bnb, "decode_plan", lambda *args: corrupt)
