@@ -239,14 +239,20 @@ def _solve(rep: IntervalRep, model: LpModel, plan: StackPlan, decode,
     )
 
 
-def _build_cg(rep: IntervalRep, timings: dict):
-    """The CG program, and greedy_stack_plan(rep, rep.n), a stack plan
-    with no binding height (first fit), as its start point."""
+def _build(rep: IntervalRep, height: int | None, timings: dict):
+    """The CG program with greedy_stack_plan(rep, rep.n), a stack plan
+    with no binding height (first fit), as its start point; or, given a
+    height, the CG_H program at effective_height(rep, height) with the
+    greedy plan at that height.  Returns (dag, model, plan)."""
     t0 = time.perf_counter()
     dag = build_dag(rep)
     matrix = build_clique_matrix(rep)
-    model = build_cg(rep, dag, matrix)
-    plan = greedy_stack_plan(rep, rep.n)
+    if height is None:
+        model, height = build_cg(rep, dag, matrix), rep.n
+    else:
+        height = effective_height(rep, height)
+        model = build_cgh(rep, dag, matrix, height)
+    plan = greedy_stack_plan(rep, height)
     timings["build"] = time.perf_counter() - t0
     return dag, model, plan
 
@@ -259,7 +265,7 @@ def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
     Returns (dag, model, root); the build and root-LP seconds go into
     timings when it is given."""
     timings = {} if timings is None else timings
-    dag, model, plan = _build_cg(rep, timings)
+    dag, model, plan = _build(rep, None, timings)
     return dag, model, _root_lp(model, _start(rep, model, plan),
                                 options or DEFAULT_OPTIONS, timings)
 
@@ -269,7 +275,7 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
     """Exact chromatic number with a decoded coloring certificate; the root
     LP value is the fractional chromatic number."""
     timings = {}
-    dag, model, plan = _build_cg(rep, timings)
+    dag, model, plan = _build(rep, None, timings)
     priority = {name: len(dag.children[i]) for name, (i, _) in model.metadata["arcs"].items()}
 
     def decode(arcs, chi):
@@ -290,13 +296,8 @@ def solve_stacks(rep: IntervalRep, height: int,
                  options: SimplexOptions | None = None, log=None) -> SolveReport:
     """Exact minimum number of stacks of capacity `height`."""
     timings = {}
-    t0 = time.perf_counter()
-    dag = build_dag(rep)
-    matrix = build_clique_matrix(rep)
-    h_eff = effective_height(rep, height)
-    model = build_cgh(rep, dag, matrix, h_eff)
-    greedy = greedy_stack_plan(rep, h_eff)
-    timings["build"] = time.perf_counter() - t0
+    _, model, greedy = _build(rep, height, timings)
+    h_eff = model.metadata["height"]
 
     def decode(arcs, value):
         plan = decode_plan(rep, arcs, value, h_eff)

@@ -20,14 +20,7 @@ import numpy as np
 from . import __version__
 from .bnb import cg_root, solve_chromatic, solve_stacks
 from .errors import CircleColorError, InstanceFormatError
-from .instances import (
-    GeneratorConfig,
-    format_certificate,
-    generate,
-    generate_one,
-    rows_to_csv,
-    run_experiment,
-)
+from .instances import format_certificate, generate_one, rows_to_csv, run_experiment
 from .intervals import (
     build_clique_matrix,
     build_dag,
@@ -46,7 +39,7 @@ from .lpmodels import (
 )
 from .mwis import solve_mwis
 from .oracle import (
-    DEFAULT_BUDGET,
+    MAX_VERTICES,
     STACKS_MAX_N,
     chromatic_exact,
     fractional_chromatic_exact,
@@ -82,8 +75,8 @@ def _checked(kind, ok, what):
 
 _tolerance = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
 _count = _checked(int, lambda k: k >= 1, "an integer >= 1")
-_oracle_size = _checked(int, lambda k: 1 <= k <= DEFAULT_BUDGET.max_vertices,
-                        f"an integer >= 1 and <= {DEFAULT_BUDGET.max_vertices} (the oracle budget)")
+_oracle_size = _checked(int, lambda k: 1 <= k <= MAX_VERTICES,
+                        f"an integer >= 1 and <= {MAX_VERTICES} (the oracle budget)")
 
 
 def _counts(text):
@@ -170,7 +163,7 @@ def cmd_mwis(args) -> int:
         "command": "mwis",
         "value": value,
         "set": sorted(witness),
-        "labels": {str(v): labels.ell[v] for v in sorted(labels.ell)},
+        "labels": {str(v): labels[v] for v in sorted(labels)},
     }
     human = f"value={value:g} set={','.join(str(v) for v in sorted(witness)) or '-'}"
     _emit(args, payload, human)
@@ -197,7 +190,7 @@ def cmd_stacks(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    reps = generate(GeneratorConfig(n=args.n, seed=args.seed, count=args.count))
+    reps = [generate_one(args.n, args.seed, k) for k in range(args.count)]
     if args.output:
         for k, rep in enumerate(reps):
             path = args.output if args.count == 1 else f"{args.output}.{k:03d}"
@@ -425,7 +418,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:  # raised for a bad CIRCLECOLOR_TOL
         print(f"error: CIRCLECOLOR_TOL: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (InstanceFormatError, FileNotFoundError) as exc:
+    except (InstanceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except CircleColorError as exc:

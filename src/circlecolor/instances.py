@@ -25,13 +25,6 @@ from .oracle import max_clique_exact  # noqa: F401
 from .simplex import SimplexOptions
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    n: int
-    seed: int = 0
-    count: int = 1
-
-
 @dataclass
 class ExperimentRow:
     n: int
@@ -62,12 +55,6 @@ def generate_one(n: int, seed: int, index: int = 0) -> IntervalRep:
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     sequence = _fisher_yates(rng, range(1, 2 * n + 1))
     return intervals_from_sequence(sequence)
-
-
-def generate(config: GeneratorConfig) -> list:
-    if config.n < 1:
-        raise ValueError("n must be >= 1")
-    return [generate_one(config.n, config.seed, k) for k in range(config.count)]
 
 
 def run_experiment(n_values, samples: int, seed: int,

@@ -138,20 +138,24 @@ def _endpoints(lines) -> list[int]:
             return list(map(int, chain.from_iterable(rows)))
         except ValueError:
             pass  # the loop below names the line
-    flat = []
-    for ln, parts in zip(lines, rows):
-        if len(parts) != 2:
-            raise InstanceFormatError(f"bad interval line: {ln!r}")
+    for ln, parts in zip(lines, rows):  # some line is bad: name the first
         try:
-            flat += (int(parts[0]), int(parts[1]))
-        except ValueError as exc:
+            _, _ = map(int, parts)
+        except ValueError as exc:  # a bad integer, or not two of them
             raise InstanceFormatError(f"bad interval line: {ln!r}") from exc
-    return flat
 
 
 def load_instance(path) -> IntervalRep:
+    """The instance in the file at path.  Text that is not UTF-8 raises
+    InstanceFormatError naming the path; an unreadable path raises the
+    OSError of open."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(f"{path}: not UTF-8 text ({exc.reason}"
+                                      f" at byte {exc.start})") from None
+    return parse_instance(text)
 
 
 def format_instance(rep: IntervalRep) -> str:

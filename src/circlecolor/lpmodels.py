@@ -774,7 +774,10 @@ def parse_mps(text: str) -> LpModel:
     A line it cannot read, a COLUMNS or RHS entry naming a row that ROWS
     does not declare, or a BOUNDS line naming a column that COLUMNS lacks,
     raises InstanceFormatError naming that line.  Zero objective
-    coefficients are dropped, as parse_lp_text drops them."""
+    coefficients are dropped, as parse_lp_text drops them.  MPS marks
+    binaries and integers alike (INTORG), so a marked column whose bounds
+    lie inside [0, 1] is read as binary, a binary pinned at 0 or at 1
+    included, and any other marked column as integer."""
     section = None
     objective = None  # the name of the N row
     rows = {}  # row name -> relation, in file order
@@ -844,7 +847,7 @@ def parse_mps(text: str) -> LpModel:
     for col in columns:
         lo, hi = bounds.get(col, (0.0, INF))
         kind = col_kind[col]
-        if kind == INTEGER and lo == 0.0 and hi == 1.0:
+        if kind == INTEGER and 0.0 <= lo and hi <= 1.0:
             kind = BINARY
         model.add_var(col, lo, hi, kind)
     model.objective = {col: entries[objective] for col, entries in columns.items()

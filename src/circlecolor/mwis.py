@@ -21,7 +21,6 @@ when most closes do (with unit weights all of them do).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +37,6 @@ from .intervals import (
     max_antichain,  # noqa: F401  perfbench/spans.py wraps it under this module
     topological_order,
 )
-
-
-@dataclass(frozen=True)
-class DpLabels:
-    """Per-vertex labels of the recursion; ell[0] is the optimum value."""
-
-    ell: dict
 
 
 def max_weight_chain(rep: IntervalRep, candidates, values) -> tuple[float, list[int]]:
@@ -74,12 +66,13 @@ def max_weight_chain(rep: IntervalRep, candidates, values) -> tuple[float, list[
     return value, chain
 
 
-def solve_mwis(rep: IntervalRep, weights) -> tuple[float, DpLabels, frozenset]:
+def solve_mwis(rep: IntervalRep, weights) -> tuple[float, dict, frozenset]:
     """Maximum-weight independent set via the label recursion.
 
     weights maps vertex -> real (0 is implied for the root).  Returns
-    (value, labels, witness set).  The value is always >= 0: the empty set
-    is independent.
+    (value, labels, witness set), where labels maps each vertex to its
+    label and labels[0] is the optimum.  The value is always >= 0: the
+    empty set is independent.
 
     One sweep over the endpoints 1..2n.  With vertices ranked by left
     endpoint (topological_order), row[k] holds the best chain among the
@@ -128,7 +121,7 @@ def solve_mwis(rep: IntervalRep, weights) -> tuple[float, DpLabels, frozenset]:
     labels[ROOT] = row.item(0)
     witness = _trace_witness(rep, at, rank, took)
     check_independent(rep, witness)
-    return labels[ROOT], DpLabels(ell=labels), witness
+    return labels[ROOT], labels, witness
 
 
 def _trace_witness(rep: IntervalRep, at, rank, took) -> frozenset:

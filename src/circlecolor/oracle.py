@@ -4,6 +4,10 @@ Everything here is ground truth at tiny scale: enumeration and
 backtracking, refusing inputs over a budget rather than running
 unbounded.  Used in tests and behind the `verify` CLI subcommand.
 
+The budget is three module constants: MAX_VERTICES vertices for every
+oracle, STACKS_MAX_N for the stack oracles, and MAX_INDEPENDENT_SETS
+independent sets for any one enumeration.
+
 The independent sets are enumerated in one place, _independent_sets, a
 bitmask loop over every vertex subset that the set and stack oracles all
 read; the networkx graph is built in one place, _networkx.  Nothing here
@@ -13,29 +17,20 @@ oracles and the certificates stay independent checks of each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NumericalFailureError, OverBudgetError
 from .intervals import CircleGraph, IntervalRep, max_antichain
 from .lpmodels import LpModel
 from .simplex import solve_lp
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_vertices: int = 12
-    max_independent_sets: int = 200000
-
-
-DEFAULT_BUDGET = OracleBudget()
-
+MAX_VERTICES = 12
+MAX_INDEPENDENT_SETS = 200000
 # the stack oracles enumerate vertex subsets with a height test each, so
 # they stop at fewer vertices than the others
 STACKS_MAX_N = 8
 
 
-def _check_budget(n: int, budget: OracleBudget, cap=None):
-    limit = budget.max_vertices if cap is None else min(budget.max_vertices, cap)
+def _check_budget(n: int, limit: int = MAX_VERTICES):
     if n > limit:
         raise OverBudgetError(f"{n} vertices exceeds the oracle budget of {limit}")
 
@@ -48,18 +43,19 @@ def _adjacency_masks(graph: CircleGraph) -> list:
     return masks
 
 
-def _independent_sets(graph: CircleGraph, budget: OracleBudget, cap=None):
+def _independent_sets(graph: CircleGraph, limit: int = MAX_VERTICES):
     """Every nonempty independent set as a tuple of its vertices, ascending,
-    in the order of its vertex bitmask.  Refuses a graph over the budget
-    before the first set, and stops at the first set over its count."""
-    _check_budget(graph.n, budget, cap)
+    in the order of its vertex bitmask.  Refuses a graph of more than limit
+    vertices before the first set, and stops at the first set over
+    MAX_INDEPENDENT_SETS."""
+    _check_budget(graph.n, limit)
     adj_masks = _adjacency_masks(graph)
     count = 0
     for mask in range(1, 1 << graph.n):
         members = tuple(v for v in graph.vertices if mask & (1 << (v - 1)))
         if not any(mask & adj_masks[v] for v in members):
             count += 1
-            if count > budget.max_independent_sets:
+            if count > MAX_INDEPENDENT_SETS:
                 raise OverBudgetError("too many independent sets to enumerate")
             yield members
 
@@ -74,9 +70,9 @@ def _networkx(graph: CircleGraph):
     return nx, g
 
 
-def chromatic_exact(graph: CircleGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def chromatic_exact(graph: CircleGraph) -> int:
     """Exact chromatic number by backtracking with a clique lower bound."""
-    _check_budget(graph.n, budget)
+    _check_budget(graph.n)
     if graph.n == 0:
         return 0
     lb = max_clique_exact(graph)
@@ -123,8 +119,8 @@ def maximal_independent_sets(graph: CircleGraph) -> list:
     return [tuple(sorted(c)) for c in nx.find_cliques(nx.complement(g))]
 
 
-def all_independent_sets(graph: CircleGraph, budget: OracleBudget = DEFAULT_BUDGET) -> list:
-    return list(_independent_sets(graph, budget))
+def all_independent_sets(graph: CircleGraph) -> list:
+    return list(_independent_sets(graph))
 
 
 def _cover_value(columns, n: int, relation: str) -> float:
@@ -142,41 +138,37 @@ def _cover_value(columns, n: int, relation: str) -> float:
     return sol.objective
 
 
-def fractional_chromatic_exact(graph: CircleGraph,
-                               budget: OracleBudget = DEFAULT_BUDGET,
-                               all_sets: bool = False) -> float:
+def fractional_chromatic_exact(graph: CircleGraph, all_sets: bool = False) -> float:
     """Fractional chromatic number by the independent-set covering LP.
 
     By default the LP is restricted to maximal independent sets with >=
     rows (dominance makes that equivalent); all_sets=True reproduces the
     equality form over every independent set as a cross-check.
     """
-    _check_budget(graph.n, budget)
+    _check_budget(graph.n)
     if graph.n == 0:
         return 0.0
     if all_sets:
-        return _cover_value(all_independent_sets(graph, budget), graph.n, "=")
+        return _cover_value(all_independent_sets(graph), graph.n, "=")
     columns = maximal_independent_sets(graph)
-    if len(columns) > budget.max_independent_sets:
+    if len(columns) > MAX_INDEPENDENT_SETS:
         raise OverBudgetError("too many independent sets to enumerate")
     return _cover_value(columns, graph.n, ">=")
 
 
-def mwis_exact(graph: CircleGraph, weights,
-               budget: OracleBudget = DEFAULT_BUDGET) -> float:
+def mwis_exact(graph: CircleGraph, weights) -> float:
     """Max over independent subsets of the total weight, empty set included."""
     best = 0.0
-    for members in _independent_sets(graph, budget):
+    for members in _independent_sets(graph):
         best = max(best, sum(weights[v] for v in members))
     return best
 
 
-def stacks_exact(rep: IntervalRep, graph: CircleGraph, height: int,
-                 budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def stacks_exact(rep: IntervalRep, graph: CircleGraph, height: int) -> int:
     """Exact minimum number of independent sets of height <= `height`
     covering all vertices, by set-cover DP over vertex bitmasks."""
     admissible = [sum(1 << (v - 1) for v in members)
-                  for members in admissible_sets(rep, graph, height, budget)]
+                  for members in admissible_sets(rep, graph, height)]
     full = (1 << rep.n) - 1
     best = {0: 0}
     frontier = {0}
@@ -199,15 +191,13 @@ def stacks_exact(rep: IntervalRep, graph: CircleGraph, height: int,
     return best[full]
 
 
-def admissible_sets(rep: IntervalRep, graph: CircleGraph, height: int,
-                    budget: OracleBudget = DEFAULT_BUDGET) -> list:
+def admissible_sets(rep: IntervalRep, graph: CircleGraph, height: int) -> list:
     """Every nonempty independent set of height <= `height`, as tuples."""
-    return [members for members in _independent_sets(graph, budget, cap=STACKS_MAX_N)
+    return [members for members in _independent_sets(graph, STACKS_MAX_N)
             if max_antichain(rep, members) <= height]
 
 
-def stacks_lp_exact(rep: IntervalRep, graph: CircleGraph, height: int,
-                    budget: OracleBudget = DEFAULT_BUDGET) -> float:
+def stacks_lp_exact(rep: IntervalRep, graph: CircleGraph, height: int) -> float:
     """LP relaxation of the exact stack partition (equality set-cover over
     every admissible independent set)."""
-    return _cover_value(admissible_sets(rep, graph, height, budget), rep.n, "=")
+    return _cover_value(admissible_sets(rep, graph, height), rep.n, "=")

@@ -32,7 +32,6 @@ from circlecolor.lpmodels import (
 )
 from circlecolor.mwis import solve_mwis
 from circlecolor.oracle import (
-    OracleBudget,
     chromatic_exact,
     fractional_chromatic_exact,
     mwis_exact,
@@ -84,20 +83,18 @@ def test_criterion_1_pentagon(capsys):
 
 
 def test_criterion_2_fractional_chromatic(capsys):
-    budget = OracleBudget(max_vertices=12)
     worst = 0.0
     for rep, graph, report in _instances_n12():
-        want = fractional_chromatic_exact(graph, budget)
+        want = fractional_chromatic_exact(graph)
         worst = max(worst, abs(report.fractional_chromatic - want))
     _report(capsys, 2, "root LP equals oracle fractional chromatic on 100 instances",
             worst <= TOL, f"max deviation {worst:.2e}")
 
 
 def test_criterion_3_chromatic_and_certificates(capsys):
-    budget = OracleBudget(max_vertices=12)
     bad = []
     for k, (rep, graph, report) in enumerate(_instances_n12()):
-        want = chromatic_exact(graph, budget)
+        want = chromatic_exact(graph)
         if report.chromatic_number != want:
             bad.append(f"instance {k}: chi {report.chromatic_number} != {want}")
         elif not validate_coloring(graph, report.coloring):
@@ -110,7 +107,6 @@ def test_criterion_3_chromatic_and_certificates(capsys):
 
 def test_criterion_4_isd_duality(capsys):
     rng = np.random.default_rng(4001)
-    budget = OracleBudget(max_vertices=12)
     worst = 0.0
     for k in range(200):
         n = int(rng.integers(1, 13))
@@ -119,7 +115,7 @@ def test_criterion_4_isd_duality(capsys):
         w = {v: float(rng.integers(-5, 6)) for v in rep.vertices}
         dp, _, _ = solve_mwis(rep, w)
         isd = solve_lp(build_isd(rep, build_dag(rep), build_clique_matrix(rep), w))
-        brute = mwis_exact(graph, w, budget)
+        brute = mwis_exact(graph, w)
         worst = max(worst, abs(isd.objective - dp), abs(dp - brute))
     _report(capsys, 4, "ISD = DP = brute-force MWIS on 200 weighted instances",
             worst <= TOL, f"max deviation {worst:.2e}")

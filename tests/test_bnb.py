@@ -106,6 +106,46 @@ def test_root_lp_is_fractional_chromatic():
         assert report.fractional_chromatic == pytest.approx(want, abs=1e-6), k
 
 
+def blown_up_odd_cycle(m: int, k: int, offset: int = 0) -> list:
+    """C_{2m+1}[K_k] as raw intervals, every endpoint shifted by offset.
+
+    C_{2m+1} is the intervals (2i - 1, 2i + 2) for i = 1..2m and (2, 4m + 1)
+    (for m = 2, tests/golden/c5.txt).  Each interval (l, r) becomes k twins
+    (lK + t, rK + t), t < k, with K = k + 1: the twins overlap pairwise and
+    meet every other interval as (l, r) did.  For m >= 2, omega = 2k,
+    chi_f = k(2m + 1)/m and chi = ceil(k(2m + 1)/m), the k-tuple chromatic
+    number of the odd cycle (Stahl, J. Combin. Theory B 20, 1976)."""
+    cycle = [(2 * i - 1, 2 * i + 2) for i in range(1, 2 * m + 1)] + [(2, 4 * m + 1)]
+    return [(offset + lo * (k + 1) + t, offset + hi * (k + 1) + t)
+            for lo, hi in cycle for t in range(k)]
+
+
+# every (m, k) with m in {2, 3, 4} and k(2m + 1) <= 60 vertices: 26 instances
+ODD_CYCLE_BLOWUPS = [(m, k) for m in (2, 3, 4) for k in range(1, 60 // (2 * m + 1) + 1)]
+
+
+@pytest.mark.parametrize("m, k", ODD_CYCLE_BLOWUPS)
+def test_blown_up_odd_cycles_have_their_closed_forms(m, k):
+    # chi_f > omega here, which random instances almost never give
+    rep = normalize(blown_up_odd_cycle(m, k))
+    report = solve_chromatic(rep)
+    assert report.chromatic_number == -(-k * (2 * m + 1) // m)
+    assert report.fractional_chromatic == pytest.approx(k * (2 * m + 1) / m, abs=1e-9)
+    assert intervals.clique_number(rep) == 2 * k
+
+
+@pytest.mark.parametrize("n, m, k", [(12, 2, 3), (20, 3, 2), (30, 2, 5), (16, 4, 2), (40, 2, 1)])
+def test_a_disjoint_union_takes_the_larger_part(n, m, k):
+    # the gadget is the larger part in chi_f on the first four, the random part on the last
+    random_part = generate_one(n, 7001, 0)
+    raw = [random_part.interval(v) for v in random_part.vertices]
+    union = solve_chromatic(normalize(raw + blown_up_odd_cycle(m, k, offset=2 * n)))
+    part = solve_chromatic(random_part)
+    assert union.chromatic_number == max(part.chromatic_number, -(-k * (2 * m + 1) // m))
+    chi_f = max(part.fractional_chromatic, k * (2 * m + 1) / m)
+    assert union.fractional_chromatic == pytest.approx(chi_f, abs=1e-9)
+
+
 def test_cg_root_at_n80_solves_on_the_maximal_rows():
     # with every sweep row in it the tableau had 1,991 constraint rows
     _, model, root = cg_root(generate_one(80, 6001, 0))

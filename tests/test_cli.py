@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,29 @@ def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1 2\n")
     run_cli(["solve", str(bad)], expect=2)
+
+
+@pytest.mark.parametrize("args", [["solve"], ["relax"], ["mwis"], ["stacks", "--height", "2"],
+                                  ["export"]])
+def test_unreadable_instance_paths_exit_2(tmp_path, capsys, args):
+    undecodable = tmp_path / "bytes.txt"
+    undecodable.write_bytes(b"\xff\xfe")
+    for path in (undecodable, tmp_path):  # text that is not UTF-8, then a directory
+        run_cli([args[0], str(path), *args[1:]], expect=2)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["solve", C5_FILE, "--json", "--no-timing", "--clique", "-v"],
+                                  ["stacks", C5_FILE, "--height", "2", "-v"]])
+def test_verbose_logs_one_line_per_node_to_stderr(capsys, args):
+    out = run_cli(args)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert re.fullmatch(r"node depth=0 bound=3 incumbent=3 pivots=\d+", lines[0])
+    if args[0] == "solve":
+        assert out == golden("solve.json")
 
 
 def test_env_tolerance_honored(monkeypatch):

@@ -2,12 +2,10 @@ import pytest
 
 from circlecolor import instances, intervals
 from circlecolor.bnb import solve_chromatic
-from circlecolor.errors import NumericalFailureError
+from circlecolor.errors import EmptyInstanceError, NumericalFailureError
 from circlecolor.instances import (
     CSV_COLUMNS,
-    GeneratorConfig,
     format_certificate,
-    generate,
     generate_one,
     intervals_from_sequence,
     rows_to_csv,
@@ -28,13 +26,13 @@ def test_n1_always_single_interval():
 
 
 def test_determinism():
-    a = generate(GeneratorConfig(n=6, seed=42, count=5))
-    b = generate(GeneratorConfig(n=6, seed=42, count=5))
+    a = [generate_one(6, 42, k) for k in range(5)]
+    b = [generate_one(6, 42, k) for k in range(5)]
     assert a == b
-    c = generate(GeneratorConfig(n=6, seed=43, count=5))
+    c = [generate_one(6, 43, k) for k in range(5)]
     assert a != c
-    with pytest.raises(ValueError):
-        generate(GeneratorConfig(n=0, seed=1))
+    with pytest.raises(EmptyInstanceError):
+        generate_one(0, 1)
 
 
 def test_endpoints_are_permutation():

@@ -373,6 +373,47 @@ def test_a_column_with_no_nonzero_entry_survives_both_round_trips():
         assert (z.kind, z.lower, z.upper) == (INTEGER, 0.0, 5.0)
 
 
+def _variables(model):
+    return [(v.name, v.lower, v.upper, v.kind) for v in model.variables]
+
+
+def _assert_round_trips_keep_the_variables(model, what):
+    want = _variables(model)
+    assert _variables(parse_lp_text(write_lp_text(model))) == want, (what, "lp")
+    assert _variables(parse_mps(write_mps(model))) == want, (what, "mps")
+
+
+def test_formulations_keep_every_variable_through_both_round_trips():
+    # MPS marks binaries and integers alike: AS's structurally zero arcs,
+    # binaries with bounds [0, 0], must come back binary
+    for k in range(30):
+        rep = generate_one(1 + k % 9, 3, k)
+        dag, m = _core(rep)
+        graph = build_graph(rep)
+        for model in (build_as(graph),
+                      build_cl(graph, first_fit(graph, topological_order(rep)).num_colors),
+                      build_cg(rep, dag, m),
+                      build_cgh(rep, dag, m, effective_height(rep, 2))):
+            _assert_round_trips_keep_the_variables(model, (k, model.name))
+
+
+def test_every_bound_shape_survives_both_round_trips():
+    model = LpModel(name="shapes", sense="min")
+    model.add_var("free", -INF, INF)
+    model.add_var("at_most", -INF, 4.0)
+    model.add_var("at_least", 2.5, INF)
+    model.add_var("boxed", -3.0, 7.0)
+    model.add_var("fixed", 1.5, 1.5)
+    model.add_var("off", 0.0, 0.0, BINARY)
+    model.add_var("on", 1.0, 1.0, BINARY)
+    model.add_var("count", -4.0, -1.0, INTEGER)
+    model.objective = {name: 1.0 for name in model.var_names}
+    model.add_constraint("r", {name: 1.0 for name in model.var_names}, ">=", -100.0)
+    mps = write_mps(model)
+    assert " MI BND       at_most" in mps and " LO BND       at_least     2.5" in mps
+    _assert_round_trips_keep_the_variables(model, model.name)
+
+
 def test_binary_bounds_stay_in_the_unit_interval():
     # so a model and its relaxation have the same bounds, and the solver
     # can take the model itself

@@ -126,8 +126,8 @@ def test_solve_mwis_matches_reference_label_dp(data):
     weights = {v: data.draw(st.integers(-2, 2) | st.floats(-3, 3)) for v in rep.vertices}
     value, labels, chosen = solve_mwis(rep, weights)
     ref_value, ref_ell, ref_chosen = _solve_mwis_reference(rep, weights)
-    assert (value, labels.ell, chosen) == (ref_value, ref_ell, ref_chosen)
-    assert [type(labels.ell[v]) for v in labels.ell] == [type(ref_ell[v]) for v in labels.ell]
+    assert (value, labels, chosen) == (ref_value, ref_ell, ref_chosen)
+    assert [type(labels[v]) for v in labels] == [type(ref_ell[v]) for v in labels]
 
 
 WEIGHT_KINDS = {
@@ -150,9 +150,9 @@ def test_solve_mwis_matches_reference_at_benchmark_size(n):
             value, labels, chosen = solve_mwis(rep, weights)
             ref_value, ref_ell, ref_chosen = _solve_mwis_reference(rep, weights)
             assert (value, chosen) == (ref_value, ref_chosen), (n, k, kind)
-            assert labels.ell == ref_ell, (n, k, kind)
-            assert list(labels.ell) == list(ref_ell), (n, k, kind)
-            assert [type(x) for x in labels.ell.values()] == \
+            assert labels == ref_ell, (n, k, kind)
+            assert list(labels) == list(ref_ell), (n, k, kind)
+            assert [type(x) for x in labels.values()] == \
                 [type(x) for x in ref_ell.values()], (n, k, kind)
 
 
@@ -190,9 +190,9 @@ def test_solve_mwis_negative_single():
 def test_solve_mwis_nested_pair(nested):
     value, labels, chosen = solve_mwis(nested, {1: 1.0, 2: 1.0})
     assert value == 2.0
-    assert labels.ell[2] == 1.0
-    assert labels.ell[1] == 2.0
-    assert labels.ell[0] == 2.0
+    assert labels[2] == 1.0
+    assert labels[1] == 2.0
+    assert labels[0] == 2.0
     assert chosen == frozenset({1, 2})
 
 

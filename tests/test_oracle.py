@@ -9,7 +9,6 @@ from circlecolor.errors import NumericalFailureError, OverBudgetError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import build_graph, normalize
 from circlecolor.oracle import (
-    OracleBudget,
     admissible_sets,
     all_independent_sets,
     chromatic_exact,
@@ -123,7 +122,7 @@ def test_budget_refusal():
     rep = generate_one(13, 654, 0)
     g = build_graph(rep)
     with pytest.raises(OverBudgetError):
-        chromatic_exact(g, OracleBudget(max_vertices=12))
+        chromatic_exact(g)
     big = generate_one(9, 654, 1)
     with pytest.raises(OverBudgetError):
         stacks_exact(big, build_graph(big), 2)
