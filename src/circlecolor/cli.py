@@ -75,6 +75,10 @@ def _checked(kind, ok, what):
 
 _tolerance = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
 _count = _checked(int, lambda k: k >= 1, "an integer >= 1")
+# refused before the instance is read, so a bad path costs no solve
+_output = _checked(str, lambda path: path and not os.path.isdir(path)
+                   and os.path.isdir(os.path.dirname(path) or "."),
+                   "a file path in an existing directory")
 _oracle_size = _checked(int, lambda k: 1 <= k <= MAX_VERTICES,
                         f"an integer >= 1 and <= {MAX_VERTICES} (the oracle budget)")
 
@@ -333,6 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     def verbose(p):
         p.add_argument("-v", "--verbose", action="store_true", help="log solver nodes to stderr")
 
+    def output(p, help):
+        p.add_argument("-o", "--output", type=_output, help=help)
+
     def tolerances(p):
         for flag in ("--feas-tol", "--opt-tol", "--int-tol"):
             p.add_argument(flag, type=_tolerance)
@@ -349,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("solve", cmd_solve, branch_and_bound,
                 "chromatic number, fractional bound, and a coloring")
     p.add_argument("--clique", action="store_true", help="also report the clique number")
-    p.add_argument("-o", "--output", help="write the certificate file (vertex color parent)")
+    output(p, "write the certificate file (vertex color parent)")
 
     command("relax", cmd_relax, (instance, json_output, no_timing, tolerances),
             "fractional chromatic number only")
@@ -359,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("stacks", cmd_stacks, branch_and_bound, "minimum number of capacity-H stacks")
     p.add_argument("--height", type=_count, required=True, help="stack capacity H")
-    p.add_argument("-o", "--output", help="write the stack plan (one stack per line)")
+    output(p, "write the stack plan (one stack per line)")
 
     p = command("gen", cmd_gen, (), "generate random instances")
     p.add_argument("-n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_count, default=1)
     json_output(p)
-    p.add_argument("-o", "--output", help="output file (suffix .NNN added when count > 1)")
+    output(p, "output file (suffix .NNN added when count > 1)")
 
     p = command("export", cmd_export, (instance,),
                 "write a formulation as LP/MPS (or the graph as DIMACS)")
@@ -375,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relax", action="store_true", help="export the continuous relaxation")
     p.add_argument("--height", type=_count, help="capacity for cgh (default 1)")
     p.add_argument("--colors", type=_count, help="color slots for cl (default: first fit)")
-    p.add_argument("-o", "--output", help="output path; a .meta.json sidecar is written too")
+    output(p, "output path; a .meta.json sidecar is written too")
 
     p = command("bench", cmd_bench, (), "random-instance experiment summary (CSV)")
     p.add_argument("--n", type=_counts, required=True, help="comma-separated vertex counts")
     p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     tolerances(p)
-    p.add_argument("-o", "--output", help="CSV output path (default stdout)")
+    output(p, "CSV output path (default stdout)")
 
     p = command("verify", cmd_verify, (),
                 "cross-check the solvers against brute-force oracles")

@@ -17,12 +17,15 @@ are:
 - coefficients: COO triples `row`, `var`, `val`, stored row by row, rows
   ascending, each row's entries in the order they were added.
 
-CG, CG_H and LC write whole blocks of rows with numpy index arithmetic
-(`_sweep_rows`, `add_vars`, `add_rows`).  The other builders, the parsers
-and the tests add one variable or row at a time with `add_var` and
-`add_constraint`; these are staged in lists and become arrays on the next
-read.  `variables` and `constraints` are read-only views built from the
-arrays on demand.
+Every builder and both parsers write whole blocks: `add_vars` and
+`add_rows` extend the arrays in place, taking bounds, kinds, relations and
+right-hand sides as one value for the block or one per item.  CG, CG_H
+and LC number their rows with `_sweep_rows`; DLC, ISD and FCP are its
+transpose, a charge per (child set, sweep row) pair and a cover row per
+arc.  `add_var` and `add_constraint` add one item for hand-built models;
+each copies the arrays, so a large model must be built in blocks.
+`variables` and `constraints` are read-only views built from the arrays
+on demand.
 """
 
 from __future__ import annotations
@@ -72,43 +75,6 @@ class Constraint(NamedTuple):
     rhs: float
 
 
-class _Staged:
-    """Equal-length arrays that grow an item or a block at a time; what
-    was added is concatenated onto them on the next read."""
-
-    def __init__(self, *dtypes):
-        self.dtypes = dtypes
-        self.arrays = tuple(np.empty(0, dtype) for dtype in dtypes)
-        self.items = []   # one tuple per item
-        self.blocks = []  # one tuple of columns per block
-
-    def append(self, *item):
-        self.items.append(item)
-
-    def extend(self, *block):
-        self._block_items()
-        self.blocks.append(block)
-
-    def _block_items(self):
-        if self.items:
-            self.blocks.append(tuple(zip(*self.items)))
-            self.items = []
-
-    def read(self) -> tuple:
-        if self.items or self.blocks:
-            self._block_items()
-            self.arrays = tuple(
-                np.concatenate([have, *(np.asarray(block[k], dtype) for block in self.blocks)])
-                for k, (have, dtype) in enumerate(zip(self.arrays, self.dtypes)))
-            self.blocks = []
-        return self.arrays
-
-    def copy(self) -> "_Staged":
-        out = _Staged(*self.dtypes)
-        out.arrays = tuple(a.copy() for a in self.read())
-        return out
-
-
 class _View(Sequence):
     """Records built from a model's arrays: the count is known up front,
     and the records are built on the first read of one."""
@@ -130,25 +96,8 @@ class _View(Sequence):
         return iter(self[:])
 
 
-def _column(staged: str, k: int, doc: str) -> property:
-    return property(lambda self: getattr(self, staged).read()[k], doc=doc)
-
-
 class LpModel:
     """A linear or integer program stored as arrays (module docstring)."""
-
-    lower = _column("_vars", 0, "per variable: lower bound")
-    upper = _column("_vars", 1, "per variable: upper bound")
-    kind = _column("_vars", 2, "per variable: its kind, an index into KINDS")
-    rel = _column("_rows", 0, "per row: its relation code (RELATION)")
-    rhs = _column("_rows", 1, "per row: right-hand side")
-    implied = _column("_rows", 2, (
-        "per row: whether the other rows and the variable bounds imply it; the "
-        "simplex leaves these rows out of its tableau, and every writer and "
-        "certificate check still sees them"))
-    row = _column("_entries", 0, "per entry: its row")
-    var = _column("_entries", 1, "per entry: its variable")
-    val = _column("_entries", 2, "per entry: its coefficient")
 
     def __init__(self, name: str, sense: str):
         self.name = name
@@ -158,60 +107,94 @@ class LpModel:
         self.var_names = []
         self.row_names = []
         self._index = {}  # var name -> index
-        self._vars = _Staged(float, float, np.int8)
-        self._rows = _Staged(np.int64, float, bool)
-        self._entries = _Staged(np.int64, np.int64, float)
+        # per variable: its lower and upper bounds and its kind, an index
+        # into KINDS
+        self.lower, self.upper, self.kind = np.empty(0), np.empty(0), np.empty(0, np.int8)
+        # per row: its relation code (RELATION), right-hand side, and whether
+        # the other rows and the variable bounds imply it; the simplex leaves
+        # implied rows out of its tableau, and every writer and certificate
+        # check still sees them
+        self.rel, self.rhs, self.implied = np.empty(0, np.int64), np.empty(0), np.empty(0, bool)
+        # per entry: its row, its variable and its coefficient
+        self.row, self.var, self.val = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
 
     def add_var(self, name, lower=0.0, upper=INF, kind=CONTINUOUS) -> str:
-        if name in self._index:
-            raise ValueError(f"duplicate variable {name}")
-        _check_kind(name, lower, upper, kind)
-        self._index[name] = len(self.var_names)
-        self.var_names.append(name)
-        self._vars.append(lower, upper, _KIND_CODE[kind])
+        """Add one variable (add_vars); this copies the arrays."""
+        self.add_vars([name], lower, upper, kind)
         return name
 
-    def add_vars(self, names: list, lower: float, upper: float, kind: str) -> None:
-        """Add the named variables, all with the same bounds and kind."""
-        start = len(self.var_names)
-        _check_kind(names, lower, upper, kind)
-        if len(set(names)) != len(names) or not self._index.keys().isdisjoint(names):
-            raise ValueError("duplicate variable names")
-        self._index.update(zip(names, range(start, start + len(names))))
+    def add_vars(self, names: list, lower=0.0, upper=INF, kind=CONTINUOUS) -> None:
+        """Add the named variables.  lower, upper and kind are each one
+        value for all of them or one per variable.  A duplicate name, or a
+        binary with bounds outside [0, 1], raises ValueError naming the
+        first such variable, and the model is left as it was."""
+        lower, upper, code, refused = self._vet(names, lower, upper, kind)
+        if refused:
+            raise ValueError(refused[1])
+        self._index.update({name: k for k, name in enumerate(names, len(self.var_names))})
         self.var_names += names
-        count = len(names)
-        self._vars.extend(np.full(count, lower), np.full(count, upper),
-                          np.full(count, _KIND_CODE[kind], np.int8))
+        self.lower = np.concatenate([self.lower, lower])
+        self.upper = np.concatenate([self.upper, upper])
+        self.kind = np.concatenate([self.kind, code])
 
-    def add_constraint(self, name, coeffs, relation, rhs, implied=False):
+    def _vet(self, names, lower, upper, kind) -> tuple:
+        """add_vars' arguments as one array each for lower, upper and the
+        kind codes, and (k, reason) for the first variable it refuses, or
+        None."""
+        count = len(names)
+        lower, upper = np.full(count, lower, float), np.full(count, upper, float)
+        kinds = [kind] if isinstance(kind, str) else kind
+        if not set(kinds) <= _KIND_CODE.keys():
+            raise ValueError(f"bad kind {next(k for k in kinds if k not in _KIND_CODE)}")
+        code = np.full(count, [_KIND_CODE[k] for k in kinds], np.int8)
+        # so that a model and its relaxation have the same bounds
+        binary = (code == _KIND_CODE[BINARY]) & ((lower < 0.0) | (upper > 1.0))
+        if not binary.any() and len(set(names)) == count and self._index.keys().isdisjoint(names):
+            return lower, upper, code, None
+        seen = set()  # the loop finds the first variable refused
+        for k, name in enumerate(names):
+            if name in self._index or name in seen:
+                return lower, upper, code, (k, f"duplicate variable {name}")
+            if binary[k]:
+                return lower, upper, code, (
+                    k, f"binary {name} has bounds [{lower[k]}, {upper[k]}] outside [0, 1]")
+            seen.add(name)
+        return lower, upper, code, None
+
+    def add_constraint(self, name, coeffs, relation, rhs, implied=False) -> None:
+        """Add one row (add_rows) from a dict var name -> coefficient; this
+        copies the arrays."""
         if relation not in RELATION:
             raise ValueError(f"bad relation {relation}")
         for var in coeffs:
             if var not in self._index:
                 raise ValueError(f"constraint {name} references unknown variable {var}")
-        r = len(self.row_names)
-        for var, coef in coeffs.items():
-            self._entries.append(r, self._index[var], coef)
-        self.row_names.append(name)
-        self._rows.append(RELATION[relation], rhs, implied)
+        self.add_rows([name], RELATION[relation], rhs, implied, np.zeros(len(coeffs), np.int64),
+                      [self._index[var] for var in coeffs], list(coeffs.values()))
 
     def add_rows(self, names: list, rel, rhs, implied, row, var, val) -> None:
-        """Add a block of rows: per row its name, relation code, right-hand
-        side and implied mark, and their entries (row within the block,
-        variable index, coefficient) in any row order; a row's entries keep
-        the order they are given in."""
+        """Add a block of rows: per row its name, and its relation code,
+        right-hand side and implied mark, each one value for all of the
+        rows or one per row; and their entries (row within the block,
+        variable index, coefficient) in any row order.  A row's entries
+        keep the order they are given in."""
+        count = len(names)
+        row = np.asarray(row, np.int64)
         order = np.argsort(row, kind="stable")
-        self._entries.extend(row[order] + len(self.row_names), var[order], val[order])
+        self.row = np.concatenate([self.row, row[order] + len(self.row_names)])
+        self.var = np.concatenate([self.var, np.asarray(var, np.int64)[order]])
+        self.val = np.concatenate([self.val, np.asarray(val, float)[order]])
         self.row_names += names
-        self._rows.extend(rel, rhs, implied)
+        self.rel = _grow(self.rel, rel, count)
+        self.rhs = _grow(self.rhs, rhs, count)
+        self.implied = _grow(self.implied, implied, count)
 
     @property
     def variables(self) -> "_View":
         """The variables as read-only records."""
         def build():
-            lower, upper, kind = self._vars.read()
-            return tuple(map(Variable, self.var_names, lower.tolist(), upper.tolist(),
-                             map(KINDS.__getitem__, kind.tolist())))
+            return tuple(map(Variable, self.var_names, self.lower.tolist(), self.upper.tolist(),
+                             map(KINDS.__getitem__, self.kind.tolist())))
 
         return _View(len(self.var_names), build)
 
@@ -219,13 +202,12 @@ class LpModel:
     def constraints(self) -> "_View":
         """The rows as read-only records."""
         def build():
-            rel, rhs, _ = self._rows.read()
-            row, var, val = self._entries.read()
-            ends = np.searchsorted(row, np.arange(1, len(rel) + 1)).tolist()
-            pairs = list(zip(map(self.var_names.__getitem__, var.tolist()), val.tolist()))
+            ends = np.searchsorted(self.row, np.arange(1, len(self.row_names) + 1)).tolist()
+            names = map(self.var_names.__getitem__, self.var.tolist())
+            pairs = list(zip(names, self.val.tolist()))
             coeffs = (MappingProxyType(dict(pairs[start:end])) for start, end in zip([0] + ends, ends))
             return tuple(map(Constraint, self.row_names, coeffs,
-                             map(_RELATION_OF.__getitem__, rel.tolist()), rhs.tolist()))
+                             map(_RELATION_OF.__getitem__, self.rel.tolist()), self.rhs.tolist()))
 
         return _View(len(self.row_names), build)
 
@@ -238,8 +220,9 @@ class LpModel:
         out.metadata = dict(self.metadata, relaxed=True)
         out.var_names, out.row_names = list(self.var_names), list(self.row_names)
         out._index = dict(self._index)
-        out._vars, out._rows, out._entries = self._vars.copy(), self._rows.copy(), self._entries.copy()
-        out.kind[:] = _KIND_CODE[CONTINUOUS]
+        for name in ("lower", "upper", "rel", "rhs", "implied", "row", "var", "val"):
+            setattr(out, name, getattr(self, name).copy())
+        out.kind = np.full_like(self.kind, _KIND_CODE[CONTINUOUS])
         return out
 
     @property
@@ -255,12 +238,10 @@ class LpModel:
         return [self.var_names[k] for k in np.flatnonzero(self.kind).tolist()]
 
 
-def _check_kind(name, lower, upper, kind) -> None:
-    if kind not in _KIND_CODE:
-        raise ValueError(f"bad kind {kind}")
-    # so that a model and its relaxation have the same bounds
-    if kind == BINARY and (lower < 0.0 or upper > 1.0):
-        raise ValueError(f"binary {name} has bounds [{lower}, {upper}] outside [0, 1]")
+def _grow(have, add, count: int):
+    """have, then add (one value for all count items, or one per item) in
+    have's dtype."""
+    return np.concatenate([have, np.full(count, add, have.dtype)])
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +303,11 @@ def _point_names(matrix: CliqueMatrix, key, label) -> list:
     return [label[g] + points[r] for g, r in zip(groups.tolist(), rows.tolist())]
 
 
-def _add_charges(model: LpModel, i: int, kids, matrix: CliqueMatrix) -> dict:
-    """Add a charge y_i_p >= 0 for each sweep row touching kids; returns
-    row index -> charge name, rows ascending."""
-    rows = sorted(set().union(*(matrix.rows[j] for j in kids)))
-    return {r: model.add_var(f"y_{i}_p{matrix.points[r]}") for r in rows}
+def _dag_arcs(dag: ContainmentDag) -> tuple:
+    """The containment arcs (tail, head), tail by tail, each tail's heads
+    in child order."""
+    tail = np.repeat(np.arange(dag.n + 1), [len(kids) for kids in dag.children])
+    return tail, np.fromiter(chain.from_iterable(dag.children), np.int64, len(tail))
 
 
 def _add_arborescence(model: LpModel, matrix: CliqueMatrix, arcs, sweep, label,
@@ -346,8 +327,8 @@ def _add_arborescence(model: LpModel, matrix: CliqueMatrix, arcs, sweep, label,
     - <entry>_<j>: vertex j enters by exactly one arc; a row lists its
       arcs by their second field, then in variable order."""
     names = list(model.metadata["arcs"])
-    model.add_vars(names, 0.0, 1.0, BINARY)
-    model.add_var("c", 0.0, INF, INTEGER)
+    model.add_vars(names + ["c"], 0.0, np.append(np.ones(len(names)), INF),
+                   [BINARY] * len(names) + [INTEGER])
     model.objective = {"c": 1.0}
     head = arcs[:, -1]
     key, row, arc, implied = sweep
@@ -379,8 +360,7 @@ def build_cg(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpM
     vertex picks exactly one parent arc.
     """
     model = LpModel(name="CG", sense="min")
-    tail = np.repeat(np.arange(rep.n + 1), [len(kids) for kids in dag.children])
-    head = np.fromiter(chain.from_iterable(dag.children), np.int64, len(tail))
+    tail, head = _dag_arcs(dag)
     arcs = np.column_stack((tail, head))
     pairs = arcs.tolist()
     model.metadata = {"formulation": "CG", "relaxed": False,
@@ -409,47 +389,52 @@ def build_lc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix
     model.add_vars(names, 0.0, INF, CONTINUOUS)
     model.objective = {name: float(values[j]) for name, j in zip(names, kids)}
     key, row, arc, implied = _sweep_rows(matrix, 0, list(kids))
-    model.add_rows(_point_names(matrix, key, [""]), np.full(len(key), RELATION["<="]),
-                   np.ones(len(key)), implied, row, arc, np.ones(len(row)))
+    model.add_rows(_point_names(matrix, key, [""]), RELATION["<="], 1.0, implied,
+                   row, arc, np.ones(len(row)))
     model.metadata = {"formulation": "LC", "vertex": i}
     return model
 
 
 def build_dlc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
               values) -> LpModel:
-    """The dual: cover each child's value by sweep-point charges."""
+    """The dual: cover each child's value by sweep-point charges, a charge
+    y_i_p >= 0 for each LC row and a cover row for each LC column."""
     _branching_or_root(i, dag)
+    kids = dag.children[i]
     model = LpModel(name=f"DLC_{i}", sense="min")
-    y = _add_charges(model, i, dag.children[i], matrix)
-    model.objective = dict.fromkeys(y.values(), 1.0)
-    for j in dag.children[i]:
-        model.add_constraint(f"cover_{j}", {y[r]: 1.0 for r in matrix.rows[j]}, ">=", float(values[j]))
+    key, row, arc, _ = _sweep_rows(matrix, 0, list(kids))
+    model.add_vars(_point_names(matrix, key, [f"y_{i}_"]), 0.0, INF, CONTINUOUS)
+    model.objective = dict.fromkeys(model.var_names, 1.0)
+    model.add_rows([f"cover_{j}" for j in kids], RELATION[">="], [float(values[j]) for j in kids],
+                   False, arc, row, np.ones(len(row)))
     model.metadata = {"formulation": "DLC", "vertex": i}
     return model
 
 
 def _charge_program(name: str, sense: str, rep: IntervalRep, dag: ContainmentDag,
                     matrix: CliqueMatrix):
-    """The part ISD and FCP share: charges y_{i,p} for i in V*-or-root (only
-    at sweep rows touching the child set of i; structurally useless columns
-    are dropped), a free label ell_i per vertex, and a cover row per
-    containment arc i -> j (the charges of i at the rows of j cover ell_j).
+    """The part ISD and FCP share, DLC_i for every i in V*-or-root at once:
+    charges y_{i,p} >= 0 at the sweep rows touching the child set of i
+    (structurally useless columns are dropped), i ascending, then a free
+    label ell_i per vertex, and a cover row per containment arc i -> j (the
+    charges of i at the rows of j cover ell_j).
 
-    Returns (model, y, covers): y[i] maps row index -> charge name, and
-    covers holds the (name, coeffs) of the cover rows, which the caller
+    Returns (model, owner, covers): owner[k] is the vertex whose charge
+    variable k is (ell_i is variable len(owner) + i - 1), and covers holds
+    the cover rows' (names, row, var, val) for add_rows, which the caller
     adds after its own rows."""
     model = LpModel(name=name, sense=sense)
-    sources = [ROOT] + sorted(dag.branching)
-    y = {i: _add_charges(model, i, dag.children[i], matrix) for i in sources}
-    for i in rep.vertices:
-        model.add_var(f"ell_{i}", -INF, INF, CONTINUOUS)
-    covers = []
-    for i in sources:
-        for j in dag.children[i]:
-            coeffs = {y[i][r]: 1.0 for r in matrix.rows[j]}
-            coeffs[f"ell_{j}"] = -1.0
-            covers.append((f"cover_{i}_{j}", coeffs))
-    return model, y, covers
+    tail, head = _dag_arcs(dag)
+    key, row, arc, _ = _sweep_rows(matrix, tail, head)
+    n_charges, n = len(key), rep.n
+    model.add_vars(_point_names(matrix, key, [f"y_{i}_" for i in range(n + 1)])
+                   + [f"ell_{i}" for i in rep.vertices],
+                   np.repeat([0.0, -INF], [n_charges, n]), INF, CONTINUOUS)
+    covers = ([f"cover_{i}_{j}" for i, j in zip(tail.tolist(), head.tolist())],
+              np.concatenate([arc, np.arange(len(head))]),
+              np.concatenate([row, n_charges + head - 1]),
+              np.concatenate([np.ones(len(row)), np.full(len(head), -1.0)]))
+    return model, key // len(matrix.points), covers
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +444,17 @@ def build_isd(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
               weights) -> LpModel:
     """min ell_0 = sum of root charges, with per-vertex label equations and
     a cover row per containment arc."""
-    model, y, covers = _charge_program("ISD", "min", rep, dag, matrix)
-    model.objective = dict.fromkeys(y[ROOT].values(), 1.0)
-    for i in rep.vertices:
-        coeffs = {f"ell_{i}": 1.0}
-        coeffs.update(dict.fromkeys(y.get(i, {}).values(), -1.0))
-        model.add_constraint(f"label_{i}", coeffs, "=", float(weights[i]))
-    for name, coeffs in covers:
-        model.add_constraint(name, coeffs, ">=", 0.0)
+    model, owner, (names, row, var, val) = _charge_program("ISD", "min", rep, dag, matrix)
+    n = rep.n
+    model.objective = dict.fromkeys(model.var_names[:np.count_nonzero(owner == 0)], 1.0)
+    # label_i: ell_i minus the charges of i
+    inner = np.flatnonzero(owner)
+    model.add_rows([f"label_{i}" for i in rep.vertices] + names,
+                   np.repeat([RELATION["="], RELATION[">="]], [n, len(names)]),
+                   [float(weights[i]) for i in rep.vertices] + [0.0] * len(names), False,
+                   np.concatenate([np.arange(n), owner[inner] - 1, n + row]),
+                   np.concatenate([len(owner) + np.arange(n), inner, var]),
+                   np.concatenate([np.ones(n), np.full(len(inner), -1.0), val]))
     model.metadata = {"formulation": "ISD"}
     return model
 
@@ -477,13 +465,15 @@ def build_isd(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
 def build_fcp(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> LpModel:
     """max sum of labels minus inner charges, subject to a unit budget on
     root charges and the same cover rows as ISD."""
-    model, y, covers = _charge_program("FCP", "max", rep, dag, matrix)
-    model.objective = {f"ell_{i}": 1.0 for i in rep.vertices}
-    for i in sorted(dag.branching):
-        model.objective.update(dict.fromkeys(y[i].values(), -1.0))
-    model.add_constraint("budget", dict.fromkeys(y[ROOT].values(), 1.0), "<=", 1.0)
-    for name, coeffs in covers:
-        model.add_constraint(name, coeffs, ">=", 0.0)
+    model, owner, (names, row, var, val) = _charge_program("FCP", "max", rep, dag, matrix)
+    n_root = int(np.count_nonzero(owner == 0))
+    model.objective = dict.fromkeys(model.var_names[len(owner):], 1.0)
+    model.objective.update(dict.fromkeys(model.var_names[n_root:len(owner)], -1.0))
+    model.add_rows(["budget"] + names, np.repeat([RELATION["<="], RELATION[">="]], [1, len(names)]),
+                   np.repeat([1.0, 0.0], [1, len(names)]), False,
+                   np.concatenate([np.zeros(n_root, np.int64), 1 + row]),
+                   np.concatenate([np.arange(n_root), var]),
+                   np.concatenate([np.ones(n_root), val]))
     model.metadata = {"formulation": "FCP"}
     return model
 
@@ -492,23 +482,32 @@ def build_fcp(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> Lp
 # baselines: CL and AS
 
 def build_cl(graph: CircleGraph, num_colors: int) -> LpModel:
-    """The classical assignment program with num_colors color slots."""
+    """The classical assignment program with num_colors color slots:
+    x_i_c (vertex i takes color c) is variable (i - 1) * num_colors + c - 1,
+    and y_c (color c is open) follows them."""
     model = LpModel(name="CL", sense="min")
-    colors = range(1, num_colors + 1)
-    for i in graph.vertices:
-        for c in colors:
-            model.add_var(f"x_{i}_{c}", 0.0, 1.0, BINARY)
-    for c in colors:
-        model.add_var(f"y_{c}", 0.0, 1.0, BINARY)
+    n, colors = graph.n, range(1, num_colors + 1)
+    x = np.arange(n * num_colors).reshape(n, num_colors)
+    y = n * num_colors + np.arange(num_colors)
+    model.add_vars([f"x_{i}_{c}" for i in graph.vertices for c in colors]
+                   + [f"y_{c}" for c in colors], 0.0, 1.0, BINARY)
     model.objective = {f"y_{c}": 1.0 for c in colors}
-    for i in graph.vertices:
-        for c in colors:
-            model.add_constraint(f"open_{i}_{c}", {f"x_{i}_{c}": 1.0, f"y_{c}": -1.0}, "<=", 0.0)
-    for c in colors:
-        for i, j in graph.edges():
-            model.add_constraint(f"edge_{i}_{j}_{c}", {f"x_{i}_{c}": 1.0, f"x_{j}_{c}": 1.0}, "<=", 1.0)
-    for i in graph.vertices:
-        model.add_constraint(f"assign_{i}", {f"x_{i}_{c}": 1.0 for c in colors}, ">=", 1.0)
+    edges = graph.edges()
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2) - 1
+    n_open, n_edge = x.size, num_colors * len(edges)
+    # open_i_c: x_i_c - y_c <= 0; edge_i_j_c: x_i_c + x_j_c <= 1 (c by c);
+    # assign_i: the x_i_c sum to >= 1
+    model.add_rows(
+        [f"open_{i}_{c}" for i in graph.vertices for c in colors]
+        + [f"edge_{i}_{j}_{c}" for c in colors for i, j in edges]
+        + [f"assign_{i}" for i in graph.vertices],
+        np.repeat([RELATION["<="], RELATION["<="], RELATION[">="]], [n_open, n_edge, n]),
+        np.repeat([0.0, 1.0, 1.0], [n_open, n_edge, n]), False,
+        np.concatenate([np.tile(np.arange(n_open), 2), np.tile(n_open + np.arange(n_edge), 2),
+                        np.repeat(n_open + n_edge + np.arange(n), num_colors)]),
+        np.concatenate([x.ravel(), np.tile(y, n), x[ends[:, 0]].T.ravel(), x[ends[:, 1]].T.ravel(),
+                        x.ravel()]),
+        np.concatenate([np.ones(n_open), np.full(n_open, -1.0), np.ones(2 * n_edge + n_open)]))
     model.metadata = {"formulation": "CL", "num_colors": num_colors}
     return model
 
@@ -518,33 +517,39 @@ def build_as(graph: CircleGraph) -> LpModel:
 
     Vertices are re-sorted by non-increasing degree (ties by original
     index); x_{i}_{j} means reordered vertex i represents reordered vertex
-    j.  Structurally-zero variables are pinned by [0, 0] bounds.
+    j, and is variable (i - 1) * n + j - 1.  Structurally-zero variables
+    are pinned by [0, 0] bounds.
     """
     order = sorted(graph.vertices, key=lambda v: (-len(graph.adj[v]), v))
     pos = {v: k + 1 for k, v in enumerate(order)}  # original -> reordered index
     n = graph.n
-    edges = {(min(pos[i], pos[j]), max(pos[i], pos[j])) for i, j in graph.edges()}
+    edges = list({(min(pos[i], pos[j]), max(pos[i], pos[j])) for i, j in graph.edges()})
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2) - 1
     model = LpModel(name="AS", sense="min")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            zero = (min(i, j), max(i, j)) in edges or j < i
-            model.add_var(f"x_{i}_{j}", 0.0, 0.0 if zero else 1.0, BINARY)
-    model.objective = {f"x_{i}_{i}": 1.0 for i in range(1, n + 1)}
-    for i in range(1, n + 1):
-        for j, k in edges:
-            if j != i and k != i:
-                model.add_constraint(
-                    f"conflict_{i}_{j}_{k}",
-                    {f"x_{i}_{j}": 1.0, f"x_{i}_{k}": 1.0, f"x_{i}_{i}": -1.0},
-                    "<=",
-                    0.0,
-                )
-    for j in range(1, n + 1):
-        model.add_constraint(f"rep_{j}", {f"x_{i}_{j}": 1.0 for i in range(1, n + 1)}, "=", 1.0)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                model.add_constraint(f"dom_{i}_{j}", {f"x_{i}_{j}": 1.0, f"x_{i}_{i}": -1.0}, "<=", 0.0)
+    vertices = range(1, n + 1)
+    x = np.arange(n * n).reshape(n, n)
+    zero = np.tri(n, k=-1, dtype=bool)
+    zero[ends[:, 0], ends[:, 1]] = True
+    model.add_vars([f"x_{i}_{j}" for i in vertices for j in vertices], 0.0,
+                   np.where(zero, 0.0, 1.0).ravel(), BINARY)
+    model.objective = {f"x_{i}_{i}": 1.0 for i in vertices}
+    # conflict_i_j_k: x_i_j + x_i_k - x_i_i <= 0 for each edge (j, k) away
+    # from i; rep_j: the x_i_j sum to 1; dom_i_j: x_i_j - x_i_i <= 0
+    i, e = np.nonzero((ends[:, 0] != np.arange(n)[:, None]) & (ends[:, 1] != np.arange(n)[:, None]))
+    di, dj = np.nonzero(~np.eye(n, dtype=bool))
+    n_conflict, n_dom = len(i), len(di)
+    model.add_rows(
+        [f"conflict_{a + 1}_{edges[b][0]}_{edges[b][1]}" for a, b in zip(i.tolist(), e.tolist())]
+        + [f"rep_{j}" for j in vertices]
+        + [f"dom_{a + 1}_{b + 1}" for a, b in zip(di.tolist(), dj.tolist())],
+        np.repeat([RELATION["<="], RELATION["="], RELATION["<="]], [n_conflict, n, n_dom]),
+        np.repeat([0.0, 1.0, 0.0], [n_conflict, n, n_dom]), False,
+        np.concatenate([np.tile(np.arange(n_conflict), 3), np.repeat(n_conflict + np.arange(n), n),
+                        np.tile(n_conflict + n + np.arange(n_dom), 2)]),
+        np.concatenate([x[i, ends[e, 0]], x[i, ends[e, 1]], x[i, i], x.T.ravel(), x[di, dj],
+                        x[di, di]]),
+        np.concatenate([np.ones(2 * n_conflict), np.full(n_conflict, -1.0), np.ones(n * n + n_dom),
+                        np.full(n_dom, -1.0)]))
     model.metadata = {"formulation": "AS", "order": {str(v): pos[v] for v in graph.vertices}}
     return model
 
@@ -669,20 +674,30 @@ def parse_lp_text(text: str) -> LpModel:
         except (ValueError, StopIteration):
             raise InstanceFormatError(f"bad {what or 'LP'} line: {ln!r}") from None
     model = LpModel(name="parsed", sense=sense)
-    for ln, name, lower, upper in bounds:
-        kind = INTEGER if name in generals else (BINARY if name in binaries else CONTINUOUS)
-        try:
-            model.add_var(name, lower, upper, kind)
-        except ValueError as exc:
-            raise InstanceFormatError(f"bad bounds line: {ln!r} ({exc})") from None
-    if not objective.keys() <= model._index.keys():
+    names = [name for _, name, _, _ in bounds]
+    kinds = [INTEGER if name in generals else BINARY if name in binaries else CONTINUOUS
+             for name in names]
+    lower, upper, _, refused = model._vet(names, [b[2] for b in bounds], [b[3] for b in bounds],
+                                          kinds)
+    if refused:
+        raise InstanceFormatError(f"bad bounds line: {bounds[refused[0]][0]!r} ({refused[1]})")
+    model.add_vars(names, lower, upper, kinds)
+    index = model._index
+    if not objective.keys() <= index.keys():
         raise InstanceFormatError(f"bad objective line: {lines[1]!r} (an undeclared variable)")
     model.objective = {k: v for k, v in objective.items() if v != 0.0}
-    for ln, name, coeffs, rel, rhs in constraints:
-        try:
-            model.add_constraint(name, {k: v for k, v in coeffs.items() if v != 0.0}, rel, rhs)
-        except ValueError as exc:
-            raise InstanceFormatError(f"bad constraint line: {ln!r} ({exc})") from None
+    row, var, val = [], [], []
+    for r, (ln, name, coeffs, _, _) in enumerate(constraints):
+        coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
+        unknown = [k for k in coeffs if k not in index]
+        if unknown:
+            raise InstanceFormatError(f"bad constraint line: {ln!r} (constraint {name} "
+                                      f"references unknown variable {unknown[0]})")
+        row += [r] * len(coeffs)
+        var += map(index.__getitem__, coeffs)
+        val += coeffs.values()
+    model.add_rows([c[1] for c in constraints], [RELATION[c[3]] for c in constraints],
+                   [c[4] for c in constraints], False, row, var, val)
     return model
 
 
@@ -718,7 +733,7 @@ def write_mps(model: LpModel) -> str:
     out.append(f"NAME          {model.name}")
     out.append("ROWS")
     out.append(" N  OBJ")
-    rel_code = {RELATION["<="]: "L", RELATION[">="]: "G", RELATION["="]: "E"}
+    rel_code = {code: letter for letter, code in _MPS_RELATION.items()}
     rows = model.row_names
     for name, rel in zip(rows, model.rel.tolist()):
         out.append(f" {rel_code[rel]}  {name}")
@@ -765,7 +780,7 @@ def write_mps(model: LpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-_MPS_RELATION = {"L": "<=", "G": ">=", "E": "="}
+_MPS_RELATION = {"L": RELATION["<="], "G": RELATION[">="], "E": RELATION["="]}
 
 
 def parse_mps(text: str) -> LpModel:
@@ -780,11 +795,11 @@ def parse_mps(text: str) -> LpModel:
     included, and any other marked column as integer."""
     section = None
     objective = None  # the name of the N row
-    rows = {}  # row name -> relation, in file order
+    rows = {}  # row name -> relation code, in file order
     columns = {}  # column -> {row: value}, in file order
     col_kind = {}
     rhs = {}
-    bounds = {}
+    bounds = {}  # column -> (lower, upper), in column order
     marker_int = False
     name = "parsed"
     for raw in text.splitlines():
@@ -815,6 +830,7 @@ def parse_mps(text: str) -> LpModel:
                 if col not in columns:
                     columns[col] = {}
                     col_kind[col] = INTEGER if marker_int else CONTINUOUS
+                    bounds[col] = (0.0, INF)
                 columns[col][row] = float(val)
             elif section == "RHS":
                 _, row, val = parts
@@ -825,7 +841,7 @@ def parse_mps(text: str) -> LpModel:
                 code, _, col, *val = parts
                 if col not in columns:
                     raise ValueError
-                lo, hi = bounds.get(col, (0.0, INF))
+                lo, hi = bounds[col]
                 if code == "FR" and not val:
                     lo, hi = -INF, INF
                 elif code == "MI" and not val:
@@ -844,21 +860,21 @@ def parse_mps(text: str) -> LpModel:
         except (ValueError, KeyError):
             raise InstanceFormatError(f"bad {section or 'MPS'} line: {raw!r}") from None
     model = LpModel(name=name, sense="min")
-    for col in columns:
-        lo, hi = bounds.get(col, (0.0, INF))
-        kind = col_kind[col]
-        if kind == INTEGER and 0.0 <= lo and hi <= 1.0:
-            kind = BINARY
-        model.add_var(col, lo, hi, kind)
+    lower, upper = np.array(list(bounds.values()), float).reshape(-1, 2).T
+    kinds = [BINARY if kind == INTEGER and 0.0 <= lo and hi <= 1.0 else kind
+             for kind, (lo, hi) in zip(col_kind.values(), bounds.values())]
+    model.add_vars(list(columns), lower, upper, kinds)
     model.objective = {col: entries[objective] for col, entries in columns.items()
                        if entries.get(objective, 0.0) != 0.0}
-    coeffs = {rname: {} for rname in rows}  # per row: column -> value in column order
-    for col, entries in columns.items():
-        for rname, val in entries.items():
-            if rname != objective:
-                coeffs[rname][col] = val
-    for rname, rel in rows.items():
-        model.add_constraint(rname, coeffs[rname], rel, rhs.get(rname, 0.0))
+    # column by column, the objective's entries dropped; add_rows keeps each
+    # row's entries in column order
+    row_of = {rname: r for r, rname in enumerate(rows)} | {objective: -1}
+    row = np.fromiter((row_of[r] for entries in columns.values() for r in entries), np.int64)
+    var = np.repeat(np.arange(len(columns)), [len(entries) for entries in columns.values()])
+    val = np.fromiter((v for entries in columns.values() for v in entries.values()), float)
+    kept = row >= 0
+    model.add_rows(list(rows), list(rows.values()), [rhs.get(rname, 0.0) for rname in rows], False,
+                   row[kept], var[kept], val[kept])
     return model
 
 

@@ -149,7 +149,8 @@ def _trace_witness(rep: IntervalRep, at, rank, took) -> frozenset:
 
 def check_independent(rep: IntervalRep, vertices, what: str = "independent set") -> None:
     """Raise CertificateError, naming `what` and an overlapping pair,
-    unless no two of the vertices overlap.
+    unless no two of the vertices overlap.  A {} in `what` stands for the
+    vertices, and is formatted only on failure.
 
     Independent intervals are laminar, so a sweep by left endpoint keeps
     the intervals still open at the sweep point nested, the innermost last
@@ -161,7 +162,7 @@ def check_independent(rep: IntervalRep, vertices, what: str = "independent set")
         while open_ and rep.right[open_[-1]] < rep.left[v]:
             open_.pop()
         if open_ and rep.right[open_[-1]] < rep.right[v]:
-            raise CertificateError(f"{what} holds overlapping {open_[-1]} and {v}")
+            raise CertificateError(f"{what.format(vertices)} holds overlapping {open_[-1]} and {v}")
         open_.append(v)
 
 

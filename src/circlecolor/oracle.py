@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import NumericalFailureError, OverBudgetError
 from .intervals import CircleGraph, IntervalRep, max_antichain
-from .lpmodels import LpModel
+from .lpmodels import RELATION, LpModel
 from .simplex import solve_lp
 
 
@@ -126,12 +126,13 @@ def all_independent_sets(graph: CircleGraph) -> list:
 def _cover_value(columns, n: int, relation: str) -> float:
     """Optimum of the set-cover LP over the columns (vertex sets)."""
     model = LpModel(name="set_cover_lp", sense="min")
-    for k in range(len(columns)):
-        model.add_var(f"q_{k}", 0.0)
-    model.objective = {f"q_{k}": 1.0 for k in range(len(columns))}
-    for v in range(1, n + 1):
-        coeffs = {f"q_{k}": 1.0 for k, col in enumerate(columns) if v in col}
-        model.add_constraint(f"v_{v}", coeffs, relation, 1.0)
+    model.add_vars([f"q_{k}" for k in range(len(columns))])
+    model.objective = dict.fromkeys(model.var_names, 1.0)
+    # column by column; add_rows keeps each row's entries in column order
+    row = [v - 1 for col in columns for v in col]
+    var = [k for k, col in enumerate(columns) for _ in col]
+    model.add_rows([f"v_{v}" for v in range(1, n + 1)], RELATION[relation], 1.0, False,
+                   row, var, [1.0] * len(row))
     sol = solve_lp(model)
     if sol.status != "optimal":  # every vertex is in some column, so it is feasible
         raise NumericalFailureError(f"{model.name} came back {sol.status}")

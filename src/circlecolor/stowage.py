@@ -181,7 +181,7 @@ def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) 
     if placed != list(rep.vertices) or plan.num_stacks != num_stacks or not all(plan.stacks):
         raise CertificateError(f"plan is not a partition into {num_stacks} stacks")
     for stack in plan.stacks:
-        check_independent(rep, stack, f"stack {stack}")
+        check_independent(rep, stack, "stack {}")
         # an antichain is never larger than its stack
         if len(stack) > height and max_antichain(rep, stack) > height:
             raise CertificateError(f"stack {stack} exceeds the capacity {height}")

@@ -317,6 +317,23 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys):
         assert line.startswith("circlecolor: error: unrecognized arguments: ")
 
 
+def test_an_output_path_outside_an_existing_directory_is_refused_before_the_solve(
+        capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "solve_chromatic", refuse)
+    monkeypatch.setattr(cli, "solve_stacks", refuse)
+    monkeypatch.setattr(cli, "load_instance", refuse)
+    for path in (str(tmp_path / "missing" / "x.txt"), str(tmp_path), ""):
+        for args in (["solve", C5_FILE], ["stacks", C5_FILE, "--height", "2"],
+                     ["export", C5_FILE], ["gen", "-n", "3"], ["bench", "--n", "3"]):
+            line = _usage_error(capsys, args + ["-o", path])
+            assert line.endswith("argument -o/--output: expected a file path in an existing "
+                                 f"directory, got {path!r}"), line
+    assert not any(tmp_path.iterdir())
+
+
 def test_bad_env_tolerance_is_a_usage_error(capsys, monkeypatch):
     for value in ("abc", "-1", "0", "nan"):
         monkeypatch.setenv("CIRCLECOLOR_TOL", value)

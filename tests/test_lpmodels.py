@@ -19,8 +19,10 @@ from circlecolor.intervals import (
 )
 from circlecolor.lpmodels import (
     BINARY,
+    CONTINUOUS,
     INF,
     INTEGER,
+    RELATION,
     LpModel,
     arc_var,
     _num,
@@ -40,6 +42,7 @@ from circlecolor.lpmodels import (
     write_mps,
 )
 from circlecolor.mwis import max_weight_chain, solve_mwis
+from circlecolor.oracle import fractional_chromatic_exact
 from circlecolor.simplex import _standardize, solve_lp
 from circlecolor.stowage import build_cgh, effective_height, layer_var
 
@@ -435,11 +438,68 @@ def test_add_vars_refuses_a_duplicate_and_leaves_the_model_as_it_was():
     for names in (["c", "a"], ["c", "c"]):
         with pytest.raises(ValueError):
             model.add_vars(names, 0.0, 1.0, BINARY)
-    assert model.var_names == ["a", "b"]
+    # per-variable bounds: one binary outside [0, 1] anywhere refuses the block
+    for lower, upper in (([0.0, 0.0, -1.0], 1.0), (0.0, [1.0, 2.0, 1.0]), ([-INF, 0.0, 0.0], 1.0)):
+        with pytest.raises(ValueError, match="outside"):
+            model.add_vars(["c", "d", "e"], lower, upper, BINARY)
+    with pytest.raises(ValueError, match="binary d"):
+        model.add_vars(["c", "d"], 0.0, [1.0, 3.0], [INTEGER, BINARY])
+    assert model.var_names == ["a", "b"] and model._index == {"a": 0, "b": 1}
+    assert [len(a) for a in (model.lower, model.upper, model.kind)] == [2, 2, 2]
     model.add_vars(["c"], 0.0, 1.0, BINARY)
     model.objective = {"a": 1.0, "b": 2.0, "c": 3.0}
     model.add_constraint("r", {"a": 1.0, "c": 1.0}, ">=", 1.0)
     assert solve_lp(model).primal == pytest.approx({"a": 1.0, "b": 0.0, "c": 0.0})
+
+
+def _arrays(model):
+    return [(name, getattr(model, name).dtype, getattr(model, name).tolist())
+            for name in ("lower", "upper", "kind", "rel", "rhs", "implied", "row", "var", "val")]
+
+
+def test_one_item_adds_make_the_arrays_that_blocks_make():
+    one = LpModel(name="t", sense="min")
+    one.add_var("x", 0.0, 1.0, BINARY)
+    one.add_var("y", -INF, 4.0)
+    one.add_var("z", 0.0, INF, INTEGER)
+    one.add_constraint("r", {"z": 2.0, "x": 1.0}, ">=", 1.0)
+    one.add_constraint("s", {}, "<=", 0.0, implied=True)
+    one.add_constraint("t", {"y": -1.0, "x": 0.0}, "=", 3.0)
+    block = LpModel(name="t", sense="min")
+    block.add_vars(["x", "y", "z"], [0.0, -INF, 0.0], [1.0, 4.0, INF],
+                   [BINARY, CONTINUOUS, INTEGER])
+    # entries in any row order; each row's keep their order
+    block.add_rows(["r", "s", "t"], [RELATION[">="], RELATION["<="], RELATION["="]],
+                   [1.0, 0.0, 3.0], [False, True, False],
+                   [2, 0, 2, 0], [1, 2, 0, 0], [-1.0, 2.0, 0.0, 1.0])
+    assert _arrays(one) == _arrays(block)
+    assert one.var_names == block.var_names and one.row_names == block.row_names
+    assert list(one.constraints) == list(block.constraints)
+    assert dict(one.constraints[0].coeffs) == {"z": 2.0, "x": 1.0}
+
+
+def test_builders_parsers_and_the_cover_oracle_add_in_blocks(monkeypatch):
+    # a one-item add copies the arrays, so a writer of many items must not
+    # use one: that would make it quadratic
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-item add")
+
+    monkeypatch.setattr(LpModel, "add_var", refuse)
+    monkeypatch.setattr(LpModel, "add_constraint", refuse)
+    for k in range(6):
+        rep = generate_one(4 + 3 * k, 17, k)
+        dag, m = _core(rep)
+        graph = build_graph(rep)
+        weights = {v: float(v % 3 - 1) for v in rep.vertices}
+        models = [build_cg(rep, dag, m), build_cgh(rep, dag, m, 2), build_isd(rep, dag, m, weights),
+                  build_fcp(rep, dag, m), build_cl(graph, 3), build_as(graph)]
+        for i in [ROOT] + sorted(dag.branching):
+            models += [build_lc(i, rep, dag, m, weights), build_dlc(i, rep, dag, m, weights)]
+        for model in models:
+            for back in (parse_lp_text(write_lp_text(model)), parse_mps(write_mps(model))):
+                assert back.var_names == model.var_names and back.row_names == model.row_names
+        if rep.n <= 8:
+            assert fractional_chromatic_exact(graph) >= 1.0
 
 
 def test_metadata_sidecar(c5):

@@ -322,6 +322,19 @@ def test_check_plan_refuses_a_stack_exactly_when_two_of_its_vertices_overlap(dat
     assert u in bad[0] and v in bad[0] and rep.overlaps(u, v)
 
 
+class _Unprintable(tuple):
+    def __str__(self):
+        raise AssertionError("a stack label formatted")
+
+
+def test_check_plan_formats_a_stack_label_only_on_failure(c5):
+    good = StackPlan(stacks=tuple(map(_Unprintable, ((1, 3), (2, 4), (5,)))))
+    check_plan(c5, good, 2, 3)
+    bad = StackPlan(stacks=((1, 2), (3, 4), (5,)))
+    with pytest.raises(CertificateError, match=r"^stack \(1, 2\) holds overlapping 1 and 2$"):
+        check_plan(c5, bad, 2, 3)
+
+
 def test_solve_stacks_rejects_a_corrupted_decode(c5, monkeypatch):
     corrupt = StackPlan(stacks=((1, 2), (3, 4), (5,)))  # 1 and 2 overlap
     monkeypatch.setattr(bnb, "decode_plan", lambda *args: corrupt)
