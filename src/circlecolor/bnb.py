@@ -1,9 +1,10 @@
 """Exact integer solving by branch-and-bound over the LP relaxation.
 
 The search is best-bound with depth-first tie-breaking and branches on a
-single most-fractional binary variable per node.  Random circle graph
-instances almost always come back integral at the root, so the usual path
-is one LP solve.
+single most-fractional binary variable per node, ties to the smallest name.
+Random circle graph instances almost always come back integral at the root,
+so the usual path is one LP solve.  One driver answers both the colors (CG)
+and the stacks (CG_H) requests: build, root LP, search, decode, certify.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import CertificateError, InfeasibleModelError
 from .intervals import (  # noqa: F401
     CircleGraph,
     Coloring,
-    ContainmentDag,
     IntervalRep,
     build_clique_matrix,
     build_dag,
@@ -45,13 +45,19 @@ from .stowage import (  # noqa: F401
 
 @dataclass
 class SolveReport:
+    """The answer of solve_chromatic or solve_stacks.  plan is the
+    certified plan: the color classes in color order for colors."""
+
     chromatic_number: int
     fractional_chromatic: float
-    root_gap: float
     nodes_explored: int
     coloring: Coloring
+    plan: StackPlan
     timings: dict = field(default_factory=dict)
-    plan: StackPlan | None = None
+
+    @property
+    def root_gap(self) -> float:
+        return self.chromatic_number - self.fractional_chromatic
 
 
 # a library export on the overlap graph, which perfbench/spans.py also wraps
@@ -76,20 +82,32 @@ def _node_bound(obj: float, integral: bool, int_tol: float) -> float:
     return math.ceil(obj - int_tol) if integral else obj
 
 
+def _branch_var(primal: dict, names, int_tol: float):
+    """The branching rule: the most fractional of the named variables at
+    primal, ties to the smallest name, or None when every one is within
+    int_tol of an integer."""
+    best_frac, best_var = int_tol, None
+    for name in names:
+        frac = abs(primal[name] - round(primal[name]))
+        if frac > best_frac or (frac == best_frac and best_var is not None and name < best_var):
+            best_frac, best_var = frac, name
+    return best_var
+
+
 def solve_ip(model: LpModel, options: SimplexOptions | None = None,
              incumbent_value: float | None = None,
-             no_branch=frozenset(), priority=None, log=None,
+             no_branch=frozenset(), log=None,
              root: LpSolution | None = None):
     """Minimize a model with binary/integer variables.
 
     Returns (value, primal-or-None, nodes).  primal is None when the
     incumbent supplied by the caller was never beaten (the caller then owns
-    the certificate).  Branching splits one variable on floor/ceil of its
-    LP value (a 0/1 fix for binaries); variables in no_branch are left to
-    the integrality implied by the others.  Node LPs solve the model itself,
-    as solve_lp reads bounds only.  A caller that has already solved the
-    root LP passes it as root: it is counted as the first node and not
-    solved again.
+    the certificate).  Branching splits the variable _branch_var picks on
+    floor/ceil of its LP value (a 0/1 fix for binaries); variables in
+    no_branch are left to the integrality implied by the others.  Node LPs
+    solve the model itself, as solve_lp reads bounds only.  A caller that
+    has already solved the root LP passes it as root: it is counted as the
+    first node and not solved again.
 
     A child's LP resumes from its parent's final tableau (solve_lp's warm
     restart).  Only the heap entries pushed since the last pop keep their
@@ -102,19 +120,6 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
     opts = options or DEFAULT_OPTIONS
     integral = model.integral_objective
     int_names = [n for n in model.integer_var_names() if n not in no_branch]
-    prio = priority or {}
-
-    def fractional(primal):
-        # most fractional first, ties to higher priority, then smallest name
-        best_key, best_var = None, None
-        for name in int_names:
-            frac = abs(primal[name] - round(primal[name]))
-            if frac <= opts.int_tol:
-                continue
-            key = (frac, prio.get(name, 0))
-            if best_var is None or key > best_key or (key == best_key and name < best_var):
-                best_key, best_var = key, name
-        return best_var
 
     best_value = incumbent_value if incumbent_value is not None else math.inf
     best_primal = None
@@ -136,7 +141,7 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
                 f"pivots={sol.iterations}")
         if bound >= best_value - (0 if integral else opts.int_tol):
             return
-        branch_var = fractional(sol.primal)
+        branch_var = _branch_var(sol.primal, int_names, opts.int_tol)
         if branch_var is None:
             value = round(sol.objective) if integral else sol.objective
             if value < best_value:
@@ -193,57 +198,11 @@ def _root_lp(model: LpModel, start: dict, opts: SimplexOptions, timings: dict) -
     return root
 
 
-def _solve(rep: IntervalRep, model: LpModel, plan: StackPlan, decode,
-           options: SimplexOptions | None, timings: dict, log=None,
-           priority=None) -> SolveReport:
-    """The one answer path of CG and CG_H.
-
-    The heuristic plan is the crash start and the incumbent: the root LP,
-    then branch-and-bound unless the root is integral on the arcs.  The
-    winning arcs, or the plan's own arcs when nothing beats it, go to
-    decode(arcs, value), which decodes and certifies them and returns
-    (coloring, plan-or-None) for the report; nodes counts the root."""
-    opts = options or DEFAULT_OPTIONS
-    arc_map = model.metadata["arcs"]
-    start = _start(rep, model, plan)
-    root = _root_lp(model, start, opts, timings)
-    t0 = time.perf_counter()
-    if all(abs(root.primal[name] - round(root.primal[name])) <= opts.int_tol
-           for name in arc_map):
-        value, point, nodes = round(root.objective), root.primal, 1
-    else:
-        value, point, nodes = solve_ip(
-            model, opts,
-            incumbent_value=start["c"],
-            no_branch=frozenset(["c"]),
-            priority=priority,
-            log=log,
-            root=root,
-        )
-        nodes += 1  # the root LP above, which solve_ip counts once more
-    timings["search"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    point = start if point is None else point
-    arcs = {tuple(arc) for name, arc in arc_map.items() if point.get(name, 0.0) > 0.5}
-    coloring, decoded = decode(arcs, value)
-    timings["decode"] = time.perf_counter() - t0
-    return SolveReport(
-        chromatic_number=value,
-        fractional_chromatic=root.objective,
-        root_gap=value - root.objective,
-        nodes_explored=nodes,
-        coloring=coloring,
-        timings=timings,
-        plan=decoded,
-    )
-
-
 def _build(rep: IntervalRep, height: int | None, timings: dict):
     """The CG program with greedy_stack_plan(rep, rep.n), a stack plan
     with no binding height (first fit), as its start point; or, given a
     height, the CG_H program at effective_height(rep, height) with the
-    greedy plan at that height.  Returns (dag, model, plan)."""
+    greedy plan at that height.  Returns (model, plan)."""
     t0 = time.perf_counter()
     dag = build_dag(rep)
     matrix = build_clique_matrix(rep)
@@ -254,54 +213,89 @@ def _build(rep: IntervalRep, height: int | None, timings: dict):
         model = build_cgh(rep, dag, matrix, height)
     plan = greedy_stack_plan(rep, height)
     timings["build"] = time.perf_counter() - t0
-    return dag, model, plan
+    return model, plan
+
+
+def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
+           log=None) -> SolveReport:
+    """The one answer path of CG (height None) and CG_H.
+
+    _build gives the program and a heuristic plan, which is the crash start
+    and the incumbent: the root LP, then branch-and-bound unless the root
+    is integral on the arcs.  The winning arcs, or the plan's own arcs when
+    nothing beats it, are decoded: into the color classes 1..chi by
+    decode_arborescence for CG, into stacks by decode_plan at the effective
+    height for CG_H.  check_plan certifies the plan, which the report
+    carries; nodes counts the root."""
+    opts = options or DEFAULT_OPTIONS
+    timings = {}
+    model, plan = _build(rep, height, timings)
+    arc_map = model.metadata["arcs"]
+    start = _start(rep, model, plan)
+    root = _root_lp(model, start, opts, timings)
+    t0 = time.perf_counter()
+    if _branch_var(root.primal, arc_map, opts.int_tol) is None:
+        value, point, nodes = round(root.objective), root.primal, 1
+    else:
+        value, point, nodes = solve_ip(
+            model, opts,
+            incumbent_value=start["c"],
+            no_branch=frozenset(["c"]),
+            log=log,
+            root=root,
+        )
+        nodes += 1  # the root LP above, which solve_ip counts once more
+    timings["search"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    point = start if point is None else point
+    arcs = {tuple(arc) for name, arc in arc_map.items() if point.get(name, 0.0) > 0.5}
+    if height is None:
+        coloring = decode_arborescence(rep, arcs, value)
+        # the color classes 1..chi, as a plan with no binding height
+        plan = StackPlan(stacks=tuple(tuple(v for v in rep.vertices if coloring.colors.get(v) == c)
+                                      for c in range(1, value + 1)))
+        cap, failure = rep.n, f"decoded coloring is not a proper {value}-coloring: "
+    else:
+        cap = model.metadata["height"]
+        plan = decode_plan(rep, arcs, value, cap)
+        coloring, failure = Coloring(colors=plan.stack_of()), ""
+    try:
+        check_plan(rep, plan, cap, value)
+    except CertificateError as exc:
+        raise CertificateError(f"{failure}{exc}") from None
+    timings["decode"] = time.perf_counter() - t0
+    return SolveReport(
+        chromatic_number=value,
+        fractional_chromatic=root.objective,
+        nodes_explored=nodes,
+        coloring=coloring,
+        timings=timings,
+        plan=plan,
+    )
 
 
 def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
-            timings: dict | None = None) -> tuple[ContainmentDag, LpModel, LpSolution]:
+            timings: dict | None = None) -> tuple[LpModel, LpSolution]:
     """Build the CG program and solve its LP relaxation, with no
     branching: the root value is the fractional chromatic number.
 
-    Returns (dag, model, root); the build and root-LP seconds go into
-    timings when it is given."""
+    Returns (model, root); the build and root-LP seconds go into timings
+    when it is given."""
     timings = {} if timings is None else timings
-    dag, model, plan = _build(rep, None, timings)
-    return dag, model, _root_lp(model, _start(rep, model, plan),
-                                options or DEFAULT_OPTIONS, timings)
+    model, plan = _build(rep, None, timings)
+    return model, _root_lp(model, _start(rep, model, plan), options or DEFAULT_OPTIONS, timings)
 
 
 def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
                     log=None) -> SolveReport:
     """Exact chromatic number with a decoded coloring certificate; the root
-    LP value is the fractional chromatic number."""
-    timings = {}
-    dag, model, plan = _build(rep, None, timings)
-    priority = {name: len(dag.children[i]) for name, (i, _) in model.metadata["arcs"].items()}
-
-    def decode(arcs, chi):
-        coloring = decode_arborescence(rep, arcs, chi)
-        # the color classes 1..chi, as a plan with no binding height
-        classes = tuple(tuple(v for v in rep.vertices if coloring.colors.get(v) == c)
-                        for c in range(1, chi + 1))
-        try:
-            check_plan(rep, StackPlan(stacks=classes), rep.n, chi)
-        except CertificateError as exc:
-            raise CertificateError(f"decoded coloring is not a proper {chi}-coloring: {exc}") from None
-        return coloring, None
-
-    return _solve(rep, model, plan, decode, options, timings, log, priority)
+    LP value is the fractional chromatic number, and the plan holds the
+    color classes in color order."""
+    return _solve(rep, None, options, log)
 
 
 def solve_stacks(rep: IntervalRep, height: int,
                  options: SimplexOptions | None = None, log=None) -> SolveReport:
     """Exact minimum number of stacks of capacity `height`."""
-    timings = {}
-    _, model, greedy = _build(rep, height, timings)
-    h_eff = model.metadata["height"]
-
-    def decode(arcs, value):
-        plan = decode_plan(rep, arcs, value, h_eff)
-        check_plan(rep, plan, h_eff, value)
-        return Coloring(colors=plan.stack_of()), plan
-
-    return _solve(rep, model, greedy, decode, options, timings, log)
+    return _solve(rep, height, options, log)

@@ -89,9 +89,11 @@ def _counts(text):
 
 
 def _options_from_args(args) -> SimplexOptions:
-    default = _tolerance(os.environ.get("CIRCLECOLOR_TOL", "1e-9"))
+    env = os.environ.get("CIRCLECOLOR_TOL")
+    env = None if env is None else _tolerance(env)
     # a parsed tolerance is > 0, so only an omitted one is falsy
-    return SimplexOptions(feas_tol=args.feas_tol or default, opt_tol=args.opt_tol or default,
+    return SimplexOptions(feas_tol=args.feas_tol or env or SimplexOptions.feas_tol,
+                          opt_tol=args.opt_tol or env or SimplexOptions.opt_tol,
                           int_tol=args.int_tol or SimplexOptions.int_tol)
 
 
@@ -138,7 +140,7 @@ def cmd_solve(args) -> int:
 def cmd_relax(args) -> int:
     rep = load_instance(args.instance)
     timings = {}
-    _, _, root = cg_root(rep, _options_from_args(args), timings)
+    _, root = cg_root(rep, _options_from_args(args), timings)
     payload = {
         "command": "relax",
         "chi_f": root.objective,

@@ -18,11 +18,13 @@ from circlecolor.intervals import (
     topological_order,
     validate_coloring,
 )
-from circlecolor.lpmodels import LpModel, build_fcp
+from circlecolor.lpmodels import BINARY, LpModel, build_fcp
 from circlecolor.oracle import chromatic_exact, fractional_chromatic_exact
 from circlecolor.simplex import SimplexOptions
 from circlecolor.stowage import (
+    StackPlan,
     arborescence_of_coloring,
+    check_plan,
     greedy_stack_plan,
     nesting_depth,
     plan_arcs,
@@ -148,7 +150,7 @@ def test_a_disjoint_union_takes_the_larger_part(n, m, k):
 
 def test_cg_root_at_n80_solves_on_the_maximal_rows():
     # with every sweep row in it the tableau had 1,991 constraint rows
-    _, model, root = cg_root(generate_one(80, 6001, 0))
+    model, root = cg_root(generate_one(80, 6001, 0))
     assert root.objective == pytest.approx(11.0, abs=1e-9)
     assert len(root.tableau.basis) <= 500 < len(model.constraints)
 
@@ -183,6 +185,16 @@ def test_stacks_at_the_nesting_depth_are_colors(rep):
     stacks = solve_stacks(rep, nesting_depth(rep))
     assert stacks.chromatic_number == colors.chromatic_number
     assert stacks.fractional_chromatic == pytest.approx(colors.fractional_chromatic, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_reps(max_n=10))
+def test_the_color_plan_is_the_certified_color_classes(rep):
+    report = solve_chromatic(rep)
+    chi, colors = report.chromatic_number, report.coloring.colors
+    assert report.plan == StackPlan(stacks=tuple(
+        tuple(v for v in rep.vertices if colors[v] == c) for c in range(1, chi + 1)))
+    check_plan(rep, report.plan, rep.n, chi)
 
 
 def test_node_log(c5):
@@ -250,13 +262,31 @@ def test_solve_ip_rejects_a_max_model(c5):
         solve_ip(fcp)
 
 
+def test_branching_fixes_the_most_fractional_smallest_name_first(monkeypatch):
+    # x_b and x_a sit at 0.5 at the root, and so does x_0, which may not be
+    # branched on; the first child fixes x_a although x_b comes first
+    model = LpModel(name="tie", sense="min")
+    for name in ("x_b", "x_a", "x_0"):
+        model.add_var(name, 0.0, 1.0, BINARY)
+        model.add_constraint(f"half_{name}", {name: 2.0}, "=" if name == "x_0" else "<=", 1.0)
+    model.objective = {"x_a": -1.0, "x_b": -1.0}
+    fixed = []
+    solve_lp = bnb.solve_lp
+    monkeypatch.setattr(bnb, "solve_lp", lambda *a, **k: fixed.append(
+        k.get("bound_overrides") or {}) or solve_lp(*a, **k))
+    value, primal, nodes = solve_ip(model, no_branch=frozenset(["x_0"]))
+    assert value == 0 and primal["x_a"] == primal["x_b"] == 0
+    assert fixed[:2] == [{}, {"x_a": (-math.inf, 0)}]
+    assert all("x_0" not in f for f in fixed)
+
+
 def test_cg_root_is_the_fractional_chromatic_number(c5, monkeypatch):
     monkeypatch.setattr(bnb, "solve_ip", None)
     monkeypatch.setattr(bnb, "build_graph", None)
     timings = {}
-    dag, model, root = cg_root(c5, timings=timings)
+    model, root = cg_root(c5, timings=timings)
     assert root.objective == pytest.approx(2.5, abs=1e-9)
-    assert model.name == "CG" and dag.n == 5
+    assert model.name == "CG" and model.metadata["n"] == 5
     assert set(timings) == {"build", "root_lp"}
 
 
