@@ -1,10 +1,13 @@
 """Exact integer solving by branch-and-bound over the LP relaxation.
 
-The search is best-bound with depth-first tie-breaking and branches on a
-single most-fractional binary variable per node, ties to the smallest name.
-Random circle graph instances almost always come back integral at the root,
-so the usual path is one LP solve.  One driver answers both the colors (CG)
-and the stacks (CG_H) requests: build, root LP, search, decode, certify.
+One driver answers both the colors (CG) and the stacks (CG_H) requests.
+It first looks for a plan with as many stacks as a checked maximum clique
+has members, which proves itself optimal with no LP; on random instances
+that settles most color requests.  Otherwise: build, root LP, search,
+decode, certify.  The search is best-bound with depth-first tie-breaking
+and branches on a single most-fractional binary variable per node, ties
+to the smallest name; random instances almost always come back integral
+at the root, so that path is usually one LP solve.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ from .intervals import (  # noqa: F401
     build_clique_matrix,
     build_dag,
     build_graph,
+    color_within,
+    max_clique,
     validate_coloring,
 )
 from .lpmodels import LpModel, build_cg
-from .mwis import decode_arborescence
+from .mwis import check_clique, decode_arborescence
 from .simplex import DEFAULT_OPTIONS, LpSolution, SimplexOptions, solve_lp
-# arborescence_of_coloring is not called here; perfbench/spans.py wraps it
-# at this name
-from .stowage import (  # noqa: F401
+from .stowage import (
     StackPlan,
     arborescence_of_coloring,
     build_cgh,
@@ -46,13 +49,16 @@ from .stowage import (  # noqa: F401
 @dataclass
 class SolveReport:
     """The answer of solve_chromatic or solve_stacks.  plan is the
-    certified plan: the color classes in color order for colors."""
+    certified plan: the color classes in color order for colors.
+    nodes_explored counts the LP nodes, the root once, and is 0 when the
+    clique and a plan of as many stacks settle the answer."""
 
     chromatic_number: int
     fractional_chromatic: float
     nodes_explored: int
     coloring: Coloring
     plan: StackPlan
+    clique: tuple  # a maximum clique, checked by check_clique
     timings: dict = field(default_factory=dict)
 
     @property
@@ -198,38 +204,82 @@ def _root_lp(model: LpModel, start: dict, opts: SimplexOptions, timings: dict) -
     return root
 
 
-def _build(rep: IntervalRep, height: int | None, timings: dict):
-    """The CG program with greedy_stack_plan(rep, rep.n), a stack plan
-    with no binding height (first fit), as its start point; or, given a
-    height, the CG_H program at effective_height(rep, height) with the
-    greedy plan at that height.  Returns (model, plan)."""
+def _build(rep: IntervalRep, height: int | None, timings: dict, plan: StackPlan | None = None):
+    """The CG program (height None) or the CG_H program at `height`, an
+    effective height, and its start plan: `plan` when given, else
+    greedy_stack_plan at the height, or at rep.n for CG, where no height
+    binds (first fit).  Returns (model, plan)."""
     t0 = time.perf_counter()
     dag = build_dag(rep)
     matrix = build_clique_matrix(rep)
     if height is None:
-        model, height = build_cg(rep, dag, matrix), rep.n
+        model = build_cg(rep, dag, matrix)
     else:
-        height = effective_height(rep, height)
         model = build_cgh(rep, dag, matrix, height)
-    plan = greedy_stack_plan(rep, height)
+    plan = plan or greedy_stack_plan(rep, height or rep.n)
     timings["build"] = time.perf_counter() - t0
     return model, plan
+
+
+def _clique_plan(rep: IntervalRep, height: int | None, plan: StackPlan | None,
+                 timings: dict):
+    """The checked maximum clique, and a plan with one stack per member
+    that check_plan accepts, or None: for colors (height None) the color
+    classes of color_within(rep, omega), for stacks `plan`, the greedy plan
+    at the effective height `height`.
+
+    Such a plan is optimal with the clique as its proof: a stack is an
+    independent set, so it holds at most one member of the clique, and
+    omega <= chi_f <= chi (and omega <= the CG_H LP value)."""
+    t0 = time.perf_counter()
+    clique = max_clique(rep)
+    check_clique(rep, clique)
+    omega = len(clique)
+    if height is None:
+        colors = color_within(rep, omega)
+        plan = None if colors is None else StackPlan(stacks=_color_classes(rep, colors, omega))
+    if plan is not None and plan.num_stacks == omega:
+        check_plan(rep, plan, height or rep.n, omega)
+    else:
+        plan = None
+    timings["clique"] = time.perf_counter() - t0
+    return clique, plan
+
+
+def _color_classes(rep: IntervalRep, colors: dict, chi: int) -> tuple:
+    """The color classes 1..chi of a coloring, each in vertex order."""
+    return tuple(tuple(v for v in rep.vertices if colors.get(v) == c) for c in range(1, chi + 1))
 
 
 def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
            log=None) -> SolveReport:
     """The one answer path of CG (height None) and CG_H.
 
-    _build gives the program and a heuristic plan, which is the crash start
-    and the incumbent: the root LP, then branch-and-bound unless the root
-    is integral on the arcs.  The winning arcs, or the plan's own arcs when
-    nothing beats it, are decoded: into the color classes 1..chi by
-    decode_arborescence for CG, into stacks by decode_plan at the effective
-    height for CG_H.  check_plan certifies the plan, which the report
-    carries; nodes counts the root."""
+    First _clique_plan: when a heuristic plan has as many stacks as a
+    checked maximum clique has members, that is the answer, with no LP
+    and nodes 0.  Otherwise _build gives the program, with the greedy plan
+    as the crash start and the incumbent: the root LP, then
+    branch-and-bound unless the root is integral on the arcs.  The winning
+    arcs, or the plan's own arcs when nothing beats it, are decoded: into
+    the color classes 1..chi by decode_arborescence for CG, into stacks by
+    decode_plan at the effective height for CG_H.  check_plan certifies
+    the plan, which the report carries; nodes counts the LP nodes, the
+    root once."""
     opts = options or DEFAULT_OPTIONS
     timings = {}
-    model, plan = _build(rep, height, timings)
+    plan = None
+    if height is not None:
+        height = effective_height(rep, height)
+        plan = greedy_stack_plan(rep, height)
+    clique, settled = _clique_plan(rep, height, plan, timings)
+    if settled is not None:
+        coloring = Coloring(colors=settled.stack_of())
+        if height is None:
+            coloring = Coloring(coloring.colors, arborescence_of_coloring(rep, coloring))
+        return SolveReport(chromatic_number=len(clique), fractional_chromatic=float(len(clique)),
+                           nodes_explored=0, coloring=coloring, plan=settled, clique=clique,
+                           timings=timings)
+    model, plan = _build(rep, height, timings, plan)
     arc_map = model.metadata["arcs"]
     start = _start(rep, model, plan)
     root = _root_lp(model, start, opts, timings)
@@ -244,7 +294,6 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
             log=log,
             root=root,
         )
-        nodes += 1  # the root LP above, which solve_ip counts once more
     timings["search"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -253,12 +302,11 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
     if height is None:
         coloring = decode_arborescence(rep, arcs, value)
         # the color classes 1..chi, as a plan with no binding height
-        plan = StackPlan(stacks=tuple(tuple(v for v in rep.vertices if coloring.colors.get(v) == c)
-                                      for c in range(1, value + 1)))
+        plan = StackPlan(stacks=_color_classes(rep, coloring.colors, value))
         cap, failure = rep.n, f"decoded coloring is not a proper {value}-coloring: "
     else:
-        cap = model.metadata["height"]
-        plan = decode_plan(rep, arcs, value, cap)
+        cap = height
+        plan = decode_plan(rep, arcs, value, height)
         coloring, failure = Coloring(colors=plan.stack_of()), ""
     try:
         check_plan(rep, plan, cap, value)
@@ -270,15 +318,17 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
         fractional_chromatic=root.objective,
         nodes_explored=nodes,
         coloring=coloring,
-        timings=timings,
         plan=plan,
+        clique=clique,
+        timings=timings,
     )
 
 
 def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
             timings: dict | None = None) -> tuple[LpModel, LpSolution]:
     """Build the CG program and solve its LP relaxation, with no
-    branching: the root value is the fractional chromatic number.
+    branching and no clique: the root value is the fractional chromatic
+    number.
 
     Returns (model, root); the build and root-LP seconds go into timings
     when it is given."""
@@ -287,15 +337,30 @@ def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
     return model, _root_lp(model, _start(rep, model, plan), options or DEFAULT_OPTIONS, timings)
 
 
+def fractional_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
+                         timings: dict | None = None) -> float:
+    """The fractional chromatic number: omega when _clique_plan finds an
+    omega-coloring, which proves chi_f = omega, else the cg_root value.
+    The clique, build and root-LP seconds go into timings when it is
+    given."""
+    timings = {} if timings is None else timings
+    clique, plan = _clique_plan(rep, None, None, timings)
+    if plan is not None:
+        return float(len(clique))
+    return cg_root(rep, options, timings)[1].objective
+
+
 def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
                     log=None) -> SolveReport:
-    """Exact chromatic number with a decoded coloring certificate; the root
-    LP value is the fractional chromatic number, and the plan holds the
-    color classes in color order."""
+    """Exact chromatic number with a coloring certificate; the fractional
+    chromatic number is omega when an omega-coloring settles it, else the
+    root LP value, and the plan holds the color classes in color order."""
     return _solve(rep, None, options, log)
 
 
 def solve_stacks(rep: IntervalRep, height: int,
                  options: SimplexOptions | None = None, log=None) -> SolveReport:
-    """Exact minimum number of stacks of capacity `height`."""
+    """Exact minimum number of stacks of capacity `height`; the
+    relaxation is omega when the greedy plan has omega stacks, else the
+    CG_H root LP value."""
     return _solve(rep, height, options, log)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bnb import cg_root, solve_chromatic, solve_stacks
+from .bnb import fractional_chromatic, solve_chromatic, solve_stacks
 from .errors import CircleColorError, InstanceFormatError
 from .instances import format_certificate, generate_one, rows_to_csv, run_experiment
 from .intervals import (
@@ -123,7 +123,7 @@ def cmd_solve(args) -> int:
         "chi_f": report.fractional_chromatic,
         "root_gap": report.root_gap,
         "nodes": report.nodes_explored,
-        "omega": clique_number(rep) if args.clique else None,
+        "omega": len(report.clique) if args.clique else None,
         "coloring": {str(v): c for v, c in sorted(report.coloring.colors.items())},
         "timings": report.timings,
     }
@@ -140,13 +140,13 @@ def cmd_solve(args) -> int:
 def cmd_relax(args) -> int:
     rep = load_instance(args.instance)
     timings = {}
-    _, root = cg_root(rep, _options_from_args(args), timings)
+    chi_f = fractional_chromatic(rep, _options_from_args(args), timings)
     payload = {
         "command": "relax",
-        "chi_f": root.objective,
+        "chi_f": chi_f,
         "timings": timings,
     }
-    _emit(args, payload, f"chi_f={root.objective:g}")
+    _emit(args, payload, f"chi_f={chi_f:g}")
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bnb import solve_chromatic
 from .errors import CircleColorError
-from .intervals import Coloring, IntervalRep, clique_number, count_edges, normalize
+from .intervals import Coloring, IntervalRep, count_edges, normalize
 # max_clique_exact is not called here; perfbench/spans.py wraps it at this name
 from .oracle import max_clique_exact  # noqa: F401
 from .simplex import SimplexOptions
@@ -84,8 +84,7 @@ def run_experiment(n_values, samples: int, seed: int,
                 warnings.warn(f"instance n={n} index={k} failed: {exc}")
                 continue
             edges.append(count_edges(rep))
-            omega = clique_number(rep)
-            if omega == report.chromatic_number:
+            if len(report.clique) == report.chromatic_number:
                 omega_eq += 1
             if abs(report.chromatic_number - report.fractional_chromatic) <= 1e-6:
                 chif_eq += 1

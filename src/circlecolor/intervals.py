@@ -33,9 +33,6 @@ class IntervalRep:
     left: tuple[int, ...]   # left[v] for v in 1..n; left[0] unused
     right: tuple[int, ...]
 
-    def interval(self, v: int) -> tuple[int, int]:
-        return self.left[v], self.right[v]
-
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -195,25 +192,32 @@ def build_graph(rep: IntervalRep) -> CircleGraph:
     return CircleGraph(n=rep.n, adj=tuple(frozenset(a) for a in adj))
 
 
-def count_edges(rep: IntervalRep) -> int:
-    """Number of edges of the overlap graph, from the endpoint order alone.
-
-    When I(i) closes at r_i, the intervals still open that started after
-    l_i are exactly the j with l_i < l_j < r_i < r_j.  Open left endpoints
-    arrive in rising order, so they stay sorted and one bisection finds
-    l_i among them.
-    """
-    left_of = {rep.right[v]: rep.left[v] for v in rep.vertices}
-    open_lefts = []
-    edges = 0
+def overlap_lists(rep: IntervalRep) -> list[list[int]]:
+    """The overlap adjacency, adj[v] for v in 1..n (adj[0] empty), from one
+    sweep over the endpoints in O(n + m) for m edges: when I(i) closes,
+    the intervals opened after l_i and still open are exactly the j with
+    l_i < l_j < r_i < r_j."""
+    at = [ROOT] * (2 * rep.n + 1)  # position -> vertex with an endpoint there
+    for v in rep.vertices:
+        at[rep.left[v]] = at[rep.right[v]] = v
+    adj = [[] for _ in range(rep.n + 1)]
+    open_ = []  # the open intervals, by left endpoint
     for p in range(1, 2 * rep.n + 1):
-        if p in left_of:
-            k = bisect_left(open_lefts, left_of[p])
-            edges += len(open_lefts) - k - 1
-            del open_lefts[k]
-        else:
-            open_lefts.append(p)
-    return edges
+        i = at[p]
+        if rep.left[i] == p:
+            open_.append(i)
+            continue
+        k = open_.index(i)
+        for j in open_[k + 1:]:
+            adj[i].append(j)
+            adj[j].append(i)
+        del open_[k]
+    return adj
+
+
+def count_edges(rep: IntervalRep) -> int:
+    """Number of edges of the overlap graph, from overlap_lists."""
+    return sum(map(len, overlap_lists(rep))) // 2
 
 
 def to_dimacs(graph: CircleGraph) -> str:
@@ -304,36 +308,59 @@ def build_clique_matrix(rep: IntervalRep, full_points: bool = False) -> CliqueMa
     return CliqueMatrix(points=tuple(points), rows=tuple(rows))
 
 
-def longest_rising_run(values) -> int:
-    """Length of the longest strictly rising subsequence of values, by
+def rising_run(values) -> list[int]:
+    """The positions of a longest strictly rising subsequence of values, by
     patience sorting in O(k log k): tails[k] is the smallest last value of
-    a rising run of k + 1."""
-    tails = []
-    for x in values:
+    a rising run of k + 1, ends[k] its position, and each value links to
+    the last position of the run it extends."""
+    tails, ends, link = [], [], []
+    for p, x in enumerate(values):
         k = bisect_left(tails, x)
         tails[k:k + 1] = [x]
-    return len(tails)
+        ends[k:k + 1] = [p]
+        link.append(ends[k - 1] if k else -1)
+    run = []
+    p = ends[-1] if ends else -1
+    while p >= 0:
+        run.append(p)
+        p = link[p]
+    return run[::-1]
 
 
-def clique_number(rep: IntervalRep) -> int:
-    """Size of a maximum clique, from the intervals alone (after Gavril,
+def longest_rising_run(values) -> int:
+    """Length of the longest strictly rising subsequence of values."""
+    return len(rising_run(values))
+
+
+def max_clique(rep: IntervalRep) -> tuple[int, ...]:
+    """A maximum clique, from the intervals alone (after Gavril,
     "Algorithms for a maximum clique and a maximum independent set of a
-    circle graph", Networks 3, 1973).
+    circle graph", Networks 3, 1973), in left-endpoint order.
 
     Sorted by left endpoint, the members of a clique have rising right
     endpoints, all after the last left endpoint.  So the cliques whose
     first member is v are the rising runs of right endpoints, in
     left-endpoint order, among the j with l_v <= l_j < r_v <= r_j (v among
     them, as the start of the longest run): one patience sort per v,
-    O(n^2 log n) in all.
+    O(n^2 log n) in all.  The first v with the longest run wins.
     """
     at = [ROOT] * (2 * rep.n + 1)  # position -> vertex whose left endpoint is there
     for v in rep.vertices:
         at[rep.left[v]] = v
     right = rep.right  # right[ROOT] is 0, so the root passes no filter below
-    return max((longest_rising_run([right[j] for j in at[rep.left[v]:right[v]]
-                                    if right[j] >= right[v]])
-                for v in rep.vertices), default=0)
+    best = ()
+    for v in rep.vertices:
+        members = [j for j in at[rep.left[v]:right[v]] if right[j] >= right[v]]
+        if len(members) > len(best):
+            run = rising_run([right[j] for j in members])
+            if len(run) > len(best):
+                best = tuple(members[p] for p in run)
+    return best
+
+
+def clique_number(rep: IntervalRep) -> int:
+    """Size of a maximum clique: the length of max_clique."""
+    return len(max_clique(rep))
 
 
 def max_antichain(rep: IntervalRep, subset) -> int:
@@ -380,3 +407,58 @@ def validate_coloring(graph: CircleGraph, coloring: Coloring) -> bool:
             if i < j and coloring.colors[i] == coloring.colors[j]:
                 return False
     return True
+
+
+# search nodes per vertex that color_within may spend
+SEARCH_NODES_PER_VERTEX = 4
+
+
+def color_within(rep: IntervalRep, colors: int) -> dict | None:
+    """A proper coloring with at most `colors` colors, as {vertex: color}
+    with the colors 1, 2, ... in order of first use; None when there is
+    none, or when the search has given SEARCH_NODES_PER_VERTEX * n colors
+    without finding one.
+
+    Exact DSatur backtracking (Brélaz, "New methods to color the vertices
+    of a graph", CACM 22(4), 1979).  The next vertex is an uncolored one
+    with the most distinct colors among its neighbours, ties to the higher
+    degree and then the smaller vertex.  It takes each color free at it in
+    turn, lowest first, but at most one that no vertex has yet; giving a
+    color is one search node, and a vertex with no color left sends the
+    search back to the last one given.  The adjacency is overlap_lists.
+    """
+    adj = overlap_lists(rep)
+    order = sorted(rep.vertices, key=lambda v: -len(adj[v]))  # stable, so smaller first on ties
+    seen = [[0] * (colors + 1) for _ in range(rep.n + 1)]  # seen[v][c]: neighbours of v colored c
+    # distinct colors among the neighbours, less n + 1 while colored, so
+    # that the pick passes over the colored vertices
+    saturation = [0] * (rep.n + 1)
+    trail = []  # (vertex, color, colors in use before it), in the order given
+    budget = SEARCH_NODES_PER_VERTEX * rep.n
+    v, c, used = order[0], 0, 0
+    while True:
+        top = min(used + 1, colors)
+        c += 1
+        while c <= top and seen[v][c]:
+            c += 1
+        if c > top:  # nothing left for v: take back the last color given
+            if not trail:
+                return None
+            v, c, used = trail.pop()
+            saturation[v] += rep.n + 1
+            for u in adj[v]:
+                seen[u][c] -= 1
+                saturation[u] -= not seen[u][c]
+            continue
+        if not budget:
+            return None
+        budget -= 1
+        saturation[v] -= rep.n + 1
+        for u in adj[v]:
+            saturation[u] += not seen[u][c]
+            seen[u][c] += 1
+        trail.append((v, c, used))
+        if len(trail) == rep.n:
+            return {v: c for v, c, _ in trail}
+        used = max(used, c)
+        v, c = max(order, key=saturation.__getitem__), 0

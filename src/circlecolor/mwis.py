@@ -166,6 +166,18 @@ def check_independent(rep: IntervalRep, vertices, what: str = "independent set")
         open_.append(v)
 
 
+def check_clique(rep: IntervalRep, vertices) -> None:
+    """Raise CertificateError, naming a pair, unless the vertices are
+    distinct vertices of rep that overlap pairwise."""
+    if not all(1 <= v <= rep.n for v in vertices):
+        raise CertificateError(f"clique {tuple(vertices)} holds a vertex outside 1..{rep.n}")
+    for k, a in enumerate(vertices):
+        for b in vertices[k + 1:]:
+            if not rep.overlaps(a, b):
+                raise CertificateError(f"clique {tuple(vertices)} holds {a} and {b},"
+                                       " which do not overlap")
+
+
 def chain_partition(rep: IntervalRep, subset) -> list[list[int]]:
     """Partition the subset into exactly max_antichain(subset) chains.
 

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from strategies import interval_reps
 
 from circlecolor import bnb, intervals, simplex, stowage
-from circlecolor.bnb import cg_root, first_fit, solve_chromatic, solve_ip, solve_stacks
+from circlecolor.bnb import (
+    cg_root,
+    first_fit,
+    fractional_chromatic,
+    solve_chromatic,
+    solve_ip,
+    solve_stacks,
+)
 from circlecolor.errors import CertificateError
 from circlecolor.instances import generate_one
 from circlecolor.intervals import (
@@ -19,6 +26,7 @@ from circlecolor.intervals import (
     validate_coloring,
 )
 from circlecolor.lpmodels import BINARY, LpModel, build_fcp
+from circlecolor.mwis import check_clique
 from circlecolor.oracle import chromatic_exact, fractional_chromatic_exact
 from circlecolor.simplex import SimplexOptions
 from circlecolor.stowage import (
@@ -127,20 +135,26 @@ ODD_CYCLE_BLOWUPS = [(m, k) for m in (2, 3, 4) for k in range(1, 60 // (2 * m + 
 
 
 @pytest.mark.parametrize("m, k", ODD_CYCLE_BLOWUPS)
-def test_blown_up_odd_cycles_have_their_closed_forms(m, k):
-    # chi_f > omega here, which random instances almost never give
+def test_blown_up_odd_cycles_have_their_closed_forms(m, k, monkeypatch):
+    # chi_f > omega here, which random instances almost never give, so no
+    # omega-coloring exists and every answer comes from the LP
     rep = normalize(blown_up_odd_cycle(m, k))
+    lps = _count_lps(monkeypatch)
     report = solve_chromatic(rep)
+    assert lps and report.nodes_explored >= 1
     assert report.chromatic_number == -(-k * (2 * m + 1) // m)
     assert report.fractional_chromatic == pytest.approx(k * (2 * m + 1) / m, abs=1e-9)
-    assert intervals.clique_number(rep) == 2 * k
+    assert intervals.clique_number(rep) == len(report.clique) == 2 * k
+    lps.clear()
+    assert fractional_chromatic(rep) == report.fractional_chromatic
+    assert len(lps) == 1
 
 
 @pytest.mark.parametrize("n, m, k", [(12, 2, 3), (20, 3, 2), (30, 2, 5), (16, 4, 2), (40, 2, 1)])
 def test_a_disjoint_union_takes_the_larger_part(n, m, k):
     # the gadget is the larger part in chi_f on the first four, the random part on the last
     random_part = generate_one(n, 7001, 0)
-    raw = [random_part.interval(v) for v in random_part.vertices]
+    raw = [(random_part.left[v], random_part.right[v]) for v in random_part.vertices]
     union = solve_chromatic(normalize(raw + blown_up_odd_cycle(m, k, offset=2 * n)))
     part = solve_chromatic(random_part)
     assert union.chromatic_number == max(part.chromatic_number, -(-k * (2 * m + 1) // m))
@@ -155,17 +169,53 @@ def test_cg_root_at_n80_solves_on_the_maximal_rows():
     assert len(root.tableau.basis) <= 500 < len(model.constraints)
 
 
-def test_report_invariants():
+def _invariant_sample():
     rng = np.random.default_rng(43)
-    for k in range(25):
-        rep = generate_one(int(rng.integers(1, 13)), 557, k)
+    return [generate_one(int(rng.integers(1, 13)), 557, k) for k in range(25)]
+
+
+def _count_lps(monkeypatch) -> list:
+    """From here on every solve_lp call of bnb is appended to the list
+    returned."""
+    calls = []
+    solve_lp = bnb.solve_lp
+    monkeypatch.setattr(bnb, "solve_lp", lambda *a, **k: calls.append(a) or solve_lp(*a, **k))
+    return calls
+
+
+def _check_common_invariants(rep, report):
+    assert math.ceil(report.fractional_chromatic - 1e-6) <= report.chromatic_number
+    assert report.root_gap == pytest.approx(
+        report.chromatic_number - report.fractional_chromatic)
+    assert len(report.clique) == intervals.clique_number(rep) <= report.chromatic_number
+
+
+def test_report_invariants(monkeypatch):
+    # with no omega-coloring to hand every request takes the LP path
+    monkeypatch.setattr(bnb, "color_within", lambda rep, colors: None)
+    for rep in _invariant_sample():
         report = solve_chromatic(rep)
-        assert math.ceil(report.fractional_chromatic - 1e-6) <= report.chromatic_number
-        assert report.root_gap == pytest.approx(
-            report.chromatic_number - report.fractional_chromatic)
+        _check_common_invariants(rep, report)
         assert report.nodes_explored >= 1
-        for phase in ("build", "root_lp", "search", "decode"):
+        for phase in ("clique", "build", "root_lp", "search", "decode"):
             assert phase in report.timings
+
+
+def test_report_invariants_on_both_paths(monkeypatch):
+    lps = _count_lps(monkeypatch)
+    took_lp = []
+    for rep in _invariant_sample():
+        lps.clear()
+        report = solve_chromatic(rep)
+        _check_common_invariants(rep, report)
+        took_lp.append(bool(lps))
+        if lps:
+            assert report.nodes_explored >= 1
+            assert {"clique", "build", "root_lp", "search", "decode"} <= set(report.timings)
+        else:
+            assert report.nodes_explored == 0 and set(report.timings) == {"clique"}
+            assert report.chromatic_number == len(report.clique) == report.fractional_chromatic
+    assert 0 < sum(took_lp) < len(took_lp)
 
 
 def test_stacks_reaches_chromatic_with_big_height():
@@ -220,12 +270,56 @@ def test_corrupted_coloring_is_rejected(c5, monkeypatch):
 def test_root_lp_is_not_solved_twice(c5, monkeypatch):
     # C5's root is fractional, so branch-and-bound runs; it takes the root
     # from the driver and prunes it against first fit without an LP solve
-    calls = []
-    solve_lp = bnb.solve_lp
-    monkeypatch.setattr(bnb, "solve_lp", lambda *a, **k: calls.append(a) or solve_lp(*a, **k))
+    calls = _count_lps(monkeypatch)
     report = solve_chromatic(c5)
     assert len(calls) == 1
-    assert report.nodes_explored == 2
+    assert report.nodes_explored == 1
+
+
+def test_an_omega_coloring_answers_with_no_lp(monkeypatch):
+    # chi = omega = 17 at n = 120, where the LP path branches over 20 nodes
+    rep = generate_one(120, 6001, 0)
+    lps = _count_lps(monkeypatch)
+    report = solve_chromatic(rep)
+    assert (report.chromatic_number, report.fractional_chromatic) == (17, 17.0)
+    assert report.nodes_explored == 0 and not lps
+    check_clique(rep, report.clique)
+    assert len(report.clique) == 17
+    chi, colors = report.chromatic_number, report.coloring.colors
+    assert report.plan == StackPlan(stacks=tuple(
+        tuple(v for v in rep.vertices if colors[v] == c) for c in range(1, chi + 1)))
+    check_plan(rep, report.plan, rep.n, chi)
+    assert report.coloring.certificate == arborescence_of_coloring(rep, report.coloring)
+    assert fractional_chromatic(rep) == 17.0 and not lps
+
+
+def test_a_greedy_plan_of_omega_stacks_answers_with_no_lp(monkeypatch):
+    lps = _count_lps(monkeypatch)
+    settled = 0
+    for k in range(20):
+        rep = generate_one(16, 9103, k)
+        for height in (2, 3):
+            lps.clear()
+            report = solve_stacks(rep, height)
+            plan = greedy_stack_plan(rep, min(height, nesting_depth(rep)))
+            if plan.num_stacks == len(report.clique):
+                settled += 1
+                assert not lps and report.nodes_explored == 0
+                assert report.plan == plan and report.fractional_chromatic == plan.num_stacks
+            else:
+                assert lps and report.nodes_explored >= 1
+            assert report.chromatic_number == report.plan.num_stacks
+    assert settled
+
+
+@pytest.mark.parametrize("solve", [solve_chromatic, lambda rep: solve_stacks(rep, 2),
+                                   fractional_chromatic])
+def test_a_clique_that_is_not_one_gives_no_answer(solve, monkeypatch):
+    # 1 and 2 are disjoint, and the check runs before any plan is made
+    rep = normalize([(1, 2), (3, 4)])
+    monkeypatch.setattr(bnb, "max_clique", lambda rep: (1, 2))
+    with pytest.raises(CertificateError, match="do not overlap"):
+        solve(rep)
 
 
 def test_solve_stacks_builds_the_dag_once(monkeypatch):
@@ -251,8 +345,12 @@ def test_cg_root_starts_from_one_stack_of_any_height(monkeypatch):
 def test_solves_make_no_relaxed_copy(c5, monkeypatch):
     # both roots are fractional on C5, so branch-and-bound runs too
     monkeypatch.setattr(LpModel, "relaxed", None)
-    assert solve_chromatic(c5).nodes_explored > 1
-    assert solve_stacks(c5, 2).nodes_explored > 1
+    searches = []
+    solve_ip = bnb.solve_ip
+    monkeypatch.setattr(bnb, "solve_ip", lambda *a, **k: searches.append(a) or solve_ip(*a, **k))
+    assert solve_chromatic(c5).nodes_explored >= 1
+    assert solve_stacks(c5, 2).nodes_explored >= 1
+    assert len(searches) == 2
 
 
 def test_solve_ip_rejects_a_max_model(c5):

@@ -437,6 +437,26 @@ def test_corrupted_plan_fails_under_optimize():
     assert proc.stderr.startswith("error: stack (1, 2) holds overlapping 1 and 2"), proc.stderr
 
 
+CORRUPT_CLIQUE = """
+import sys
+from circlecolor import bnb
+from circlecolor.cli import main
+assert sys.flags.optimize == 1
+bnb.max_clique = lambda rep: (1, 3)  # 1 and 3 are disjoint
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("args", [["relax", C5_FILE], ["solve", C5_FILE],
+                                  ["stacks", C5_FILE, "--height", "2"]])
+def test_a_false_clique_fails_under_optimize(args):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_CLIQUE, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "error: clique (1, 3) holds 1 and 3, which do not overlap\n"
+
+
 CORRUPT_WITNESS = """
 import sys
 from circlecolor import mwis

@@ -16,13 +16,13 @@ from circlecolor.intervals import build_graph, clique_number, normalize
 
 def test_sequence_example():
     rep = intervals_from_sequence([5, 3, 1, 4, 6, 2])
-    assert [rep.interval(v) for v in rep.vertices] == [(3, 5), (1, 4), (2, 6)]
+    assert [(rep.left[v], rep.right[v]) for v in rep.vertices] == [(3, 5), (1, 4), (2, 6)]
 
 
 def test_n1_always_single_interval():
     for seed in (0, 7, 123):
         rep = generate_one(1, seed)
-        assert rep.interval(1) == (1, 2)
+        assert (rep.left[1], rep.right[1]) == (1, 2)
 
 
 def test_determinism():

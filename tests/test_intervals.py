@@ -8,7 +8,7 @@ from strategies import interval_reps
 
 from circlecolor.errors import DuplicateEndpointError, EmptyInstanceError, InstanceFormatError
 from circlecolor.instances import generate_one
-from circlecolor.oracle import max_clique_exact
+from circlecolor.oracle import chromatic_exact, max_clique_exact
 from circlecolor.intervals import (
     Coloring,
     IntervalRep,
@@ -16,12 +16,16 @@ from circlecolor.intervals import (
     build_dag,
     build_graph,
     clique_number,
+    color_within,
     count_edges,
     format_instance,
     longest_rising_run,
     max_antichain,
+    max_clique,
     normalize,
+    overlap_lists,
     parse_instance,
+    rising_run,
     to_dimacs,
     topological_order,
     validate_coloring,
@@ -31,15 +35,15 @@ from circlecolor.mwis import solve_mwis
 
 def test_normalize_sequence_example():
     rep = normalize([(5, 3), (1, 4), (6, 2)])
-    assert rep.interval(1) == (3, 5)
-    assert rep.interval(2) == (1, 4)
-    assert rep.interval(3) == (2, 6)
+    assert (rep.left[1], rep.right[1]) == (3, 5)
+    assert (rep.left[2], rep.right[2]) == (1, 4)
+    assert (rep.left[3], rep.right[3]) == (2, 6)
 
 
 def test_normalize_rank_compresses():
     rep = normalize([(10, 20)])
     assert rep.n == 1
-    assert rep.interval(1) == (1, 2)
+    assert (rep.left[1], rep.right[1]) == (1, 2)
 
 
 def _normalize_reference(pairs):
@@ -73,14 +77,14 @@ def test_normalize_matches_the_sorted_rank_reference(pairs):
     except (DuplicateEndpointError, EmptyInstanceError) as exc:
         assert str(exc) == want
     else:
-        assert [rep.interval(v) for v in rep.vertices] == want
+        assert [(rep.left[v], rep.right[v]) for v in rep.vertices] == want
         assert all(type(x) is int for x in rep.left + rep.right)
 
 
 def test_normalize_c5_already_permutation(c5):
     eps = sorted(c5.left[1:]) + sorted(c5.right[1:])
     assert sorted(eps) == list(range(1, 11))
-    assert [c5.interval(v) for v in c5.vertices] == [
+    assert [(c5.left[v], c5.right[v]) for v in c5.vertices] == [
         (1, 4), (3, 6), (5, 8), (7, 10), (2, 9)]
 
 
@@ -96,6 +100,15 @@ def test_normalize_rejects_duplicates_and_empty():
 def test_build_graph_p3(p3):
     g = build_graph(p3)
     assert set(g.edges()) == {(1, 2), (2, 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=14))
+def test_overlap_lists_are_the_pairwise_overlap_test(rep):
+    adj = overlap_lists(rep)
+    assert len(adj) == rep.n + 1 and not adj[0]
+    for i in rep.vertices:
+        assert sorted(adj[i]) == [j for j in rep.vertices if rep.overlaps(i, j)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,3 +333,42 @@ def test_clique_number_matches_networkx_on_a_fixed_sweep():
         for k in range(10):
             rep = generate_one(n, 777, k)
             assert clique_number(rep) == max_clique_exact(build_graph(rep)), (n, k)
+
+
+def _check_max_clique(rep):
+    clique = max_clique(rep)
+    assert len(clique) == max_clique_exact(build_graph(rep))
+    assert all(rep.overlaps(a, b) for a, b in combinations(clique, 2))
+    assert list(clique) == sorted(clique, key=rep.left.__getitem__)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_reps(max_n=14))
+def test_max_clique_is_a_maximum_clique(rep):
+    _check_max_clique(rep)
+
+
+def test_max_clique_is_a_maximum_clique_on_the_fixed_sweep():
+    for n in list(range(1, 30)) + [40, 60]:
+        for k in range(10):
+            _check_max_clique(generate_one(n, 777, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=20))
+def test_rising_run_is_a_longest_strictly_rising_run(values):
+    run = rising_run(values)
+    assert len(run) == longest_rising_run(values)
+    assert all(p < q and values[p] < values[q] for p, q in zip(run, run[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=10))
+def test_color_within_colors_at_chi_and_not_below(rep):
+    g = build_graph(rep)
+    chi = chromatic_exact(g)
+    colors = color_within(rep, chi)
+    assert sorted(colors) == list(rep.vertices)
+    assert sorted(set(colors.values())) == list(range(1, chi + 1))
+    assert all(colors[i] != colors[j] for i, j in g.edges())
+    assert color_within(rep, chi - 1) is None

@@ -24,6 +24,7 @@ from circlecolor.intervals import (
 )
 from circlecolor.mwis import (
     chain_partition,
+    check_clique,
     check_independent,
     decode_arborescence,
     max_weight_chain,
@@ -161,6 +162,18 @@ def test_check_independent_rejects_the_crossing_pair(c5):
         check_independent(c5, {1, 2})
     check_independent(c5, {5, 3})  # I(5) contains I(3)
     check_independent(c5, set())
+
+
+def test_check_clique_rejects_a_non_clique(c5):
+    check_clique(c5, (1, 2))
+    check_clique(c5, (5,))
+    check_clique(c5, ())
+    with pytest.raises(CertificateError, match=r"^clique \(1, 2, 3\) holds 1 and 3, which do not"):
+        check_clique(c5, (1, 2, 3))
+    with pytest.raises(CertificateError, match="holds 1 and 1"):
+        check_clique(c5, (1, 1))
+    with pytest.raises(CertificateError, match="outside 1..5"):
+        check_clique(c5, (1, 6))
 
 
 @settings(max_examples=300, deadline=None)
