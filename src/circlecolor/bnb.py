@@ -7,7 +7,8 @@ that settles most color requests.  Otherwise: build, root LP, search,
 decode, certify.  The search is best-bound with depth-first tie-breaking
 and branches on a single most-fractional binary variable per node, ties
 to the smallest name; random instances almost always come back integral
-at the root, so that path is usually one LP solve.
+at the root, so that path is usually one LP solve.  Both paths end in one
+report built from the certified plan.
 """
 
 from __future__ import annotations
@@ -221,12 +222,13 @@ def _build(rep: IntervalRep, height: int | None, timings: dict, plan: StackPlan 
     return model, plan
 
 
-def _clique_plan(rep: IntervalRep, height: int | None, plan: StackPlan | None,
-                 timings: dict):
-    """The checked maximum clique, and a plan with one stack per member
-    that check_plan accepts, or None: for colors (height None) the color
-    classes of color_within(rep, omega), for stacks `plan`, the greedy plan
-    at the effective height `height`.
+def _clique_plan(rep: IntervalRep, height: int | None, timings: dict):
+    """The checked maximum clique, a heuristic plan, and whether that plan
+    settles the answer.  The plan is, for colors (height None), the color
+    classes of color_within(rep, omega), or None when it finds none; for
+    stacks, the greedy plan at the effective height `height`, which the LP
+    path also starts from.  It settles the answer when it has one stack
+    per clique member and check_plan accepts it.
 
     Such a plan is optimal with the clique as its proof: a stack is an
     independent set, so it holds at most one member of the clique, and
@@ -238,12 +240,13 @@ def _clique_plan(rep: IntervalRep, height: int | None, plan: StackPlan | None,
     if height is None:
         colors = color_within(rep, omega)
         plan = None if colors is None else StackPlan(stacks=_color_classes(rep, colors, omega))
-    if plan is not None and plan.num_stacks == omega:
-        check_plan(rep, plan, height or rep.n, omega)
     else:
-        plan = None
+        plan = greedy_stack_plan(rep, height)
+    settled = plan is not None and plan.num_stacks == omega
+    if settled:
+        check_plan(rep, plan, height or rep.n, omega)
     timings["clique"] = time.perf_counter() - t0
-    return clique, plan
+    return clique, plan, settled
 
 
 def _color_classes(rep: IntervalRep, colors: dict, chi: int) -> tuple:
@@ -255,73 +258,63 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
            log=None) -> SolveReport:
     """The one answer path of CG (height None) and CG_H.
 
-    First _clique_plan: when a heuristic plan has as many stacks as a
-    checked maximum clique has members, that is the answer, with no LP
-    and nodes 0.  Otherwise _build gives the program, with the greedy plan
-    as the crash start and the incumbent: the root LP, then
-    branch-and-bound unless the root is integral on the arcs.  The winning
-    arcs, or the plan's own arcs when nothing beats it, are decoded: into
-    the color classes 1..chi by decode_arborescence for CG, into stacks by
-    decode_plan at the effective height for CG_H.  check_plan certifies
-    the plan, which the report carries; nodes counts the LP nodes, the
-    root once."""
+    First _clique_plan: when its plan has as many stacks as a checked
+    maximum clique has members, that is the answer, with no LP and nodes
+    0.  Otherwise _build gives the program, with the greedy plan as the
+    crash start and the incumbent: the root LP, then branch-and-bound
+    unless the root is integral on the arcs.  The winning arcs, or the
+    plan's own arcs when nothing beats it, are decoded: into the color
+    classes 1..chi by decode_arborescence for CG, into stacks by
+    decode_plan at the effective height for CG_H; check_plan certifies
+    the plan, and nodes counts the LP nodes, the root once.  Both paths
+    end in one report built from the certified plan: its stacks are the
+    colors, and for CG the certificate is arborescence_of_coloring."""
     opts = options or DEFAULT_OPTIONS
     timings = {}
-    plan = None
     if height is not None:
         height = effective_height(rep, height)
-        plan = greedy_stack_plan(rep, height)
-    clique, settled = _clique_plan(rep, height, plan, timings)
-    if settled is not None:
-        coloring = Coloring(colors=settled.stack_of())
-        if height is None:
-            coloring = Coloring(coloring.colors, arborescence_of_coloring(rep, coloring))
-        return SolveReport(chromatic_number=len(clique), fractional_chromatic=float(len(clique)),
-                           nodes_explored=0, coloring=coloring, plan=settled, clique=clique,
-                           timings=timings)
-    model, plan = _build(rep, height, timings, plan)
-    arc_map = model.metadata["arcs"]
-    start = _start(rep, model, plan)
-    root = _root_lp(model, start, opts, timings)
-    t0 = time.perf_counter()
-    if _branch_var(root.primal, arc_map, opts.int_tol) is None:
-        value, point, nodes = round(root.objective), root.primal, 1
-    else:
-        value, point, nodes = solve_ip(
-            model, opts,
-            incumbent_value=start["c"],
-            no_branch=frozenset(["c"]),
-            log=log,
-            root=root,
-        )
-    timings["search"] = time.perf_counter() - t0
+    clique, plan, settled = _clique_plan(rep, height, timings)
+    value, chi_f, nodes = len(clique), float(len(clique)), 0
+    if not settled:
+        model, plan = _build(rep, height, timings, plan)
+        arc_map = model.metadata["arcs"]
+        start = _start(rep, model, plan)
+        root = _root_lp(model, start, opts, timings)
+        chi_f = root.objective
+        t0 = time.perf_counter()
+        if _branch_var(root.primal, arc_map, opts.int_tol) is None:
+            value, point, nodes = round(root.objective), root.primal, 1
+        else:
+            value, point, nodes = solve_ip(
+                model, opts,
+                incumbent_value=start["c"],
+                no_branch=frozenset(["c"]),
+                log=log,
+                root=root,
+            )
+        timings["search"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    point = start if point is None else point
-    arcs = {tuple(arc) for name, arc in arc_map.items() if point.get(name, 0.0) > 0.5}
+        t0 = time.perf_counter()
+        point = start if point is None else point
+        arcs = {tuple(arc) for name, arc in arc_map.items() if point.get(name, 0.0) > 0.5}
+        if height is None:
+            colors = decode_arborescence(rep, arcs, value).colors
+            # the color classes 1..chi, as a plan with no binding height
+            plan = StackPlan(stacks=_color_classes(rep, colors, value))
+            cap, failure = rep.n, f"decoded coloring is not a proper {value}-coloring: "
+        else:
+            cap, failure = height, ""
+            plan = decode_plan(rep, arcs, value, height)
+        try:
+            check_plan(rep, plan, cap, value)
+        except CertificateError as exc:
+            raise CertificateError(f"{failure}{exc}") from None
+        timings["decode"] = time.perf_counter() - t0
+    coloring = Coloring(colors=plan.stack_of())
     if height is None:
-        coloring = decode_arborescence(rep, arcs, value)
-        # the color classes 1..chi, as a plan with no binding height
-        plan = StackPlan(stacks=_color_classes(rep, coloring.colors, value))
-        cap, failure = rep.n, f"decoded coloring is not a proper {value}-coloring: "
-    else:
-        cap = height
-        plan = decode_plan(rep, arcs, value, height)
-        coloring, failure = Coloring(colors=plan.stack_of()), ""
-    try:
-        check_plan(rep, plan, cap, value)
-    except CertificateError as exc:
-        raise CertificateError(f"{failure}{exc}") from None
-    timings["decode"] = time.perf_counter() - t0
-    return SolveReport(
-        chromatic_number=value,
-        fractional_chromatic=root.objective,
-        nodes_explored=nodes,
-        coloring=coloring,
-        plan=plan,
-        clique=clique,
-        timings=timings,
-    )
+        coloring = Coloring(coloring.colors, arborescence_of_coloring(rep, coloring))
+    return SolveReport(chromatic_number=value, fractional_chromatic=chi_f, nodes_explored=nodes,
+                       coloring=coloring, plan=plan, clique=clique, timings=timings)
 
 
 def cg_root(rep: IntervalRep, options: SimplexOptions | None = None,
@@ -344,8 +337,8 @@ def fractional_chromatic(rep: IntervalRep, options: SimplexOptions | None = None
     The clique, build and root-LP seconds go into timings when it is
     given."""
     timings = {} if timings is None else timings
-    clique, plan = _clique_plan(rep, None, None, timings)
-    if plan is not None:
+    clique, _, settled = _clique_plan(rep, None, timings)
+    if settled:
         return float(len(clique))
     return cg_root(rep, options, timings)[1].objective
 

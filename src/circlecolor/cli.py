@@ -25,7 +25,6 @@ from .intervals import (
     build_clique_matrix,
     build_dag,
     build_graph,
-    clique_number,
     format_instance,
     load_instance,
     to_dimacs,
@@ -284,9 +283,9 @@ def cmd_verify(args) -> int:
         chi = chromatic_exact(graph)
         if report.chromatic_number != chi:
             failures.append(f"trial {k}: chi {report.chromatic_number} != oracle {chi}")
-        omega, clique = clique_number(rep), max_clique_exact(graph)
-        if omega != clique:
-            failures.append(f"trial {k}: omega {omega} != oracle {clique}")
+        omega = max_clique_exact(graph)
+        if len(report.clique) != omega:  # the clique the answer relied on
+            failures.append(f"trial {k}: omega {len(report.clique)} != oracle {omega}")
         chi_f = fractional_chromatic_exact(graph)
         if abs(report.fractional_chromatic - chi_f) > 1e-6:
             failures.append(

@@ -5,6 +5,11 @@ vertex, all 2n endpoints distinct.  Two vertices are adjacent iff their
 intervals partially overlap (they intersect but neither contains the
 other).  Vertices are numbered 1..n in input order; 0 is reserved for the
 artificial root of the containment DAG.
+
+The endpoint sweeps read one table, IntervalRep.at, the vertex at each
+endpoint: overlap_lists (and build_graph and color_within through it),
+max_clique, and solve_mwis in mwis.  build_dag keeps its own table of
+left endpoints, which it slices faster.
 """
 
 from __future__ import annotations
@@ -36,6 +41,23 @@ class IntervalRep:
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
+
+    @property
+    def at(self) -> list[int]:
+        """The endpoint table: at[p] is the vertex with an endpoint at p,
+        for p in 1..2n, and at[0] is ROOT.  Built on first use and kept,
+        outside the fields, so equality and hashing do not see it.
+
+        It is kept by object.__setattr__, not functools.cached_property:
+        on CPython 3.11 the latter's write through __dict__ makes every
+        later read of left and right on the instance about 15 ns slower."""
+        at = getattr(self, "_at", None)
+        if at is None:
+            at, left, right = [ROOT] * (2 * self.n + 1), self.left, self.right
+            for v in self.vertices:
+                at[left[v]] = at[right[v]] = v
+            object.__setattr__(self, "_at", at)
+        return at
 
     def contains(self, i: int, j: int) -> bool:
         """True iff I(i) strictly contains I(j)."""
@@ -182,28 +204,20 @@ class CircleGraph:
 
 
 def build_graph(rep: IntervalRep) -> CircleGraph:
-    """Adjacency by the partial-overlap test, O(n^2)."""
-    adj = [set() for _ in range(rep.n + 1)]
-    for i in rep.vertices:
-        for j in range(i + 1, rep.n + 1):
-            if rep.overlaps(i, j):
-                adj[i].add(j)
-                adj[j].add(i)
-    return CircleGraph(n=rep.n, adj=tuple(frozenset(a) for a in adj))
+    """The overlap graph, from overlap_lists.  Each adjacency set is
+    filled in ascending order, so that edges() lists the edges in the
+    order the DIMACS, CL and AS exports have always written."""
+    return CircleGraph(n=rep.n, adj=tuple(frozenset(set(sorted(a))) for a in overlap_lists(rep)))
 
 
 def overlap_lists(rep: IntervalRep) -> list[list[int]]:
     """The overlap adjacency, adj[v] for v in 1..n (adj[0] empty), from one
-    sweep over the endpoints in O(n + m) for m edges: when I(i) closes,
-    the intervals opened after l_i and still open are exactly the j with
-    l_i < l_j < r_i < r_j."""
-    at = [ROOT] * (2 * rep.n + 1)  # position -> vertex with an endpoint there
-    for v in rep.vertices:
-        at[rep.left[v]] = at[rep.right[v]] = v
+    sweep over the endpoint table rep.at in O(n + m) for m edges: when
+    I(i) closes, the intervals opened after l_i and still open are exactly
+    the j with l_i < l_j < r_i < r_j."""
     adj = [[] for _ in range(rep.n + 1)]
     open_ = []  # the open intervals, by left endpoint
-    for p in range(1, 2 * rep.n + 1):
-        i = at[p]
+    for p, i in enumerate(rep.at[1:], start=1):
         if rep.left[i] == p:
             open_.append(i)
             continue
@@ -327,11 +341,6 @@ def rising_run(values) -> list[int]:
     return run[::-1]
 
 
-def longest_rising_run(values) -> int:
-    """Length of the longest strictly rising subsequence of values."""
-    return len(rising_run(values))
-
-
 def max_clique(rep: IntervalRep) -> tuple[int, ...]:
     """A maximum clique, from the intervals alone (after Gavril,
     "Algorithms for a maximum clique and a maximum independent set of a
@@ -342,12 +351,11 @@ def max_clique(rep: IntervalRep) -> tuple[int, ...]:
     first member is v are the rising runs of right endpoints, in
     left-endpoint order, among the j with l_v <= l_j < r_v <= r_j (v among
     them, as the start of the longest run): one patience sort per v,
-    O(n^2 log n) in all.  The first v with the longest run wins.
+    O(n^2 log n) in all.  The first v with the longest run wins.  The j
+    are read off the endpoint table rep.at between l_v and r_v; a j seen
+    there at its right endpoint ends before r_v, and the filter drops it.
     """
-    at = [ROOT] * (2 * rep.n + 1)  # position -> vertex whose left endpoint is there
-    for v in rep.vertices:
-        at[rep.left[v]] = v
-    right = rep.right  # right[ROOT] is 0, so the root passes no filter below
+    at, right = rep.at, rep.right
     best = ()
     for v in rep.vertices:
         members = [j for j in at[rep.left[v]:right[v]] if right[j] >= right[v]]
@@ -356,11 +364,6 @@ def max_clique(rep: IntervalRep) -> tuple[int, ...]:
             if len(run) > len(best):
                 best = tuple(members[p] for p in run)
     return best
-
-
-def clique_number(rep: IntervalRep) -> int:
-    """Size of a maximum clique: the length of max_clique."""
-    return len(max_clique(rep))
 
 
 def max_antichain(rep: IntervalRep, subset) -> int:

@@ -9,13 +9,14 @@ root label is the optimum.  Negative weights are allowed, so the empty
 chain (value 0) is always a candidate.
 
 Cost: solve_mwis evaluates the recursion in one sweep over the 2n
-endpoints (after Supowit, "Finding a maximum planar subset of a set of
-nets in a channel", IEEE TCAD 6(1), 1987): O(n) vector steps of length
-O(n) each, so O(n^2) work.  No containment DAG is built.  Memory: an open
-interval holds a view of the row it saw when it opened, so up to n + 1
-floats per interval open at once, and each close that improves the row
-keeps its mask of up to n bytes until the witness is traced, O(n^2) bytes
-when most closes do (with unit weights all of them do).
+endpoints of the endpoint table IntervalRep.at (after Supowit, "Finding
+a maximum planar subset of a set of nets in a channel", IEEE TCAD 6(1),
+1987): O(n) vector steps of length O(n) each, so O(n^2) work.  No
+containment DAG is built.  Memory: an open interval holds a view of the
+row it saw when it opened, so up to n + 1 floats per interval open at
+once, and each close that improves the row keeps its mask of up to n
+bytes until the witness is traced, O(n^2) bytes when most closes do
+(with unit weights all of them do).
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ def solve_mwis(rep: IntervalRep, weights) -> tuple[float, dict, frozenset]:
     label and labels[0] is the optimum.  The value is always >= 0: the
     empty set is independent.
 
-    One sweep over the endpoints 1..2n.  With vertices ranked by left
-    endpoint (topological_order), row[k] holds the best chain among the
-    intervals closed so far whose rank is >= k; a vertex ranked k - 1
-    contains exactly those closed before its right endpoint, so row[k]
-    there is its chain term.  Each vertex keeps the row prefix it saw at
+    One sweep over the endpoints 1..2n, in rep.at.  With vertices ranked
+    by left endpoint (topological_order), row[k] holds the best chain
+    among the intervals closed so far whose rank is >= k; a vertex ranked
+    k - 1 contains exactly those closed before its right endpoint, so
+    row[k] there is its chain term.  Each vertex keeps the row prefix it saw at
     its left endpoint (the best chains ending before it starts) and, when
     it closes, offers itself to every container at once.  A row is never
     written in place, so a kept prefix is a view, not a copy.  A close
@@ -93,13 +94,10 @@ def solve_mwis(rep: IntervalRep, weights) -> tuple[float, dict, frozenset]:
     rank = [0] * (rep.n + 1)
     for k, v in enumerate(order):
         rank[v] = k
-    at = [ROOT] * (2 * rep.n)  # at[p - 1]: the vertex with an endpoint at p
-    for v in rep.vertices:
-        at[left[v] - 1] = at[rep.right[v] - 1] = v
     row = np.zeros(rep.n + 1)
     kept, ell, took = [None] * (rep.n + 1), [0.0] * (rep.n + 1), [None] * (rep.n + 1)
     closed_left = 0  # largest left endpoint among the closed intervals
-    for p, v in enumerate(at, start=1):
+    for p, v in enumerate(rep.at[1:], start=1):
         lv = left[v]
         if p == lv:
             kept[v] = row[:rank[v] + 1]
@@ -119,12 +117,12 @@ def solve_mwis(rep: IntervalRep, weights) -> tuple[float, dict, frozenset]:
             copyto(row[:k + 1], cand, where=mask)
     labels = {v: ell[v] for v in reversed(order)}
     labels[ROOT] = row.item(0)
-    witness = _trace_witness(rep, at, rank, took)
+    witness = _trace_witness(rep, rank, took)
     check_independent(rep, witness)
     return labels[ROOT], labels, witness
 
 
-def _trace_witness(rep: IntervalRep, at, rank, took) -> frozenset:
+def _trace_witness(rep: IntervalRep, rank, took) -> frozenset:
     """The chains solve_mwis chose, read back from its masks.
 
     The holder of row[k] just after endpoint p is the last vertex of rank
@@ -133,12 +131,12 @@ def _trace_witness(rep: IntervalRep, at, rank, took) -> frozenset:
     row[rank + 1] before it closed, found between its two endpoints.  A
     vertex whose close set no entry has the mask None.
     """
-    witness = set()
+    at, witness = rep.at, set()
     pending = [(0, 2 * rep.n, 0)]  # (k, last endpoint, endpoint to stop at)
     while pending:
         k, p, stop = pending.pop()
         while p > stop:
-            v = at[p - 1]
+            v = at[p]
             if p == rep.right[v] and rank[v] >= k and (mask := took[v]) is not None and mask[k]:
                 witness.add(v)
                 pending.append((rank[v] + 1, p - 1, rep.left[v]))
@@ -147,7 +145,7 @@ def _trace_witness(rep: IntervalRep, at, rank, took) -> frozenset:
     return frozenset(witness)
 
 
-def check_independent(rep: IntervalRep, vertices, what: str = "independent set") -> None:
+def check_independent(rep: IntervalRep, vertices, what: str = "independent set") -> list:
     """Raise CertificateError, naming `what` and an overlapping pair,
     unless no two of the vertices overlap.  A {} in `what` stands for the
     vertices, and is formatted only on failure.
@@ -155,15 +153,21 @@ def check_independent(rep: IntervalRep, vertices, what: str = "independent set")
     Independent intervals are laminar, so a sweep by left endpoint keeps
     the intervals still open at the sweep point nested, the innermost last
     (the sweep of greedy_stack_plan).  A vertex that the innermost one does
-    not contain overlaps it: O(k log k).
+    not contain overlaps it: O(k log k).  Returns the nesting the sweep
+    walked, in left-endpoint order: for each vertex v the triple (i, h, v),
+    where i is the innermost of the vertices containing v (ROOT when none)
+    and h the number of them, so v sits at layer h + 1.
     """
-    open_ = []
-    for v in sorted(vertices, key=rep.left.__getitem__):
-        while open_ and rep.right[open_[-1]] < rep.left[v]:
+    left, right = rep.left, rep.right
+    nesting, open_ = [], []
+    for v in sorted(vertices, key=left.__getitem__):
+        while open_ and right[open_[-1]] < left[v]:
             open_.pop()
-        if open_ and rep.right[open_[-1]] < rep.right[v]:
+        if open_ and right[open_[-1]] < right[v]:
             raise CertificateError(f"{what.format(vertices)} holds overlapping {open_[-1]} and {v}")
+        nesting.append((open_[-1] if open_ else ROOT, len(open_), v))
         open_.append(v)
+    return nesting
 
 
 def check_clique(rep: IntervalRep, vertices) -> None:
@@ -195,15 +199,28 @@ def chain_partition(rep: IntervalRep, subset) -> list[list[int]]:
     return chains
 
 
+def _check_arc_ends(rep: IntervalRep, arcs) -> None:
+    """Raise NotArborescenceError, naming the vertex, unless every arc
+    (i, j) leaves a vertex of 0..n and enters one of 1..n."""
+    for i, j in arcs:
+        if i not in range(rep.n + 1):
+            raise NotArborescenceError(i, f"arc ({i}, {j}) leaves {i}, not a vertex of 0..{rep.n}")
+        if j not in rep.vertices:
+            raise NotArborescenceError(j, f"arc ({i}, {j}) enters {j}, not a vertex of 1..{rep.n}")
+
+
 def decode_arborescence(rep: IntervalRep, arcs, c: int) -> Coloring:
     """Turn an arborescence of the containment DAG into a proper c-coloring.
 
-    The arc set must give every vertex exactly one parent, every child set
-    of a non-root vertex must be a chain (C1), and the root's children may
-    not contain an antichain larger than c (C2).  Root children are
-    chain-partitioned, one color per chain, and colors propagate downward.
+    Every arc must leave a vertex of 0..n and enter one of 1..n
+    (_check_arc_ends, before any lookup).  The arc set must give every
+    vertex exactly one parent, every child set of a non-root vertex must
+    be a chain (C1), and the root's children may not contain an antichain
+    larger than c (C2).  Root children are chain-partitioned, one color
+    per chain, and colors propagate downward.
     """
     arcs = set(arcs)
+    _check_arc_ends(rep, arcs)
     parent = {}
     for i, j in arcs:
         if j in parent:

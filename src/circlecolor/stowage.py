@@ -5,7 +5,9 @@ deepest nesting level occupied at one point) stays within the capacity H.
 Copying each vertex once per admissible nesting level turns the height cap
 into arc structure: layer-h copies can only feed layer h+1.  A layered arc
 is the triple (i, h, j): copy (i, h) feeds (j, h + 1), and the root is the
-one copy (0, 0).
+one copy (0, 0).  The layered arcs of a stack are the nesting that
+mwis.check_independent walks when it certifies the stack, so plan_arcs
+and arborescence_of_coloring read them from there.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from .intervals import (
     Coloring,
     ContainmentDag,
     IntervalRep,
-    longest_rising_run,
     max_antichain,
+    rising_run,
     topological_order,
 )
 from .lpmodels import LpModel, _add_arborescence, _ranges, _sweep_rows
-from .mwis import check_independent, decode_arborescence
+from .mwis import _check_arc_ends, check_independent, decode_arborescence
 
 
 def layer_var(i: int, h: int, j: int) -> str:
@@ -39,7 +41,7 @@ def nesting_depth(rep: IntervalRep) -> int:
     Along a chain the left endpoints rise and the right endpoints fall, so
     this is the longest falling run of right endpoints in left-endpoint
     order, O(n log n)."""
-    return longest_rising_run(-rep.right[v] for v in topological_order(rep))
+    return len(rising_run(-rep.right[v] for v in topological_order(rep)))
 
 
 def effective_height(rep: IntervalRep, height: int) -> int:
@@ -113,7 +115,9 @@ def decode_plan(rep: IntervalRep, arcs, c: int, height: int) -> StackPlan:
     """Decode a set of layered arcs (i, h, j) into a plan of c stacks of
     height at most `height`.
 
-    Checks only what the layers add: D0 (one entry arc per vertex across
+    An arc that leaves a vertex outside 0..n or enters one outside 1..n
+    raises NotArborescenceError before any lookup.  Otherwise it checks
+    only what the layers add: D0 (one entry arc per vertex across
     all layers) and the layer half of D1 (an arc leaves only the copy its
     source entered at, and no vertex enters above the height).  The
     flattened arcs then go to decode_arborescence, which rejects an arc
@@ -123,6 +127,7 @@ def decode_plan(rep: IntervalRep, arcs, c: int, height: int) -> StackPlan:
     height is within the height; check_plan certifies it.
     """
     arcs = set(arcs)
+    _check_arc_ends(rep, ((i, j) for i, _, j in arcs))
     entry_layer = {ROOT: 0}
     for _, h, j in arcs:
         if j in entry_layer:
@@ -147,25 +152,20 @@ def decode_plan(rep: IntervalRep, arcs, c: int, height: int) -> StackPlan:
 
 def plan_arcs(rep: IntervalRep, plan: StackPlan) -> set:
     """The layered arcs (i, h, j) of a plan, the inverse of decode_plan:
-    each vertex hangs one layer below the innermost interval of its own
-    stack that contains it, or below the root."""
-    arcs = set()
-    for stack in plan.stacks:
-        open_ = []  # (vertex, layer) of the stack's intervals around the sweep point
-        for v in sorted(stack, key=rep.left.__getitem__):
-            while open_ and rep.right[open_[-1][0]] < rep.left[v]:
-                open_.pop()
-            i, h = open_[-1] if open_ else (ROOT, 0)
-            arcs.add((i, h, v))
-            open_.append((v, h + 1))
-    return arcs
+    the nesting check_independent walks in each stack, where each vertex
+    hangs one layer below the innermost interval of its own stack that
+    contains it, or below the root.  A stack that is not independent
+    raises CertificateError."""
+    return {arc for stack in plan.stacks for arc in check_independent(rep, stack, "stack {}")}
 
 
 def arborescence_of_coloring(rep: IntervalRep, coloring: Coloring) -> frozenset:
     """The canonical arborescence of a proper coloring: each vertex hangs
     below the inclusion-minimal same-colored interval strictly containing
     it, or below the root.  A color class is a stack, so these are the
-    plan_arcs of the color classes, flattened."""
+    plan_arcs of the color classes, flattened.  Every arc set that
+    decode_arborescence accepts is this arborescence of its coloring: C1
+    makes a vertex's parent its innermost same-colored container."""
     classes = {}
     for v in rep.vertices:
         classes.setdefault(coloring.colors[v], []).append(v)

@@ -13,7 +13,7 @@ from circlecolor.intervals import (
     build_clique_matrix,
     build_dag,
     build_graph,
-    clique_number,
+    max_clique,
     normalize,
     topological_order,
     validate_coloring,
@@ -71,7 +71,7 @@ def test_criterion_1_pentagon(capsys):
     t0 = time.perf_counter()
     rep = normalize([(1, 4), (3, 6), (5, 8), (7, 10), (2, 9)])
     report = solve_chromatic(rep)
-    omega = clique_number(rep)
+    omega = len(max_clique(rep))
     elapsed = time.perf_counter() - t0
     ok = (report.chromatic_number == 3
           and abs(report.fractional_chromatic - 2.5) <= TOL

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_blown_up_odd_cycles_have_their_closed_forms(m, k, monkeypatch):
     assert lps and report.nodes_explored >= 1
     assert report.chromatic_number == -(-k * (2 * m + 1) // m)
     assert report.fractional_chromatic == pytest.approx(k * (2 * m + 1) / m, abs=1e-9)
-    assert intervals.clique_number(rep) == len(report.clique) == 2 * k
+    assert len(intervals.max_clique(rep)) == len(report.clique) == 2 * k
     lps.clear()
     assert fractional_chromatic(rep) == report.fractional_chromatic
     assert len(lps) == 1
@@ -187,7 +188,7 @@ def _check_common_invariants(rep, report):
     assert math.ceil(report.fractional_chromatic - 1e-6) <= report.chromatic_number
     assert report.root_gap == pytest.approx(
         report.chromatic_number - report.fractional_chromatic)
-    assert len(report.clique) == intervals.clique_number(rep) <= report.chromatic_number
+    assert len(report.clique) == len(intervals.max_clique(rep)) <= report.chromatic_number
 
 
 def test_report_invariants(monkeypatch):
@@ -320,6 +321,17 @@ def test_a_clique_that_is_not_one_gives_no_answer(solve, monkeypatch):
     monkeypatch.setattr(bnb, "max_clique", lambda rep: (1, 2))
     with pytest.raises(CertificateError, match="do not overlap"):
         solve(rep)
+
+
+def test_the_clique_phase_times_the_greedy_stack_plan(monkeypatch):
+    # the stacks start plan is made with the clique, before any build
+    greedy = bnb.greedy_stack_plan
+    monkeypatch.setattr(bnb, "greedy_stack_plan",
+                        lambda rep, height: time.sleep(0.05) or greedy(rep, height))
+    for k in range(4):
+        report = solve_stacks(generate_one(16, 9103, k), 2)
+        assert report.timings["clique"] >= 0.05
+        assert report.timings.get("build", 0.0) < 0.05
 
 
 def test_solve_stacks_builds_the_dag_once(monkeypatch):

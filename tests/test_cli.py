@@ -112,7 +112,7 @@ def test_verify_golden():
 
 
 def test_verify_checks_omega(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "clique_number", lambda rep: rep.n + 1)
+    monkeypatch.setattr(cli, "max_clique_exact", lambda graph: graph.n + 1)
     run_cli(["verify", "--n-max", "4", "--trials", "2", "--seed", "3"], expect=3)
     assert "FAIL trial 0: omega " in capsys.readouterr().err
 

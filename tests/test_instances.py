@@ -11,7 +11,7 @@ from circlecolor.instances import (
     rows_to_csv,
     run_experiment,
 )
-from circlecolor.intervals import build_graph, clique_number, normalize
+from circlecolor.intervals import build_graph, max_clique, normalize
 
 
 def test_sequence_example():
@@ -52,9 +52,9 @@ def test_mean_edges_near_one_third_of_pairs():
 
 
 def test_max_clique_examples(c5, p3):
-    assert clique_number(c5) == 2
-    assert clique_number(normalize([(1, 2), (3, 4)])) == 1
-    assert clique_number(p3) == 2
+    assert len(max_clique(c5)) == 2
+    assert len(max_clique(normalize([(1, 2), (3, 4)]))) == 1
+    assert len(max_clique(p3)) == 2
 
 
 def test_run_experiment_shape(monkeypatch):

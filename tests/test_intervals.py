@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -10,16 +11,16 @@ from circlecolor.errors import DuplicateEndpointError, EmptyInstanceError, Insta
 from circlecolor.instances import generate_one
 from circlecolor.oracle import chromatic_exact, max_clique_exact
 from circlecolor.intervals import (
+    ROOT,
+    CircleGraph,
     Coloring,
     IntervalRep,
     build_clique_matrix,
     build_dag,
     build_graph,
-    clique_number,
     color_within,
     count_edges,
     format_instance,
-    longest_rising_run,
     max_antichain,
     max_clique,
     normalize,
@@ -115,6 +116,54 @@ def test_overlap_lists_are_the_pairwise_overlap_test(rep):
 @given(interval_reps(max_n=14))
 def test_count_edges_matches_the_graph(rep):
     assert count_edges(rep) == build_graph(rep).num_edges
+
+
+def _pairwise_graph(rep):
+    """The reference graph: the partial-overlap test on every pair, each
+    adjacency set filled by add in ascending order, O(n^2)."""
+    adj = [set() for _ in range(rep.n + 1)]
+    for i in rep.vertices:
+        for j in range(i + 1, rep.n + 1):
+            if rep.overlaps(i, j):
+                adj[i].add(j)
+                adj[j].add(i)
+    return CircleGraph(n=rep.n, adj=tuple(frozenset(a) for a in adj))
+
+
+def _check_graph(rep):
+    graph, want = build_graph(rep), _pairwise_graph(rep)
+    assert graph == want
+    # the same iteration order, which the exports write
+    assert [list(a) for a in graph.adj] == [list(a) for a in want.adj]
+    assert graph.edges() == want.edges()
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_reps(max_n=160))
+def test_build_graph_is_the_pairwise_overlap_test(rep):
+    _check_graph(rep)
+
+
+def test_build_graph_is_the_pairwise_overlap_test_on_a_fixed_sweep():
+    for n in list(range(1, 41)) + [60, 80, 100, 120, 140, 160]:
+        for k in range(5):
+            _check_graph(generate_one(n, 778, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=20))
+def test_the_endpoint_table_holds_each_vertex_at_its_two_endpoints(rep):
+    twin = IntervalRep(n=rep.n, left=rep.left, right=rep.right)
+    before = hash(rep)
+    at = rep.at
+    assert len(at) == 2 * rep.n + 1 and at[ROOT] == ROOT
+    assert sorted(at[1:]) == sorted(2 * list(rep.vertices))
+    assert all(at[rep.left[v]] == at[rep.right[v]] == v for v in rep.vertices)
+    assert rep.at is at  # built once
+    # not a field: equality, hashing and the printed form are as before
+    assert "at" not in {f.name for f in fields(IntervalRep)}
+    assert rep == twin and hash(rep) == hash(twin) == before
+    assert repr(rep) == repr(twin)
 
 
 def test_build_graph_disjoint():
@@ -309,30 +358,30 @@ def test_clique_matrix_rows_match_max_antichain():
 
 
 def test_longest_rising_run_is_strict():
-    assert longest_rising_run([]) == 0
-    assert longest_rising_run([3, 1, 2, 5, 4]) == 3
-    assert longest_rising_run([2, 2, 2]) == 1
-    assert longest_rising_run([1, 3, 3, 4]) == 3
+    assert len(rising_run([])) == 0
+    assert len(rising_run([3, 1, 2, 5, 4])) == 3
+    assert len(rising_run([2, 2, 2])) == 1
+    assert len(rising_run([1, 3, 3, 4])) == 3
 
 
 def test_clique_number_of_the_empty_set_and_singletons():
-    assert clique_number(IntervalRep(n=0, left=(0,), right=(0,))) == 0
-    assert clique_number(normalize([(1, 2)])) == 1
-    assert clique_number(normalize([(1, 2), (3, 4)])) == 1
-    assert clique_number(normalize([(1, 4), (2, 3)])) == 1
+    assert len(max_clique(IntervalRep(n=0, left=(0,), right=(0,)))) == 0
+    assert len(max_clique(normalize([(1, 2)]))) == 1
+    assert len(max_clique(normalize([(1, 2), (3, 4)]))) == 1
+    assert len(max_clique(normalize([(1, 4), (2, 3)]))) == 1
 
 
 @settings(max_examples=300, deadline=None)
 @given(interval_reps(max_n=14))
 def test_clique_number_matches_the_oracle(rep):
-    assert clique_number(rep) == max_clique_exact(build_graph(rep))
+    assert len(max_clique(rep)) == max_clique_exact(build_graph(rep))
 
 
 def test_clique_number_matches_networkx_on_a_fixed_sweep():
     for n in list(range(1, 30)) + [40, 60]:
         for k in range(10):
             rep = generate_one(n, 777, k)
-            assert clique_number(rep) == max_clique_exact(build_graph(rep)), (n, k)
+            assert len(max_clique(rep)) == max_clique_exact(build_graph(rep)), (n, k)
 
 
 def _check_max_clique(rep):
@@ -358,7 +407,11 @@ def test_max_clique_is_a_maximum_clique_on_the_fixed_sweep():
 @given(st.lists(st.integers(0, 9), max_size=20))
 def test_rising_run_is_a_longest_strictly_rising_run(values):
     run = rising_run(values)
-    assert len(run) == longest_rising_run(values)
+    # the longest: patience sorting's length, recomputed by quadratic DP
+    longest = [1] * len(values)
+    for q in range(len(values)):
+        longest[q] += max((longest[p] for p in range(q) if values[p] < values[q]), default=0)
+    assert len(run) == max(longest, default=0)
     assert all(p < q and values[p] < values[q] for p, q in zip(run, run[1:]))
 
 

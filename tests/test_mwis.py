@@ -287,6 +287,19 @@ def test_decode_arborescence_rejects_bad_input(c5):
     assert (err.value.needed, err.value.allowed) == (3, 2)
 
 
+def test_decode_arborescence_refuses_an_arc_outside_the_vertices(c5):
+    # each arc replaces the root arc into its head: (0, 9) once indexed
+    # past the intervals, (-1, 3) read -1 as vertex 5, which contains 3,
+    # (0, 0) hung the decoder in a loop through the root, and a name that
+    # is no integer raised TypeError
+    for arc, vertex in [((0, 9), 9), ((-1, 3), -1), ((6, 2), 6), ((0, 0), 0), ((0, 2.5), 2.5),
+                        (("a", 2), "a")]:
+        arcs = {(0, v) for v in c5.vertices if v != arc[1]} | {arc}
+        with pytest.raises(NotArborescenceError, match=rf"^arc \({arc[0]}, {arc[1]}\)") as err:
+            decode_arborescence(c5, arcs, 3)
+        assert err.value.vertex == vertex
+
+
 def test_rebuild_arborescence_round_trip():
     rng = np.random.default_rng(13)
     for k in range(30):

@@ -279,6 +279,15 @@ def test_plan_arcs_decode_back_to_a_plan(rep, height):
     assert decode_plan(rep, plan_arcs(rep, plan), plan.num_stacks, h) == plan
 
 
+def test_decode_plan_refuses_an_arc_outside_the_vertices(c5):
+    # (99, 1, 5) once raised KeyError: 99 from the layer check
+    entries = {(0, 0, v) for v in range(1, 5)}
+    for arc, vertex in [((99, 1, 5), 99), ((-1, 1, 5), -1), ((0, 0, 9), 9), ((0, 0, 0), 0)]:
+        with pytest.raises(NotArborescenceError, match=rf"^arc \({arc[0]}, {arc[2]}\)") as err:
+            decode_plan(c5, entries | {arc}, 3, 2)
+        assert err.value.vertex == vertex
+
+
 def test_plan_format(nested):
     plan = StackPlan(stacks=((1, 2),))
     assert plan.format() == "1 2\n"
@@ -336,9 +345,9 @@ def test_check_plan_formats_a_stack_label_only_on_failure(c5):
 
 
 def test_solve_stacks_rejects_a_corrupted_decode(c5, monkeypatch):
+    # the greedy plan has 3 stacks against omega = 2, so the LP path runs
     corrupt = StackPlan(stacks=((1, 2), (3, 4), (5,)))  # 1 and 2 overlap
     monkeypatch.setattr(bnb, "decode_plan", lambda *args: corrupt)
-    monkeypatch.setattr(bnb, "greedy_stack_plan", lambda rep, h: corrupt)
     with pytest.raises(CertificateError):
         solve_stacks(c5, 2)
 
@@ -431,3 +440,22 @@ def test_single_arc_corruptions_are_rejected(rep):
             continue
         check_plan(rep, plan, 2, plan.num_stacks)
         assert plan.num_stacks <= report.chromatic_number
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=10))
+def test_every_accepted_arc_set_is_the_arborescence_of_its_coloring(rep):
+    # C1 leaves each vertex below its innermost same-colored container, so
+    # the solver may report arborescence_of_coloring for any decoded arcs
+    for height in range(1, nesting_depth(rep) + 1):
+        plan = greedy_stack_plan(rep, height)
+        arcs = {(i, j) for i, _, j in plan_arcs(rep, plan)}
+        accepted = 0
+        for candidate in [arcs, *_single_arc_corruptions(rep, arcs)]:
+            try:
+                coloring = decode_arborescence(rep, candidate, rep.n)
+            except DECODE_ERRORS:
+                continue
+            accepted += 1
+            assert coloring.certificate == arborescence_of_coloring(rep, coloring)
+        assert accepted  # the plan's own arcs decode
