@@ -93,7 +93,7 @@ def _options_from_args(args) -> SimplexOptions:
     # a parsed tolerance is > 0, so only an omitted one is falsy
     return SimplexOptions(feas_tol=args.feas_tol or env or SimplexOptions.feas_tol,
                           opt_tol=args.opt_tol or env or SimplexOptions.opt_tol,
-                          int_tol=args.int_tol or SimplexOptions.int_tol)
+                          int_tol=getattr(args, "int_tol", None) or SimplexOptions.int_tol)
 
 
 def _emit(args, payload: dict, human: str):
@@ -341,9 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     def output(p, help):
         p.add_argument("-o", "--output", type=_output, help=help)
 
-    def tolerances(p):
-        for flag in ("--feas-tol", "--opt-tol", "--int-tol"):
+    def lp_tol(p):
+        for flag in ("--feas-tol", "--opt-tol"):
             p.add_argument(flag, type=_tolerance)
+
+    def int_tol(p):  # read only where branch-and-bound runs
+        p.add_argument("--int-tol", type=_tolerance)
 
     def command(name, func, groups, help):
         p = sub.add_parser(name, help=help)
@@ -352,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    branch_and_bound = (instance, json_output, no_timing, verbose, tolerances)
+    branch_and_bound = (instance, json_output, no_timing, verbose, lp_tol, int_tol)
 
     p = command("solve", cmd_solve, branch_and_bound,
                 "chromatic number, fractional bound, and a coloring")
     p.add_argument("--clique", action="store_true", help="also report the clique number")
     output(p, "write the certificate file (vertex color parent)")
 
-    command("relax", cmd_relax, (instance, json_output, no_timing, tolerances),
+    command("relax", cmd_relax, (instance, json_output, no_timing, lp_tol),
             "fractional chromatic number only")
 
     p = command("mwis", cmd_mwis, (instance, json_output), "maximum weight independent set")
@@ -385,19 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", type=_count, help="color slots for cl (default: first fit)")
     output(p, "output path; a .meta.json sidecar is written too")
 
-    p = command("bench", cmd_bench, (), "random-instance experiment summary (CSV)")
+    p = command("bench", cmd_bench, (lp_tol, int_tol), "random-instance experiment summary (CSV)")
     p.add_argument("--n", type=_counts, required=True, help="comma-separated vertex counts")
     p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    tolerances(p)
     output(p, "CSV output path (default stdout)")
 
-    p = command("verify", cmd_verify, (),
+    p = command("verify", cmd_verify, (lp_tol, int_tol),
                 "cross-check the solvers against brute-force oracles")
     p.add_argument("--n-max", type=_oracle_size, default=10)
     p.add_argument("--trials", type=_count, default=50)
     p.add_argument("--seed", type=int, default=1)
-    tolerances(p)
 
     return parser
 

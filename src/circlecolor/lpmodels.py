@@ -125,9 +125,10 @@ class LpModel:
 
     def add_vars(self, names: list, lower=0.0, upper=INF, kind=CONTINUOUS) -> None:
         """Add the named variables.  lower, upper and kind are each one
-        value for all of them or one per variable.  A duplicate name, or a
-        binary with bounds outside [0, 1], raises ValueError naming the
-        first such variable, and the model is left as it was."""
+        value for all of them or one per variable.  A duplicate name, a
+        binary with bounds outside [0, 1], or a NaN bound, a lower bound of
+        +inf or an upper bound of -inf, raises ValueError naming the first
+        such variable, and the model is left as it was."""
         lower, upper, code, refused = self._vet(names, lower, upper, kind)
         if refused:
             raise ValueError(refused[1])
@@ -149,15 +150,17 @@ class LpModel:
         code = np.full(count, [_KIND_CODE[k] for k in kinds], np.int8)
         # so that a model and its relaxation have the same bounds
         binary = (code == _KIND_CODE[BINARY]) & ((lower < 0.0) | (upper > 1.0))
-        if not binary.any() and len(set(names)) == count and self._index.keys().isdisjoint(names):
+        # and no bound is NaN, no lower bound +inf and no upper bound -inf
+        refused = binary | ~((lower < INF) & (upper > -INF))
+        if not refused.any() and len(set(names)) == count and self._index.keys().isdisjoint(names):
             return lower, upper, code, None
         seen = set()  # the loop finds the first variable refused
         for k, name in enumerate(names):
             if name in self._index or name in seen:
                 return lower, upper, code, (k, f"duplicate variable {name}")
-            if binary[k]:
-                return lower, upper, code, (
-                    k, f"binary {name} has bounds [{lower[k]}, {upper[k]}] outside [0, 1]")
+            if refused[k]:
+                return lower, upper, code, (k, f"{KINDS[code[k]]} {name} has bounds [{lower[k]}, "
+                                            f"{upper[k]}]{' outside [0, 1]' if binary[k] else ''}")
             seen.add(name)
         return lower, upper, code, None
 
@@ -177,13 +180,18 @@ class LpModel:
         right-hand side and implied mark, each one value for all of the
         rows or one per row; and their entries (row within the block,
         variable index, coefficient) in any row order.  A row's entries
-        keep the order they are given in."""
+        keep the order they are given in.  A coefficient or right-hand side
+        that is NaN or infinite raises ValueError naming the first row that
+        has one, and the model is left as it was."""
         count = len(names)
-        row = np.asarray(row, np.int64)
+        row, val = np.asarray(row, np.int64), np.asarray(val, float)
+        if not (np.isfinite(val).all() and np.isfinite(rhs).all()):
+            bad = np.append(row[~np.isfinite(val)], np.flatnonzero(~np.isfinite(rhs)))
+            raise ValueError(f"row {names[bad.min()]} has a value that is not finite")
         order = np.argsort(row, kind="stable")
         self.row = np.concatenate([self.row, row[order] + len(self.row_names)])
         self.var = np.concatenate([self.var, np.asarray(var, np.int64)[order]])
-        self.val = np.concatenate([self.val, np.asarray(val, float)[order]])
+        self.val = np.concatenate([self.val, val[order]])
         self.row_names += names
         self.rel = _grow(self.rel, rel, count)
         self.rhs = _grow(self.rhs, rhs, count)
@@ -629,8 +637,10 @@ _LP_SECTIONS = {"subject to": "constraint", "bounds": "bounds", "general": "gene
 
 def parse_lp_text(text: str) -> LpModel:
     """Parse our own LP dialect back into a model.  A line it cannot read,
-    or one naming a variable the Bounds section does not declare, raises
-    InstanceFormatError naming that line."""
+    one naming a variable the Bounds section does not declare, or one with
+    a number add_vars or add_rows refuses (NaN, or infinite anywhere but
+    on the open side of a bound) raises InstanceFormatError naming that
+    line."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.lstrip().startswith("\\")]
     if not lines:
@@ -659,7 +669,7 @@ def parse_lp_text(text: str) -> LpModel:
                 name, rest = stripped.split(":", 1)
                 rel = next(rel for rel in ("<=", ">=", "=") if f" {rel} " in rest)
                 left, right = rest.rsplit(f" {rel} ", 1)
-                constraints.append((ln, name.strip(), _parse_expr(left), rel, float(right)))
+                constraints.append((ln, name.strip(), _parse_expr(left), rel, _finite(right)))
             elif what == "bounds":
                 lo, le, name, le_too, hi = stripped.split()
                 if le != "<=" or le_too != "<=":
@@ -703,7 +713,7 @@ def parse_lp_text(text: str) -> LpModel:
 
 def _parse_expr(expr: str) -> dict:
     """The coefficient of each name in a sum of terms; a number with no
-    name after it raises ValueError."""
+    name after it, or one that is not finite, raises ValueError."""
     tokens = expr.split()
     coeffs = {}
     sign = 1.0
@@ -721,10 +731,17 @@ def _parse_expr(expr: str) -> dict:
                 coeffs[tok] = coeffs.get(tok, 0.0) + coef
                 sign, pending = 1.0, None
                 continue
-            pending = value
+            pending = _finite(value)
     if pending is not None:
         raise ValueError(f"{pending} has no variable")
     return coeffs
+
+
+def _finite(text) -> float:
+    """float(text), refusing NaN and infinity with ValueError."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not finite")
+    return value
 
 
 def write_mps(model: LpModel) -> str:
@@ -787,8 +804,9 @@ def parse_mps(text: str) -> LpModel:
     """Parse our own MPS dialect.  The objective sense is not stored in
     MPS; minimization is assumed (callers flip via metadata if needed).
     A line it cannot read, a COLUMNS or RHS entry naming a row that ROWS
-    does not declare, or a BOUNDS line naming a column that COLUMNS lacks,
-    raises InstanceFormatError naming that line.  Zero objective
+    does not declare, a BOUNDS line naming a column that COLUMNS lacks, or
+    a number that is not finite (MI and FR give infinite bounds) raises
+    InstanceFormatError naming that line.  Zero objective
     coefficients are dropped, as parse_lp_text drops them.  MPS marks
     binaries and integers alike (INTORG), so a marked column whose bounds
     lie inside [0, 1] is read as binary, a binary pinned at 0 or at 1
@@ -831,12 +849,12 @@ def parse_mps(text: str) -> LpModel:
                     columns[col] = {}
                     col_kind[col] = INTEGER if marker_int else CONTINUOUS
                     bounds[col] = (0.0, INF)
-                columns[col][row] = float(val)
+                columns[col][row] = _finite(val)
             elif section == "RHS":
                 _, row, val = parts
                 if row not in rows:
                     raise ValueError
-                rhs[row] = float(val)
+                rhs[row] = _finite(val)
             elif section == "BOUNDS":
                 code, _, col, *val = parts
                 if col not in columns:
@@ -847,11 +865,11 @@ def parse_mps(text: str) -> LpModel:
                 elif code == "MI" and not val:
                     lo = -INF
                 elif code == "LO" and len(val) == 1:
-                    lo = float(val[0])
+                    lo = _finite(val[0])
                 elif code == "UP" and len(val) == 1:
-                    hi = float(val[0])
+                    hi = _finite(val[0])
                 elif code == "FX" and len(val) == 1:
-                    lo = hi = float(val[0])
+                    lo = hi = _finite(val[0])
                 else:
                     raise ValueError
                 bounds[col] = (lo, hi)

@@ -30,14 +30,16 @@ Crash start (Bixby, "Implementing the simplex method: the initial
 basis", ORSA J. Computing 4(3), 1992): solve_lp(start=...) takes a
 feasible point and builds a basis whose basic solution is that point, then
 goes straight to phase 2.  Columns at their finite upper bound are
-complemented, every '>=' row with a positive surplus takes its surplus
-(one block pivot: each surplus column is nonzero in its own row only), and
-each column strictly inside its bounds is pivoted onto a row that is tight
-at the point and still has its slack or artificial basic.  Then each tight
-'=' row whose artificial is still basic takes a complemented column that
-is nonzero in no other such row, all in one block pivot (_pivot_block).
-In CG and CG_H each arc lies in one '=' row and a plan sets one arc into
-each vertex, so every artificial leaves there.  If the start is
+complemented, and each column strictly inside its bounds is pivoted onto a
+row that is tight at the point and still has its slack or artificial
+basic.  Then each tight '=' row whose artificial is still basic takes a
+complemented column that is not fixed and is nonzero in no other such
+row, all in one block pivot (_pivot_block).  In CG and CG_H each arc lies
+in one '=' row and a plan sets one arc into each vertex, so every
+artificial leaves there.  No surplus column and no free variable's second
+column enters: a start with a positive surplus leaves that row's
+artificial below 0, and one with a free variable below 0 leaves its first
+column below 0, so both fail the final check.  If the start is
 infeasible, or some column finds no such row (always so when the point is
 no vertex), the tableau is built again and the two-phase method runs as
 it does without a start.  Crash pivots count in `iterations`, one per row
@@ -62,7 +64,8 @@ column whose bounds move is shifted, T[:, -1] -= a * T[:, p],
 basic or not, with a = the move of its lower bound (of its upper bound
 when it is complemented); its new lower bound goes into a per-variable
 offset for the read-out, and a fixed column stays in the tableau with
-upper bound 0 and never enters.  A dual simplex restores feasibility:
+upper bound 0 and never enters, as a variable fixed in the model does.
+A dual simplex restores feasibility:
 
 - the row with the largest bound violation leaves; a basic variable above
   its upper bound is complemented first, so it leaves at 0;
@@ -82,9 +85,16 @@ failed check solves the node from scratch instead.
 Standard form: _standardize reads the model's arrays (lpmodels) with no
 loop over variables or rows: the bounds give each variable's column,
 offset and sign, and the COO entries are shifted, masked and renumbered
-as whole arrays.  The dense tableau, (rows + 1) x (columns + 1) floats,
-is sized before _tableau allocates it; one over _MAX_TABLEAU_BYTES (1 GiB)
-raises TableauTooLargeError.
+as whole arrays.  Every variable has a column, one rule per shape: a
+variable bounded below is shifted (x = lo + x'), one bounded only above
+is mirrored (x = hi - x'), a free one is split (x = x' - x''), and one
+whose bounds lie within feas_tol is shifted with upper bound 0, so it
+never enters.  Every row that is not implied is a tableau row, one with
+no entry or on fixed variables alone included; phase 1 or the dual
+simplex finds it infeasible when it fails.  Only contradictory bounds
+are answered before a tableau is built.  The dense tableau, (rows + 1) x
+(columns + 1) floats, is sized before _tableau allocates it; one over
+_MAX_TABLEAU_BYTES (1 GiB) raises TableauTooLargeError.
 
 Layout: _standardize also fixes the tableau layout, and nothing changes
 _Standardized after it returns.  A row with a negative right-hand side is
@@ -93,9 +103,9 @@ the structural ones, then a slack ('<=') or surplus ('>=') column per
 inequality row, then an artificial per '>=' or '=' row; only the first
 n_enter, structural, slack and surplus, may enter.  Each row has one unit
 column, its '<=' slack or its artificial: _tableau starts with it basic,
-and _solution reads the row's dual under it in the phase-2 cost row.  The
-crash reads slack_col, the phase-2 setup the cost vector, and every loop
-the feasibility tolerance scaled by the largest right-hand side.  A
+and _solution reads the row's dual under it in the phase-2 cost row.
+_tableau reads slack_col, the phase-2 setup the cost vector, and every
+loop the feasibility tolerance scaled by the largest right-hand side.  A
 _Tableau carries the solve state (tableau, basis, column bounds and
 complements, variable offsets and bounds) that the cold, crashed and
 resumed solves share.
@@ -105,10 +115,9 @@ the variable bounds imply.  In CG, CG_H and LC these are the sweep rows
 whose arc set lies inside another row of the same child set with the same
 other terms and right-hand side, so the tableau keeps one row per distinct
 maximal clique of each child set instead of one per sweep point.
-_standardize leaves them and their entries out of the tableau (after the
-check of constraints on fixed variables only, which needs every row), and
-their duals are 0, which keeps the duals optimal for the whole model.
-Every optimal answer, cold or resumed, is checked against every model row,
+_standardize leaves them and their entries out of the tableau, and their
+duals are 0, which keeps the duals optimal for the whole model.  Every
+optimal answer, cold or resumed, is checked against every model row,
 implied ones included, and every bound (_certify, O(nnz)); a cold answer
 that fails raises NumericalFailureError, as does a phase 1, bounded below
 by 0, that comes back unbounded.
@@ -170,8 +179,8 @@ class _Standardized:
     tableau layout (Layout in the module docstring).
 
     Model variable k is offset[k] + sign[k] * x[col[k]], less x[col[k] + 1]
-    when it is free; a fixed variable has col -1 and equals its offset.
-    Only constraints that keep a column and are not implied become rows.
+    when it is free; a fixed variable's column has upper bound 0.  Every
+    constraint that is not implied becomes a row.
     """
 
     def __init__(self):
@@ -232,35 +241,29 @@ def _bounds(model: LpModel, overrides):
 
 def _standardize(model: LpModel, overrides, feas_tol):
     """Standard form of the model and its tableau layout, or None when some
-    variable's bounds, or some constraint left without a column, cannot
-    hold."""
+    variable's bounds contradict each other."""
     std = _Standardized()
     lo, hi = _bounds(model, overrides)
-    with np.errstate(invalid="ignore"):  # inf - inf on contradictory infinite bounds
-        if (lo > hi + feas_tol).any():
-            return None  # contradictory bounds
-        fixed = (hi - lo <= feas_tol) & (hi < INF)
-        free = ~fixed & (lo == -INF) & (hi == INF)
-        mirrored = ~fixed & (lo == -INF) & (hi < INF)  # x = hi - x'
-        shifted = ~(fixed | free | mirrored)  # x = lo + x'
-        width = np.where(fixed, 0, np.where(free, 2, 1))  # a free x is x' - x''
-        std.col = np.where(fixed, -1, np.cumsum(width) - width)
-        upper = np.full(int(width.sum()), INF)
-        upper[std.col[shifted]] = hi[shifted] - lo[shifted]
-    std.offset = np.where(fixed | shifted, lo, np.where(mirrored, hi, 0.0))
+    if (lo > hi + feas_tol).any():
+        return None  # contradictory bounds
+    free = (lo == -INF) & (hi == INF)
+    mirrored = (lo == -INF) & (hi < INF)  # x = hi - x'
+    shifted = ~(free | mirrored)  # x = lo + x'
+    width = np.where(free, 2, 1)  # a free x is x' - x''
+    std.col = np.cumsum(width) - width
+    upper = np.full(int(width.sum()), INF)
+    gap = hi[shifted] - lo[shifted]
+    # a variable whose bounds lie within feas_tol is fixed: upper bound 0
+    upper[std.col[shifted]] = np.where(gap > feas_tol, gap, 0.0)
+    std.offset = np.where(shifted, lo, np.where(mirrored, hi, 0.0))
     std.sign = np.where(mirrored, -1.0, 1.0)
     std.free = free
     std.lo, std.hi = lo, hi
 
     row, var, val, rel = model.row, model.var, model.val, model.rel
-    n_con = len(rel)
-    rhs = model.rhs - np.bincount(row, weights=val * std.offset[var], minlength=n_con)
-    live = std.col[var] >= 0
-    kept = np.bincount(row[live], minlength=n_con) > 0
-    if (~kept & (((rel >= 0) & (rhs < -feas_tol)) | ((rel <= 0) & (rhs > feas_tol)))).any():
-        return None  # a constraint on fixed variables only fails
-    kept &= ~model.implied  # implied rows and their entries stay out
-    live &= kept[row]
+    rhs = model.rhs - np.bincount(row, weights=val * std.offset[var], minlength=len(rel))
+    kept = ~model.implied  # implied rows and their entries stay out
+    live = kept[row]
     std.origin = np.flatnonzero(kept)
     rhs = rhs[kept]
     std.sgn = np.where(rhs < 0, -1.0, 1.0)
@@ -282,8 +285,6 @@ def _standardize(model: LpModel, overrides, feas_tol):
     std.sense_mul = 1.0 if model.sense == "min" else -1.0
     k = np.array([model._index[name] for name in model.objective], dtype=np.int64)
     coef = std.sense_mul * np.array(list(model.objective.values()), dtype=float)
-    live = std.col[k] >= 0
-    k, coef = k[live], coef[live]
     free = std.free[k]
     std.cost = np.zeros(len(std.upper))
     std.cost[std.col[k]] += coef * std.sign[k]
@@ -355,7 +356,9 @@ def _optimize(tab: _Tableau, opts: SimplexOptions):
     """Pivot until the cost row has no improving column among the first
     n_enter.
 
-    Returns ('optimal' | 'unbounded', pivots); bound flips are not pivots.
+    Returns ('optimal' | 'unbounded', pivots); bound flips are not pivots,
+    but pivots and flips together may not pass max_iter, which every turn
+    checks (a NaN entry can make the entering column flip forever).
     """
     T, basis, upper, flipped = tab.T, tab.basis, tab.upper, tab.flipped
     n_enter, m = tab.std.n_enter, len(basis)
@@ -375,6 +378,8 @@ def _optimize(tab: _Tableau, opts: SimplexOptions):
     weight = np.ones(n_enter)
     score = np.empty(n_enter)
     while True:
+        if iters + flips > opts.max_iter:
+            raise NumericalFailureError(f"simplex exceeded {opts.max_iter} iterations")
         price = cost
         if fixed.size:
             price = cost.copy()
@@ -430,8 +435,6 @@ def _optimize(tab: _Tableau, opts: SimplexOptions):
         if at_upper:
             _complement(T, leaving, upper, flipped)
         iters += 1
-        if iters + flips > opts.max_iter:
-            raise NumericalFailureError(f"simplex exceeded {opts.max_iter} iterations")
 
 
 def _dual(tab: _Tableau, opts: SimplexOptions):
@@ -508,9 +511,6 @@ def _resume(model: LpModel, prev: _Tableau, overrides: dict, opts: SimplexOption
     if (lo > hi + opts.feas_tol).any():
         return LpSolution(status="infeasible", objective=None), 0
     moved = np.flatnonzero((lo != prev.lo) | (hi != prev.hi))
-    # a variable fixed when the tableau was built has no column, and its
-    # bounds stay within feas_tol
-    moved = moved[std.col[moved] >= 0]
     if (std.free[moved] | (std.sign[moved] < 0)).any():
         return None, 0
     tab = prev.copy()
@@ -551,8 +551,7 @@ def _solution(tab: _Tableau, iterations: int) -> LpSolution | None:
     values fail _certify."""
     model, std, T, upper, flipped, basis = tab.model, tab.std, tab.T, tab.upper, tab.flipped, tab.basis
     m = len(basis)
-    # x[-1] = 0 stands in for the column a fixed variable does not have
-    x = np.append(np.where(flipped, upper, 0.0), 0.0)
+    x = np.where(flipped, upper, 0.0)
     x[basis] = np.where(flipped[basis], upper[basis] - T[:m, -1], T[:m, -1])
     values = tab.offset + std.sign * x[std.col]
     values[std.free] -= x[std.col[std.free] + 1]
@@ -576,19 +575,16 @@ def _solution(tab: _Tableau, iterations: int) -> LpSolution | None:
 
 
 def _start_columns(model: LpModel, std: _Standardized, start: dict) -> np.ndarray | None:
-    """The start point in standardized columns (unnamed variables and the
-    slack and artificial columns are 0), or None when it names a variable
-    the model does not have."""
+    """The start point in standardized columns (unnamed variables, the
+    second column of a free variable and the slack and artificial columns
+    are 0), or None when it names a variable the model does not have."""
     value = np.zeros(len(model.var_names))
     for name, v in start.items():
         if name not in model._index:
             return None
         value[model._index[name]] = v
-    live = std.col >= 0
     x = np.zeros(len(std.upper))
-    z = (value - std.offset) * std.sign
-    x[std.col[live]] = np.where(std.free[live], np.maximum(z[live], 0.0), z[live])
-    x[std.col[std.free] + 1] = np.maximum(-value[std.free], 0.0)
+    x[std.col] = (value - std.offset) * std.sign
     return x
 
 
@@ -602,16 +598,9 @@ def _crash(tab: _Tableau, x: np.ndarray, opts: SimplexOptions):
     top = np.flatnonzero(x >= upper - tol)
     _complement(T, top, upper, flipped)
     inner = np.flatnonzero((np.abs(x) > tol) & ~flipped)
-    # each row's slack or artificial at x, with every surplus at 0
-    resid = T[:m, -1] - T[:m, inner] @ x[inner]
-    tight = np.abs(resid) <= tol
-    # a surplus column is nonzero only in its own row, so one block pivot
-    # enters every positive surplus
-    rows = np.flatnonzero((std.rel < 0) & (resid < -tol))
-    if rows.size:
-        _pivot_block(T, rows, std.slack_col[rows])
-        basis[rows] = std.slack_col[rows]
-    pivots = rows.size
+    # a row is tight when its slack or artificial is 0 at x
+    tight = np.abs(T[:m, -1] - T[:m, inner] @ x[inner]) <= tol
+    pivots = 0
     for j in inner:
         # the tight row with the largest pivot element
         size = np.where(tight, np.abs(T[:m, j]), 0.0)
@@ -623,11 +612,11 @@ def _crash(tab: _Tableau, x: np.ndarray, opts: SimplexOptions):
         tight[r] = False
         pivots += 1
     # a tight '=' row whose artificial is still basic takes a complemented
-    # column that is nonzero in no other such row
+    # column that is nonzero in no other such row and is not fixed
     eq = np.flatnonzero((std.rel == 0) & (basis == std.unit_col) & (np.abs(T[:m, -1]) <= tol))
     if eq.size and top.size:
         size = np.abs(T[eq[:, None], top])
-        size[:, (size != 0.0).sum(axis=0) != 1] = 0.0
+        size[:, ((size != 0.0).sum(axis=0) != 1) | (upper[top] <= 0.0)] = 0.0
         best = size.argmax(axis=1)
         ok = size[np.arange(eq.size), best] > opts.pivot_tol
         rows, cols = eq[ok], top[best[ok]]

@@ -283,9 +283,10 @@ def _usage_error(capsys, args):
 
 
 def test_bad_tolerances_are_usage_errors(capsys):
-    for flag in ("--feas-tol", "--opt-tol", "--int-tol"):
+    # relax never branches, so --int-tol is checked on solve
+    for command, flag in (("relax", "--feas-tol"), ("relax", "--opt-tol"), ("solve", "--int-tol")):
         for value in ("-1", "0", "nan", "inf", "abc"):
-            line = _usage_error(capsys, ["relax", C5_FILE, flag, value])
+            line = _usage_error(capsys, [command, C5_FILE, flag, value])
             assert f"argument {flag}: expected a finite number > 0" in line
 
 
@@ -302,7 +303,8 @@ def test_bad_counts_are_usage_errors(capsys):
 
 
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys):
-    for args in (["relax", C5_FILE, "-v"], ["mwis", C5_FILE, "--feas-tol", "1e-8"],
+    for args in (["relax", C5_FILE, "-v"], ["relax", C5_FILE, "--int-tol", "0.3"],
+                 ["mwis", C5_FILE, "--feas-tol", "1e-8"],
                  ["mwis", C5_FILE, "--no-timing"], ["export", C5_FILE, "--json"],
                  ["export", C5_FILE, "--formulation", "cg", "--height", "3"],
                  ["export", C5_FILE, "--formulation", "cg", "--colors", "9"],

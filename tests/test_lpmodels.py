@@ -46,6 +46,8 @@ from circlecolor.oracle import fractional_chromatic_exact
 from circlecolor.simplex import _standardize, solve_lp
 from circlecolor.stowage import build_cgh, effective_height, layer_var
 
+NAN = float("nan")
+
 
 def _core(rep):
     return build_dag(rep), build_clique_matrix(rep)
@@ -321,9 +323,19 @@ ENDATA
     (" r: x + y", " r: x + w", "bad constraint line: ' r: x + w >= 1' (constraint r references"),
     ("Subject To\n", "Subject To\n stray\n", "bad constraint line: ' stray'"),
     ("End\n", "End\nmore\n", "bad LP line: 'more'"),
+    (" 0 <= x <= 1", " nan <= x <= 1",
+     "bad bounds line: ' nan <= x <= 1' (continuous x has bounds [nan, 1.0])"),
+    (" 0 <= y <= +inf", " inf <= y <= inf",
+     "bad bounds line: ' inf <= y <= inf' (continuous y has bounds [inf, inf])"),
+    (" 0 <= x <= 1", " 0 <= x <= -inf",
+     "bad bounds line: ' 0 <= x <= -inf' (continuous x has bounds [0.0, -inf])"),
+    (" r: x + y", " r: nan x + y", "bad constraint line: ' r: nan x + y >= 1'"),
+    (">= 1", ">= inf", "bad constraint line: ' r: x + y >= inf'"),
+    (" obj: x", " obj: inf x", "bad objective line: ' obj: inf x'"),
 ], ids=["no-objective", "objective-colon", "objective-variable", "objective-constant", "sense",
         "bounds-tokens", "bounds-value", "bounds-twice", "constraint-value", "constraint-colon",
-        "constraint-variable", "stray-line", "after-end"])
+        "constraint-variable", "stray-line", "after-end", "bounds-nan", "bounds-lower-inf",
+        "bounds-upper-minus-inf", "constraint-nan", "constraint-rhs-inf", "objective-inf"])
 def test_parse_lp_text_names_the_line_it_cannot_read(old, new, error):
     assert old in _LP
     with pytest.raises(InstanceFormatError) as info:
@@ -345,8 +357,18 @@ def test_parse_lp_text_names_the_line_it_cannot_read(old, new, error):
     (" UP BND       x", " XX BND       x", "bad BOUNDS line: ' XX BND       x            1'"),
     (" UP BND       x            1", " UP BND       z            1", "bad BOUNDS line: ' UP BND       z            1'"),
     ("ENDATA", "RANGES\n    RNG          r            1\nENDATA", "bad RANGES line"),
+    ("r            1\nRHS", "r            nan\nRHS", "bad COLUMNS line: '    y            r            nan'"),
+    ("RHS          r            1", "RHS          r            inf",
+     "bad RHS line: '    RHS          r            inf'"),
+    (" UP BND       x            1", " UP BND       x            -inf",
+     "bad BOUNDS line: ' UP BND       x            -inf'"),
+    (" UP BND       x            1", " LO BND       x            inf",
+     "bad BOUNDS line: ' LO BND       x            inf'"),
+    (" UP BND       x            1", " FX BND       x            nan",
+     "bad BOUNDS line: ' FX BND       x            nan'"),
 ], ids=["row-code", "rows-tokens", "second-n-row", "row-twice", "columns-row", "columns-value", "rhs-row",
-        "rhs-tokens", "bounds-tokens", "bounds-value", "bounds-code", "bounds-column", "section"])
+        "rhs-tokens", "bounds-tokens", "bounds-value", "bounds-code", "bounds-column", "section",
+        "columns-nan", "rhs-inf", "bounds-upper-minus-inf", "bounds-lower-inf", "bounds-fixed-nan"])
 def test_parse_mps_names_the_line_it_cannot_read(old, new, error):
     assert old in _MPS
     with pytest.raises(InstanceFormatError) as info:
@@ -444,12 +466,33 @@ def test_add_vars_refuses_a_duplicate_and_leaves_the_model_as_it_was():
             model.add_vars(["c", "d", "e"], lower, upper, BINARY)
     with pytest.raises(ValueError, match="binary d"):
         model.add_vars(["c", "d"], 0.0, [1.0, 3.0], [INTEGER, BINARY])
+    # a NaN bound, a lower bound of +inf or an upper bound of -inf, of any kind
+    for lower, upper, kind in ((NAN, 1.0, BINARY), (0.0, NAN, CONTINUOUS), (INF, INF, INTEGER),
+                               (-INF, -INF, CONTINUOUS), (INF, 5.0, CONTINUOUS)):
+        with pytest.raises(ValueError, match=rf"^{kind} d has bounds \[{lower}, {upper}\]$"):
+            model.add_vars(["c", "d"], [0.0, lower], [1.0, upper], kind)
     assert model.var_names == ["a", "b"] and model._index == {"a": 0, "b": 1}
     assert [len(a) for a in (model.lower, model.upper, model.kind)] == [2, 2, 2]
     model.add_vars(["c"], 0.0, 1.0, BINARY)
     model.objective = {"a": 1.0, "b": 2.0, "c": 3.0}
     model.add_constraint("r", {"a": 1.0, "c": 1.0}, ">=", 1.0)
     assert solve_lp(model).primal == pytest.approx({"a": 1.0, "b": 0.0, "c": 0.0})
+
+
+def test_add_rows_refuses_a_value_that_is_not_finite_and_leaves_the_model_as_it_was():
+    model = LpModel(name="t", sense="min")
+    model.add_vars(["x", "y"], 0.0, 1.0)
+    model.add_constraint("r", {"x": 1.0}, ">=", 0.5)
+    before = _arrays(model)
+    # the entries are (a, x), (b, y) and (c, x)
+    for rhs, val, first in ((1.0, [1.0, NAN, 1.0], "b"), ([1.0, INF, 1.0], 1.0, "b"),
+                            (-INF, 1.0, "a"), ([1.0, 1.0, NAN], [1.0, -INF, 1.0], "b"),
+                            ([1.0, 1.0, NAN], [1.0, 1.0, -INF], "c")):
+        with pytest.raises(ValueError, match=f"^row {first} has a value that is not finite$"):
+            model.add_rows(["a", "b", "c"], RELATION[">="], rhs, False, [0, 1, 2], [0, 1, 0], val)
+    with pytest.raises(ValueError, match="^row s has"):
+        model.add_constraint("s", {"x": 1.0, "y": NAN}, "<=", 1.0)
+    assert _arrays(model) == before and model.row_names == ["r"]
 
 
 def _arrays(model):

@@ -1,3 +1,4 @@
+import signal
 from pathlib import Path
 from unittest import mock
 
@@ -502,19 +503,26 @@ def test_a_bad_cg_start_falls_back_to_the_cold_solve(rep):
         assert sol == cold, k
 
 
-def test_crash_start_enters_a_positive_surplus_on_its_own_row():
-    # x = 3 is a vertex: the '<=' row is tight and takes x, the '>=' row
-    # has surplus 2, which enters in place of that row's artificial
-    m = _model()
-    m.add_var("x", 0.0, INF)
-    m.objective = {"x": -1.0}
-    m.add_constraint("hi", {"x": 1.0}, "<=", 3.0)
-    m.add_constraint("lo", {"x": 1.0}, ">=", 1.0)
-    sol, took = _crashed(m, {"x": 3.0})
-    assert took
-    assert sol.iterations == 2  # two crash pivots, none in phase 2
-    assert sol.primal == {"x": 3.0}
-    assert sol.dual == {"hi": -1.0, "lo": 0.0}
+def test_a_start_on_a_positive_surplus_or_a_negative_free_value_is_dropped():
+    # the crash enters neither a surplus column nor a free variable's
+    # second column: x = 3 leaves row lo's artificial at -2, and y = -2
+    # puts y's first column below 0, so both starts fail the crash's final
+    # check and the answer is the cold solve's
+    surplus = _model()
+    surplus.add_var("x", 0.0, INF)
+    surplus.objective = {"x": -1.0}
+    surplus.add_constraint("hi", {"x": 1.0}, "<=", 3.0)
+    surplus.add_constraint("lo", {"x": 1.0}, ">=", 1.0)
+    free = _model()
+    free.add_var("y", -INF, INF)
+    free.add_var("z", 0.0, 1.0)
+    free.objective = {"y": 1.0, "z": 1.0}
+    free.add_constraint("lo", {"y": 1.0, "z": 1.0}, ">=", -2.0)
+    for model, start in ((surplus, {"x": 3.0}), (free, {"y": -2.0, "z": 0.0})):
+        sol, took = _crashed(model, start)
+        assert not took, model.var_names
+        assert sol == solve_lp(model), model.var_names
+        assert sol.primal == pytest.approx(start)
 
 
 def test_crash_start_on_every_bound_shape():
@@ -571,8 +579,7 @@ def test_the_crashed_basis_reads_back_the_start():
     value = np.where(tab.flipped, tab.upper, 0.0)
     b = tab.T[:m, -1]
     value[tab.basis] = np.where(tab.flipped[tab.basis], tab.upper[tab.basis] - b, b)
-    cols = tab.std.col[tab.std.col >= 0]
-    np.testing.assert_allclose(value[cols], x[cols], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(value[tab.std.col], x[tab.std.col], rtol=0.0, atol=1e-9)
 
 
 def test_the_block_pivot_equals_sequential_pivots():
@@ -621,6 +628,105 @@ def test_an_at_upper_column_in_two_equality_rows_keeps_their_artificials():
     assert sol.objective == pytest.approx(cold.objective, abs=1e-12) == 3.0
     assert sol.primal == pytest.approx(cold.primal, abs=1e-12)
     _assert_optimality_conditions(m, sol, "a, b", tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# fixed variables and empty rows
+
+
+def _pinned_model():
+    """min x + 2y + 3z with z fixed at 2 and a row on z alone."""
+    m = _model()
+    m.add_var("x", 0.0, 1.0)
+    m.add_var("y", 0.0, INF)
+    m.add_var("z", 2.0, 2.0)
+    m.objective = {"x": 1.0, "y": 2.0, "z": 3.0}
+    m.add_constraint("r", {"x": 1.0, "y": 1.0, "z": 1.0}, ">=", 3.5)
+    m.add_constraint("zr", {"z": 1.0}, "<=", 2.0)
+    return m
+
+
+def test_a_fixed_variable_is_a_column_with_upper_bound_0_in_every_solve():
+    m = _pinned_model()
+    cold = solve_lp(m)
+    assert cold.primal == {"x": 1.0, "y": 0.5, "z": 2.0}
+    crashed, took = _crashed(m, cold.primal)
+    with mock.patch.object(simplex, "_solve_cold", wraps=simplex._solve_cold) as fallback:
+        resumed = solve_lp(m, bound_overrides={"x": (0.0, 0.5)}, warm=cold)
+    assert not fallback.called
+    assert took and crashed.primal == cold.primal
+    assert resumed.primal == {"x": 0.5, "y": 1.0, "z": 2.0}
+    tight = m.relaxed()
+    tight.upper[m._index["x"]] = 0.5
+    for how, model, sol in (("cold", m, cold), ("crash", m, crashed), ("resume", tight, resumed)):
+        tab = sol.tableau
+        z = tab.std.col[m._index["z"]]
+        assert tab.upper[z] == 0.0 and z not in tab.basis, how
+        assert len(tab.basis) == 2, how  # zr is a row of the tableau too
+        _assert_optimality_conditions(model, sol, how, tol=1e-12)
+    # within feas_tol of each other the bounds still fix z, at its lower one
+    m.upper[m._index["z"]] = 2.0 + 1e-10
+    sol = solve_lp(m)
+    assert sol.primal["z"] == 2.0
+    assert sol.tableau.upper[sol.tableau.std.col[m._index["z"]]] == 0.0
+
+
+def test_the_crash_takes_an_equality_rows_artificial_out_with_no_fixed_column():
+    # x and z both rest at their upper bound and lie in row a alone; z has
+    # the larger entry, but it is fixed, so x enters
+    m = _model()
+    m.add_var("x", 0.0, 1.0)
+    m.add_var("z", 0.0, 0.0)
+    m.objective = {"x": 1.0, "z": 1.0}
+    m.add_constraint("a", {"x": 1.0, "z": 2.0}, "=", 1.0)
+    tab, x = _crash_input(m, {"x": 1.0})
+    assert simplex._crash(tab, x, simplex.DEFAULT_OPTIONS) == 1
+    assert tab.basis.tolist() == [tab.std.col[m._index["x"]]]
+
+
+def test_a_row_on_fixed_variables_alone_that_fails_is_infeasible():
+    m = _pinned_model()
+    m.rhs[m.row_names.index("zr")] = 1.0
+    assert solve_lp(m).status == "infeasible"
+    assert solve_lp(m, start={"x": 1.0, "y": 0.5, "z": 2.0}).status == "infeasible"
+    # a resumed node that fixes z's row to fail
+    m = _pinned_model()
+    m.add_var("w", 0.0, 1.0)
+    m.add_constraint("wr", {"w": 1.0}, ">=", 0.5)
+    root = solve_lp(m)
+    assert root.status == "optimal"
+    assert solve_lp(m, bound_overrides={"w": (0.0, 0.0)}, warm=root).status == "infeasible"
+
+
+def _with_empty_row(relation, rhs):
+    m = _model()
+    m.add_var("x", 0.0, 1.0)
+    m.objective = {"x": 1.0}
+    m.add_constraint("r", {"x": 1.0}, ">=", 0.5)
+    m.add_constraint("e", {}, relation, rhs)
+    return m
+
+
+@pytest.mark.parametrize("relation, rhs", [("<=", 1.0), (">=", -1.0), ("=", 0.0), ("<=", 0.0)])
+def test_a_satisfied_empty_row_is_a_row_with_dual_0(relation, rhs):
+    m = _with_empty_row(relation, rhs)
+    cold = solve_lp(m)
+    crashed, took = _crashed(m, {"x": 0.5})
+    assert took
+    for sol in (cold, crashed):
+        assert sol.status == "optimal"
+        assert sol.primal == {"x": 0.5}
+        assert sol.dual == {"r": 1.0, "e": 0.0}
+        assert len(sol.tableau.basis) == 2
+
+
+@pytest.mark.parametrize("relation, rhs", [(">=", 1.0), ("=", 1.0), ("=", -1.0), ("<=", -1.0)])
+def test_a_violated_empty_row_is_infeasible(relation, rhs):
+    m = _with_empty_row(relation, rhs)
+    assert solve_lp(m).status == "infeasible"
+    sol, took = _crashed(m, {"x": 0.5})
+    assert not took
+    assert sol.status == "infeasible"
 
 
 # ---------------------------------------------------------------------------
@@ -884,3 +990,23 @@ def test_phase_one_that_comes_back_unbounded_raises(monkeypatch):
     with pytest.raises(NumericalFailureError, match="phase 1"):
         solve_lp(m)
     assert len(calls) == 1
+
+
+def test_bound_flips_count_against_max_iter():
+    # a NaN coefficient leaves every ratio test empty, so the entering
+    # column only flips between its bounds; the flips reach max_iter
+    model = parse_lp_text("Minimize\n obj: x\nSubject To\n r: x + y >= 1\nBounds\n"
+                          " 0 <= x <= 1\n 0 <= y <= +inf\nEnd\n")
+    model.val[0] = np.nan
+
+    def stop(signum, frame):
+        raise TimeoutError("solve_lp still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        with pytest.raises(NumericalFailureError, match="exceeded 50 iterations"):
+            solve_lp(model, SimplexOptions(max_iter=50))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
