@@ -73,6 +73,8 @@ def _checked(kind, ok, what):
 
 
 _tolerance = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+# every number lies within 0.5 of an integer, so at 0.5 or more nothing branches
+_int_tolerance = _checked(float, lambda x: 0 < x < 0.5, "a finite number > 0 and < 0.5")
 _count = _checked(int, lambda k: k >= 1, "an integer >= 1")
 # refused before the instance is read, so a bad path costs no solve
 _output = _checked(str, lambda path: path and not os.path.isdir(path)
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, type=_tolerance)
 
     def int_tol(p):  # read only where branch-and-bound runs
-        p.add_argument("--int-tol", type=_tolerance)
+        p.add_argument("--int-tol", type=_int_tolerance)
 
     def command(name, func, groups, help):
         p = sub.add_parser(name, help=help)

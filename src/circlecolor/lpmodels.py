@@ -10,20 +10,23 @@ or fixed MPS and re-read (our own dialect only).
 An LpModel is arrays, and the simplex and both writers read them as they
 are:
 
-- variables: `var_names`, with `lower`, `upper` and `kind` (an index into
-  KINDS) per variable;
+- variables: `var_names`, with `lower`, `upper`, `kind` (an index into
+  KINDS) and `cost` (its objective coefficient) per variable;
 - rows: `row_names`, with `rel` (RELATION: 1 for '<=', -1 for '>=', 0 for
   '='), `rhs` and the `implied` mask per row;
 - coefficients: COO triples `row`, `var`, `val`, stored row by row, rows
   ascending, each row's entries in the order they were added.
 
 Every builder and both parsers write whole blocks: `add_vars` and
-`add_rows` extend the arrays in place, taking bounds, kinds, relations and
-right-hand sides as one value for the block or one per item.  CG, CG_H
-and LC number their rows with `_sweep_rows`; DLC, ISD and FCP are its
-transpose, a charge per (child set, sweep row) pair and a cover row per
-arc.  `add_var` and `add_constraint` add one item for hand-built models;
-each copies the arrays, so a large model must be built in blocks.
+`add_rows` extend the arrays in place, taking bounds, kinds, costs,
+relations and right-hand sides as one value for the block or one per
+item.  Each refuses a duplicate name, and a cost, coefficient or
+right-hand side that is NaN or infinite, as add_vars refuses a bad bound,
+and leaves the model as it was.  CG, CG_H and LC number their rows with
+`_sweep_rows`; DLC, ISD and FCP are its transpose, a charge per (child
+set, sweep row) pair and a cover row per arc.  `add_var` and
+`add_constraint` add one item for hand-built models; each copies the
+arrays, so a large model must be built in blocks.
 `variables` and `constraints` are read-only views built from the arrays
 on demand.
 """
@@ -97,19 +100,24 @@ class _View(Sequence):
 
 
 class LpModel:
-    """A linear or integer program stored as arrays (module docstring)."""
+    """A linear or integer program stored as arrays (module docstring).
+    __slots__ fixes its attributes: assigning any other raises
+    AttributeError."""
+
+    __slots__ = ("name", "sense", "metadata", "var_names", "row_names", "_index", "lower",
+                 "upper", "kind", "cost", "rel", "rhs", "implied", "row", "var", "val")
 
     def __init__(self, name: str, sense: str):
         self.name = name
         self.sense = sense  # 'min' | 'max'
-        self.objective = {}  # var name -> coefficient
         self.metadata = {}
         self.var_names = []
         self.row_names = []
         self._index = {}  # var name -> index
-        # per variable: its lower and upper bounds and its kind, an index
-        # into KINDS
+        # per variable: its lower and upper bounds, its kind (an index into
+        # KINDS) and its objective coefficient
         self.lower, self.upper, self.kind = np.empty(0), np.empty(0), np.empty(0, np.int8)
+        self.cost = np.empty(0)
         # per row: its relation code (RELATION), right-hand side, and whether
         # the other rows and the variable bounds imply it; the simplex leaves
         # implied rows out of its tableau, and every writer and certificate
@@ -118,18 +126,19 @@ class LpModel:
         # per entry: its row, its variable and its coefficient
         self.row, self.var, self.val = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
 
-    def add_var(self, name, lower=0.0, upper=INF, kind=CONTINUOUS) -> str:
+    def add_var(self, name, lower=0.0, upper=INF, kind=CONTINUOUS, cost=0.0) -> str:
         """Add one variable (add_vars); this copies the arrays."""
-        self.add_vars([name], lower, upper, kind)
+        self.add_vars([name], lower, upper, kind, cost)
         return name
 
-    def add_vars(self, names: list, lower=0.0, upper=INF, kind=CONTINUOUS) -> None:
-        """Add the named variables.  lower, upper and kind are each one
-        value for all of them or one per variable.  A duplicate name, a
-        binary with bounds outside [0, 1], or a NaN bound, a lower bound of
-        +inf or an upper bound of -inf, raises ValueError naming the first
-        such variable, and the model is left as it was."""
-        lower, upper, code, refused = self._vet(names, lower, upper, kind)
+    def add_vars(self, names: list, lower=0.0, upper=INF, kind=CONTINUOUS, cost=0.0) -> None:
+        """Add the named variables.  lower, upper, kind and cost are each
+        one value for all of them or one per variable.  A duplicate name, a
+        binary with bounds outside [0, 1], a NaN bound, a lower bound of
+        +inf or an upper bound of -inf, or a cost that is NaN or infinite,
+        raises ValueError naming the first such variable, and the model is
+        left as it was."""
+        lower, upper, code, cost, refused = self._vet(names, lower, upper, kind, cost)
         if refused:
             raise ValueError(refused[1])
         self._index.update({name: k for k, name in enumerate(names, len(self.var_names))})
@@ -137,13 +146,14 @@ class LpModel:
         self.lower = np.concatenate([self.lower, lower])
         self.upper = np.concatenate([self.upper, upper])
         self.kind = np.concatenate([self.kind, code])
+        self.cost = np.concatenate([self.cost, cost])
 
-    def _vet(self, names, lower, upper, kind) -> tuple:
-        """add_vars' arguments as one array each for lower, upper and the
-        kind codes, and (k, reason) for the first variable it refuses, or
-        None."""
+    def _vet(self, names, lower, upper, kind, cost) -> tuple:
+        """add_vars' arguments as one array each for lower, upper, the kind
+        codes and cost, and (k, reason) for the first variable it refuses,
+        or None."""
         count = len(names)
-        lower, upper = np.full(count, lower, float), np.full(count, upper, float)
+        lower, upper, cost = (np.full(count, x, float) for x in (lower, upper, cost))
         kinds = [kind] if isinstance(kind, str) else kind
         if not set(kinds) <= _KIND_CODE.keys():
             raise ValueError(f"bad kind {next(k for k in kinds if k not in _KIND_CODE)}")
@@ -151,18 +161,22 @@ class LpModel:
         # so that a model and its relaxation have the same bounds
         binary = (code == _KIND_CODE[BINARY]) & ((lower < 0.0) | (upper > 1.0))
         # and no bound is NaN, no lower bound +inf and no upper bound -inf
-        refused = binary | ~((lower < INF) & (upper > -INF))
+        bounds = binary | ~((lower < INF) & (upper > -INF))
+        refused = bounds | ~np.isfinite(cost)
+        vetted = lower, upper, code, cost
         if not refused.any() and len(set(names)) == count and self._index.keys().isdisjoint(names):
-            return lower, upper, code, None
+            return *vetted, None
         seen = set()  # the loop finds the first variable refused
         for k, name in enumerate(names):
             if name in self._index or name in seen:
-                return lower, upper, code, (k, f"duplicate variable {name}")
+                return *vetted, (k, f"duplicate variable {name}")
+            if bounds[k]:
+                return *vetted, (k, f"{KINDS[code[k]]} {name} has bounds [{lower[k]}, "
+                                 f"{upper[k]}]{' outside [0, 1]' if binary[k] else ''}")
             if refused[k]:
-                return lower, upper, code, (k, f"{KINDS[code[k]]} {name} has bounds [{lower[k]}, "
-                                            f"{upper[k]}]{' outside [0, 1]' if binary[k] else ''}")
+                return *vetted, (k, f"{KINDS[code[k]]} {name} has cost {cost[k]}")
             seen.add(name)
-        return lower, upper, code, None
+        return *vetted, None
 
     def add_constraint(self, name, coeffs, relation, rhs, implied=False) -> None:
         """Add one row (add_rows) from a dict var name -> coefficient; this
@@ -181,13 +195,18 @@ class LpModel:
         rows or one per row; and their entries (row within the block,
         variable index, coefficient) in any row order.  A row's entries
         keep the order they are given in.  A coefficient or right-hand side
-        that is NaN or infinite raises ValueError naming the first row that
-        has one, and the model is left as it was."""
+        that is NaN or infinite, or a name the model or the block already
+        has, raises ValueError naming the first row that has one, and the
+        model is left as it was."""
         count = len(names)
         row, val = np.asarray(row, np.int64), np.asarray(val, float)
         if not (np.isfinite(val).all() and np.isfinite(rhs).all()):
             bad = np.append(row[~np.isfinite(val)], np.flatnonzero(~np.isfinite(rhs)))
             raise ValueError(f"row {names[bad.min()]} has a value that is not finite")
+        known = set(self.row_names)
+        if len(known.union(names)) < len(known) + count:
+            first = next(r for k, r in enumerate(names) if r in known or r in names[:k])
+            raise ValueError(f"duplicate row {first}")
         order = np.argsort(row, kind="stable")
         self.row = np.concatenate([self.row, row[order] + len(self.row_names)])
         self.var = np.concatenate([self.var, np.asarray(var, np.int64)[order]])
@@ -224,23 +243,21 @@ class LpModel:
         binary's lie in [0, 1]) and loses integrality; metadata["relaxed"]
         is True."""
         out = LpModel(self.name, self.sense)
-        out.objective = dict(self.objective)
         out.metadata = dict(self.metadata, relaxed=True)
         out.var_names, out.row_names = list(self.var_names), list(self.row_names)
         out._index = dict(self._index)
-        for name in ("lower", "upper", "rel", "rhs", "implied", "row", "var", "val"):
+        for name in ("lower", "upper", "cost", "rel", "rhs", "implied", "row", "var", "val"):
             setattr(out, name, getattr(self, name).copy())
         out.kind = np.full_like(self.kind, _KIND_CODE[CONTINUOUS])
         return out
 
     @property
     def integral_objective(self) -> bool:
-        """Whether every objective variable is binary or integer with an
-        integral coefficient: then every integer point has an integral
+        """Whether every variable with a nonzero cost is binary or integer
+        and its cost is integral: then every integer point has an integral
         objective, so a branch-and-bound may round its LP bounds up."""
-        kind = self.kind
-        return all(kind[self._index[name]] and float(coef).is_integer()
-                   for name, coef in self.objective.items())
+        costed = self.cost != 0.0
+        return bool(self.kind[costed].all() and (self.cost[costed] % 1.0 == 0.0).all())
 
     def integer_var_names(self) -> list:
         return [self.var_names[k] for k in np.flatnonzero(self.kind).tolist()]
@@ -323,7 +340,7 @@ def _add_arborescence(model: LpModel, matrix: CliqueMatrix, arcs, sweep, label,
     """The part CG and CG_H share.  model.metadata["arcs"] names the arcs
     in variable order, arcs holds them as rows (tail, ..., head), and
     sweep is _sweep_rows of their child sets (0 for the root's) and heads.
-    Adds a binary per arc, the integer objective c, and three blocks of
+    Adds a binary per arc, the integer c with cost 1, and three blocks of
     rows:
 
     - root_p<point>: the root's arcs covering a sweep point sum to <= c.
@@ -336,8 +353,7 @@ def _add_arborescence(model: LpModel, matrix: CliqueMatrix, arcs, sweep, label,
       arcs by their second field, then in variable order."""
     names = list(model.metadata["arcs"])
     model.add_vars(names + ["c"], 0.0, np.append(np.ones(len(names)), INF),
-                   [BINARY] * len(names) + [INTEGER])
-    model.objective = {"c": 1.0}
+                   [BINARY] * len(names) + [INTEGER], np.append(np.zeros(len(names)), 1.0))
     head = arcs[:, -1]
     key, row, arc, implied = sweep
     groups = key // len(matrix.points)
@@ -394,8 +410,7 @@ def build_lc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix
     kids = dag.children[i]
     model = LpModel(name=f"LC_{i}", sense="max")
     names = [arc_var(i, j) for j in kids]
-    model.add_vars(names, 0.0, INF, CONTINUOUS)
-    model.objective = {name: float(values[j]) for name, j in zip(names, kids)}
+    model.add_vars(names, 0.0, INF, CONTINUOUS, [float(values[j]) for j in kids])
     key, row, arc, implied = _sweep_rows(matrix, 0, list(kids))
     model.add_rows(_point_names(matrix, key, [""]), RELATION["<="], 1.0, implied,
                    row, arc, np.ones(len(row)))
@@ -411,8 +426,7 @@ def build_dlc(i: int, rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatri
     kids = dag.children[i]
     model = LpModel(name=f"DLC_{i}", sense="min")
     key, row, arc, _ = _sweep_rows(matrix, 0, list(kids))
-    model.add_vars(_point_names(matrix, key, [f"y_{i}_"]), 0.0, INF, CONTINUOUS)
-    model.objective = dict.fromkeys(model.var_names, 1.0)
+    model.add_vars(_point_names(matrix, key, [f"y_{i}_"]), 0.0, INF, CONTINUOUS, 1.0)
     model.add_rows([f"cover_{j}" for j in kids], RELATION[">="], [float(values[j]) for j in kids],
                    False, arc, row, np.ones(len(row)))
     model.metadata = {"formulation": "DLC", "vertex": i}
@@ -424,8 +438,8 @@ def _charge_program(name: str, sense: str, rep: IntervalRep, dag: ContainmentDag
     """The part ISD and FCP share, DLC_i for every i in V*-or-root at once:
     charges y_{i,p} >= 0 at the sweep rows touching the child set of i
     (structurally useless columns are dropped), i ascending, then a free
-    label ell_i per vertex, and a cover row per containment arc i -> j (the
-    charges of i at the rows of j cover ell_j).
+    label ell_i per vertex, all with cost 0, and a cover row per
+    containment arc i -> j (the charges of i at the rows of j cover ell_j).
 
     Returns (model, owner, covers): owner[k] is the vertex whose charge
     variable k is (ell_i is variable len(owner) + i - 1), and covers holds
@@ -454,7 +468,7 @@ def build_isd(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix,
     a cover row per containment arc."""
     model, owner, (names, row, var, val) = _charge_program("ISD", "min", rep, dag, matrix)
     n = rep.n
-    model.objective = dict.fromkeys(model.var_names[:np.count_nonzero(owner == 0)], 1.0)
+    model.cost[:np.count_nonzero(owner == 0)] = 1.0
     # label_i: ell_i minus the charges of i
     inner = np.flatnonzero(owner)
     model.add_rows([f"label_{i}" for i in rep.vertices] + names,
@@ -475,8 +489,8 @@ def build_fcp(rep: IntervalRep, dag: ContainmentDag, matrix: CliqueMatrix) -> Lp
     root charges and the same cover rows as ISD."""
     model, owner, (names, row, var, val) = _charge_program("FCP", "max", rep, dag, matrix)
     n_root = int(np.count_nonzero(owner == 0))
-    model.objective = dict.fromkeys(model.var_names[len(owner):], 1.0)
-    model.objective.update(dict.fromkeys(model.var_names[n_root:len(owner)], -1.0))
+    model.cost[n_root:len(owner)] = -1.0
+    model.cost[len(owner):] = 1.0
     model.add_rows(["budget"] + names, np.repeat([RELATION["<="], RELATION[">="]], [1, len(names)]),
                    np.repeat([1.0, 0.0], [1, len(names)]), False,
                    np.concatenate([np.zeros(n_root, np.int64), 1 + row]),
@@ -498,8 +512,8 @@ def build_cl(graph: CircleGraph, num_colors: int) -> LpModel:
     x = np.arange(n * num_colors).reshape(n, num_colors)
     y = n * num_colors + np.arange(num_colors)
     model.add_vars([f"x_{i}_{c}" for i in graph.vertices for c in colors]
-                   + [f"y_{c}" for c in colors], 0.0, 1.0, BINARY)
-    model.objective = {f"y_{c}": 1.0 for c in colors}
+                   + [f"y_{c}" for c in colors], 0.0, 1.0, BINARY,
+                   np.repeat([0.0, 1.0], [x.size, num_colors]))
     edges = graph.edges()
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2) - 1
     n_open, n_edge = x.size, num_colors * len(edges)
@@ -539,8 +553,7 @@ def build_as(graph: CircleGraph) -> LpModel:
     zero = np.tri(n, k=-1, dtype=bool)
     zero[ends[:, 0], ends[:, 1]] = True
     model.add_vars([f"x_{i}_{j}" for i in vertices for j in vertices], 0.0,
-                   np.where(zero, 0.0, 1.0).ravel(), BINARY)
-    model.objective = {f"x_{i}_{i}": 1.0 for i in vertices}
+                   np.where(zero, 0.0, 1.0).ravel(), BINARY, np.eye(n).ravel())
     # conflict_i_j_k: x_i_j + x_i_k - x_i_i <= 0 for each edge (j, k) away
     # from i; rep_j: the x_i_j sum to 1; dom_i_j: x_i_j - x_i_i <= 0
     i, e = np.nonzero((ends[:, 0] != np.arange(n)[:, None]) & (ends[:, 1] != np.arange(n)[:, None]))
@@ -576,11 +589,10 @@ def write_lp_text(model: LpModel) -> str:
     names = model.var_names
     lines = ["\\ " + model.name]
     lines.append("Minimize" if model.sense == "min" else "Maximize")
-    terms = []
-    for name in names:
-        if name in model.objective and model.objective[name] != 0.0:
-            terms.append(_term(model.objective[name], name, first=not terms))
-    lines.append(" obj: " + (" ".join(terms) if terms else "0 " + names[0]))
+    costed = np.flatnonzero(model.cost)
+    terms = [_term(coef, names[k], first=not t)
+             for t, (k, coef) in enumerate(zip(costed.tolist(), model.cost[costed].tolist()))]
+    lines.append(" obj: " + " ".join(terms or ["0 " + names[0]]))
     lines.append("Subject To")
     for con, rel, rhs, entries in zip(model.row_names, model.rel.tolist(), model.rhs.tolist(),
                                       _nonzeros(model, by_var=False)):
@@ -588,18 +600,12 @@ def write_lp_text(model: LpModel) -> str:
         lines.append(f" {con}: " + " ".join(terms or ["0 " + names[0]])
                      + f" {_RELATION_OF[rel]} {_num(rhs)}")
     lines.append("Bounds")
-    for v in model.variables:
-        lo = "-inf" if v.lower == -INF else _num(v.lower)
-        hi = "+inf" if v.upper == INF else _num(v.upper)
-        lines.append(f" {lo} <= {v.name} <= {hi}")
-    generals = [v.name for v in model.variables if v.kind == INTEGER]
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
-    if generals:
-        lines.append("General")
-        lines.append(" " + " ".join(generals))
-    if binaries:
-        lines.append("Binary")
-        lines.append(" " + " ".join(binaries))
+    for name, lo, hi in zip(names, model.lower.tolist(), model.upper.tolist()):
+        lines.append(f" {'-inf' if lo == -INF else _num(lo)} <= {name} <= "
+                     f"{'+inf' if hi == INF else _num(hi)}")
+    for section, kind in (("General", INTEGER), ("Binary", BINARY)):
+        if (which := np.flatnonzero(model.kind == _KIND_CODE[kind])).size:
+            lines += [section, " " + " ".join(map(names.__getitem__, which.tolist()))]
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -637,10 +643,10 @@ _LP_SECTIONS = {"subject to": "constraint", "bounds": "bounds", "general": "gene
 
 def parse_lp_text(text: str) -> LpModel:
     """Parse our own LP dialect back into a model.  A line it cannot read,
-    one naming a variable the Bounds section does not declare, or one with
-    a number add_vars or add_rows refuses (NaN, or infinite anywhere but
-    on the open side of a bound) raises InstanceFormatError naming that
-    line."""
+    one naming a variable the Bounds section does not declare, a
+    constraint named twice, or one with a number add_vars or add_rows
+    refuses (NaN, or infinite anywhere but on the open side of a bound)
+    raises InstanceFormatError naming that line."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.lstrip().startswith("\\")]
     if not lines:
@@ -687,22 +693,24 @@ def parse_lp_text(text: str) -> LpModel:
     names = [name for _, name, _, _ in bounds]
     kinds = [INTEGER if name in generals else BINARY if name in binaries else CONTINUOUS
              for name in names]
-    lower, upper, _, refused = model._vet(names, [b[2] for b in bounds], [b[3] for b in bounds],
-                                          kinds)
+    cost = [objective.pop(name, 0.0) for name in names]
+    lower, upper, _, cost, refused = model._vet(names, [b[2] for b in bounds],
+                                                [b[3] for b in bounds], kinds, cost)
     if refused:
         raise InstanceFormatError(f"bad bounds line: {bounds[refused[0]][0]!r} ({refused[1]})")
-    model.add_vars(names, lower, upper, kinds)
-    index = model._index
-    if not objective.keys() <= index.keys():
+    if objective:
         raise InstanceFormatError(f"bad objective line: {lines[1]!r} (an undeclared variable)")
-    model.objective = {k: v for k, v in objective.items() if v != 0.0}
+    model.add_vars(names, lower, upper, kinds, cost)
+    index = model._index
     row, var, val = [], [], []
+    seen = set()
     for r, (ln, name, coeffs, _, _) in enumerate(constraints):
         coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
         unknown = [k for k in coeffs if k not in index]
-        if unknown:
-            raise InstanceFormatError(f"bad constraint line: {ln!r} (constraint {name} "
-                                      f"references unknown variable {unknown[0]})")
+        if unknown or name in seen:
+            reason = f"references unknown variable {unknown[0]}" if unknown else "is a duplicate"
+            raise InstanceFormatError(f"bad constraint line: {ln!r} (constraint {name} {reason})")
+        seen.add(name)
         row += [r] * len(coeffs)
         var += map(index.__getitem__, coeffs)
         val += coeffs.values()
@@ -713,7 +721,8 @@ def parse_lp_text(text: str) -> LpModel:
 
 def _parse_expr(expr: str) -> dict:
     """The coefficient of each name in a sum of terms; a number with no
-    name after it, or one that is not finite, raises ValueError."""
+    name after it, or a number or sum that is not finite, raises
+    ValueError."""
     tokens = expr.split()
     coeffs = {}
     sign = 1.0
@@ -728,7 +737,7 @@ def _parse_expr(expr: str) -> dict:
                 value = float(tok)
             except ValueError:
                 coef = sign * (pending if pending is not None else 1.0)
-                coeffs[tok] = coeffs.get(tok, 0.0) + coef
+                coeffs[tok] = _finite(coeffs.get(tok, 0.0) + coef)
                 sign, pending = 1.0, None
                 continue
             pending = _finite(value)
@@ -761,17 +770,16 @@ def write_mps(model: LpModel) -> str:
     def fmt(col, row, val):
         return f"    {col:<12} {row:<12} {_num(val)}"
 
-    for v, column in zip(model.variables, _nonzeros(model, by_var=True)):
-        is_int = v.kind in (BINARY, INTEGER)
+    for name, is_int, obj, column in zip(model.var_names, (model.kind != 0).tolist(),
+                                         model.cost.tolist(), _nonzeros(model, by_var=True)):
         if is_int != marker_on:
             kind = "'INTORG'" if is_int else "'INTEND'"
             out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} {kind}")
             marker_on = is_int
             marker_idx += 1
-        obj = model.objective.get(v.name, 0.0)
         if obj != 0.0 or not column:  # a column with no entry keeps one, so it is read back
-            out.append(fmt(v.name, "OBJ", obj))
-        out.extend(fmt(v.name, rows[r], val) for r, val in column)
+            out.append(fmt(name, "OBJ", obj))
+        out.extend(fmt(name, rows[r], val) for r, val in column)
     if marker_on:
         out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} 'INTEND'")
     out.append("RHS")
@@ -779,20 +787,20 @@ def write_mps(model: LpModel) -> str:
         if rhs != 0.0:
             out.append(fmt("RHS", name, rhs))
     out.append("BOUNDS")
-    for v in model.variables:
-        if v.lower == -INF and v.upper == INF:
-            out.append(f" FR BND       {v.name}")
+    for name, lo, hi in zip(model.var_names, model.lower.tolist(), model.upper.tolist()):
+        if lo == -INF and hi == INF:
+            out.append(f" FR BND       {name}")
             continue
-        if v.lower == v.upper:
-            out.append(f" FX BND       {v.name:<12} {_num(v.lower)}")
+        if lo == hi:
+            out.append(f" FX BND       {name:<12} {_num(lo)}")
             continue
-        if v.lower != 0.0:
-            if v.lower == -INF:
-                out.append(f" MI BND       {v.name}")
+        if lo != 0.0:
+            if lo == -INF:
+                out.append(f" MI BND       {name}")
             else:
-                out.append(f" LO BND       {v.name:<12} {_num(v.lower)}")
-        if v.upper != INF:
-            out.append(f" UP BND       {v.name:<12} {_num(v.upper)}")
+                out.append(f" LO BND       {name:<12} {_num(lo)}")
+        if hi != INF:
+            out.append(f" UP BND       {name:<12} {_num(hi)}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
@@ -806,11 +814,10 @@ def parse_mps(text: str) -> LpModel:
     A line it cannot read, a COLUMNS or RHS entry naming a row that ROWS
     does not declare, a BOUNDS line naming a column that COLUMNS lacks, or
     a number that is not finite (MI and FR give infinite bounds) raises
-    InstanceFormatError naming that line.  Zero objective
-    coefficients are dropped, as parse_lp_text drops them.  MPS marks
-    binaries and integers alike (INTORG), so a marked column whose bounds
-    lie inside [0, 1] is read as binary, a binary pinned at 0 or at 1
-    included, and any other marked column as integer."""
+    InstanceFormatError naming that line.  MPS marks binaries and integers
+    alike (INTORG), so a marked column whose bounds lie inside [0, 1] is
+    read as binary, a binary pinned at 0 or at 1 included, and any other
+    marked column as integer."""
     section = None
     objective = None  # the name of the N row
     rows = {}  # row name -> relation code, in file order
@@ -881,9 +888,8 @@ def parse_mps(text: str) -> LpModel:
     lower, upper = np.array(list(bounds.values()), float).reshape(-1, 2).T
     kinds = [BINARY if kind == INTEGER and 0.0 <= lo and hi <= 1.0 else kind
              for kind, (lo, hi) in zip(col_kind.values(), bounds.values())]
-    model.add_vars(list(columns), lower, upper, kinds)
-    model.objective = {col: entries[objective] for col, entries in columns.items()
-                       if entries.get(objective, 0.0) != 0.0}
+    model.add_vars(list(columns), lower, upper, kinds,
+                   [entries.get(objective, 0.0) for entries in columns.values()])
     # column by column, the objective's entries dropped; add_rows keeps each
     # row's entries in column order
     row_of = {rname: r for r, rname in enumerate(rows)} | {objective: -1}

@@ -8,11 +8,17 @@ The budget is three module constants: MAX_VERTICES vertices for every
 oracle, STACKS_MAX_N for the stack oracles, and MAX_INDEPENDENT_SETS
 independent sets for any one enumeration.
 
-The independent sets are enumerated in one place, _independent_sets, a
-bitmask loop over every vertex subset that the set and stack oracles all
-read; the networkx graph is built in one place, _networkx.  Nothing here
-calls check_independent or check_plan, and they call nothing here, so the
-oracles and the certificates stay independent checks of each other.
+Two enumerations serve the oracles.  _independent_sets, a bitmask loop
+over every vertex subset, gives every independent set to
+all_independent_sets (so to fractional_chromatic_exact with
+all_sets=True), mwis_exact and admissible_sets (so to stacks_exact and
+stacks_lp_exact).  networkx, through the graph that _networkx builds,
+gives the maximal independent sets (the cliques of the complement) to
+maximal_independent_sets, so to the default fractional_chromatic_exact,
+and the maximum clique to max_clique_exact, so to chromatic_exact's lower
+bound.  Nothing here calls check_independent or check_plan, and they call
+nothing here, so the oracles and the certificates stay independent checks
+of each other.
 """
 
 from __future__ import annotations
@@ -126,8 +132,7 @@ def all_independent_sets(graph: CircleGraph) -> list:
 def _cover_value(columns, n: int, relation: str) -> float:
     """Optimum of the set-cover LP over the columns (vertex sets)."""
     model = LpModel(name="set_cover_lp", sense="min")
-    model.add_vars([f"q_{k}" for k in range(len(columns))])
-    model.objective = dict.fromkeys(model.var_names, 1.0)
+    model.add_vars([f"q_{k}" for k in range(len(columns))], cost=1.0)
     # column by column; add_rows keeps each row's entries in column order
     row = [v - 1 for col in columns for v in col]
     var = [k for k, col in enumerate(columns) for _ in col]

@@ -283,12 +283,11 @@ def _standardize(model: LpModel, overrides, feas_tol):
     std.upper = np.full(std.n_enter + int(art.sum()), INF)
     std.upper[:len(upper)] = upper
     std.sense_mul = 1.0 if model.sense == "min" else -1.0
-    k = np.array([model._index[name] for name in model.objective], dtype=np.int64)
-    coef = std.sense_mul * np.array(list(model.objective.values()), dtype=float)
-    free = std.free[k]
+    coef = std.sense_mul * model.cost
     std.cost = np.zeros(len(std.upper))
-    std.cost[std.col[k]] += coef * std.sign[k]
-    std.cost[std.col[k[free]] + 1] -= coef[free]
+    # added to zeros, so that a zero cost stays +0.0 whatever its sign
+    std.cost[std.col] += coef * std.sign
+    std.cost[std.col[std.free] + 1] -= coef[std.free]
     std.tol = feas_tol * max(1.0, float(np.abs(std.rhs).max(initial=0.0)))
     return std
 
@@ -558,7 +557,8 @@ def _solution(tab: _Tableau, iterations: int) -> LpSolution | None:
     if not _certify(tab, values):
         return None
     primal = dict(zip(model.var_names, values.tolist()))
-    objective = sum(coef * primal[name] for name, coef in model.objective.items())
+    costed = np.flatnonzero(model.cost)
+    objective = sum(c * x for c, x in zip(model.cost[costed].tolist(), values[costed].tolist()))
     # a resume may complement an artificial, which negates its cost entry
     d = T[m, std.unit_col]
     y = np.zeros(len(model.row_names))

@@ -377,9 +377,8 @@ def test_branching_fixes_the_most_fractional_smallest_name_first(monkeypatch):
     # branched on; the first child fixes x_a although x_b comes first
     model = LpModel(name="tie", sense="min")
     for name in ("x_b", "x_a", "x_0"):
-        model.add_var(name, 0.0, 1.0, BINARY)
+        model.add_var(name, 0.0, 1.0, BINARY, 0.0 if name == "x_0" else -1.0)
         model.add_constraint(f"half_{name}", {name: 2.0}, "=" if name == "x_0" else "<=", 1.0)
-    model.objective = {"x_a": -1.0, "x_b": -1.0}
     fixed = []
     solve_lp = bnb.solve_lp
     monkeypatch.setattr(bnb, "solve_lp", lambda *a, **k: fixed.append(
@@ -421,7 +420,7 @@ def _dual_objective(model, sol, overrides):
     bounds = {v.name: (v.lower, v.upper) for v in model.variables}
     for name, (lo, hi) in overrides.items():
         bounds[name] = (max(bounds[name][0], lo), min(bounds[name][1], hi))
-    reduced = dict(model.objective)
+    reduced = dict(zip(model.var_names, model.cost.tolist()))
     value = 0.0
     for r in model.constraints:
         y = sol.dual[r.name]

@@ -290,6 +290,18 @@ def test_bad_tolerances_are_usage_errors(capsys):
             assert f"argument {flag}: expected a finite number > 0" in line
 
 
+def test_an_int_tol_of_one_half_or_more_is_a_usage_error(capsys):
+    # every number lies within 0.5 of an integer, so at such a tolerance
+    # branch-and-bound could never branch
+    for args in (["solve", C5_FILE], ["stacks", C5_FILE, "--height", "2"], ["bench", "--n", "5"],
+                 ["verify"]):
+        for value in ("0.5", "0.75", "1"):
+            line = _usage_error(capsys, [*args, "--int-tol", value])
+            assert line.endswith(f"argument --int-tol: expected a finite number > 0 and < 0.5, "
+                                 f"got {value!r}"), args
+    assert run_cli(["solve", C5_FILE, "--int-tol", "0.49"]) == "chi=3 chi_f=2.5\n"
+
+
 def test_bad_counts_are_usage_errors(capsys):
     for args in (["gen", "-n", "0"], ["gen", "-n", "3", "--count", "0"],
                  ["verify", "--n-max", "0"], ["verify", "--trials", "-2"],
@@ -396,6 +408,15 @@ def test_relax_runs_no_branch_and_bound(monkeypatch):
     monkeypatch.setattr(bnb, "solve_ip", None)
     monkeypatch.setattr(bnb, "build_graph", None)
     assert run_cli(["relax", C5_FILE, "--json", "--no-timing"]) == golden("relax.json")
+
+
+def test_verify_passes_under_optimize():
+    # asserts vanish under -O; every certificate and oracle check must not
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-m", "circlecolor.cli", "verify", "--n-max", "12",
+                           "--trials", "30"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "verify: 30 trials passed (n <= 12)\n"
 
 
 CORRUPT_DECODE = """

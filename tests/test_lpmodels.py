@@ -262,8 +262,8 @@ def test_round_trip_random_models():
 
 
 def test_integral_objective_holds_for_integer_objectives_only(c5):
-    # every objective variable binary or integer with an integral
-    # coefficient; the relaxation loses it, so its optimum is not rounded
+    # every variable with a nonzero cost binary or integer with an integral
+    # cost; the relaxation loses it, so its optimum is not rounded
     dag, m = _core(c5)
     graph = build_graph(c5)
     weights = {v: 1.0 for v in c5.vertices}
@@ -277,10 +277,17 @@ def test_integral_objective_holds_for_integer_objectives_only(c5):
         assert not model.integral_objective, model.name
     value, _, _ = solve_ip(build_cg(c5, dag, m).relaxed())
     assert value == pytest.approx(2.5)
-    half = LpModel(name="t", sense="min")
-    half.add_var("a", 0.0, 1.0, BINARY)
-    half.objective = {"a": 0.5}
-    assert not half.integral_objective
+
+    def model_with(name, kind, cost):
+        model = LpModel(name="t", sense="min")
+        model.add_vars(["a", "b"], 0.0, 1.0, BINARY, [2.0, -1.0])
+        model.add_var(name, 0.0, 1.0, kind, cost)
+        return model
+
+    assert model_with("w", CONTINUOUS, 0.0).integral_objective  # a zero cost is no term
+    assert model_with("k", INTEGER, -3.0).integral_objective
+    for name, kind, cost in (("h", BINARY, 0.5), ("v", CONTINUOUS, 1.0), ("g", INTEGER, -2.25)):
+        assert not model_with(name, kind, cost).integral_objective, name
 
 
 _LP = """Minimize
@@ -332,10 +339,16 @@ ENDATA
     (" r: x + y", " r: nan x + y", "bad constraint line: ' r: nan x + y >= 1'"),
     (">= 1", ">= inf", "bad constraint line: ' r: x + y >= inf'"),
     (" obj: x", " obj: inf x", "bad objective line: ' obj: inf x'"),
+    (" obj: x", " obj: 1e308 x + 1e308 x", "bad objective line: ' obj: 1e308 x + 1e308 x'"),
+    (" r: x + y", " r: x + 1e308 y + 1e308 y",
+     "bad constraint line: ' r: x + 1e308 y + 1e308 y >= 1'"),
+    (" r: x + y >= 1\n", " r: x + y >= 1\n r: x >= 0\n",
+     "bad constraint line: ' r: x >= 0' (constraint r is a duplicate)"),
 ], ids=["no-objective", "objective-colon", "objective-variable", "objective-constant", "sense",
         "bounds-tokens", "bounds-value", "bounds-twice", "constraint-value", "constraint-colon",
         "constraint-variable", "stray-line", "after-end", "bounds-nan", "bounds-lower-inf",
-        "bounds-upper-minus-inf", "constraint-nan", "constraint-rhs-inf", "objective-inf"])
+        "bounds-upper-minus-inf", "constraint-nan", "constraint-rhs-inf", "objective-inf",
+        "objective-sum-inf", "constraint-sum-inf", "constraint-twice"])
 def test_parse_lp_text_names_the_line_it_cannot_read(old, new, error):
     assert old in _LP
     with pytest.raises(InstanceFormatError) as info:
@@ -379,7 +392,7 @@ def test_parse_mps_names_the_line_it_cannot_read(old, new, error):
 def test_the_parsers_read_the_error_cases_unbroken():
     lp, mps = parse_lp_text(_LP), parse_mps(_MPS)
     for model in (lp, mps):
-        assert model.var_names == ["x", "y"] and model.objective == {"x": 1.0}
+        assert model.var_names == ["x", "y"] and model.cost.tolist() == [1.0, 0.0]
         assert [tuple(c) for c in model.constraints] == [("r", {"x": 1.0, "y": 1.0}, ">=", 1.0)]
         assert [(v.lower, v.upper) for v in model.variables] == [(0.0, 1.0), (0.0, INF)]
 
@@ -387,13 +400,12 @@ def test_the_parsers_read_the_error_cases_unbroken():
 def test_a_column_with_no_nonzero_entry_survives_both_round_trips():
     # z's only entry is a 0 in row r; MPS keeps it as a zero objective entry
     model = LpModel(name="t", sense="min")
-    model.add_var("x", 0.0, 1.0)
+    model.add_var("x", 0.0, 1.0, cost=1.0)
     model.add_var("z", 0.0, 5.0, INTEGER)
-    model.objective = {"x": 1.0}
     model.add_constraint("r", {"x": 1.0, "z": 0.0}, ">=", 0.5)
     for back in (parse_lp_text(write_lp_text(model)), parse_mps(write_mps(model))):
         assert back.var_names == ["x", "z"]
-        assert back.objective == {"x": 1.0}
+        assert back.cost.tolist() == [1.0, 0.0]
         z = back.variables[1]
         assert (z.kind, z.lower, z.upper) == (INTEGER, 0.0, 5.0)
 
@@ -424,15 +436,14 @@ def test_formulations_keep_every_variable_through_both_round_trips():
 
 def test_every_bound_shape_survives_both_round_trips():
     model = LpModel(name="shapes", sense="min")
-    model.add_var("free", -INF, INF)
-    model.add_var("at_most", -INF, 4.0)
-    model.add_var("at_least", 2.5, INF)
-    model.add_var("boxed", -3.0, 7.0)
-    model.add_var("fixed", 1.5, 1.5)
-    model.add_var("off", 0.0, 0.0, BINARY)
-    model.add_var("on", 1.0, 1.0, BINARY)
-    model.add_var("count", -4.0, -1.0, INTEGER)
-    model.objective = {name: 1.0 for name in model.var_names}
+    model.add_var("free", -INF, INF, cost=1.0)
+    model.add_var("at_most", -INF, 4.0, cost=1.0)
+    model.add_var("at_least", 2.5, INF, cost=1.0)
+    model.add_var("boxed", -3.0, 7.0, cost=1.0)
+    model.add_var("fixed", 1.5, 1.5, cost=1.0)
+    model.add_var("off", 0.0, 0.0, BINARY, cost=1.0)
+    model.add_var("on", 1.0, 1.0, BINARY, cost=1.0)
+    model.add_var("count", -4.0, -1.0, INTEGER, cost=1.0)
     model.add_constraint("r", {name: 1.0 for name in model.var_names}, ">=", -100.0)
     mps = write_mps(model)
     assert " MI BND       at_most" in mps and " LO BND       at_least     2.5" in mps
@@ -456,7 +467,7 @@ def test_binary_bounds_stay_in_the_unit_interval():
 
 def test_add_vars_refuses_a_duplicate_and_leaves_the_model_as_it_was():
     model = LpModel(name="t", sense="min")
-    model.add_vars(["a", "b"], 0.0, 1.0, BINARY)
+    model.add_vars(["a", "b"], 0.0, 1.0, BINARY, [1.0, 2.0])
     for names in (["c", "a"], ["c", "c"]):
         with pytest.raises(ValueError):
             model.add_vars(names, 0.0, 1.0, BINARY)
@@ -472,9 +483,8 @@ def test_add_vars_refuses_a_duplicate_and_leaves_the_model_as_it_was():
         with pytest.raises(ValueError, match=rf"^{kind} d has bounds \[{lower}, {upper}\]$"):
             model.add_vars(["c", "d"], [0.0, lower], [1.0, upper], kind)
     assert model.var_names == ["a", "b"] and model._index == {"a": 0, "b": 1}
-    assert [len(a) for a in (model.lower, model.upper, model.kind)] == [2, 2, 2]
-    model.add_vars(["c"], 0.0, 1.0, BINARY)
-    model.objective = {"a": 1.0, "b": 2.0, "c": 3.0}
+    assert [len(a) for a in (model.lower, model.upper, model.kind, model.cost)] == [2, 2, 2, 2]
+    model.add_vars(["c"], 0.0, 1.0, BINARY, 3.0)
     model.add_constraint("r", {"a": 1.0, "c": 1.0}, ">=", 1.0)
     assert solve_lp(model).primal == pytest.approx({"a": 1.0, "b": 0.0, "c": 0.0})
 
@@ -495,9 +505,53 @@ def test_add_rows_refuses_a_value_that_is_not_finite_and_leaves_the_model_as_it_
     assert _arrays(model) == before and model.row_names == ["r"]
 
 
+def test_add_vars_refuses_a_cost_that_is_not_finite_and_leaves_the_model_as_it_was():
+    model = LpModel(name="t", sense="min")
+    model.add_vars(["x", "y"], 0.0, 1.0, cost=[1.0, -2.0])
+    before = _arrays(model)
+    for cost, first in ((NAN, "a"), ([1.0, INF, NAN], "b"), ([0.0, 0.0, -INF], "c")):
+        with pytest.raises(ValueError, match=f"^continuous {first} has cost "):
+            model.add_vars(["a", "b", "c"], 0.0, 1.0, CONTINUOUS, cost)
+    # a bad bound is named before a bad cost
+    with pytest.raises(ValueError, match=r"^integer a has bounds \[nan, 1.0\]$"):
+        model.add_var("a", NAN, 1.0, INTEGER, cost=NAN)
+    assert _arrays(model) == before and model.var_names == ["x", "y"]
+
+
+def test_the_objective_is_the_cost_array_and_no_attribute_besides():
+    model = LpModel(name="t", sense="max")
+    with pytest.raises(AttributeError):
+        model.objective = {"x": 1.0}
+    model.add_vars(["x", "y"], 0.0, 1.0, BINARY, [3.0, 0.0])
+    model.add_var("z", 0.0, 2.0, INTEGER, cost=-1.0)
+    model.add_constraint("r", {"x": 1.0, "y": 1.0, "z": 1.0}, "<=", 2.0)
+    relaxed = model.relaxed()
+    assert relaxed.cost.tolist() == [3.0, 0.0, -1.0]
+    assert relaxed.cost is not model.cost
+    assert solve_lp(relaxed).objective == solve_lp(model).objective == 3.0
+    assert write_lp_text(model).splitlines()[2] == " obj: 3 x - z"
+
+
+def test_add_rows_refuses_a_duplicate_name_and_leaves_the_model_as_it_was():
+    model = LpModel(name="t", sense="min")
+    model.add_vars(["x", "y"], 0.0, 1.0, cost=1.0)
+    model.add_constraint("r", {"x": 1.0}, ">=", 0.5)
+    before = _arrays(model)
+    for names, first in ((["a", "r"], "r"), (["a", "a"], "a"), (["b", "c", "b"], "b")):
+        with pytest.raises(ValueError, match=f"^duplicate row {first}$"):
+            model.add_rows(names, RELATION[">="], 0.5, False, [0, 1], [0, 1], [1.0, 1.0])
+    with pytest.raises(ValueError, match="^duplicate row r$"):
+        model.add_constraint("r", {"y": 1.0}, ">=", 0.5)
+    assert _arrays(model) == before and model.row_names == ["r"]
+    # so every row keeps its own dual
+    model.add_constraint("s", {"y": 1.0}, ">=", 0.25)
+    assert solve_lp(model).dual == pytest.approx({"r": 1.0, "s": 1.0})
+
+
 def _arrays(model):
     return [(name, getattr(model, name).dtype, getattr(model, name).tolist())
-            for name in ("lower", "upper", "kind", "rel", "rhs", "implied", "row", "var", "val")]
+            for name in ("lower", "upper", "kind", "cost", "rel", "rhs", "implied", "row", "var",
+                         "val")]
 
 
 def test_one_item_adds_make_the_arrays_that_blocks_make():
@@ -564,9 +618,9 @@ def _quadratic_lp_text(model):
     lines = ["\\ " + model.name]
     lines.append("Minimize" if model.sense == "min" else "Maximize")
     terms = []
-    for name in model.var_names:
-        if name in model.objective and model.objective[name] != 0.0:
-            terms.append(_term(model.objective[name], name, first=not terms))
+    for name, cost in zip(model.var_names, model.cost.tolist()):
+        if cost != 0.0:
+            terms.append(_term(cost, name, first=not terms))
     lines.append(" obj: " + (" ".join(terms) if terms else "0 " + model.var_names[0]))
     lines.append("Subject To")
     for con in model.constraints:
@@ -601,15 +655,15 @@ def _quadratic_mps_columns(model):
     def fmt(col, row, val):
         return f"    {col:<12} {row:<12} {_num(val)}"
 
-    for v in model.variables:
+    for v, cost in zip(model.variables, model.cost.tolist()):
         is_int = v.kind in (BINARY, INTEGER)
         if is_int != marker_on:
             kind = "'INTORG'" if is_int else "'INTEND'"
             out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} {kind}")
             marker_on = is_int
             marker_idx += 1
-        if v.name in model.objective and model.objective[v.name] != 0.0:
-            out.append(fmt(v.name, "OBJ", model.objective[v.name]))
+        if cost != 0.0:
+            out.append(fmt(v.name, "OBJ", cost))
         for con in model.constraints:
             if v.name in con.coeffs and con.coeffs[v.name] != 0.0:
                 out.append(fmt(v.name, con.name, con.coeffs[v.name]))
@@ -636,9 +690,8 @@ def _reordered(model, rnd):
     """The model built again row by row, with each row's coefficients out
     of variable order and one of them an explicit zero."""
     out = LpModel(name=model.name, sense=model.sense)
-    for v in model.variables:
-        out.add_var(v.name, v.lower, v.upper, v.kind)
-    out.objective = dict(model.objective)
+    for v, cost in zip(model.variables, model.cost.tolist()):
+        out.add_var(v.name, v.lower, v.upper, v.kind, cost)
     rows = model.constraints
     zero = rnd.randrange(len(rows))
     for r, con in enumerate(rows):
@@ -690,8 +743,7 @@ def _reference_cover_rows(col_rows, names):
 
 
 def _reference_root_rows(model, matrix, names):
-    model.add_var("c", 0.0, INF, INTEGER)
-    model.objective = {"c": 1.0}
+    model.add_var("c", 0.0, INF, INTEGER, cost=1.0)
     root_rows, implied = _reference_cover_rows(matrix.rows, names)
     for r in range(len(matrix.points)):
         coeffs = root_rows.get(r, {})

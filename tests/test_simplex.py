@@ -38,8 +38,7 @@ def _model(sense="min", name="t"):
 
 def test_trivial_max():
     m = _model("max")
-    m.add_var("x", 0.0, INF)
-    m.objective = {"x": 1.0}
+    m.add_var("x", 0.0, INF, cost=1.0)
     m.add_constraint("r", {"x": 1.0}, "<=", 1.0)
     sol = solve_lp(m)
     assert sol.status == "optimal"
@@ -49,8 +48,7 @@ def test_trivial_max():
 
 def test_infeasible():
     m = _model()
-    m.add_var("x", 0.0, INF)
-    m.objective = {"x": 1.0}
+    m.add_var("x", 0.0, INF, cost=1.0)
     m.add_constraint("a", {"x": 1.0}, "<=", 1.0)
     m.add_constraint("b", {"x": 1.0}, ">=", 2.0)
     assert solve_lp(m).status == "infeasible"
@@ -58,17 +56,15 @@ def test_infeasible():
 
 def test_unbounded():
     m = _model("max")
-    m.add_var("x", 0.0, INF)
-    m.objective = {"x": 1.0}
+    m.add_var("x", 0.0, INF, cost=1.0)
     m.add_constraint("a", {"x": -1.0}, "<=", 1.0)
     assert solve_lp(m).status == "unbounded"
 
 
 def test_free_variable_and_equality():
     m = _model()
-    m.add_var("x", -INF, INF)
-    m.add_var("y", 0.0, INF)
-    m.objective = {"x": 1.0, "y": 2.0}
+    m.add_var("x", -INF, INF, cost=1.0)
+    m.add_var("y", 0.0, INF, cost=2.0)
     m.add_constraint("a", {"x": 1.0, "y": 1.0}, "=", 3.0)
     m.add_constraint("b", {"x": 1.0}, ">=", -5.0)
     sol = solve_lp(m)
@@ -88,8 +84,7 @@ def test_cg_relaxation_c5(c5):
 def test_duals_small_example():
     # min x st x >= 1 has dual value 1 on the binding row
     m = _model()
-    m.add_var("x", 0.0, INF)
-    m.objective = {"x": 1.0}
+    m.add_var("x", 0.0, INF, cost=1.0)
     m.add_constraint("r", {"x": 1.0}, ">=", 1.0)
     sol = solve_lp(m)
     assert sol.dual["r"] == pytest.approx(1.0)
@@ -98,8 +93,7 @@ def test_duals_small_example():
 def _weak_duality_gap(model, sol):
     """|c'x - y'b| for the returned pair; zero at optimality by strong
     duality when signs are right."""
-    primal_obj = sum(model.objective.get(v.name, 0.0) * sol.primal[v.name]
-                     for v in model.variables)
+    primal_obj = sum(c * sol.primal[name] for name, c in zip(model.var_names, model.cost.tolist()))
     dual_obj = sum(sol.dual.get(row.name, 0.0) * row.rhs for row in model.constraints)
     return primal_obj, dual_obj
 
@@ -141,9 +135,9 @@ def test_objective_stable_under_permutation():
         rows = list(model.constraints)
         rng.shuffle(cols)
         rng.shuffle(rows)
+        cost = dict(zip(model.var_names, model.cost.tolist()))
         for v in cols:
-            shuffled.add_var(v.name, v.lower, v.upper, v.kind)
-        shuffled.objective = dict(model.objective)
+            shuffled.add_var(v.name, v.lower, v.upper, v.kind, cost[v.name])
         for r in rows:
             shuffled.add_constraint(r.name, dict(r.coeffs), r.relation, r.rhs)
         assert solve_lp(shuffled).objective == pytest.approx(base, abs=1e-8)
@@ -156,9 +150,7 @@ def test_dual_weak_duality_sign_convention():
         n_var, n_row = int(rng.integers(2, 6)), int(rng.integers(1, 5))
         m = _model("min", f"rand{k}")
         names = [f"v{t}" for t in range(n_var)]
-        for nm in names:
-            m.add_var(nm, 0.0, 10.0, CONTINUOUS)
-        m.objective = {nm: float(rng.integers(1, 6)) for nm in names}
+        m.add_vars(names, 0.0, 10.0, CONTINUOUS, [float(rng.integers(1, 6)) for nm in names])
         for r in range(n_row):
             coeffs = {nm: float(rng.integers(0, 4)) for nm in names}
             if all(c == 0 for c in coeffs.values()):
@@ -195,9 +187,8 @@ def _spy(monkeypatch, events):
 def test_bound_flip_without_pivot(monkeypatch):
     # both variables reach their own bound before the row binds
     m = _model("max")
-    m.add_var("x", 0.0, 1.0)
-    m.add_var("y", 0.0, 1.0)
-    m.objective = {"x": 1.0, "y": 2.0}
+    m.add_var("x", 0.0, 1.0, cost=1.0)
+    m.add_var("y", 0.0, 1.0, cost=2.0)
     m.add_constraint("r", {"x": 1.0, "y": 1.0}, "<=", 5.0)
     events = []
     _spy(monkeypatch, events)
@@ -212,10 +203,9 @@ def test_bound_flip_without_pivot(monkeypatch):
 
 def test_basic_variable_leaves_at_upper_bound(monkeypatch):
     m = _model("max")
-    m.add_var("x", 0.0, 2.0)
+    m.add_var("x", 0.0, 2.0, cost=1.0)
     m.add_var("y", 0.0, 3.0)
-    m.add_var("z", 0.0, 2.0)
-    m.objective = {"x": 1.0, "z": 1.0}
+    m.add_var("z", 0.0, 2.0, cost=1.0)
     m.add_constraint("r", {"x": 2.0, "y": -1.0, "z": 1.0}, "<=", 2.0)
     events = []
     _spy(monkeypatch, events)
@@ -259,13 +249,12 @@ def _bounds_as_rows(model):
     """The same LP with every finite bound written as a constraint row and
     every variable free, so no implicit bound is left to the solver."""
     out = LpModel(name=model.name, sense=model.sense)
-    for v in model.variables:
-        out.add_var(v.name, -INF, INF)
+    for v, cost in zip(model.variables, model.cost.tolist()):
+        out.add_var(v.name, -INF, INF, cost=cost)
         if v.lower > -INF:
             out.add_constraint(f"lo_{v.name}", {v.name: 1.0}, ">=", v.lower)
         if v.upper < INF:
             out.add_constraint(f"hi_{v.name}", {v.name: 1.0}, "<=", v.upper)
-    out.objective = dict(model.objective)
     for r in model.constraints:
         out.add_constraint(r.name, dict(r.coeffs), r.relation, r.rhs)
     return out
@@ -288,7 +277,8 @@ def _random_bounded_lp(rng, k):
         lo = v.lower if v.lower > -INF else v.upper - 3.0 if v.upper < INF else -2.0
         hi = v.upper if v.upper < INF else lo + 3.0
         point[v.name] = float(rng.uniform(lo, hi))
-    m.objective = {nm: float(rng.integers(-4, 5)) for nm in names}
+    # drawn after the point, so written into the cost array in place
+    m.cost[:] = [float(rng.integers(-4, 5)) for nm in names]
     for r in range(int(rng.integers(1, 5))):
         coeffs = {nm: float(rng.integers(-3, 4)) for nm in names if rng.random() < 0.7}
         coeffs = coeffs or {names[0]: 1.0}
@@ -320,7 +310,7 @@ def _assert_optimality_conditions(model, sol, k, tol=1e-7):
     vanish on slack rows; each reduced cost (the dual of a variable bound)
     is zero unless its variable rests at the bound it points to."""
     s = 1.0 if model.sense == "min" else -1.0
-    reduced = {v.name: s * model.objective.get(v.name, 0.0) for v in model.variables}
+    reduced = {name: s * c for name, c in zip(model.var_names, model.cost.tolist())}
     for r in model.constraints:
         y = s * sol.dual[r.name]
         slack = sum(c * sol.primal[nm] for nm, c in r.coeffs.items()) - r.rhs
@@ -338,9 +328,8 @@ def _assert_optimality_conditions(model, sol, k, tol=1e-7):
 
 def test_bound_overrides_tighten_unit_interval():
     m = _model("max")
-    m.add_var("x", 0.0, 1.0)
-    m.add_var("y", 0.0, 1.0)
-    m.objective = {"x": 2.0, "y": 1.0}
+    m.add_var("x", 0.0, 1.0, cost=2.0)
+    m.add_var("y", 0.0, 1.0, cost=1.0)
     m.add_constraint("r", {"x": 1.0, "y": 1.0}, "<=", 1.5)
     assert solve_lp(m).primal == pytest.approx({"x": 1.0, "y": 0.5})
     cases = [
@@ -380,14 +369,14 @@ def test_tableau_duals_match_basis_solve(monkeypatch):
         assert sol.status == "optimal"
         A, basis = seen["A"], seen["basis"]
         c = np.zeros(A.shape[1])
-        c[:len(model.variables)] = [model.objective.get(v.name, 0.0) for v in model.variables]
+        c[:len(model.variables)] = model.cost
         y_ref = np.linalg.solve(A[:, basis].T, c[basis])
         y = np.array([sol.dual[r.name] for r in model.constraints])
         assert np.abs(y[~model.implied] - y_ref).max() <= 1e-9, k
         assert not y[model.implied].any(), k
         # strong duality: y'b plus u times each negative reduced cost
         dual_obj = sum(y[i] * r.rhs for i, r in enumerate(model.constraints))
-        reduced = dict(model.objective)
+        reduced = dict(zip(model.var_names, model.cost.tolist()))
         for yi, r in zip(y, model.constraints):
             for name, coef in r.coeffs.items():
                 reduced[name] = reduced.get(name, 0.0) - yi * coef
@@ -442,7 +431,7 @@ def _crashed(model, start):
 def _dual_objective(model, sol):
     """y'b plus, for each variable, its reduced cost times the bound that
     cost points at (a min model)."""
-    reduced = dict(model.objective)
+    reduced = dict(zip(model.var_names, model.cost.tolist()))
     value = 0.0
     for r in model.constraints:
         y = sol.dual[r.name]
@@ -509,14 +498,12 @@ def test_a_start_on_a_positive_surplus_or_a_negative_free_value_is_dropped():
     # puts y's first column below 0, so both starts fail the crash's final
     # check and the answer is the cold solve's
     surplus = _model()
-    surplus.add_var("x", 0.0, INF)
-    surplus.objective = {"x": -1.0}
+    surplus.add_var("x", 0.0, INF, cost=-1.0)
     surplus.add_constraint("hi", {"x": 1.0}, "<=", 3.0)
     surplus.add_constraint("lo", {"x": 1.0}, ">=", 1.0)
     free = _model()
-    free.add_var("y", -INF, INF)
-    free.add_var("z", 0.0, 1.0)
-    free.objective = {"y": 1.0, "z": 1.0}
+    free.add_var("y", -INF, INF, cost=1.0)
+    free.add_var("z", 0.0, 1.0, cost=1.0)
     free.add_constraint("lo", {"y": 1.0, "z": 1.0}, ">=", -2.0)
     for model, start in ((surplus, {"x": 3.0}), (free, {"y": -2.0, "z": 0.0})):
         sol, took = _crashed(model, start)
@@ -611,9 +598,7 @@ def test_an_at_upper_column_in_two_equality_rows_keeps_their_artificials():
     # x rests at its upper bound in rows a and b, so neither row takes it
     # and both artificials stay basic at 0; row c takes w
     m = _model()
-    for name in "xyzw":
-        m.add_var(name, 0.0, 1.0)
-    m.objective = {"x": 3.0, "y": 1.0, "z": 1.0, "w": 1.0}
+    m.add_vars(list("xyzw"), 0.0, 1.0, cost=[3.0, 1.0, 1.0, 1.0])
     m.add_constraint("a", {"x": 1.0, "y": 1.0}, "=", 1.0)
     m.add_constraint("b", {"x": 1.0, "z": 1.0}, "=", 1.0)
     m.add_constraint("c", {"w": 1.0}, "=", 1.0)
@@ -637,10 +622,9 @@ def test_an_at_upper_column_in_two_equality_rows_keeps_their_artificials():
 def _pinned_model():
     """min x + 2y + 3z with z fixed at 2 and a row on z alone."""
     m = _model()
-    m.add_var("x", 0.0, 1.0)
-    m.add_var("y", 0.0, INF)
-    m.add_var("z", 2.0, 2.0)
-    m.objective = {"x": 1.0, "y": 2.0, "z": 3.0}
+    m.add_var("x", 0.0, 1.0, cost=1.0)
+    m.add_var("y", 0.0, INF, cost=2.0)
+    m.add_var("z", 2.0, 2.0, cost=3.0)
     m.add_constraint("r", {"x": 1.0, "y": 1.0, "z": 1.0}, ">=", 3.5)
     m.add_constraint("zr", {"z": 1.0}, "<=", 2.0)
     return m
@@ -675,9 +659,8 @@ def test_the_crash_takes_an_equality_rows_artificial_out_with_no_fixed_column():
     # x and z both rest at their upper bound and lie in row a alone; z has
     # the larger entry, but it is fixed, so x enters
     m = _model()
-    m.add_var("x", 0.0, 1.0)
-    m.add_var("z", 0.0, 0.0)
-    m.objective = {"x": 1.0, "z": 1.0}
+    m.add_var("x", 0.0, 1.0, cost=1.0)
+    m.add_var("z", 0.0, 0.0, cost=1.0)
     m.add_constraint("a", {"x": 1.0, "z": 2.0}, "=", 1.0)
     tab, x = _crash_input(m, {"x": 1.0})
     assert simplex._crash(tab, x, simplex.DEFAULT_OPTIONS) == 1
@@ -700,8 +683,7 @@ def test_a_row_on_fixed_variables_alone_that_fails_is_infeasible():
 
 def _with_empty_row(relation, rhs):
     m = _model()
-    m.add_var("x", 0.0, 1.0)
-    m.objective = {"x": 1.0}
+    m.add_var("x", 0.0, 1.0, cost=1.0)
     m.add_constraint("r", {"x": 1.0}, ">=", 0.5)
     m.add_constraint("e", {}, relation, rhs)
     return m
@@ -773,11 +755,8 @@ def test_an_artificial_that_phase_one_leaves_basic_stays_there_at_0():
     # r2's surplus are nonzero, so a pivot could take it out; it stays
     # basic, fixed at 0, through the optimum, and r2's dual is 0
     m = _model()
-    m.add_var("x0", 0.0, 1.0)
-    m.add_var("x1", 0.0, 1.0)
-    m.add_var("x2", 0.0, INF)
-    m.add_var("x3", 0.0, INF)
-    m.objective = {name: -2.0 for name in m.var_names}
+    m.add_vars(["x0", "x1"], 0.0, 1.0, cost=-2.0)
+    m.add_vars(["x2", "x3"], 0.0, INF, cost=-2.0)
     m.add_constraint("r0", {"x1": 2.0, "x2": 1.0}, "=", 1.0)
     m.add_constraint("r1", {"x0": -1.0, "x1": 2.0, "x3": -2.0}, ">=", 0.0)
     m.add_constraint("r2", {"x2": -2.0}, ">=", 0.0)
@@ -829,9 +808,7 @@ def test_warm_restart_flips_bounds_in_the_dual_ratio_test():
     # to 1 and x5 enters at 0.5: one pivot, where a ratio test without
     # flips enters x4 first and needs a second pivot to take it out again
     m = _model()
-    for j in range(1, 6):
-        m.add_var(f"x{j}", 0.0, 1.0)
-    m.objective = {f"x{j}": float(j) for j in range(1, 6)}
+    m.add_vars([f"x{j}" for j in range(1, 6)], 0.0, 1.0, cost=[1.0, 2.0, 3.0, 4.0, 5.0])
     m.add_constraint("r", {f"x{j}": 1.0 for j in range(1, 6)}, ">=", 2.5)
     root = solve_lp(m)
     assert root.primal == pytest.approx({"x1": 1.0, "x2": 1.0, "x3": 0.5, "x4": 0.0, "x5": 0.0})
@@ -865,9 +842,8 @@ def test_warm_child_with_a_failing_parent_row_is_infeasible():
 
 def test_warm_restart_falls_back_when_a_bound_loosens():
     m = _model("max")
-    m.add_var("x", 0.0, 1.0)
-    m.add_var("y", 0.0, 1.0)
-    m.objective = {"x": 2.0, "y": 1.0}
+    m.add_var("x", 0.0, 1.0, cost=2.0)
+    m.add_var("y", 0.0, 1.0, cost=1.0)
     m.add_constraint("r", {"x": 1.0, "y": 1.0}, "<=", 1.5)
     fixed = solve_lp(m, bound_overrides={"x": (0.0, 0.0)})
     assert fixed.primal == pytest.approx({"x": 0.0, "y": 1.0})
@@ -877,8 +853,7 @@ def test_warm_restart_falls_back_when_a_bound_loosens():
         assert sol.primal == pytest.approx({"x": 1.0, "y": 0.5}), overrides
     # a tableau of another model is not resumed
     other = _model("max")
-    other.add_var("x", 0.0, 1.0)
-    other.objective = {"x": 1.0}
+    other.add_var("x", 0.0, 1.0, cost=1.0)
     assert solve_lp(other, warm=fixed).primal == {"x": 1.0}
 
 
@@ -886,9 +861,8 @@ def test_dropping_an_override_that_does_not_bind_still_resumes():
     # the parent's override repeats x's own bounds, so the child that drops
     # it asks for the same bounds: the tableau stays valid and is resumed
     m = _model("max")
-    m.add_var("x", 0.0, 1.0)
-    m.add_var("y", 0.0, 1.0)
-    m.objective = {"x": 2.0, "y": 1.0}
+    m.add_var("x", 0.0, 1.0, cost=2.0)
+    m.add_var("y", 0.0, 1.0, cost=1.0)
     m.add_constraint("r", {"x": 1.0, "y": 1.0}, "<=", 1.5)
     parent = solve_lp(m, bound_overrides={"x": (0.0, 1.0)})
     with mock.patch.object(simplex, "_solve_cold", wraps=simplex._solve_cold) as cold:
@@ -905,10 +879,8 @@ def test_a_resume_leaves_its_parents_tableau_as_it_was():
     # model lacks as the cold solve does, and one that falls back to the
     # cold solve because a mirrored column's bound moves
     m = _model()
-    for j in range(1, 6):
-        m.add_var(f"x{j}", 0.0, 1.0)
+    m.add_vars([f"x{j}" for j in range(1, 6)], 0.0, 1.0, cost=[1.0, 2.0, 3.0, 4.0, 5.0])
     m.add_var("w", -INF, 3.0)
-    m.objective = {f"x{j}": float(j) for j in range(1, 6)}
     m.add_constraint("r", {f"x{j}": 1.0 for j in range(1, 6)}, ">=", 2.5)
     root = solve_lp(m)
     fields = ("T", "basis", "upper", "flipped", "offset", "lo", "hi")
@@ -976,8 +948,7 @@ def test_phase_one_that_comes_back_unbounded_raises(monkeypatch):
     # phase 1 is bounded below by 0, so "unbounded" there is numerical
     # trouble, not an answer to go on from
     m = _model()
-    m.add_var("x", 0.0, INF)
-    m.objective = {"x": 1.0}
+    m.add_var("x", 0.0, INF, cost=1.0)
     m.add_constraint("r", {"x": 1.0}, ">=", 1.0)
     orig = simplex._optimize
     calls = []
