@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .errors import CertificateError, InfeasibleModelError
 # build_graph and validate_coloring are not called here; perfbench/spans.py
 # wraps them at these names
@@ -89,31 +91,37 @@ def _node_bound(obj: float, integral: bool, int_tol: float) -> float:
     return math.ceil(obj - int_tol) if integral else obj
 
 
-def _branch_var(primal: dict, names, int_tol: float):
-    """The branching rule: the most fractional of the named variables at
-    primal, ties to the smallest name, or None when every one is within
-    int_tol of an integer."""
-    best_frac, best_var = int_tol, None
-    for name in names:
-        frac = abs(primal[name] - round(primal[name]))
-        if frac > best_frac or (frac == best_frac and best_var is not None and name < best_var):
-            best_frac, best_var = frac, name
-    return best_var
+def _by_name(model: LpModel, indices) -> np.ndarray:
+    """The variable indices sorted by their variables' names."""
+    return np.array(sorted(indices, key=model.var_names.__getitem__), dtype=np.int64)
+
+
+def _branch_var(primal: np.ndarray, order: np.ndarray, int_tol: float):
+    """The branching rule: the index of the most fractional variable of
+    order at primal, ties to the first in order (the smallest name, as
+    _by_name sorts them), or None when every one is within int_tol of an
+    integer."""
+    x = primal[order]
+    frac = np.abs(x - np.round(x))
+    return int(order[frac.argmax()]) if frac.size and frac.max() > int_tol else None
 
 
 def solve_ip(model: LpModel, options: SimplexOptions | None = None,
              incumbent_value: float | None = None,
-             no_branch=frozenset(), log=None,
+             branch=None, log=None,
              root: LpSolution | None = None):
     """Minimize a model with binary/integer variables.
 
-    Returns (value, primal-or-None, nodes).  primal is None when the
-    incumbent supplied by the caller was never beaten (the caller then owns
-    the certificate).  Branching splits the variable _branch_var picks on
-    floor/ceil of its LP value (a 0/1 fix for binaries); variables in
-    no_branch are left to the integrality implied by the others.  Node LPs
-    solve the model itself, as solve_lp reads bounds only.  A caller that
-    has already solved the root LP passes it as root: it is counted as the
+    Returns (value, primal-or-None, nodes); primal is an array in
+    var_names order.  primal is None when the incumbent supplied by the
+    caller was never beaten (the caller then owns the certificate).
+    branch holds the indices of the variables it may branch on, by
+    default every binary and integer one; the others are left to the
+    integrality implied by these.  Branching splits the variable
+    _branch_var picks on floor/ceil of its LP value (a 0/1 fix for
+    binaries).  Each node keeps its (lower, upper) bound arrays, which
+    solve_lp tightens on top of the model's own.  A caller that has
+    already solved the root LP passes it as root: it is counted as the
     first node and not solved again.
 
     A child's LP resumes from its parent's final tableau (solve_lp's warm
@@ -126,7 +134,7 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
         raise ValueError(f"solve_ip minimizes; model {model.name} is a {model.sense} model")
     opts = options or DEFAULT_OPTIONS
     integral = model.integral_objective
-    int_names = [n for n in model.integer_var_names() if n not in no_branch]
+    order = _by_name(model, np.flatnonzero(model.kind) if branch is None else branch)
 
     best_value = incumbent_value if incumbent_value is not None else math.inf
     best_primal = None
@@ -135,11 +143,11 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
     heap = []
     kept = {}  # seq -> LpSolution of the entries pushed since the last pop
 
-    def evaluate(fixings, depth, sol=None, parent=None):
+    def evaluate(bounds, depth, sol=None, parent=None):
         nonlocal nodes, best_value, best_primal, seq
         nodes += 1
         if sol is None:
-            sol = solve_lp(model, opts, bound_overrides=fixings or None, warm=parent)
+            sol = solve_lp(model, opts, bounds=bounds, warm=parent)
         if sol.status != "optimal":
             return
         bound = _node_bound(sol.objective, integral, opts.int_tol)
@@ -148,32 +156,29 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
                 f"pivots={sol.iterations}")
         if bound >= best_value - (0 if integral else opts.int_tol):
             return
-        branch_var = _branch_var(sol.primal, int_names, opts.int_tol)
-        if branch_var is None:
+        k = _branch_var(sol.primal, order, opts.int_tol)
+        if k is None:
             value = round(sol.objective) if integral else sol.objective
             if value < best_value:
                 best_value = value
-                best_primal = dict(sol.primal)
+                best_primal = sol.primal
             return
         seq += 1
-        heappush(heap, (bound, -depth, seq, fixings, branch_var, sol.primal[branch_var]))
+        heappush(heap, (bound, -depth, seq, bounds, k, float(sol.primal[k])))
         kept[seq] = sol
 
-    evaluate({}, 0, root)
+    evaluate((model.lower, model.upper), 0, root)
     while heap:
-        bound, negdepth, popped, fixings, branch_var, frac_val = heappop(heap)
+        bound, negdepth, popped, (lower, upper), k, frac_val = heappop(heap)
         parent = kept.pop(popped, None)
         kept.clear()
         if bound >= best_value:
             continue
-        depth = -negdepth
-        olo, ohi = fixings.get(branch_var, (-math.inf, math.inf))
-        down = dict(fixings)
-        down[branch_var] = (olo, math.floor(frac_val))
-        up = dict(fixings)
-        up[branch_var] = (math.ceil(frac_val), ohi)
-        evaluate(down, depth + 1, parent=parent)
-        evaluate(up, depth + 1, parent=parent)
+        # each child copies the one bound array it tightens
+        down, up = upper.copy(), lower.copy()
+        down[k], up[k] = math.floor(frac_val), math.ceil(frac_val)
+        evaluate((lower, down), -negdepth + 1, parent=parent)
+        evaluate((up, upper), -negdepth + 1, parent=parent)
     if math.isinf(best_value) or (incumbent_value is None and best_primal is None):
         raise InfeasibleModelError(f"model {model.name} has no integer solution")
     return best_value, best_primal, nodes
@@ -182,18 +187,17 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
 # ---------------------------------------------------------------------------
 # the arborescence programs: CG for colors, CG_H for stacks
 
-def _start(rep: IntervalRep, model: LpModel, plan: StackPlan) -> dict:
-    """The point of a heuristic plan in the variables of CG or CG_H: its
-    arcs at 1 and c at its number of stacks.  A CG arc (i, j) is a layered
-    arc (i, h, j) with its layer dropped."""
+def _start(rep: IntervalRep, model: LpModel, plan: StackPlan) -> np.ndarray:
+    """The point of a heuristic plan in the variables of CG or CG_H, the
+    arcs 0 .. A-1 and c last: its arcs at 1 and c at its number of stacks.
+    A CG arc (i, j) is a layered arc (i, h, j) with its layer dropped."""
     held = plan_arcs(rep, plan)
     held |= {(i, j) for i, _, j in held}
-    start = {name: 1.0 for name, arc in model.metadata["arcs"].items() if tuple(arc) in held}
-    start["c"] = plan.num_stacks
-    return start
+    arcs = model.metadata["arcs"].values()
+    return np.array([tuple(arc) in held for arc in arcs] + [plan.num_stacks], float)
 
 
-def _root_lp(model: LpModel, start: dict, opts: SimplexOptions, timings: dict) -> LpSolution:
+def _root_lp(model: LpModel, start: np.ndarray, opts: SimplexOptions, timings: dict) -> LpSolution:
     """The LP relaxation of CG or CG_H, crash-started from start, the
     point of a heuristic solution."""
     t0 = time.perf_counter()
@@ -277,26 +281,22 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
     value, chi_f, nodes = len(clique), float(len(clique)), 0
     if not settled:
         model, plan = _build(rep, height, timings, plan)
-        arc_map = model.metadata["arcs"]
+        arc_list = list(model.metadata["arcs"].values())
         start = _start(rep, model, plan)
         root = _root_lp(model, start, opts, timings)
         chi_f = root.objective
         t0 = time.perf_counter()
-        if _branch_var(root.primal, arc_map, opts.int_tol) is None:
+        branch = _by_name(model, range(len(arc_list)))  # the arcs; c is left to them
+        if _branch_var(root.primal, branch, opts.int_tol) is None:
             value, point, nodes = round(root.objective), root.primal, 1
         else:
-            value, point, nodes = solve_ip(
-                model, opts,
-                incumbent_value=start["c"],
-                no_branch=frozenset(["c"]),
-                log=log,
-                root=root,
-            )
+            value, point, nodes = solve_ip(model, opts, incumbent_value=plan.num_stacks,
+                                           branch=branch, log=log, root=root)
         timings["search"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         point = start if point is None else point
-        arcs = {tuple(arc) for name, arc in arc_map.items() if point.get(name, 0.0) > 0.5}
+        arcs = {tuple(arc_list[k]) for k in np.flatnonzero(point[:len(arc_list)] > 0.5).tolist()}
         if height is None:
             colors = decode_arborescence(rep, arcs, value).colors
             # the color classes 1..chi, as a plan with no binding height

@@ -259,9 +259,6 @@ class LpModel:
         costed = self.cost != 0.0
         return bool(self.kind[costed].all() and (self.cost[costed] % 1.0 == 0.0).all())
 
-    def integer_var_names(self) -> list:
-        return [self.var_names[k] for k in np.flatnonzero(self.kind).tolist()]
-
 
 def _grow(have, add, count: int):
     """have, then add (one value for all count items, or one per item) in
@@ -585,8 +582,12 @@ def _num(x: float) -> str:
 
 
 def write_lp_text(model: LpModel) -> str:
-    """LP text format (CPLEX-like dialect; round-trips via parse_lp_text)."""
+    """LP text format (CPLEX-like dialect; round-trips via parse_lp_text).
+    An empty sum is written as 0 times the first variable, so a model
+    with no variable raises ValueError."""
     names = model.var_names
+    if not names:
+        raise ValueError(f"model {model.name} has no variable, and LP text needs one")
     lines = ["\\ " + model.name]
     lines.append("Minimize" if model.sense == "min" else "Maximize")
     costed = np.flatnonzero(model.cost)
@@ -643,10 +644,11 @@ _LP_SECTIONS = {"subject to": "constraint", "bounds": "bounds", "general": "gene
 
 def parse_lp_text(text: str) -> LpModel:
     """Parse our own LP dialect back into a model.  A line it cannot read,
-    one naming a variable the Bounds section does not declare, a
-    constraint named twice, or one with a number add_vars or add_rows
-    refuses (NaN, or infinite anywhere but on the open side of a bound)
-    raises InstanceFormatError naming that line."""
+    one naming a variable the Bounds section does not declare (in the
+    objective, a constraint, General or Binary), a constraint named
+    twice, or one with a number add_vars or add_rows refuses (NaN, or
+    infinite anywhere but on the open side of a bound) raises
+    InstanceFormatError naming that line."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.lstrip().startswith("\\")]
     if not lines:
@@ -664,7 +666,7 @@ def parse_lp_text(text: str) -> LpModel:
     what = None  # the kind of line the section holds; None outside one
     bounds = []
     constraints = []
-    generals, binaries = set(), set()
+    generals, binaries = {}, {}  # name -> the last line that lists it
     for ln in lines[2:]:
         stripped = ln.strip()
         if stripped.lower() in _LP_SECTIONS:
@@ -682,9 +684,9 @@ def parse_lp_text(text: str) -> LpModel:
                     raise ValueError
                 bounds.append((ln, name, float(lo), float(hi)))
             elif what == "general":
-                generals.update(stripped.split())
+                generals.update(dict.fromkeys(stripped.split(), ln))
             elif what == "binary":
-                binaries.update(stripped.split())
+                binaries.update(dict.fromkeys(stripped.split(), ln))
             else:  # before Subject To or after End
                 raise ValueError
         except (ValueError, StopIteration):
@@ -702,6 +704,10 @@ def parse_lp_text(text: str) -> LpModel:
         raise InstanceFormatError(f"bad objective line: {lines[1]!r} (an undeclared variable)")
     model.add_vars(names, lower, upper, kinds, cost)
     index = model._index
+    for what, listed in (("general", generals), ("binary", binaries)):
+        for name, ln in listed.items():
+            if name not in index:
+                raise InstanceFormatError(f"bad {what} line: {ln!r} (an undeclared variable {name})")
     row, var, val = [], [], []
     seen = set()
     for r, (ln, name, coeffs, _, _) in enumerate(constraints):
@@ -754,13 +760,18 @@ def _finite(text) -> float:
 
 
 def write_mps(model: LpModel) -> str:
-    """Fixed MPS.  Integrality is flagged with MARKER lines."""
+    """Fixed MPS.  Integrality is flagged with MARKER lines.  The
+    objective's N row is OBJ, or OBJ with underscores added when a row has
+    that name."""
+    rows = model.row_names
+    objective, taken = "OBJ", set(rows)
+    while objective in taken:
+        objective += "_"
     out = []
     out.append(f"NAME          {model.name}")
     out.append("ROWS")
-    out.append(" N  OBJ")
+    out.append(f" N  {objective}")
     rel_code = {code: letter for letter, code in _MPS_RELATION.items()}
-    rows = model.row_names
     for name, rel in zip(rows, model.rel.tolist()):
         out.append(f" {rel_code[rel]}  {name}")
     out.append("COLUMNS")
@@ -778,7 +789,7 @@ def write_mps(model: LpModel) -> str:
             marker_on = is_int
             marker_idx += 1
         if obj != 0.0 or not column:  # a column with no entry keeps one, so it is read back
-            out.append(fmt(name, "OBJ", obj))
+            out.append(fmt(name, objective, obj))
         out.extend(fmt(name, rows[r], val) for r, val in column)
     if marker_on:
         out.append(f"    MARKER{marker_idx:<7} {'MARKER':<12} 'INTEND'")

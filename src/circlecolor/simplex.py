@@ -57,8 +57,8 @@ method, techniques for a fast and stable implementation*, PhD thesis,
 Paderborn 2005, ch. 3): solve_lp(warm=parent) resumes from a copy of the
 parent's final tableau (_Tableau.copy), whose cost row is still dual
 feasible after bounds tighten.  The child's bounds come from the cold
-solve's merge (_bounds: the model's bounds with the overrides tightened on
-top, names the model lacks ignored), and comparing them as whole arrays
+solve's merge (_bounds: the model's bounds with the given ones tightened
+on top, np.maximum and np.minimum), and comparing them as whole arrays
 with the parent's gives the bounds that loosen, contradict or move.  A
 column whose bounds move is shifted, T[:, -1] -= a * T[:, p],
 basic or not, with a = the move of its lower bound (of its upper bound
@@ -161,10 +161,13 @@ DEFAULT_OPTIONS = SimplexOptions()
 
 @dataclass
 class LpSolution:
+    """primal[k] is the value of variable var_names[k] and dual[r] the
+    dual of row row_names[r]; both are empty unless the status is
+    'optimal'."""
     status: str  # 'optimal' | 'infeasible' | 'unbounded'
     objective: float | None
-    primal: dict = field(default_factory=dict)
-    dual: dict = field(default_factory=dict)
+    primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0
     # the final tableau of an optimal solve, which solve_lp(warm=...) resumes
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
@@ -185,7 +188,7 @@ class _Standardized:
 
     def __init__(self):
         self.offset = self.col = self.sign = self.free = None  # per variable
-        self.lo = self.hi = None  # per variable: its bounds with the overrides
+        self.lo = self.hi = None  # per variable: its bounds in effect
         self.upper = None    # per column: finite upper bound or INF
         self.cost = None     # per column: phase-2 cost, to be minimized
         self.origin = None   # per row: index of its model constraint
@@ -206,8 +209,8 @@ class _Tableau:
     right-hand sides in the last column), the basic column of each row,
     each column's upper bound and whether it is complemented.  offset is
     std.offset with the lower bounds a restart moved into it, and lo and hi
-    are the variables' bounds with the overrides in effect.  An optimal
-    solve keeps its final one on its LpSolution for a warm restart."""
+    are the variables' bounds in effect.  An optimal solve keeps its final
+    one on its LpSolution for a warm restart."""
     model: LpModel
     std: _Standardized
     T: np.ndarray
@@ -225,25 +228,19 @@ class _Tableau:
                         self.lo.copy(), self.hi.copy())
 
 
-def _bounds(model: LpModel, overrides):
-    """Each variable's (lower, upper) bounds: the model's, tightened by the
-    overrides; names the model lacks are ignored."""
-    lo, hi = model.lower.copy(), model.upper.copy()
-    moved = [(model._index[name], bounds) for name, bounds in (overrides or {}).items()
-             if name in model._index]
-    if moved:
-        k = np.array([k for k, _ in moved], dtype=np.int64)
-        bounds = np.array([b for _, b in moved], dtype=float)
-        lo[k] = np.maximum(lo[k], bounds[:, 0])
-        hi[k] = np.minimum(hi[k], bounds[:, 1])
-    return lo, hi
+def _bounds(model: LpModel, bounds):
+    """Each variable's (lower, upper) bounds: the model's, tightened by
+    bounds, a (lower, upper) pair of per-variable arrays, when given."""
+    if bounds is None:
+        return model.lower.copy(), model.upper.copy()
+    return np.maximum(model.lower, bounds[0]), np.minimum(model.upper, bounds[1])
 
 
-def _standardize(model: LpModel, overrides, feas_tol):
+def _standardize(model: LpModel, bounds, feas_tol):
     """Standard form of the model and its tableau layout, or None when some
     variable's bounds contradict each other."""
     std = _Standardized()
-    lo, hi = _bounds(model, overrides)
+    lo, hi = _bounds(model, bounds)
     if (lo > hi + feas_tol).any():
         return None  # contradictory bounds
     free = (lo == -INF) & (hi == INF)
@@ -494,17 +491,17 @@ def _dual(tab: _Tableau, opts: SimplexOptions):
             raise NumericalFailureError(f"dual simplex exceeded {opts.max_iter} iterations")
 
 
-def _resume(model: LpModel, prev: _Tableau, overrides: dict, opts: SimplexOptions):
+def _resume(model: LpModel, prev: _Tableau, bounds, opts: SimplexOptions):
     """Resume from a copy of prev, the tableau of an earlier solve of the
-    same model, with the bounds in overrides (the warm restart in the
-    module docstring); prev is left as it was.
+    same model, with the given bounds (the warm restart in the module
+    docstring); prev is left as it was.
 
     Returns (solution or None, pivots); None when a bound would loosen, a
     free or mirrored column's bound moves, or the answer fails _certify."""
     std = prev.std
     if prev.model is not model:
         return None, 0
-    lo, hi = _bounds(model, overrides)
+    lo, hi = _bounds(model, bounds)
     if (lo < prev.lo).any() or (hi > prev.hi).any():
         return None, 0
     if (lo > hi + opts.feas_tol).any():
@@ -556,35 +553,22 @@ def _solution(tab: _Tableau, iterations: int) -> LpSolution | None:
     values[std.free] -= x[std.col[std.free] + 1]
     if not _certify(tab, values):
         return None
-    primal = dict(zip(model.var_names, values.tolist()))
     costed = np.flatnonzero(model.cost)
     objective = sum(c * x for c, x in zip(model.cost[costed].tolist(), values[costed].tolist()))
     # a resume may complement an artificial, which negates its cost entry
     d = T[m, std.unit_col]
-    y = np.zeros(len(model.row_names))
+    y = np.zeros(len(model.rhs))
     y[std.origin] = np.where(flipped[std.unit_col], d, -d) * std.sgn * std.sense_mul
-    dual = dict(zip(model.row_names, y.tolist()))
-    return LpSolution(
-        status="optimal",
-        objective=float(objective),
-        primal=primal,
-        dual=dual,
-        iterations=iterations,
-        tableau=tab,
-    )
+    return LpSolution(status="optimal", objective=float(objective), primal=values, dual=y,
+                      iterations=iterations, tableau=tab)
 
 
-def _start_columns(model: LpModel, std: _Standardized, start: dict) -> np.ndarray | None:
-    """The start point in standardized columns (unnamed variables, the
-    second column of a free variable and the slack and artificial columns
-    are 0), or None when it names a variable the model does not have."""
-    value = np.zeros(len(model.var_names))
-    for name, v in start.items():
-        if name not in model._index:
-            return None
-        value[model._index[name]] = v
+def _start_columns(std: _Standardized, start) -> np.ndarray:
+    """The start point, one value per variable, in standardized columns
+    (the second column of a free variable and the slack and artificial
+    columns are 0)."""
     x = np.zeros(len(std.upper))
-    x[std.col] = (value - std.offset) * std.sign
+    x[std.col] = (np.asarray(start, float) - std.offset) * std.sign
     return x
 
 
@@ -631,41 +615,41 @@ def _crash(tab: _Tableau, x: np.ndarray, opts: SimplexOptions):
 
 
 def solve_lp(model: LpModel, options: SimplexOptions | None = None,
-             bound_overrides: dict | None = None, start: dict | None = None,
+             bounds: tuple | None = None, start: np.ndarray | None = None,
              warm: LpSolution | None = None) -> LpSolution:
     """Solve the continuous model; integrality markers are ignored.
 
-    bound_overrides maps variable names to (lower, upper) pairs tightened
-    on top of the model's own bounds (used by branch-and-bound).  start
-    maps variable names to a feasible point (unnamed variables are 0); the
-    solve then begins from a basis whose basic solution is that point and
-    skips phase 1.  An infeasible start, or one the crash cannot turn into
-    a basis, is dropped and the model is solved from scratch.  warm is an
-    earlier optimal solution of this model whose overrides bound_overrides
-    only tightens; the solve resumes from its final tableau, which is left
-    as it was (the warm restart in the module docstring).  Pivots of a
-    resume that falls back to the cold solve count in `iterations`.
+    bounds is a (lower, upper) pair of arrays, one value per variable,
+    tightened on top of the model's own bounds (branch-and-bound passes
+    each node's); a looser value leaves the model's bound in effect.  start
+    is a feasible point, one value per variable; the solve then begins
+    from a basis whose basic solution is that point and skips phase 1.  An
+    infeasible start, or one the crash cannot turn into a basis, is
+    dropped and the model is solved from scratch.  warm is an earlier
+    optimal solution of this model whose bounds these only tighten; the
+    solve resumes from its final tableau, which is left as it was (the
+    warm restart in the module docstring).  Pivots of a resume that falls
+    back to the cold solve count in `iterations`.
     """
     opts = options or DEFAULT_OPTIONS
     resumed = 0
     if warm is not None and warm.tableau is not None:
-        sol, resumed = _resume(model, warm.tableau, bound_overrides or {}, opts)
+        sol, resumed = _resume(model, warm.tableau, bounds, opts)
         if sol is not None:
             return sol
-    sol = _solve_cold(model, opts, bound_overrides, start)
+    sol = _solve_cold(model, opts, bounds, start)
     sol.iterations += resumed
     return sol
 
 
-def _solve_cold(model: LpModel, opts: SimplexOptions, bound_overrides, start) -> LpSolution:
+def _solve_cold(model: LpModel, opts: SimplexOptions, bounds, start) -> LpSolution:
     """solve_lp from a fresh tableau: crash or two phases."""
-    std = _standardize(model, bound_overrides, opts.feas_tol)
+    std = _standardize(model, bounds, opts.feas_tol)
     if std is None:
         return LpSolution(status="infeasible", objective=None)
     tab = _tableau(model, std)
-    x = None if start is None else _start_columns(model, std, start)
-    crash = None if x is None else _crash(tab, x, opts)
-    if x is not None and crash is None:  # the start is dropped
+    crash = None if start is None else _crash(tab, _start_columns(std, start), opts)
+    if start is not None and crash is None:  # the start is dropped
         tab = _tableau(model, std)
     T, basis, m = tab.T, tab.basis, len(tab.basis)
     iterations = crash or 0

@@ -135,11 +135,12 @@ def test_criterion_5_lc_integrality(capsys):
         for i in [0] + sorted(dag.branching):
             if checked >= 100:
                 break
-            sol = solve_lp(build_lc(i, rep, dag, matrix, values))
+            model = build_lc(i, rep, dag, matrix, values)
+            sol = solve_lp(model)
             checked += 1
-            frac = max(abs(x - round(x)) for x in sol.primal.values())
+            frac = max(abs(x - round(x)) for x in sol.primal.tolist())
             support = [int(name.rsplit("_", 1)[1])
-                       for name, x in sol.primal.items() if x > 0.5]
+                       for name, x in zip(model.var_names, sol.primal.tolist()) if x > 0.5]
             if frac > TOL:
                 bad.append(f"LC_{i} not integral (dev {frac:.2e})")
             elif not rep.is_chain(support):

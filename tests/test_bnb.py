@@ -345,11 +345,23 @@ def test_solve_stacks_builds_the_dag_once(monkeypatch):
     assert len(calls) == 5
 
 
-def test_cg_root_starts_from_one_stack_of_any_height(monkeypatch):
+def _spy_starts(monkeypatch):
+    """Record each solve_lp start given through bnb as a dict of its
+    nonzero values by variable name."""
     starts = []
     solve_lp = bnb.solve_lp
-    monkeypatch.setattr(bnb, "solve_lp",
-                        lambda *a, **k: starts.append(k.get("start")) or solve_lp(*a, **k))
+
+    def spy(model, *args, **kw):
+        values = zip(model.var_names, kw["start"].tolist())
+        starts.append({name: x for name, x in values if x})
+        return solve_lp(model, *args, **kw)
+
+    monkeypatch.setattr(bnb, "solve_lp", spy)
+    return starts
+
+
+def test_cg_root_starts_from_one_stack_of_any_height(monkeypatch):
+    starts = _spy_starts(monkeypatch)
     cg_root(normalize([(1, 8), (2, 7), (3, 6)]))  # one nested chain, no overlaps
     assert starts == [{"x_0_1": 1.0, "x_1_2": 1.0, "x_2_3": 1.0, "c": 1}]
 
@@ -382,11 +394,11 @@ def test_branching_fixes_the_most_fractional_smallest_name_first(monkeypatch):
     fixed = []
     solve_lp = bnb.solve_lp
     monkeypatch.setattr(bnb, "solve_lp", lambda *a, **k: fixed.append(
-        k.get("bound_overrides") or {}) or solve_lp(*a, **k))
-    value, primal, nodes = solve_ip(model, no_branch=frozenset(["x_0"]))
-    assert value == 0 and primal["x_a"] == primal["x_b"] == 0
-    assert fixed[:2] == [{}, {"x_a": (-math.inf, 0)}]
-    assert all("x_0" not in f for f in fixed)
+        tuple(b.tolist() for b in k["bounds"])) or solve_lp(*a, **k))
+    value, primal, nodes = solve_ip(model, branch=[0, 1])  # x_b and x_a
+    assert value == 0 and primal[1] == primal[0] == 0
+    assert fixed[:2] == [([0.0] * 3, [1.0] * 3), ([0.0] * 3, [1.0, 0.0, 1.0])]
+    assert all(lower[2] == 0.0 and upper[2] == 1.0 for lower, upper in fixed)
 
 
 def test_cg_root_is_the_fractional_chromatic_number(c5, monkeypatch):
@@ -400,10 +412,7 @@ def test_cg_root_is_the_fractional_chromatic_number(c5, monkeypatch):
 
 
 def test_roots_start_from_the_heuristic_solutions(c5, monkeypatch):
-    starts = []
-    solve_lp = bnb.solve_lp
-    monkeypatch.setattr(bnb, "solve_lp",
-                        lambda *a, **k: starts.append(k.get("start")) or solve_lp(*a, **k))
+    starts = _spy_starts(monkeypatch)
     cg_root(c5)
     solve_stacks(c5, 2)
     # first fit along the left endpoints colors 1 3 | 5 2 | 4, and 2 hangs below 5
@@ -414,23 +423,15 @@ def test_roots_start_from_the_heuristic_solutions(c5, monkeypatch):
                          "x_0.0_4": 1.0, "c": 3}
 
 
-def _dual_objective(model, sol, overrides):
-    """y'b plus each reduced cost times the bound it points at, with the
-    overrides in effect (a min model)."""
-    bounds = {v.name: (v.lower, v.upper) for v in model.variables}
-    for name, (lo, hi) in overrides.items():
-        bounds[name] = (max(bounds[name][0], lo), min(bounds[name][1], hi))
-    reduced = dict(zip(model.var_names, model.cost.tolist()))
-    value = 0.0
-    for r in model.constraints:
-        y = sol.dual[r.name]
-        value += y * r.rhs
-        for name, c in r.coeffs.items():
-            reduced[name] = reduced.get(name, 0.0) - y * c
-    for name, z in reduced.items():
-        if abs(z) > 1e-12:  # c has no upper bound
-            value += z * bounds[name][1 if z < 0 else 0]
-    return value
+def _dual_objective(model, sol, bounds):
+    """y'b plus each reduced cost d = c - A'y times the bound it points at,
+    with the node's bounds in effect (a min model)."""
+    lower, upper = np.maximum(model.lower, bounds[0]), np.minimum(model.upper, bounds[1])
+    y = sol.dual
+    z = model.cost - np.bincount(model.var, weights=model.val * y[model.row],
+                                 minlength=len(model.cost))
+    big = np.abs(z) > 1e-12  # c has no upper bound
+    return float(y @ model.rhs + z[big] @ np.where(z < 0, upper, lower)[big])
 
 
 def _check_node_lps(monkeypatch):
@@ -445,11 +446,11 @@ def _check_node_lps(monkeypatch):
         sol = real_solve_lp(model, opts, **kw)
         if "warm" in kw:  # a node LP; the root starts from a point instead
             assert kw["warm"] is not None and kw["warm"].tableau is not None
-            cold = real_solve_lp(model, opts, bound_overrides=kw["bound_overrides"])
+            cold = real_solve_lp(model, opts, bounds=kw["bounds"])
             assert sol.status == cold.status
             if cold.status == "optimal":
                 assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
-                assert _dual_objective(model, sol, kw["bound_overrides"]) == pytest.approx(
+                assert _dual_objective(model, sol, kw["bounds"]) == pytest.approx(
                     sol.objective, abs=1e-9)
             nodes.append(sol.status)
         return sol

@@ -256,8 +256,9 @@ def test_round_trip_random_models():
             data = export_model(model, fmt).decode()
             again = parse_lp_text(data) if fmt == "lp" else parse_mps(data)
             assert solve_lp(again.relaxed()).objective == pytest.approx(direct, abs=1e-6)
-            iv, _, _ = solve_ip(again, no_branch=frozenset(["c"]))
-            dv, _, _ = solve_ip(model, no_branch=frozenset(["c"]))
+            arcs = np.arange(len(model.var_names) - 1)  # c is the last variable
+            iv, _, _ = solve_ip(again, branch=arcs)
+            dv, _, _ = solve_ip(model, branch=arcs)
             assert iv == dv
 
 
@@ -344,11 +345,14 @@ ENDATA
      "bad constraint line: ' r: x + 1e308 y + 1e308 y >= 1'"),
     (" r: x + y >= 1\n", " r: x + y >= 1\n r: x >= 0\n",
      "bad constraint line: ' r: x >= 0' (constraint r is a duplicate)"),
+    ("End\n", "General\n x\n z\nEnd\n", "bad general line: ' z' (an undeclared variable z)"),
+    ("End\n", "Binary\n x w\nEnd\n", "bad binary line: ' x w' (an undeclared variable w)"),
 ], ids=["no-objective", "objective-colon", "objective-variable", "objective-constant", "sense",
         "bounds-tokens", "bounds-value", "bounds-twice", "constraint-value", "constraint-colon",
         "constraint-variable", "stray-line", "after-end", "bounds-nan", "bounds-lower-inf",
         "bounds-upper-minus-inf", "constraint-nan", "constraint-rhs-inf", "objective-inf",
-        "objective-sum-inf", "constraint-sum-inf", "constraint-twice"])
+        "objective-sum-inf", "constraint-sum-inf", "constraint-twice", "general-variable",
+        "binary-variable"])
 def test_parse_lp_text_names_the_line_it_cannot_read(old, new, error):
     assert old in _LP
     with pytest.raises(InstanceFormatError) as info:
@@ -408,6 +412,29 @@ def test_a_column_with_no_nonzero_entry_survives_both_round_trips():
         assert back.cost.tolist() == [1.0, 0.0]
         z = back.variables[1]
         assert (z.kind, z.lower, z.upper) == (INTEGER, 0.0, 5.0)
+
+
+def test_a_row_named_obj_survives_the_mps_round_trip():
+    # the N row takes a name no row has, so a row may be called OBJ
+    model = LpModel(name="t", sense="min")
+    model.add_var("x", 0.0, 1.0, cost=2.0)
+    model.add_constraint("OBJ", {"x": 1.0}, ">=", 0.5)
+    model.add_constraint("OBJ_", {"x": 1.0}, "<=", 1.0)
+    text = write_mps(model)
+    assert " N  OBJ__" in text.splitlines()
+    back = parse_mps(text)
+    assert back.row_names == ["OBJ", "OBJ_"] and back.cost.tolist() == [2.0]
+    assert [tuple(c) for c in back.constraints] == [tuple(c) for c in model.constraints]
+    assert write_mps(back) == text
+
+
+def test_lp_text_refuses_a_model_with_no_variable():
+    # every sum needs a variable to write 0 times; MPS writes such a model
+    model = LpModel(name="empty", sense="min")
+    model.add_constraint("r", {}, "<=", 1.0)
+    with pytest.raises(ValueError, match="^model empty has no variable, and LP text needs one$"):
+        write_lp_text(model)
+    assert parse_mps(write_mps(model)).row_names == ["r"]
 
 
 def _variables(model):
@@ -486,7 +513,7 @@ def test_add_vars_refuses_a_duplicate_and_leaves_the_model_as_it_was():
     assert [len(a) for a in (model.lower, model.upper, model.kind, model.cost)] == [2, 2, 2, 2]
     model.add_vars(["c"], 0.0, 1.0, BINARY, 3.0)
     model.add_constraint("r", {"a": 1.0, "c": 1.0}, ">=", 1.0)
-    assert solve_lp(model).primal == pytest.approx({"a": 1.0, "b": 0.0, "c": 0.0})
+    assert solve_lp(model).primal == pytest.approx([1.0, 0.0, 0.0])
 
 
 def test_add_rows_refuses_a_value_that_is_not_finite_and_leaves_the_model_as_it_was():
@@ -545,7 +572,7 @@ def test_add_rows_refuses_a_duplicate_name_and_leaves_the_model_as_it_was():
     assert _arrays(model) == before and model.row_names == ["r"]
     # so every row keeps its own dual
     model.add_constraint("s", {"y": 1.0}, ">=", 0.25)
-    assert solve_lp(model).dual == pytest.approx({"r": 1.0, "s": 1.0})
+    assert solve_lp(model).dual == pytest.approx([1.0, 1.0])
 
 
 def _arrays(model):

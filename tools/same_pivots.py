@@ -8,9 +8,11 @@ For k < 600 it runs, in this order, `cg_root` on generate_one(25, 21, k),
 `solve_chromatic` on generate_one(22, 21, k) and `solve_stacks` on
 generate_one(16, 21, k) with height 2 + k % 2.  Every `solve_lp` call that
 `bnb` makes (root LPs and branch-and-bound nodes) is recorded as
-repr((status, objective, iterations, sorted(primal.items()),
-sorted(dual.items()))), and the sha256 is taken over these strings,
-UTF-8 encoded and concatenated in call order.
+repr((status, objective, iterations, primal, dual)), where primal is
+the sorted (variable name, value) pairs of the solution's primal array
+and dual the sorted (row name, dual) pairs of its dual array, and the
+sha256 is taken over these strings, UTF-8 encoded and concatenated in
+call order.
 
 A second block covers the integer programs, whose LPs pin variables: AS
 fixes its structural zeros at [0, 0] and every branch-and-bound node fixes
@@ -51,13 +53,15 @@ class Recorder:
 
     def __call__(self, *args, **kwargs):
         sol = self.solve_lp(*args, **kwargs)
+        model = args[0]
         self.calls += 1
         self.pivots += sol.iterations
-        dual = sorted(sol.dual.items())
+        primal = sorted(zip(model.var_names, sol.primal.tolist()))
+        dual = sorted(zip(model.row_names, sol.dual.tolist()))
         if self.unsigned_zeros:
             dual = [(name, y + 0.0) for name, y in dual]
         self.digest.update(repr((sol.status, sol.objective, sol.iterations,
-                                 sorted(sol.primal.items()), dual)).encode())
+                                 primal, dual)).encode())
         return sol
 
 
