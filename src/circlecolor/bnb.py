@@ -37,7 +37,9 @@ from .intervals import (  # noqa: F401
 from .lpmodels import LpModel, build_cg
 from .mwis import check_clique, decode_arborescence
 from .simplex import DEFAULT_OPTIONS, LpSolution, SimplexOptions, solve_lp
-from .stowage import (
+# arborescence_of_coloring is not called here; perfbench/spans.py wraps it
+# at this name
+from .stowage import (  # noqa: F401
     StackPlan,
     arborescence_of_coloring,
     build_cgh,
@@ -45,7 +47,6 @@ from .stowage import (
     decode_plan,
     effective_height,
     greedy_stack_plan,
-    plan_arcs,
 )
 
 
@@ -190,8 +191,10 @@ def solve_ip(model: LpModel, options: SimplexOptions | None = None,
 def _start(rep: IntervalRep, model: LpModel, plan: StackPlan) -> np.ndarray:
     """The point of a heuristic plan in the variables of CG or CG_H, the
     arcs 0 .. A-1 and c last: its arcs at 1 and c at its number of stacks.
-    A CG arc (i, j) is a layered arc (i, h, j) with its layer dropped."""
-    held = plan_arcs(rep, plan)
+    The arcs are those check_plan certifies at the model's height (n for
+    CG); a CG arc (i, j) is a layered arc (i, h, j) with its layer
+    dropped."""
+    held = set(check_plan(rep, plan, model.metadata.get("height", rep.n), plan.num_stacks))
     held |= {(i, j) for i, _, j in held}
     arcs = model.metadata["arcs"].values()
     return np.array([tuple(arc) in held for arc in arcs] + [plan.num_stacks], float)
@@ -227,12 +230,13 @@ def _build(rep: IntervalRep, height: int | None, timings: dict, plan: StackPlan 
 
 
 def _clique_plan(rep: IntervalRep, height: int | None, timings: dict):
-    """The checked maximum clique, a heuristic plan, and whether that plan
-    settles the answer.  The plan is, for colors (height None), the color
-    classes of color_within(rep, omega), or None when it finds none; for
-    stacks, the greedy plan at the effective height `height`, which the LP
-    path also starts from.  It settles the answer when it has one stack
-    per clique member and check_plan accepts it.
+    """The checked maximum clique, a heuristic plan, and the plan's arcs
+    when it settles the answer, else None.  The plan is, for colors
+    (height None), the color classes of color_within(rep, omega), or None
+    when it finds none; for stacks, the greedy plan at the effective
+    height `height`, which the LP path also starts from.  It settles the
+    answer when it has one stack per clique member, and then check_plan
+    certifies it and gives its arcs.
 
     Such a plan is optimal with the clique as its proof: a stack is an
     independent set, so it holds at most one member of the clique, and
@@ -246,11 +250,10 @@ def _clique_plan(rep: IntervalRep, height: int | None, timings: dict):
         plan = None if colors is None else StackPlan(stacks=_color_classes(rep, colors, omega))
     else:
         plan = greedy_stack_plan(rep, height)
-    settled = plan is not None and plan.num_stacks == omega
-    if settled:
-        check_plan(rep, plan, height or rep.n, omega)
+    settles = plan is not None and plan.num_stacks == omega
+    arcs = check_plan(rep, plan, height or rep.n, omega) if settles else None
     timings["clique"] = time.perf_counter() - t0
-    return clique, plan, settled
+    return clique, plan, arcs
 
 
 def _color_classes(rep: IntervalRep, colors: dict, chi: int) -> tuple:
@@ -272,14 +275,15 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
     decode_plan at the effective height for CG_H; check_plan certifies
     the plan, and nodes counts the LP nodes, the root once.  Both paths
     end in one report built from the certified plan: its stacks are the
-    colors, and for CG the certificate is arborescence_of_coloring."""
+    colors, and for CG the certificate is the arcs check_plan returned,
+    flattened (arborescence_of_coloring of the coloring)."""
     opts = options or DEFAULT_OPTIONS
     timings = {}
     if height is not None:
         height = effective_height(rep, height)
-    clique, plan, settled = _clique_plan(rep, height, timings)
+    clique, plan, arcs = _clique_plan(rep, height, timings)
     value, chi_f, nodes = len(clique), float(len(clique)), 0
-    if not settled:
+    if arcs is None:
         model, plan = _build(rep, height, timings, plan)
         arc_list = list(model.metadata["arcs"].values())
         start = _start(rep, model, plan)
@@ -296,23 +300,22 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
 
         t0 = time.perf_counter()
         point = start if point is None else point
-        arcs = {tuple(arc_list[k]) for k in np.flatnonzero(point[:len(arc_list)] > 0.5).tolist()}
+        chosen = {tuple(arc_list[k]) for k in np.flatnonzero(point[:len(arc_list)] > 0.5).tolist()}
         if height is None:
-            colors = decode_arborescence(rep, arcs, value).colors
+            colors = decode_arborescence(rep, chosen, value).colors
             # the color classes 1..chi, as a plan with no binding height
             plan = StackPlan(stacks=_color_classes(rep, colors, value))
             cap, failure = rep.n, f"decoded coloring is not a proper {value}-coloring: "
         else:
             cap, failure = height, ""
-            plan = decode_plan(rep, arcs, value, height)
+            plan = decode_plan(rep, chosen, value, height)
         try:
-            check_plan(rep, plan, cap, value)
+            arcs = check_plan(rep, plan, cap, value)
         except CertificateError as exc:
             raise CertificateError(f"{failure}{exc}") from None
         timings["decode"] = time.perf_counter() - t0
-    coloring = Coloring(colors=plan.stack_of())
-    if height is None:
-        coloring = Coloring(coloring.colors, arborescence_of_coloring(rep, coloring))
+    coloring = Coloring(plan.stack_of(),
+                        None if height else frozenset((i, j) for i, _, j in arcs))
     return SolveReport(chromatic_number=value, fractional_chromatic=chi_f, nodes_explored=nodes,
                        coloring=coloring, plan=plan, clique=clique, timings=timings)
 
@@ -337,8 +340,8 @@ def fractional_chromatic(rep: IntervalRep, options: SimplexOptions | None = None
     The clique, build and root-LP seconds go into timings when it is
     given."""
     timings = {} if timings is None else timings
-    clique, _, settled = _clique_plan(rep, None, timings)
-    if settled:
+    clique, _, arcs = _clique_plan(rep, None, timings)
+    if arcs is not None:
         return float(len(clique))
     return cg_root(rep, options, timings)[1].objective
 

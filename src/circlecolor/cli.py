@@ -76,6 +76,8 @@ _tolerance = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite num
 # every number lies within 0.5 of an integer, so at 0.5 or more nothing branches
 _int_tolerance = _checked(float, lambda x: 0 < x < 0.5, "a finite number > 0 and < 0.5")
 _count = _checked(int, lambda k: k >= 1, "an integer >= 1")
+# a Philox key word is a uint64
+_seed = _checked(int, lambda s: 0 <= s < 2**64, "an integer >= 0 and < 2**64")
 # refused before the instance is read, so a bad path costs no solve
 _output = _checked(str, lambda path: path and not os.path.isdir(path)
                    and os.path.isdir(os.path.dirname(path) or "."),
@@ -376,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen", cmd_gen, (), "generate random instances")
     p.add_argument("-n", type=_count, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--count", type=_count, default=1)
     json_output(p)
     output(p, "output file (suffix .NNN added when count > 1)")
@@ -393,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bench", cmd_bench, (lp_tol, int_tol), "random-instance experiment summary (CSV)")
     p.add_argument("--n", type=_counts, required=True, help="comma-separated vertex counts")
     p.add_argument("--samples", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     output(p, "CSV output path (default stdout)")
 
     p = command("verify", cmd_verify, (lp_tol, int_tol),
                 "cross-check the solvers against brute-force oracles")
     p.add_argument("--n-max", type=_oracle_size, default=10)
     p.add_argument("--trials", type=_count, default=50)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
 
     return parser
 

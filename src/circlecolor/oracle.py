@@ -18,7 +18,9 @@ maximal_independent_sets, so to the default fractional_chromatic_exact,
 and the maximum clique to max_clique_exact, so to chromatic_exact's lower
 bound.  Nothing here calls check_independent or check_plan, and they call
 nothing here, so the oracles and the certificates stay independent checks
-of each other.
+of each other.  The stack height is computed two ways too: check_plan
+reads it off the nesting that check_independent walks, and
+admissible_sets by max_antichain's endpoint sweep.
 """
 
 from __future__ import annotations

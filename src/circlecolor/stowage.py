@@ -6,8 +6,10 @@ Copying each vertex once per admissible nesting level turns the height cap
 into arc structure: layer-h copies can only feed layer h+1.  A layered arc
 is the triple (i, h, j): copy (i, h) feeds (j, h + 1), and the root is the
 one copy (0, 0).  The layered arcs of a stack are the nesting that
-mwis.check_independent walks when it certifies the stack, so plan_arcs
-and arborescence_of_coloring read them from there.
+mwis.check_independent walks when it certifies the stack: check_plan
+returns them, and reads each stack's height off them, so a plan is
+walked once to certify it, to start the LP from it and to give the
+coloring certificate.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .intervals import (
     Coloring,
     ContainmentDag,
     IntervalRep,
-    max_antichain,
+    max_antichain,  # noqa: F401  perfbench/spans.py wraps it under this module
     rising_run,
     topological_order,
 )
@@ -150,41 +152,40 @@ def decode_plan(rep: IntervalRep, arcs, c: int, height: int) -> StackPlan:
         for color in sorted(groups)))
 
 
-def plan_arcs(rep: IntervalRep, plan: StackPlan) -> set:
-    """The layered arcs (i, h, j) of a plan, the inverse of decode_plan:
-    the nesting check_independent walks in each stack, where each vertex
-    hangs one layer below the innermost interval of its own stack that
-    contains it, or below the root.  A stack that is not independent
-    raises CertificateError."""
-    return {arc for stack in plan.stacks for arc in check_independent(rep, stack, "stack {}")}
-
-
 def arborescence_of_coloring(rep: IntervalRep, coloring: Coloring) -> frozenset:
     """The canonical arborescence of a proper coloring: each vertex hangs
     below the inclusion-minimal same-colored interval strictly containing
     it, or below the root.  A color class is a stack, so these are the
-    plan_arcs of the color classes, flattened.  Every arc set that
+    check_plan arcs of the color classes, flattened.  Every arc set that
     decode_arborescence accepts is this arborescence of its coloring: C1
     makes a vertex's parent its innermost same-colored container."""
     classes = {}
     for v in rep.vertices:
         classes.setdefault(coloring.colors[v], []).append(v)
     plan = StackPlan(stacks=tuple(classes.values()))
-    return frozenset((i, j) for i, _, j in plan_arcs(rep, plan))
+    return frozenset((i, j) for i, _, j in check_plan(rep, plan, rep.n, plan.num_stacks))
 
 
-def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) -> None:
+def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) -> list:
     """Raise CertificateError unless the plan puts every vertex in exactly
     one of num_stacks nonempty stacks, each independent and of height at
-    most `height`."""
+    most `height`.
+
+    Returns the plan's layered arcs (i, h, j), the inverse of decode_plan:
+    the nesting check_independent walks in each stack, where each vertex
+    hangs one layer below the innermost interval of its own stack that
+    contains it, or below the root.  An independent stack is laminar, so
+    its height is its top layer, max h + 1."""
     placed = sorted(v for stack in plan.stacks for v in stack)
     if placed != list(rep.vertices) or plan.num_stacks != num_stacks or not all(plan.stacks):
         raise CertificateError(f"plan is not a partition into {num_stacks} stacks")
+    arcs = []
     for stack in plan.stacks:
-        check_independent(rep, stack, "stack {}")
-        # an antichain is never larger than its stack
-        if len(stack) > height and max_antichain(rep, stack) > height:
+        arcs += check_independent(rep, stack, "stack {}")
+        # a stack is never taller than it is long
+        if len(stack) > height and max(h for _, h, _ in arcs[-len(stack):]) >= height:
             raise CertificateError(f"stack {stack} exceeds the capacity {height}")
+    return arcs
 
 
 def greedy_stack_plan(rep: IntervalRep, height: int) -> StackPlan:

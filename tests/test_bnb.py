@@ -36,7 +36,6 @@ from circlecolor.stowage import (
     check_plan,
     greedy_stack_plan,
     nesting_depth,
-    plan_arcs,
 )
 
 
@@ -68,12 +67,13 @@ def test_greedy_plan_with_no_cap_is_first_fit_and_its_arborescence(rep):
     for v, c in want.colors.items():
         classes.setdefault(c, []).append(v)
     assert [sorted(s) for s in plan.stacks] == [sorted(classes[c]) for c in sorted(classes)]
-    arcs = {(i, j) for i, _, j in plan_arcs(rep, plan)}
+    arcs = {(i, j) for i, _, j in check_plan(rep, plan, rep.n, plan.num_stacks)}
     assert arcs == arborescence_of_coloring(rep, want)
 
 
 def test_coloring_certificate_sweeps_no_antichain(c5, monkeypatch):
-    # a color class has at most n vertices, so its height needs no sweep
+    # check_plan reads a stack's height off its nesting, and a color class
+    # has at most n vertices, so its height is not even read
     def sweep(rep, subset):
         raise AssertionError("max_antichain called")
 

@@ -314,6 +314,18 @@ def test_bad_counts_are_usage_errors(capsys):
         assert f"argument {args[-2]}: expected an integer >= 1" in line
 
 
+def test_seeds_outside_a_uint64_are_usage_errors(capsys):
+    # a Philox key word is a uint64; these once ended in an OverflowError
+    for args in (["gen", "-n", "3", "--seed", "-1"],
+                 ["bench", "--n", "3", "--samples", "1", "--seed", "-1"],
+                 ["verify", "--seed", "-1"], ["gen", "-n", "3", "--seed", str(2**64)],
+                 ["gen", "-n", "3", "--seed", "1.5"]):
+        line = _usage_error(capsys, args)
+        assert line.endswith(f"argument --seed: expected an integer >= 0 and < 2**64,"
+                             f" got '{args[-1]}'")
+    assert run_cli(["gen", "-n", "3", "--seed", str(2**64 - 1)]).startswith("3\n")
+
+
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys):
     for args in (["relax", C5_FILE, "-v"], ["relax", C5_FILE, "--int-tol", "0.3"],
                  ["mwis", C5_FILE, "--feas-tol", "1e-8"],

@@ -26,10 +26,10 @@ from circlecolor.lpmodels import (
 from circlecolor.simplex import SimplexOptions, solve_lp
 from circlecolor.stowage import (
     build_cgh,
+    check_plan,
     effective_height,
     greedy_stack_plan,
     layer_var,
-    plan_arcs,
 )
 
 
@@ -445,7 +445,7 @@ def _cg_start(rep):
     no binding height (first fit)."""
     model = build_cg(rep, build_dag(rep), build_clique_matrix(rep)).relaxed()
     plan = greedy_stack_plan(rep, rep.n)
-    start = {arc_var(i, j): 1.0 for i, _, j in plan_arcs(rep, plan)}
+    start = {arc_var(i, j): 1.0 for i, _, j in check_plan(rep, plan, rep.n, plan.num_stacks)}
     return model, _point(model, start | {"c": plan.num_stacks})
 
 
@@ -454,7 +454,7 @@ def _cgh_start(rep, height):
     h = effective_height(rep, height)
     model = build_cgh(rep, build_dag(rep), build_clique_matrix(rep), h).relaxed()
     plan = greedy_stack_plan(rep, h)
-    start = {layer_var(*arc): 1.0 for arc in plan_arcs(rep, plan)}
+    start = {layer_var(*arc): 1.0 for arc in check_plan(rep, plan, h, plan.num_stacks)}
     return model, _point(model, start | {"c": plan.num_stacks})
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import interval_reps
 
-from circlecolor import bnb, stowage
+from circlecolor import bnb
 from circlecolor.bnb import first_fit, solve_chromatic, solve_ip, solve_stacks
 from circlecolor.errors import (
     AntichainBoundError,
@@ -25,7 +25,7 @@ from circlecolor.intervals import (
     max_antichain,
     normalize,
 )
-from circlecolor.mwis import decode_arborescence
+from circlecolor.mwis import check_independent, decode_arborescence
 from circlecolor.oracle import stacks_exact, stacks_lp_exact
 from circlecolor.simplex import solve_lp
 from circlecolor.stowage import (
@@ -37,7 +37,6 @@ from circlecolor.stowage import (
     effective_height,
     greedy_stack_plan,
     nesting_depth,
-    plan_arcs,
 )
 
 
@@ -273,11 +272,64 @@ def test_greedy_plan_equals_the_trial_greedy(rep, height):
 
 @settings(max_examples=150, deadline=None)
 @given(interval_reps(max_n=12), st.integers(1, 4))
-def test_plan_arcs_decode_back_to_a_plan(rep, height):
+def test_the_arcs_check_plan_returns_decode_back_to_the_plan(rep, height):
     h = effective_height(rep, height)
     plan = greedy_stack_plan(rep, h)
     # the solver decodes the greedy plan's arcs when nothing beats it
-    assert decode_plan(rep, plan_arcs(rep, plan), plan.num_stacks, h) == plan
+    arcs = check_plan(rep, plan, h, plan.num_stacks)
+    assert decode_plan(rep, arcs, plan.num_stacks, h) == plan
+
+
+def _plan_arcs(rep, plan):
+    """The layered arcs of a plan as the union of its stacks'
+    check_independent nestings."""
+    return {arc for stack in plan.stacks for arc in check_independent(rep, stack, "stack {}")}
+
+
+def _reshaped_plans(rep, data):
+    """The greedy plan at each height up to the nesting depth, then the
+    same plan with two stacks merged, and with a stack split in two."""
+    for h in range(1, nesting_depth(rep) + 1):
+        stacks = list(greedy_stack_plan(rep, h).stacks)
+        yield StackPlan(stacks=tuple(stacks))
+        if len(stacks) > 1:
+            a, b = sorted(data.draw(st.lists(st.sampled_from(range(len(stacks))), min_size=2,
+                                             max_size=2, unique=True)))
+            merged = stacks[:a] + [stacks[a] + stacks[b]] + stacks[a + 1:b] + stacks[b + 1:]
+            yield StackPlan(stacks=tuple(merged))
+        k = data.draw(st.sampled_from(range(len(stacks))))
+        if len(stacks[k]) > 1:
+            part = data.draw(st.lists(st.sampled_from(stacks[k]), min_size=1,
+                                      max_size=len(stacks[k]) - 1, unique=True))
+            rest = tuple(v for v in stacks[k] if v not in part)
+            yield StackPlan(stacks=tuple(stacks[:k]) + (tuple(part), rest) + tuple(stacks[k + 1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_reps(max_n=12), st.data())
+def test_check_plan_returns_the_nestings_and_refuses_exactly_the_tall_stacks(rep, data):
+    for plan in _reshaped_plans(rep, data):
+        for height in range(1, nesting_depth(rep) + 2):
+            # check_plan reports the first stack that fails either check
+            want = None
+            for stack in plan.stacks:
+                if any(rep.overlaps(u, v) for u, v in combinations(stack, 2)):
+                    want = " holds overlapping "
+                elif max_antichain(rep, stack) > height:
+                    want = f"stack {stack} exceeds the capacity {height}"
+                if want:
+                    break
+            if want is None:
+                arcs = check_plan(rep, plan, height, plan.num_stacks)
+                assert len(arcs) == rep.n and set(arcs) == _plan_arcs(rep, plan)
+                continue
+            with pytest.raises(CertificateError) as info:
+                check_plan(rep, plan, height, plan.num_stacks)
+            assert want in str(info.value)
+        # a stack exactly at the capacity passes
+        if not any(rep.overlaps(u, v) for s in plan.stacks for u, v in combinations(s, 2)):
+            check_plan(rep, plan, max(max_antichain(rep, s) for s in plan.stacks),
+                       plan.num_stacks)
 
 
 def test_decode_plan_refuses_an_arc_outside_the_vertices(c5):
@@ -354,12 +406,14 @@ def test_solve_stacks_rejects_a_corrupted_decode(c5, monkeypatch):
 
 
 def test_solve_stacks_certifies_the_stack_height(monkeypatch):
-    # decode_plan leaves a stack's height to check_plan; three disjoint
-    # intervals make one stack longer than the height 1
-    three = normalize([(1, 2), (3, 4), (5, 6)])
-    monkeypatch.setattr(stowage, "max_antichain", lambda rep, subset: 2)
-    with pytest.raises(CertificateError, match="exceeds the capacity 1"):
-        solve_stacks(three, 1)
+    # decode_plan leaves a stack's height to check_plan; a chain of three
+    # nested intervals and one beside them need 2 stacks at height 2, and
+    # a decode that stacks the chain whole is one layer too tall
+    rep = normalize([(1, 6), (2, 5), (3, 4), (7, 8)])
+    tall = StackPlan(stacks=((1, 2, 3), (4,)))
+    monkeypatch.setattr(bnb, "decode_plan", lambda *args: tall)
+    with pytest.raises(CertificateError, match=r"^stack \(1, 2, 3\) exceeds the capacity 2$"):
+        solve_stacks(rep, 2)
 
 
 def _reference_arborescence(rep, coloring):
@@ -386,7 +440,9 @@ def test_arborescence_of_coloring_matches_the_pairwise_scan(rep, data):
     colorings = [
         first_fit(build_graph(rep), order),
         decode_arborescence(rep, {(0, v) for v in rep.vertices}, max_antichain(rep, rep.vertices)),
-        decode_arborescence(rep, {(i, j) for i, _, j in plan_arcs(rep, plan)}, plan.num_stacks),
+        decode_arborescence(rep, {(i, j) for i, _, j in check_plan(rep, plan, height,
+                                                                   plan.num_stacks)},
+                            plan.num_stacks),
     ]
     for coloring in colorings:
         assert arborescence_of_coloring(rep, coloring) == _reference_arborescence(rep, coloring)
@@ -434,7 +490,8 @@ def test_single_arc_corruptions_are_rejected(rep):
         check_plan(rep, plan, rep.n, plan.num_stacks)
         assert plan.num_stacks <= chi
     report = solve_stacks(rep, 2)
-    for arcs in _single_arc_corruptions(rep, plan_arcs(rep, report.plan), 2):
+    plan_arcs = check_plan(rep, report.plan, 2, report.chromatic_number)
+    for arcs in _single_arc_corruptions(rep, plan_arcs, 2):
         try:
             plan = decode_plan(rep, arcs, report.chromatic_number, 2)
         except DECODE_ERRORS:
@@ -450,7 +507,7 @@ def test_every_accepted_arc_set_is_the_arborescence_of_its_coloring(rep):
     # the solver may report arborescence_of_coloring for any decoded arcs
     for height in range(1, nesting_depth(rep) + 1):
         plan = greedy_stack_plan(rep, height)
-        arcs = {(i, j) for i, _, j in plan_arcs(rep, plan)}
+        arcs = {(i, j) for i, _, j in check_plan(rep, plan, height, plan.num_stacks)}
         accepted = 0
         for candidate in [arcs, *_single_arc_corruptions(rep, arcs)]:
             try:
