@@ -1,13 +1,16 @@
 """Exact integer solving by branch-and-bound over the LP relaxation.
 
 One driver answers both the colors (CG) and the stacks (CG_H) requests.
-It first looks for a plan with as many stacks as a checked maximum clique
-has members, which proves itself optimal with no LP; on random instances
-that settles most color requests.  Otherwise: build, root LP, search,
-decode, certify.  The search is best-bound with depth-first tie-breaking
-and branches on a single most-fractional binary variable per node, ties
-to the smallest name; random instances almost always come back integral
-at the root, so that path is usually one LP solve.  Both paths end in one
+It first looks for a plan with as many stacks as a certified lower bound,
+which proves itself optimal with no LP: a checked maximum clique for
+colors, and for stacks the larger of the clique and a checked deepest
+overlap over the height.  On random instances that settles most color
+requests and more than half of the stacks requests at benchmark size.
+Otherwise: build, root LP, search, decode, certify.  The search is
+best-bound with depth-first tie-breaking and branches on a single
+most-fractional binary variable per node, ties to the smallest name;
+random instances almost always come back integral at the root, so that
+path is usually one LP solve.  Both paths end in one
 report built from the certified plan.
 """
 
@@ -35,7 +38,7 @@ from .intervals import (  # noqa: F401
     validate_coloring,
 )
 from .lpmodels import LpModel, build_cg
-from .mwis import check_clique, decode_arborescence
+from .mwis import check_clique, check_overlap, decode_arborescence
 from .simplex import DEFAULT_OPTIONS, LpSolution, SimplexOptions, solve_lp
 # arborescence_of_coloring is not called here; perfbench/spans.py wraps it
 # at this name
@@ -45,8 +48,10 @@ from .stowage import (  # noqa: F401
     build_cgh,
     check_plan,
     decode_plan,
+    deepest_overlap,
     effective_height,
     greedy_stack_plan,
+    stack_plan_within,
 )
 
 
@@ -54,8 +59,9 @@ from .stowage import (  # noqa: F401
 class SolveReport:
     """The answer of solve_chromatic or solve_stacks.  plan is the
     certified plan: the color classes in color order for colors.
-    nodes_explored counts the LP nodes, the root once, and is 0 when the
-    clique and a plan of as many stacks settle the answer."""
+    nodes_explored counts the LP nodes, the root once, and is 0 when a
+    lower bound and a plan of as many stacks settle the answer (see
+    _clique_plan)."""
 
     chromatic_number: int
     fractional_chromatic: float
@@ -230,28 +236,39 @@ def _build(rep: IntervalRep, height: int | None, timings: dict, plan: StackPlan 
 
 
 def _clique_plan(rep: IntervalRep, height: int | None, timings: dict):
-    """The checked maximum clique, a heuristic plan, and the plan's arcs
-    when it settles the answer, else None.  The plan is, for colors
-    (height None), the color classes of color_within(rep, omega), or None
-    when it finds none; for stacks, the greedy plan at the effective
-    height `height`, which the LP path also starts from.  It settles the
-    answer when it has one stack per clique member, and then check_plan
+    """The checked maximum clique, a plan, and the plan's arcs when it
+    settles the answer, else None.  The plan settles the answer when it
+    has as many stacks as the lower bound lb, and then check_plan
     certifies it and gives its arcs.
 
-    Such a plan is optimal with the clique as its proof: a stack is an
-    independent set, so it holds at most one member of the clique, and
-    omega <= chi_f <= chi (and omega <= the CG_H LP value)."""
+    For colors (height None), lb = omega and the plan is the color
+    classes of color_within(rep, omega), or None when it finds none.  A
+    stack is an independent set, so it holds at most one member of the
+    clique, and omega <= chi_f <= chi.
+
+    For stacks at the effective height H, lb = max(omega, d/H), d the
+    deepest overlap: the d intervals that deepest_overlap finds cover one
+    point, which check_overlap certifies.  Those of one stack nest, so a
+    stack holds at most H of them, and lb bounds both the stack count and
+    the CG_H LP value.  The plan is the greedy plan, the LP path's start;
+    when lb is an integer below its count, stack_plan_within searches for
+    a plan of lb stacks and the greedy plan stays when it finds none.  A
+    non-integer lb (d/H > omega, H not dividing d) never settles: the LP
+    value is then unknown."""
     t0 = time.perf_counter()
     clique = max_clique(rep)
     check_clique(rep, clique)
-    omega = len(clique)
+    bound = len(clique)
     if height is None:
-        colors = color_within(rep, omega)
-        plan = None if colors is None else StackPlan(stacks=_color_classes(rep, colors, omega))
+        colors = color_within(rep, bound)
+        plan = None if colors is None else StackPlan(stacks=_color_classes(rep, colors, bound))
     else:
         plan = greedy_stack_plan(rep, height)
-    settles = plan is not None and plan.num_stacks == omega
-    arcs = check_plan(rep, plan, height or rep.n, omega) if settles else None
+        bound = max(bound, check_overlap(rep, deepest_overlap(rep)) / height)
+        if bound % 1 == 0 and plan.num_stacks > bound:  # an integer bound greedy misses
+            plan = stack_plan_within(rep, height, int(bound)) or plan
+    settles = plan is not None and plan.num_stacks == bound
+    arcs = check_plan(rep, plan, height or rep.n, bound) if settles else None
     timings["clique"] = time.perf_counter() - t0
     return clique, plan, arcs
 
@@ -265,11 +282,12 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
            log=None) -> SolveReport:
     """The one answer path of CG (height None) and CG_H.
 
-    First _clique_plan: when its plan has as many stacks as a checked
-    maximum clique has members, that is the answer, with no LP and nodes
-    0.  Otherwise _build gives the program, with the greedy plan as the
-    crash start and the incumbent: the root LP, then branch-and-bound
-    unless the root is integral on the arcs.  The winning arcs, or the
+    First _clique_plan: when its plan has as many stacks as its certified
+    lower bound, that is the answer, and the relaxation value too, with
+    no LP and nodes 0.  Otherwise _build gives the program, with the
+    greedy plan (for CG, the first-fit plan at height n) as the crash
+    start and the incumbent: the root LP, then branch-and-bound unless
+    the root is integral on the arcs.  The winning arcs, or the
     plan's own arcs when nothing beats it, are decoded: into the color
     classes 1..chi by decode_arborescence for CG, into stacks by
     decode_plan at the effective height for CG_H; check_plan certifies
@@ -282,7 +300,6 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
     if height is not None:
         height = effective_height(rep, height)
     clique, plan, arcs = _clique_plan(rep, height, timings)
-    value, chi_f, nodes = len(clique), float(len(clique)), 0
     if arcs is None:
         model, plan = _build(rep, height, timings, plan)
         arc_list = list(model.metadata["arcs"].values())
@@ -314,6 +331,8 @@ def _solve(rep: IntervalRep, height: int | None, options: SimplexOptions | None,
         except CertificateError as exc:
             raise CertificateError(f"{failure}{exc}") from None
         timings["decode"] = time.perf_counter() - t0
+    else:
+        value, chi_f, nodes = plan.num_stacks, float(plan.num_stacks), 0
     coloring = Coloring(plan.stack_of(),
                         None if height else frozenset((i, j) for i, _, j in arcs))
     return SolveReport(chromatic_number=value, fractional_chromatic=chi_f, nodes_explored=nodes,
@@ -357,6 +376,6 @@ def solve_chromatic(rep: IntervalRep, options: SimplexOptions | None = None,
 def solve_stacks(rep: IntervalRep, height: int,
                  options: SimplexOptions | None = None, log=None) -> SolveReport:
     """Exact minimum number of stacks of capacity `height`; the
-    relaxation is omega when the greedy plan has omega stacks, else the
-    CG_H root LP value."""
+    relaxation is lb = max(omega, d/H) when a plan of lb stacks settles
+    it (see _clique_plan), else the CG_H root LP value."""
     return _solve(rep, height, options, log)

@@ -155,7 +155,7 @@ def cmd_relax(args) -> int:
 
 def cmd_mwis(args) -> int:
     rep = load_instance(args.instance)
-    if args.weights:
+    if args.weights is not None:
         try:
             parts = [float(x) for x in args.weights.split(",")]
         except ValueError:

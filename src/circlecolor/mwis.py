@@ -182,6 +182,16 @@ def check_clique(rep: IntervalRep, vertices) -> None:
                                        " which do not overlap")
 
 
+def check_overlap(rep: IntervalRep, vertices) -> int:
+    """Raise CertificateError unless the vertices are d >= 1 distinct
+    vertices of rep whose intervals all cover one point, max left < min
+    right, O(d); returns d, the depth of overlap they certify."""
+    ends = [(rep.left[v], rep.right[v]) for v in set(vertices).intersection(rep.vertices)]
+    if not ends or len(ends) < len(vertices) or max(ends)[0] >= min(r for _, r in ends):
+        raise CertificateError(f"overlap {tuple(vertices)} does not cover one point")
+    return len(ends)
+
+
 def chain_partition(rep: IntervalRep, subset) -> list[list[int]]:
     """Partition the subset into exactly max_antichain(subset) chains.
 

@@ -1,4 +1,6 @@
-"""Capacitated stowage stacks: the CG_H program, and plan decoding.
+"""Capacitated stowage stacks: the CG_H program, plan decoding, the
+greedy plan and the exact search it is the first descent of, and the
+deepest overlap that bounds the number of stacks from below.
 
 A stack holds an independent set whose height (maximum antichain, i.e. the
 deepest nesting level occupied at one point) stays within the capacity H.
@@ -188,30 +190,82 @@ def check_plan(rep: IntervalRep, plan: StackPlan, height: int, num_stacks: int) 
     return arcs
 
 
-def greedy_stack_plan(rep: IntervalRep, height: int) -> StackPlan:
-    """First-fit incumbent: sweep the vertices by left endpoint and drop
-    each into the first stack that stays independent and within the height
-    cap.  At height >= nesting_depth(rep) the stacks are the color classes
-    of first_fit along topological_order(rep).
+def deepest_overlap(rep: IntervalRep) -> list:
+    """The vertices whose intervals cover a point of deepest overlap, the
+    first such point: d = max_antichain(rep, rep.vertices) of them.  One
+    sweep over the endpoint table, O(n).
 
-    Each stack keeps its intervals still open at the sweep point; they
-    nest, so the innermost is last.  A vertex fits a stack whose open list
-    is empty or ends in an interval containing it, and shorter than
-    `height`; it then sits one layer above the open ones.  Stacks list
-    their vertices by (layer, left endpoint).
+    The intervals of one stack that cover a point are nested, so a stack
+    holds at most H of them, and every plan of height H has at least d/H
+    stacks; the CG_H LP is at least d/H too (weight 1/H on these d)."""
+    depth = np.cumsum([1 if rep.left[v] == p else -1 for p, v in enumerate(rep.at) if p])
+    point = int(depth.argmax()) + 1
+    return [v for v in rep.vertices if rep.left[v] <= point < rep.right[v]]
+
+
+# search nodes per vertex that stack_plan_within may spend
+SEARCH_NODES_PER_VERTEX = 16
+
+
+def stack_plan_within(rep: IntervalRep, height: int, most: int) -> StackPlan | None:
+    """A plan of at most `most` stacks of height at most `height`; None
+    when there is none, or when the search has made
+    SEARCH_NODES_PER_VERTEX * n placements without finding one.
+
+    Exact backtracking over the left-endpoint sweep of greedy_stack_plan:
+    each vertex tries the stacks in order, then one new stack while there
+    are fewer than `most`; a placement is one search node, and a vertex
+    with no stack left sends the search back to the last placement, kept
+    on an explicit trail (no recursion).  Its first descent is the greedy
+    plan, so with most = n it is greedy_stack_plan.
+
+    A stack is its top, the last vertex put in it (ROOT while empty);
+    each vertex keeps the innermost interval of its stack that was open
+    when it came (under) and its layer, one above that one's.  The
+    intervals still open at the sweep point are the top's unders that end
+    after it, nested, so undoing a placement only restores a top.  Stacks
+    list their vertices by (layer, left endpoint).
     """
     if height < 1:
         raise InvalidHeightError(f"capacity must be >= 1, got {height}")
-    stacks = []  # (open intervals, [(layer, left endpoint, vertex)])
-    for v in topological_order(rep):
-        for open_, members in stacks:
-            while open_ and rep.right[open_[-1]] < rep.left[v]:
-                open_.pop()
-            if len(open_) < height and (not open_ or rep.right[v] < rep.right[open_[-1]]):
+    left, right, order = rep.left, rep.right, topological_order(rep)
+    under, layer, tops = [ROOT] * (rep.n + 1), [0] * (rep.n + 1), [ROOT] * most
+    # trail: (stack, its top before) per vertex placed, in sweep order
+    trail, budget, s, used = [], SEARCH_NODES_PER_VERTEX * rep.n, 0, 0
+    while len(trail) < rep.n and budget:
+        v = order[len(trail)]
+        for s in range(s, min(used + 1, most)):  # stack `used` is a new one
+            u = tops[s]
+            while u and right[u] < left[v]:
+                u = under[u]
+            if layer[u] < height and (not u or right[v] < right[u]):
+                budget -= 1
+                trail.append((s, tops[s]))
+                under[v], layer[v], tops[s], used, s = u, layer[u] + 1, v, used + (s == used), 0
                 break
-        else:
-            open_, members = [], []
-            stacks.append((open_, members))
-        members.append((len(open_) + 1, rep.left[v], v))
-        open_.append(v)
-    return StackPlan(stacks=tuple(tuple(v for _, _, v in sorted(members)) for _, members in stacks))
+        else:  # nothing left for v: take back the last placement
+            if not trail:
+                return None
+            s, top = trail.pop()
+            tops[s], used, s = top, used - (top == ROOT), s + 1
+    if len(trail) < rep.n:  # the budget ran out
+        return None
+    stacks = [[] for _ in range(used)]
+    for v, (s, _) in zip(order, trail):
+        stacks[s].append(v)
+    # each stack is in left-endpoint order, so a stable sort by layer is enough
+    return StackPlan(stacks=tuple(tuple(sorted(stack, key=layer.__getitem__)) for stack in stacks))
+
+
+def greedy_stack_plan(rep: IntervalRep, height: int) -> StackPlan:
+    """First-fit incumbent: sweep the vertices by left endpoint and drop
+    each into the first stack that stays independent and within the height
+    cap, the first descent of stack_plan_within, which with up to n stacks
+    never backtracks.  At height >= nesting_depth(rep) the stacks are the
+    color classes of first_fit along topological_order(rep).
+
+    A vertex fits a stack whose open intervals (they nest) are none, or
+    end in an innermost one containing it, and are fewer than `height`;
+    it then sits one layer above the open ones.
+    """
+    return stack_plan_within(rep, height, rep.n)

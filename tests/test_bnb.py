@@ -22,6 +22,7 @@ from circlecolor.intervals import (
     build_clique_matrix,
     build_dag,
     build_graph,
+    max_antichain,
     normalize,
     topological_order,
     validate_coloring,
@@ -36,6 +37,7 @@ from circlecolor.stowage import (
     check_plan,
     greedy_stack_plan,
     nesting_depth,
+    stack_plan_within,
 )
 
 
@@ -295,22 +297,30 @@ def test_an_omega_coloring_answers_with_no_lp(monkeypatch):
 
 
 def test_a_greedy_plan_of_omega_stacks_answers_with_no_lp(monkeypatch):
+    # and so does any plan of lb = max(omega, d/H) stacks, d the deepest
+    # overlap: no LP and nodes 0 exactly when the greedy plan or, for an
+    # integer lb that it misses, the search finds one
     lps = _count_lps(monkeypatch)
-    settled = 0
+    settled = by_search = 0
     for k in range(20):
         rep = generate_one(16, 9103, k)
         for height in (2, 3):
             lps.clear()
             report = solve_stacks(rep, height)
-            plan = greedy_stack_plan(rep, min(height, nesting_depth(rep)))
-            if plan.num_stacks == len(report.clique):
+            h = min(height, nesting_depth(rep))
+            lb = max(len(report.clique), max_antichain(rep, rep.vertices) / h)
+            plan = greedy_stack_plan(rep, h)
+            if lb == int(lb) and plan.num_stacks > lb:
+                plan = stack_plan_within(rep, h, int(lb)) or plan
+                by_search += plan.num_stacks == lb
+            if plan.num_stacks == lb:
                 settled += 1
                 assert not lps and report.nodes_explored == 0
                 assert report.plan == plan and report.fractional_chromatic == plan.num_stacks
             else:
                 assert lps and report.nodes_explored >= 1
             assert report.chromatic_number == report.plan.num_stacks
-    assert settled
+    assert settled > by_search > 0
 
 
 @pytest.mark.parametrize("solve", [solve_chromatic, lambda rep: solve_stacks(rep, 2),
@@ -340,9 +350,9 @@ def test_solve_stacks_builds_the_dag_once(monkeypatch):
     for module in (intervals, bnb, stowage):  # every name it could be called by
         monkeypatch.setattr(module, "build_dag",
                             lambda rep: calls.append(rep) or build_dag(rep), raising=False)
-    for k in range(5):
-        solve_stacks(generate_one(16, 9103, k), 2)
-    assert len(calls) == 5
+    # a request settled with no LP builds no program, so no DAG
+    lp_path = sum(solve_stacks(generate_one(16, 9103, k), 2).nodes_explored > 0 for k in range(5))
+    assert len(calls) == lp_path == 4
 
 
 def _spy_starts(monkeypatch):

@@ -272,6 +272,13 @@ def test_mwis_rejects_non_finite_weights():
         run_cli(["mwis", C5_FILE, f"--weights={bad},1,1,1,1"], expect=2)
 
 
+def test_mwis_refuses_an_empty_weight_list(capsys):
+    # an empty --weights= is a wrong weight list, not "no weights"
+    for args in (["--weights="], ["--weights", ""]):
+        run_cli(["mwis", C5_FILE, *args], expect=2)
+        assert "error: weights must be numbers: ''" in capsys.readouterr().err
+
+
 def _usage_error(capsys, args):
     """Run args, expect exit 1, and return the error line, which must be
     the last line of stderr and come with no traceback."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import interval_reps
 
-from circlecolor import bnb
+from circlecolor import bnb, stowage
 from circlecolor.bnb import first_fit, solve_chromatic, solve_ip, solve_stacks
 from circlecolor.errors import (
     AntichainBoundError,
@@ -23,9 +23,10 @@ from circlecolor.intervals import (
     build_dag,
     build_graph,
     max_antichain,
+    max_clique,
     normalize,
 )
-from circlecolor.mwis import check_independent, decode_arborescence
+from circlecolor.mwis import check_independent, check_overlap, decode_arborescence
 from circlecolor.oracle import stacks_exact, stacks_lp_exact
 from circlecolor.simplex import solve_lp
 from circlecolor.stowage import (
@@ -34,9 +35,11 @@ from circlecolor.stowage import (
     build_cgh,
     check_plan,
     decode_plan,
+    deepest_overlap,
     effective_height,
     greedy_stack_plan,
     nesting_depth,
+    stack_plan_within,
 )
 
 
@@ -268,6 +271,88 @@ def _trial_greedy_plan(rep, height):
 def test_greedy_plan_equals_the_trial_greedy(rep, height):
     height = height or rep.n
     assert greedy_stack_plan(rep, height) == _trial_greedy_plan(rep, height)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps(max_n=14), st.data())
+def test_the_first_descent_of_the_search_is_the_greedy_plan(rep, data):
+    # a cap the greedy plan does not reach never sends the search back
+    height = data.draw(st.integers(1, rep.n))
+    greedy = greedy_stack_plan(rep, height)
+    for most in (greedy.num_stacks, greedy.num_stacks + 1, rep.n):
+        assert stack_plan_within(rep, height, most) == greedy
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_reps(max_n=8), st.integers(1, 4))
+def test_every_search_plan_is_certified_and_the_fewest_it_allows(rep, height):
+    fewest = stacks_exact(rep, build_graph(rep), height)
+    for most in range(1, rep.n + 1):
+        plan = stack_plan_within(rep, height, most)
+        if most < fewest:
+            assert plan is None
+        else:
+            check_plan(rep, plan, height, plan.num_stacks)
+            assert plan.num_stacks <= most
+    assert stack_plan_within(rep, height, fewest).num_stacks == fewest
+
+
+def _lower_bound(rep, height):
+    """lb = max(omega, d/H) at the effective height H, d the deepest overlap."""
+    depth = max_antichain(rep, rep.vertices)
+    return max(len(max_clique(rep)), depth / effective_height(rep, height))
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_reps(max_n=10), st.integers(1, 4))
+def test_the_stacks_lp_is_at_least_the_bound_and_meets_it_when_settled(rep, height):
+    lb = _lower_bound(rep, height)
+    root = solve_lp(_cgh(rep, effective_height(rep, height)).relaxed()).objective
+    assert root >= lb - 1e-9
+    report = solve_stacks(rep, height)
+    if report.nodes_explored == 0:  # settled with no LP by a plan of lb stacks
+        assert report.chromatic_number == report.fractional_chromatic == lb
+        assert root == pytest.approx(lb, abs=1e-9)
+
+
+def test_the_depth_bound_settles_past_omega():
+    # three nested intervals at height 1 and two disjoint ones inside the
+    # outer: omega = 1, d = 3, and the greedy plan needs 3 stacks
+    rep = normalize([(1, 10), (2, 5), (3, 4), (6, 9), (7, 8)])
+    report = solve_stacks(rep, 1)
+    assert len(report.clique) == 1 and max_antichain(rep, rep.vertices) == 3
+    answer = (report.chromatic_number, report.fractional_chromatic, report.nodes_explored)
+    assert answer == (3, 3.0, 0)
+
+
+def test_the_deepest_overlap_is_certified():
+    rng = np.random.default_rng(65)
+    for k in range(30):
+        rep = generate_one(int(rng.integers(1, 30)), 665, k)
+        assert check_overlap(rep, deepest_overlap(rep)) == max_antichain(rep, rep.vertices)
+
+
+def test_a_corrupted_depth_witness_is_refused(c5, monkeypatch):
+    # C5's intervals 1 and 3 are disjoint, so they share no point
+    for bad in ([1, 3], [2, 2], [2, 6], [0, 2], []):
+        with pytest.raises(CertificateError):
+            check_overlap(c5, bad)
+    monkeypatch.setattr(bnb, "deepest_overlap", lambda rep: [1, 2, 3])
+    with pytest.raises(CertificateError, match="does not cover one point"):
+        solve_stacks(c5, 2)
+
+
+def test_a_search_of_2000_vertices_backtracks_without_recursion(monkeypatch):
+    # a descent 2000 placements deep would pass the default recursion
+    # limit, and a cap one below the greedy plan sends it back
+    rep = generate_one(2000, 30, 0)
+    greedy = greedy_stack_plan(rep, 2)
+    plan = stack_plan_within(rep, 2, greedy.num_stacks - 1)
+    check_plan(rep, plan, 2, plan.num_stacks)
+    assert plan.num_stacks < greedy.num_stacks
+    # n placements are not enough once the first descent has failed
+    monkeypatch.setattr(stowage, "SEARCH_NODES_PER_VERTEX", 1)
+    assert stack_plan_within(rep, 2, greedy.num_stacks - 1) is None
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,7 +12,9 @@ repr((status, objective, iterations, primal, dual)), where primal is
 the sorted (variable name, value) pairs of the solution's primal array
 and dual the sorted (row name, dual) pairs of its dual array, and the
 sha256 is taken over these strings, UTF-8 encoded and concatenated in
-call order.
+call order.  The same three lines follow for each program alone, prefixed
+`cg_root_`, `solve_chromatic_` and `solve_stacks_`, so that a change to
+one program can show the others' solves unchanged.
 
 A second block covers the integer programs, whose LPs pin variables: AS
 fixes its structural zeros at [0, 0] and every branch-and-bound node fixes
@@ -39,11 +41,13 @@ from circlecolor.lpmodels import build_as, build_cl  # noqa: E402
 
 SAMPLES = 600
 IP_SAMPLES = 40
+PROGRAMS = ("cg_root", "solve_chromatic", "solve_stacks")
 
 
 class Recorder:
     """Stands in for bnb.solve_lp and hashes every solve it passes on; with
-    unsigned_zeros, a dual of -0.0 is hashed as 0.0."""
+    unsigned_zeros, a dual of -0.0 is hashed as 0.0.  A Recorder may pass
+    the solves on to another, so that both count them."""
 
     def __init__(self, solve_lp, unsigned_zeros=False):
         self.solve_lp = solve_lp
@@ -67,11 +71,15 @@ class Recorder:
 
 def main() -> None:
     solve_lp = bnb.solve_lp
-    bnb.solve_lp = record = Recorder(solve_lp)
+    record = Recorder(solve_lp)
+    programs = {name: Recorder(record) for name in PROGRAMS}
     try:
         for k in range(SAMPLES):
+            bnb.solve_lp = programs["cg_root"]
             bnb.cg_root(generate_one(25, 21, k))
+            bnb.solve_lp = programs["solve_chromatic"]
             bnb.solve_chromatic(generate_one(22, 21, k))
+            bnb.solve_lp = programs["solve_stacks"]
             bnb.solve_stacks(generate_one(16, 21, k), 2 + k % 2)
         bnb.solve_lp = ip = Recorder(solve_lp, unsigned_zeros=True)
         for k in range(IP_SAMPLES):
@@ -84,6 +92,10 @@ def main() -> None:
     print(f"calls {record.calls}")
     print(f"pivots {record.pivots}")
     print(f"sha256 {record.digest.hexdigest()}")
+    for name, program in programs.items():
+        print(f"{name}_calls {program.calls}")
+        print(f"{name}_pivots {program.pivots}")
+        print(f"{name}_sha256 {program.digest.hexdigest()}")
     print(f"ip_calls {ip.calls}")
     print(f"ip_pivots {ip.pivots}")
     print(f"ip_sha256 {ip.digest.hexdigest()}")
